@@ -42,6 +42,7 @@ from .lds import (
     PendulumConfig,
     Trajectory,
     block_impulse_inputs,
+    derivative_predictions,
     derivative_predictor,
     diagonalize,
     impulse_response_output,

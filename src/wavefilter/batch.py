@@ -55,6 +55,7 @@ class BatchModel:
     matrix: np.ndarray  # (m, n*k + 2n)
     bank: FilterBank
     ridge: float
+    training_mse: float  # mean squared residual over every target entry
 
 
 def fit_batch(
@@ -92,7 +93,10 @@ def fit_batch(
         matrix = scipy.linalg.solve(gram, F.T @ Y, assume_a="pos").T
     if not np.all(np.isfinite(matrix)):
         raise FloatingPointError("least-squares solution has non-finite entries")
-    return BatchModel(matrix=matrix, bank=bank, ridge=ridge)
+    # per sample: one product with the stacked F made BLAS take ~18 MB more
+    # peak memory (cli batch at 12 x T=1000, width 420)
+    sse = sum(float(((t - f @ matrix.T) ** 2).sum()) for f, t in zip(feats, targets))
+    return BatchModel(matrix=matrix, bank=bank, ridge=ridge, training_mse=sse / Y.size)
 
 
 def predict_derivative(model: BatchModel, features: np.ndarray) -> np.ndarray:

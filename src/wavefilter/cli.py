@@ -137,14 +137,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     bank = build_filter_bank(T, args.k, method=args.method)
     samples = [BatchSample.from_trajectory(t) for t in trajectories]
     model = fit_batch(samples, bank, ridge=args.ridge)
-    from .filters import featurize_batch
-
-    total, count = 0.0, 0
-    for s in samples:
-        feats = featurize_batch(s.inputs, bank).entries
-        resid = s.targets - feats @ model.matrix.T
-        total += float((resid**2).sum())
-        count += resid.size
     layout = FeatureLayout(n=trajectories[0].input_dim, k=args.k, m=0, include_y=False)
     io.save_predictor(
         model.matrix,
@@ -153,7 +145,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         source="batch",
         config_echo={"k": args.k, "ridge": args.ridge},
     )
-    print(f"training MSE {total / count:.6e} over {len(samples)} samples")
+    print(f"training MSE {model.training_mse:.6e} over {len(samples)} samples")
     return 0
 
 

@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import fft
 from .hankel import NOISE_FLOOR, build_hankel, hilbert_matrix, top_eigenpairs
 
 __all__ = [
@@ -193,10 +192,26 @@ def featurize_online(
     return FeatureVector(entries=out, layout=layout)
 
 
+def _convolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of real arrays along the last axis.
+
+    Broadcasts over leading axes; the output length is
+    ``a.shape[-1] + b.shape[-1] - 1``. Uses ``numpy.fft`` real transforms
+    zero-padded to the next power of two at or above that length, so the
+    error is double-precision roundoff.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out_len = a.shape[-1] + b.shape[-1] - 1
+    n = 1 << max(out_len - 1, 1).bit_length()
+    spec = np.fft.rfft(a, n) * np.fft.rfft(b, n)
+    return np.fft.irfft(spec, n)[..., :out_len]
+
+
 def _conv_blocks_fft(xs: np.ndarray, bank: FilterBank) -> np.ndarray:
     T, n = xs.shape
     # c[j, i, s] = sum_u filt[j, u] * x[s - u, i]; feature time t picks s = t-2
-    c = fft.convolve_full(bank.scaled_filters[:, None, :], xs.T[None, :, :])
+    c = _convolve_full(bank.scaled_filters[:, None, :], xs.T[None, :, :])
     blocks = np.zeros((T, bank.k, n))
     if T > 1:
         blocks[1:] = np.moveaxis(c[:, :, : T - 1], -1, 0)
@@ -213,23 +228,36 @@ def _batch_from_blocks(xs: np.ndarray, conv: np.ndarray, bank: FilterBank) -> Fe
     return FeatureMatrix(entries=out, layout=layout)
 
 
-def featurize_batch(inputs: np.ndarray, bank: FilterBank) -> FeatureMatrix:
-    """Features for all time steps in one pass (FFT convolutions)."""
+def _batch_inputs(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
     xs = _as_2d(inputs, "inputs")
     if xs.shape[0] != bank.horizon:
         raise ValueError(
             f"input length {xs.shape[0]} does not match bank horizon {bank.horizon}"
         )
+    bad = np.argwhere(~np.isfinite(xs))
+    if bad.size:
+        # an FFT would smear the value over every step, earlier ones included
+        t, i = bad[0]
+        raise ValueError(
+            f"inputs hold a non-finite value ({xs[t, i]}) at step {t + 1}, "
+            f"column {i + 1} (both 1-based)"
+        )
+    return xs
+
+
+def featurize_batch(inputs: np.ndarray, bank: FilterBank) -> FeatureMatrix:
+    """Features for all time steps in one pass (FFT convolutions).
+
+    Raises ``ValueError`` naming the first step and column of a
+    non-finite input.
+    """
+    xs = _batch_inputs(inputs, bank)
     return _batch_from_blocks(xs, _conv_blocks_fft(xs, bank), bank)
 
 
 def featurize_batch_naive(inputs: np.ndarray, bank: FilterBank) -> FeatureMatrix:
     """Direct-summation reference path for the FFT featurizer."""
-    xs = _as_2d(inputs, "inputs")
-    if xs.shape[0] != bank.horizon:
-        raise ValueError(
-            f"input length {xs.shape[0]} does not match bank horizon {bank.horizon}"
-        )
+    xs = _batch_inputs(inputs, bank)
     T, n = xs.shape
     conv = np.zeros((T, bank.k * n))
     for t in range(2, T + 1):

@@ -18,6 +18,15 @@ exactly. The derivative predictor is the comparator map
 which is what the relaxation represents exactly. Note that under the
 closed form above its self-prediction gap on noiseless data is
 ``CB (x_t - x_{t-1})``, not zero; the identity is pinned by tests.
+
+Since ``C (A^i - A^{i-1}) = C (A - I) A^{i-1}``, the comparator at every
+step follows from one recursion over a state-like sum:
+
+    yhat_t = y_{t-1} + (CB + D) x_t - D x_{t-1} + C (A - I) s_t,
+    s_1 = h_0,    s_{t+1} = A s_t + B x_t,
+
+which ``derivative_predictions`` evaluates in O(T d^2) for all t at once;
+``derivative_predictor`` re-sums the past per step and is the reference.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ __all__ = [
     "simulate",
     "impulse_response_output",
     "derivative_predictor",
+    "derivative_predictions",
     "diagonalize",
     "lipschitz_bound",
     "synthetic_system",
@@ -210,21 +220,14 @@ def impulse_response_output(params: LdsParams, inputs: np.ndarray, t: int) -> np
     if xs.shape[1] != params.input_dim:
         raise ValueError("input width does not match system")
     acc = params.d @ xs[t - 1]
-    if params.is_diagonal:
-        apow = params.a.copy()
-        for i in range(1, t):
-            acc = acc + params.c @ (apow * (params.b @ xs[t - 1 - i]))
-            apow = apow * params.a
-        # apow is now A^t
-        acc = acc + params.c @ (apow * params.h0)
-    else:
-        apow = params.a.copy()
-        for i in range(1, t):
-            acc = acc + params.c @ (apow @ (params.b @ xs[t - 1 - i]))
-            apow = apow @ params.a
-        # apow is now A^t
-        acc = acc + params.c @ (apow @ params.h0)
-    return acc
+    # powers of a diagonal A are kept as vectors
+    mul = np.multiply if params.is_diagonal else np.matmul
+    apow = params.a.copy()
+    for i in range(1, t):
+        acc = acc + params.c @ mul(apow, params.b @ xs[t - 1 - i])
+        apow = mul(apow, params.a)
+    # apow is now A^t
+    return acc + params.c @ mul(apow, params.h0)
 
 
 def derivative_predictor(params: LdsParams, trajectory: Trajectory, t: int) -> np.ndarray:
@@ -238,25 +241,44 @@ def derivative_predictor(params: LdsParams, trajectory: Trajectory, t: int) -> n
     y_prev = trajectory.outputs[t - 2] if t >= 2 else np.zeros(m)
     x_prev = xs[t - 2] if t >= 2 else np.zeros(params.input_dim)
     acc = (params.c @ (params.b @ xs[t - 1])) + params.d @ xs[t - 1] - params.d @ x_prev
-    if params.is_diagonal:
-        apow_prev = np.ones(params.state_dim)
-        apow = params.a.copy()
-        for i in range(1, t):
-            acc = acc + params.c @ ((apow - apow_prev) * (params.b @ xs[t - 1 - i]))
-            apow_prev = apow
-            apow = apow * params.a
-        # loop leaves apow = A^t, apow_prev = A^{t-1}
-        acc = acc + params.c @ ((apow - apow_prev) * params.h0)
-    else:
-        eye = np.eye(params.state_dim)
-        apow_prev = eye
-        apow = params.a.copy()
-        for i in range(1, t):
-            acc = acc + params.c @ ((apow - apow_prev) @ (params.b @ xs[t - 1 - i]))
-            apow_prev = apow
-            apow = apow @ params.a
-        acc = acc + params.c @ ((apow - apow_prev) @ params.h0)
+    # powers of a diagonal A are kept as vectors
+    mul = np.multiply if params.is_diagonal else np.matmul
+    apow_prev = np.ones(params.state_dim) if params.is_diagonal else np.eye(params.state_dim)
+    apow = params.a.copy()
+    for i in range(1, t):
+        acc = acc + params.c @ mul(apow - apow_prev, params.b @ xs[t - 1 - i])
+        apow_prev = apow
+        apow = mul(apow, params.a)
+    # loop leaves apow = A^t, apow_prev = A^{t-1}
+    acc = acc + params.c @ mul(apow - apow_prev, params.h0)
     return y_prev + acc
+
+
+def derivative_predictions(params: LdsParams, trajectory: Trajectory) -> np.ndarray:
+    """Comparator predictions at every step, one row per t (shape (T, m)).
+
+    Evaluates the recursion of the module docstring in one pass; agrees
+    with ``derivative_predictor`` at each t up to roundoff.
+    """
+    if trajectory.input_dim != params.input_dim or trajectory.output_dim != params.output_dim:
+        raise ValueError("trajectory dimensions do not match system")
+    xs = trajectory.inputs
+    T = trajectory.length
+    bx = xs @ params.b.T
+    states = np.empty((T, params.state_dim))
+    s = params.h0
+    for t in range(T):
+        states[t] = s
+        s = _apply_a(params, s) + bx[t]
+    c_decay = params.c @ (params.dense_a() - np.eye(params.state_dim))
+    x_prev = np.vstack([np.zeros((1, params.input_dim)), xs[:-1]])
+    y_prev = np.vstack([np.zeros((1, params.output_dim)), trajectory.outputs[:-1]])
+    return (
+        y_prev
+        + xs @ (params.c @ params.b + params.d).T
+        - x_prev @ params.d.T
+        + states @ c_decay.T
+    )
 
 
 def diagonalize(params: LdsParams) -> LdsParams:

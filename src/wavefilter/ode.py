@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solveh_banded
 
-from .hankel import NOISE_FLOOR, build_hankel, top_eigenpairs
+from .hankel import NOISE_FLOOR, Spectrum, build_hankel, top_eigenpairs
 from .filters import EIGEN_K_CAP, FilterBank
 
 __all__ = [
@@ -124,6 +124,12 @@ def _fit_banded(
 
 
 @functools.lru_cache(maxsize=8)
+def _moment_spectrum(T: int) -> Spectrum:
+    """Top min(T, 40) Hankel eigenpairs, shared by the operator fit and the bank."""
+    return top_eigenpairs(build_hankel(T), min(T, EIGEN_K_CAP))
+
+
+@functools.lru_cache(maxsize=8)
 def fitted_wave_operator(T: int) -> tuple[np.ndarray, np.ndarray]:
     """Corrected tridiagonal wave operator for grid size T (cached).
 
@@ -134,7 +140,7 @@ def fitted_wave_operator(T: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if T < 2:
         raise ValueError("grid size must be at least 2")
-    spec = top_eigenpairs(build_hankel(T), min(T, EIGEN_K_CAP))
+    spec = _moment_spectrum(T)
     n_rel = int(np.sum(spec.sigmas > NOISE_FLOOR))
     J = max(min(n_rel, _FIT_MODES), 1)
     phis = spec.phis[:, :J]
@@ -204,7 +210,7 @@ def ode_filter_bank(T: int, k: int) -> FilterBank:
     """
     if not 1 <= k <= T:
         raise ValueError(f"need 1 <= k <= {T}, got k={k}")
-    spec = top_eigenpairs(build_hankel(T), min(T, EIGEN_K_CAP))
+    spec = _moment_spectrum(T)
     n_rel = int(np.sum(spec.sigmas > NOISE_FLOOR))
     lam, vecs = _operator_eigs(T, min(T, max(k + 10, 2 * k, 40)))
 

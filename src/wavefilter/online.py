@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .filters import FeatureLayout, FilterBank, featurize_batch
-from .lds import LdsParams, Trajectory, derivative_predictor
+from .lds import LdsParams, Trajectory, derivative_predictions
 
 __all__ = [
     "OnlineConfig",
@@ -255,12 +255,7 @@ def run_online(
         matrix_norms[t] = state.learned_norm()
 
     if comparator_params is not None:
-        comp = np.stack(
-            [
-                derivative_predictor(comparator_params, trajectory, t)
-                for t in range(1, T + 1)
-            ]
-        )
+        comp = derivative_predictions(comparator_params, trajectory)
         comp_loss = float(((comp - trajectory.outputs) ** 2).sum())
         kind = "true-derivative"
     else:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .filters import FeatureLayout, FilterBank, featurize_batch
 from .hankel import NOISE_FLOOR, mu_curve
-from .lds import LdsParams, Trajectory, derivative_predictor
+from .lds import LdsParams, Trajectory, derivative_predictions
 
 __all__ = ["RelaxedPredictor", "build_M_theta", "relaxation_residual"]
 
@@ -121,7 +121,6 @@ def relaxation_residual(
         raise ValueError("trajectory dimensions do not match system")
     if trajectory.length != predictor.bank.horizon:
         raise ValueError("trajectory length does not match the predictor's bank")
-    T = trajectory.length
     m = params.output_dim
 
     batch = featurize_batch(trajectory.inputs, predictor.bank)
@@ -129,9 +128,7 @@ def relaxation_residual(
     features = np.hstack([batch.entries, y_prev])
     relaxed = predictor.predict(features)
 
-    comparator = np.stack(
-        [derivative_predictor(params, trajectory, t) for t in range(1, T + 1)]
-    )
+    comparator = derivative_predictions(params, trajectory)
     zeta = np.linalg.norm(relaxed - comparator, axis=1)
     gap = float(
         ((relaxed - trajectory.outputs) ** 2).sum()

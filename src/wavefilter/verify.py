@@ -15,7 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import fft
 from .filters import (
     FilterBank,
     build_filter_bank,
@@ -31,7 +30,13 @@ from .hankel import (
     quarter_power_apply,
     spectral_tail_sum,
 )
-from .lds import LdsParams, derivative_predictor, lipschitz_bound, simulate
+from .lds import (
+    LdsParams,
+    derivative_predictions,
+    derivative_predictor,
+    lipschitz_bound,
+    simulate,
+)
 from .relaxation import build_M_theta
 
 __all__ = ["InvariantCheck", "ToleranceProfile", "REGISTRY", "run_verification", "check_filter_bank"]
@@ -300,6 +305,22 @@ def _check_fft_equivalence(p: ToleranceProfile) -> InvariantCheck:
     return InvariantCheck("fft-equivalence", worst <= 1e-8, f"max abs diff {worst:.3e}")
 
 
+def _check_derivative_equivalence(p: ToleranceProfile) -> InvariantCheck:
+    rng = np.random.default_rng(p.seed)
+    worst = 0.0
+    for T, dense in ((1, False), (300, False), (1, True), (300, True)):
+        base = _random_system(rng, d=4, n=2, m=3)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        a = q @ np.diag(base.a) @ q.T if dense else base.a
+        params = LdsParams(a=a, b=base.b, c=base.c, d=base.d, h0=rng.standard_normal(4))
+        traj = simulate(params, rng.standard_normal((T, 2)))
+        slow = np.stack([derivative_predictor(params, traj, t) for t in range(1, T + 1)])
+        worst = max(worst, float(np.abs(derivative_predictions(params, traj) - slow).max()))
+    return InvariantCheck(
+        "derivative-equivalence", worst <= 1e-10, f"max abs diff {worst:.3e}"
+    )
+
+
 def _check_output_lipschitz(p: ToleranceProfile) -> InvariantCheck:
     rng = np.random.default_rng(p.seed)
     worst = -np.inf
@@ -329,13 +350,12 @@ def _check_hidden_state_decay(p: ToleranceProfile) -> InvariantCheck:
         xs = rng.standard_normal((50, n))
         traj = simulate(with_h0, xs)
         cn = np.linalg.norm(with_h0.c)
-        for t in range(1, traj.length + 1):
-            gap = np.linalg.norm(
-                derivative_predictor(with_h0, traj, t)
-                - derivative_predictor(params, traj, t)
-            )
-            bound = cn * np.linalg.norm(h0) * math.sqrt(n) / t
-            worst = max(worst, float(gap) - bound)
+        gaps = np.linalg.norm(
+            derivative_predictions(with_h0, traj) - derivative_predictions(params, traj),
+            axis=1,
+        )
+        bounds = cn * np.linalg.norm(h0) * math.sqrt(n) / np.arange(1, traj.length + 1)
+        worst = max(worst, float((gaps - bounds).max()))
     return InvariantCheck(
         "hidden-state-decay", worst <= 1e-9, f"worst gap-minus-bound {worst:.3e}"
     )
@@ -382,6 +402,7 @@ REGISTRY: list[tuple[str, Callable[[ToleranceProfile], InvariantCheck]]] = [
     ("feature-entry-bound", _check_feature_entry_bound),
     ("feature-norm-bound", _check_feature_norm_bound),
     ("fft-equivalence", _check_fft_equivalence),
+    ("derivative-equivalence", _check_derivative_equivalence),
     ("output-lipschitz", _check_output_lipschitz),
     ("hidden-state-decay", _check_hidden_state_decay),
     ("ode-filter-overlap", _check_ode_overlap),

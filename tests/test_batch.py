@@ -74,6 +74,19 @@ class TestFitBatch:
             mse += float(((s.targets - feats @ model.matrix.T) ** 2).mean())
         assert mse / N <= 1e-4
 
+    def test_training_mse_matches_refeaturized_residuals(self):
+        rng = np.random.default_rng(6)
+        bank = build_filter_bank(60, 5)
+        samples = make_samples(rng, random_diagonal_system(rng), bank, 3)
+        model = fit_batch(samples, bank, ridge=1e-4)
+        total, count = 0.0, 0
+        for s in samples:
+            feats = featurize_batch(s.inputs, bank).entries
+            resid = s.targets - feats @ model.matrix.T
+            total += float((resid**2).sum())
+            count += resid.size
+        assert model.training_mse == pytest.approx(total / count, rel=1e-12)
+
     def test_ridge_monotonicity(self):
         rng = np.random.default_rng(3)
         bank = build_filter_bank(80, 6)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wavefilter.fft import convolve_full
 from wavefilter.filters import (
+    _convolve_full,
     augment_alternating,
     augment_hint,
     build_filter_bank,
@@ -22,13 +22,13 @@ class TestInternalFft:
         for la, lb in ((1, 1), (5, 9), (128, 128), (1000, 357)):
             a = rng.standard_normal(la)
             b = rng.standard_normal(lb)
-            assert np.abs(convolve_full(a, b) - np.convolve(a, b)).max() <= 1e-10
+            assert np.abs(_convolve_full(a, b) - np.convolve(a, b)).max() <= 1e-10
 
     def test_broadcasts_leading_axes(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((3, 1, 16))
         b = rng.standard_normal((1, 2, 9))
-        out = convolve_full(a, b)
+        out = _convolve_full(a, b)
         assert out.shape == (3, 2, 24)
         for i in range(3):
             for j in range(2):
@@ -128,6 +128,16 @@ class TestFeaturizeBatch:
         fast = featurize_batch(xs, bank).entries
         slow = featurize_batch_naive(xs, bank).entries
         assert np.abs(fast - slow).max() <= 1e-8
+
+    def test_rejects_non_finite_inputs_naming_step_and_column(self):
+        bank = build_filter_bank(32, 4)
+        for bad in (np.nan, np.inf, -np.inf):
+            xs = np.zeros((32, 3))
+            xs[9, 2] = bad
+            xs[20, 0] = np.nan  # only the first bad entry is named
+            for featurize in (featurize_batch, featurize_batch_naive):
+                with pytest.raises(ValueError, match="step 10, column 3"):
+                    featurize(xs, bank)
 
     def test_zero_inputs(self):
         bank = build_filter_bank(64, 5)

@@ -7,6 +7,7 @@ from wavefilter.lds import (
     PendulumConfig,
     Trajectory,
     block_impulse_inputs,
+    derivative_predictions,
     derivative_predictor,
     diagonalize,
     impulse_response_output,
@@ -156,6 +157,43 @@ class TestDerivativePredictor:
         for t in range(12, 21):  # constant-input region: exact
             err = derivative_predictor(params, traj, t) - traj.outputs[t - 1]
             assert np.abs(err).max() <= 1e-9
+
+
+class TestDerivativePredictions:
+    # the recursion reorders the per-step sums, so the two agree to
+    # roundoff, not bit for bit; 1e-10 leaves a wide margin over ~1e-14
+    TOL = 1e-10
+
+    @staticmethod
+    def dense_system(rng, d=4, n=2, m=3):
+        params = random_system(rng, d=d, n=n, m=m, with_h0=True)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        a = q @ np.diag(params.a) @ q.T
+        return LdsParams(a=a, b=params.b, c=params.c, d=params.d, h0=params.h0)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    @pytest.mark.parametrize("T", [1, 2, 300])
+    def test_matches_per_step_reference(self, dense, T):
+        rng = np.random.default_rng(T)
+        if dense:
+            params = self.dense_system(rng)
+        else:
+            params = random_system(rng, d=4, n=2, m=3, with_h0=True)
+        assert np.abs(params.d).max() > 0 and np.abs(params.h0).max() > 0
+        traj = simulate(params, rng.standard_normal((T, 2)), NoiseConfig(0.1, 0.1, seed=T))
+        reference = np.stack(
+            [derivative_predictor(params, traj, t) for t in range(1, T + 1)]
+        )
+        fast = derivative_predictions(params, traj)
+        assert fast.shape == (T, 3)
+        assert np.abs(fast - reference).max() <= self.TOL
+
+    def test_rejects_dimension_mismatch(self):
+        rng = np.random.default_rng(5)
+        params = random_system(rng, d=3, n=2, m=2)
+        traj = simulate(random_system(rng, d=3, n=1, m=2), np.zeros((4, 1)))
+        with pytest.raises(ValueError):
+            derivative_predictions(params, traj)
 
 
 class TestDiagonalize:

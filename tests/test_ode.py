@@ -57,6 +57,23 @@ class TestSolveOdeFilter:
 
 
 class TestOdeFilterBank:
+    def test_one_hankel_eigendecomposition_per_horizon(self, monkeypatch):
+        from wavefilter import ode
+
+        calls = []
+        original = ode.top_eigenpairs
+
+        def counting(H, k):
+            calls.append((H.size, k))
+            return original(H, k)
+
+        ode._moment_spectrum.cache_clear()
+        ode.fitted_wave_operator.cache_clear()
+        monkeypatch.setattr(ode, "top_eigenpairs", counting)
+        ode_filter_bank(90, 12)
+        ode_filter_bank(90, 20)
+        assert calls == [(90, 40)]
+
     def test_orthonormal(self):
         bank = ode_filter_bank(200, 30)
         gram = bank.phis @ bank.phis.T

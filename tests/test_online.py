@@ -162,6 +162,17 @@ class TestRunOnline:
         result = run_online(traj, OnlineConfig(bank=bank, eta=0.1, r_m=1.0))
         assert result.losses.max() == 0.0
 
+    def test_non_finite_input_named_before_learning(self):
+        # the FFT would spread the NaN to earlier steps and the first
+        # update would blame the learning rate
+        T = 64
+        xs = np.zeros((T, 2))
+        xs[30, 1] = np.nan
+        traj = Trajectory(inputs=xs, outputs=np.zeros((T, 1)))
+        bank = build_filter_bank(T, 4)
+        with pytest.raises(ValueError, match="step 31, column 2"):
+            run_online(traj, OnlineConfig(bank=bank, eta=0.1, r_m=1.0))
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         T = 64

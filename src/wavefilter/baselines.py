@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .lds import Trajectory
+from .online import _solve_gram
 
 __all__ = ["baseline_last_value", "baseline_ar"]
 
@@ -43,8 +43,5 @@ def baseline_ar(trajectory: Trajectory, tau: int, ridge: float = 1e-8) -> np.nda
         preds[t] = matrix @ w
         gram += np.outer(w, w)
         rhs += np.outer(w, ys[t])
-        if ridge == 0.0:
-            matrix = np.linalg.solve(gram, rhs).T
-        else:
-            matrix = scipy.linalg.solve(gram, rhs, assume_a="pos").T
+        matrix = _solve_gram(gram, rhs)
     return preds

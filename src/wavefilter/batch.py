@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .filters import FilterBank, build_filter_bank, featurize_batch
 from .lds import Trajectory
+from .online import _ridge_least_squares
 
 __all__ = [
     "BatchSample",
@@ -65,12 +65,10 @@ def fit_batch(
 
     Solves ``M = Y F^T (F F^T + ridge I)^{-1}`` where F stacks the batch
     features of every sample column-wise and Y the difference targets.
-    With ridge 0 the pseudoinverse path is used instead.
+    With ridge 0 the minimum-norm least-squares solution is used instead.
     """
     if len(samples) < 1:
         raise ValueError("need at least one training sample")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
     feats = []
     targets = []
     m = samples[0].targets.shape[1]
@@ -81,16 +79,7 @@ def fit_batch(
         targets.append(s.targets)
     F = np.vstack(feats)
     Y = np.vstack(targets)
-    if ridge == 0.0:
-        if not np.any(F):
-            raise np.linalg.LinAlgError(
-                "all-zero feature matrix is singular without a ridge"
-            )
-        matrix, *_ = np.linalg.lstsq(F, Y, rcond=None)
-        matrix = matrix.T
-    else:
-        gram = F.T @ F + ridge * np.eye(F.shape[1])
-        matrix = scipy.linalg.solve(gram, F.T @ Y, assume_a="pos").T
+    matrix = _ridge_least_squares(F, Y, ridge)
     if not np.all(np.isfinite(matrix)):
         raise FloatingPointError("least-squares solution has non-finite entries")
     # per sample: one product with the stacked F made BLAS take ~18 MB more

@@ -30,13 +30,7 @@ from .lds import (
     simulate,
     synthetic_system,
 )
-from .online import (
-    OnlineConfig,
-    _constrained_least_squares,
-    online_features,
-    run_ftl,
-    run_online,
-)
+from .online import OnlineConfig, ftl_refit_every, run_ftl, run_online
 
 __all__ = ["ExperimentConfig", "EXPERIMENT_NAMES", "default_experiment_config", "run_experiment"]
 
@@ -74,7 +68,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown learner '{self.learner}'")
 
     def ftl_refit_every(self) -> int:
-        return 1 if self.horizon <= 2000 else 10
+        return ftl_refit_every(self.horizon)
 
 
 def default_experiment_config(name: str, **overrides) -> ExperimentConfig:
@@ -107,7 +101,6 @@ def _make_trajectory(config: ExperimentConfig, seed: int) -> Trajectory:
 class _SeedOutcome:
     seed: int
     losses: dict[str, np.ndarray]
-    comparator_loss: float
     comparator_losses: np.ndarray
 
 
@@ -124,9 +117,7 @@ def _run_seed(config: ExperimentConfig, seed: int, bank) -> _SeedOutcome:
             r_m = params.r_theta**2 * np.sqrt(config.k)
     learner_cfg = OnlineConfig(bank=bank, eta=config.eta, r_m=float(r_m))
     if config.learner == "ftl":
-        result = run_ftl(
-            traj, learner_cfg, ridge=config.ridge, refit_every=config.ftl_refit_every()
-        )
+        result = run_ftl(traj, learner_cfg, ridge=config.ridge)
     else:
         result = run_online(traj, learner_cfg)
 
@@ -140,17 +131,8 @@ def _run_seed(config: ExperimentConfig, seed: int, bank) -> _SeedOutcome:
             raise ValueError(f"unknown baseline '{baseline}'")
         losses[baseline] = ((traj.outputs - preds) ** 2).sum(axis=1)
 
-    # per-step losses of the best fixed matrix, for the regret curve
-    features = online_features(traj, bank)
-    eff = features[:, : -traj.output_dim]
-    targets = traj.output_differences()
-    m_star = _constrained_least_squares(eff, targets, float(r_m))
-    comp_losses = ((targets - eff @ m_star.T) ** 2).sum(axis=1)
     return _SeedOutcome(
-        seed=seed,
-        losses=losses,
-        comparator_loss=float(comp_losses.sum()),
-        comparator_losses=comp_losses,
+        seed=seed, losses=losses, comparator_losses=result.comparator_losses
     )
 
 
@@ -207,7 +189,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     }
     comparator_gap = float(
         np.mean(
-            [o.losses["wave_filter"].sum() - o.comparator_loss for o in outcomes]
+            [o.losses["wave_filter"].sum() - o.comparator_losses.sum() for o in outcomes]
         )
     )
     # cumulative regret vs the best fixed matrix, averaged over seeds

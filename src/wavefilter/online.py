@@ -34,6 +34,7 @@ __all__ = [
     "update",
     "run_online",
     "ftl_update",
+    "ftl_refit_every",
     "run_ftl",
     "regret_vs_best_fixed",
 ]
@@ -135,6 +136,7 @@ class OnlineRunResult:
     report: RegretReport
     state: OnlineState
     matrix_norms: np.ndarray
+    comparator_losses: np.ndarray  # per step; sums to report.comparator_loss
 
 
 def online_features(trajectory: Trajectory, bank: FilterBank) -> np.ndarray:
@@ -179,15 +181,10 @@ def update(state: OnlineState, features: np.ndarray, y_true: np.ndarray) -> Onli
     if cfg.freeze_y_block:
         yb = state.layout.y_block
         matrix[:, yb] = np.eye(len(y_true))
-        learned = matrix[:, : yb.start]
-        norm = np.linalg.norm(learned)
-        if norm > cfg.r_m:
-            matrix[:, : yb.start] = learned * (cfg.r_m / norm)
+        matrix[:, : yb.start] = _project_ball(matrix[:, : yb.start], cfg.r_m)
         grad_norm = float(np.linalg.norm(grad[:, : yb.start]))
     else:
-        norm = np.linalg.norm(matrix)
-        if norm > cfg.r_m:
-            matrix = matrix * (cfg.r_m / norm)
+        matrix = _project_ball(matrix, cfg.r_m)
         grad_norm = float(np.linalg.norm(grad))
     return replace(
         state,
@@ -256,16 +253,27 @@ def run_online(
 
     if comparator_params is not None:
         comp = derivative_predictions(comparator_params, trajectory)
-        comp_loss = float(((comp - trajectory.outputs) ** 2).sum())
+        comp_losses = ((comp - trajectory.outputs) ** 2).sum(axis=1)
         kind = "true-derivative"
     else:
-        comp_loss = regret_vs_best_fixed(eff_features, eff_targets, config.r_m)
+        comp_losses = _best_fixed_losses(eff_features, eff_targets, config.r_m)
         kind = "best-fixed-M"
+    return _run_result(predictions, losses, state, matrix_norms, comp_losses, kind)
+
+
+def _run_result(
+    predictions: np.ndarray,
+    losses: np.ndarray,
+    state: OnlineState,
+    matrix_norms: np.ndarray,
+    comparator_losses: np.ndarray,
+    comparator_kind: str,
+) -> OnlineRunResult:
     report = RegretReport(
         learner_loss=float(losses.sum()),
-        comparator_loss=comp_loss,
-        comparator_kind=kind,
-        horizon=T,
+        comparator_loss=float(comparator_losses.sum()),
+        comparator_kind=comparator_kind,
+        horizon=len(losses),
     )
     return OnlineRunResult(
         predictions=predictions,
@@ -273,28 +281,32 @@ def run_online(
         report=report,
         state=state,
         matrix_norms=matrix_norms,
+        comparator_losses=comparator_losses,
     )
 
 
-def ftl_update(
-    features: np.ndarray,
-    targets: np.ndarray,
-    ridge: float,
-    r_m: float,
-    warm_start: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Ridge least-squares minimizer over the history, ball-projected.
+def _project_ball(matrix: np.ndarray, r_m: float) -> np.ndarray:
+    """``matrix`` scaled back onto the Frobenius ball of radius ``r_m``."""
+    norm = np.linalg.norm(matrix)
+    return matrix * (r_m / norm) if norm > r_m else matrix
 
-    With a positive ridge and a warm start, the normal equations are
-    solved by conjugate gradients from the previous matrix; otherwise by
-    a direct symmetric solve. With ridge 0 the minimum-norm least-squares
-    solution is returned; an all-zero (information-free) feature matrix
-    then raises ``LinAlgError``.
+
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The matrix M with ``gram @ M.T = rhs``, by a Cholesky solve.
+
+    ``gram`` must be positive definite; a singular one raises ``LinAlgError``.
     """
-    features = np.asarray(features, dtype=float)
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if features.shape[0] != targets.shape[0] or features.shape[0] == 0:
-        raise ValueError("need equally many (and at least one) features and targets")
+    return scipy.linalg.solve(gram, rhs, assume_a="pos").T
+
+
+def _ridge_least_squares(
+    features: np.ndarray, targets: np.ndarray, ridge: float
+) -> np.ndarray:
+    """Minimizer M of ``||targets - features M^T||^2 + ridge ||M||^2``.
+
+    With ridge 0 the minimum-norm least-squares solution is returned; an
+    all-zero (information-free) feature matrix then raises ``LinAlgError``.
+    """
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     if ridge == 0.0:
@@ -303,43 +315,49 @@ def ftl_update(
                 "all-zero feature matrix is singular without a ridge"
             )
         matrix, *_ = np.linalg.lstsq(features, targets, rcond=None)
-        matrix = matrix.T
-    elif warm_start is not None:
-        from scipy.sparse.linalg import cg
+        return matrix.T
+    gram = features.T @ features + ridge * np.eye(features.shape[1])
+    return _solve_gram(gram, features.T @ targets)
 
-        gram = features.T @ features + ridge * np.eye(features.shape[1])
-        rhs = features.T @ targets  # (w, m)
-        cols = []
-        for i in range(targets.shape[1]):
-            sol, _ = cg(gram, rhs[:, i], x0=warm_start[i], rtol=1e-12, atol=0.0)
-            cols.append(sol)
-        matrix = np.stack(cols)
-    else:
-        gram = features.T @ features + ridge * np.eye(features.shape[1])
-        matrix = scipy.linalg.solve(gram, features.T @ targets, assume_a="pos").T
-    norm = np.linalg.norm(matrix)
-    if norm > r_m:
-        matrix = matrix * (r_m / norm)
-    return matrix
+
+def ftl_update(
+    features: np.ndarray, targets: np.ndarray, ridge: float, r_m: float
+) -> np.ndarray:
+    """Ridge least-squares minimizer over the history, ball-projected.
+
+    A positive ridge solves the regularized normal equations by Cholesky.
+    With ridge 0 the minimum-norm least-squares solution is returned; an
+    all-zero (information-free) feature matrix then raises ``LinAlgError``.
+    """
+    features = np.asarray(features, dtype=float)
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    if features.shape[0] != targets.shape[0] or features.shape[0] == 0:
+        raise ValueError("need equally many (and at least one) features and targets")
+    return _project_ball(_ridge_least_squares(features, targets, ridge), r_m)
+
+
+def ftl_refit_every(T: int) -> int:
+    """Steps between follow-the-leader refits over a horizon of T steps.
+
+    Every step up to T = 2000 and every 10 steps beyond, where one full
+    solve per step would dominate the run.
+    """
+    return 1 if T <= 2000 else 10
 
 
 def run_ftl(
-    trajectory: Trajectory,
-    config: OnlineConfig,
-    ridge: float = 1e-6,
-    refit_every: Optional[int] = None,
+    trajectory: Trajectory, config: OnlineConfig, ridge: float = 1e-6
 ) -> OnlineRunResult:
     """Follow-the-leader run: periodic least-squares refits on the prefix.
 
-    The default cadence refits every step up to 2000 steps and every 10
-    steps beyond. The output block follows the freeze convention of the
-    config (frozen: fit output differences).
+    Refits happen every ``ftl_refit_every(T)`` steps and at the last step.
+    The output block follows the freeze convention of the config (frozen:
+    fit output differences). The comparator is the best fixed matrix.
     """
     T, m = trajectory.length, trajectory.output_dim
     if T != config.bank.horizon:
         raise ValueError("trajectory length does not match the bank horizon")
-    if refit_every is None:
-        refit_every = 1 if T <= 2000 else 10
+    refit_every = ftl_refit_every(T)
     features = online_features(trajectory, config.bank)
     eff_features, eff_targets = _effective_parts(
         features, trajectory, config.freeze_y_block
@@ -359,19 +377,9 @@ def run_ftl(
         gram += np.outer(eff_features[t], eff_features[t])
         rhs += np.outer(eff_features[t], eff_targets[t])
         if t % refit_every == 0 or t == T - 1:
-            matrix = scipy.linalg.solve(gram, rhs, assume_a="pos").T
-            norm = np.linalg.norm(matrix)
-            if norm > config.r_m:
-                matrix *= config.r_m / norm
+            matrix = _project_ball(_solve_gram(gram, rhs), config.r_m)
         matrix_norms[t] = np.linalg.norm(matrix)
         y_prev = trajectory.outputs[t]
-    comp_loss = regret_vs_best_fixed(eff_features, eff_targets, config.r_m)
-    report = RegretReport(
-        learner_loss=float(losses.sum()),
-        comparator_loss=comp_loss,
-        comparator_kind="best-fixed-M",
-        horizon=T,
-    )
     state = init_state(config, trajectory.input_dim, m, eta=0.0)
     if config.freeze_y_block:
         full = state.matrix.copy()
@@ -379,12 +387,9 @@ def run_ftl(
     else:
         full = matrix
     state = replace(state, matrix=full, step=T, cumulative_loss=float(losses.sum()))
-    return OnlineRunResult(
-        predictions=predictions,
-        losses=losses,
-        report=report,
-        state=state,
-        matrix_norms=matrix_norms,
+    comp_losses = _best_fixed_losses(eff_features, eff_targets, config.r_m)
+    return _run_result(
+        predictions, losses, state, matrix_norms, comp_losses, "best-fixed-M"
     )
 
 
@@ -395,26 +400,37 @@ def _constrained_least_squares(
 
     Unconstrained least squares first; if the minimizer leaves the ball,
     bisect the ridge multiplier until the norm meets the radius (the
-    standard trust-region characterization of the constrained minimizer).
+    trust-region characterization of the constrained minimizer, Moré &
+    Sorensen 1983). One eigendecomposition ``F^T F = V diag(e) V^T`` turns
+    each bisection step into a diagonal scaling: with ``c = V^T F^T Y``
+    the ridge solution is ``V (c / (e + lam))`` and its norm is
+    ``||c / (e + lam)||``.
     """
-    gram = features.T @ features
-    rhs = features.T @ targets
+    if r_m == 0.0:
+        return np.zeros((targets.shape[1], features.shape[1]))
     matrix, *_ = np.linalg.lstsq(features, targets, rcond=None)
-    matrix = matrix.T
-    if np.linalg.norm(matrix) <= r_m or r_m == 0.0:
-        if r_m == 0.0:
-            return np.zeros_like(matrix)
-        return matrix
+    if np.linalg.norm(matrix) <= r_m:
+        return matrix.T
+    evals, evecs = np.linalg.eigh(features.T @ features)
+    evals = np.maximum(evals, 0.0)  # the Gram is PSD; clip rounding below zero
+    coords = evecs.T @ (features.T @ targets)
     lo, hi = 1e-14, 1e14
-    eye = np.eye(gram.shape[0])
     for _ in range(200):
         lam = math.sqrt(lo * hi)
-        matrix = scipy.linalg.solve(gram + lam * eye, rhs, assume_a="pos").T
-        if np.linalg.norm(matrix) > r_m:
+        scaled = coords / (evals + lam)[:, None]
+        if np.linalg.norm(scaled) > r_m:
             lo = lam
         else:
             hi = lam
-    return matrix
+    return (evecs @ scaled).T
+
+
+def _best_fixed_losses(
+    features: np.ndarray, targets: np.ndarray, r_m: float
+) -> np.ndarray:
+    """Per-step losses of the best fixed matrix in the Frobenius ball."""
+    matrix = _constrained_least_squares(features, targets, r_m)
+    return ((targets - features @ matrix.T) ** 2).sum(axis=1)
 
 
 def regret_vs_best_fixed(
@@ -423,5 +439,4 @@ def regret_vs_best_fixed(
     """Loss of the best fixed matrix in the Frobenius ball, in hindsight."""
     features = np.asarray(features, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    matrix = _constrained_least_squares(features, targets, r_m)
-    return float(((targets - features @ matrix.T) ** 2).sum())
+    return float(_best_fixed_losses(features, targets, r_m).sum())

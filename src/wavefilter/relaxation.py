@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import FeatureLayout, FilterBank, featurize_batch
+from .filters import FeatureLayout, FilterBank
 from .hankel import NOISE_FLOOR, mu_curve
 from .lds import LdsParams, Trajectory, derivative_predictions
+from .online import online_features
 
 __all__ = ["RelaxedPredictor", "build_M_theta", "relaxation_residual"]
 
@@ -121,12 +122,7 @@ def relaxation_residual(
         raise ValueError("trajectory dimensions do not match system")
     if trajectory.length != predictor.bank.horizon:
         raise ValueError("trajectory length does not match the predictor's bank")
-    m = params.output_dim
-
-    batch = featurize_batch(trajectory.inputs, predictor.bank)
-    y_prev = np.vstack([np.zeros((1, m)), trajectory.outputs[:-1]])
-    features = np.hstack([batch.entries, y_prev])
-    relaxed = predictor.predict(features)
+    relaxed = predictor.predict(online_features(trajectory, predictor.bank))
 
     comparator = derivative_predictions(params, trajectory)
     zeta = np.linalg.norm(relaxed - comparator, axis=1)

@@ -342,6 +342,7 @@ def _check_output_lipschitz(p: ToleranceProfile) -> InvariantCheck:
 def _check_hidden_state_decay(p: ToleranceProfile) -> InvariantCheck:
     rng = np.random.default_rng(p.seed)
     worst = -np.inf
+    worst_exact = 0.0
     for trial in range(10):
         d, n, m = 4, 2, 2
         params = _random_system(rng, d=d, n=n, m=m)
@@ -354,10 +355,16 @@ def _check_hidden_state_decay(p: ToleranceProfile) -> InvariantCheck:
             derivative_predictions(with_h0, traj) - derivative_predictions(params, traj),
             axis=1,
         )
+        # the gap is exactly ||C (A - I) A^(t-1) h0|| (diagonal A)
+        decayed = params.a ** np.arange(traj.length)[:, None] * ((params.a - 1.0) * h0)
+        exact = np.linalg.norm(decayed @ params.c.T, axis=1)
+        worst_exact = max(worst_exact, float(np.abs(gaps - exact).max()))
         bounds = cn * np.linalg.norm(h0) * math.sqrt(n) / np.arange(1, traj.length + 1)
         worst = max(worst, float((gaps - bounds).max()))
     return InvariantCheck(
-        "hidden-state-decay", worst <= 1e-9, f"worst gap-minus-bound {worst:.3e}"
+        "hidden-state-decay",
+        worst <= 1e-9 and worst_exact <= 1e-10,
+        f"worst gap-minus-bound {worst:.3e}, max closed-form diff {worst_exact:.3e}",
     )
 
 

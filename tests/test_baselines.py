@@ -46,6 +46,14 @@ class TestAutoregressive:
         preds = baseline_ar(traj, tau=3)
         assert np.abs(preds).max() == 0.0
 
+    def test_singular_gram_without_ridge_raises(self):
+        # a dead input channel leaves a zero row in the unregularized Gram
+        xs = np.random.default_rng(3).standard_normal((20, 2))
+        xs[:, 1] = 0.0
+        traj = Trajectory(inputs=xs, outputs=np.ones((20, 1)))
+        with pytest.raises(np.linalg.LinAlgError):
+            baseline_ar(traj, tau=1, ridge=0.0)
+
     def test_rejects_negative_window(self):
         traj = Trajectory(inputs=np.zeros((5, 1)), outputs=np.zeros((5, 1)))
         with pytest.raises(ValueError):

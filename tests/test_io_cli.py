@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from wavefilter import io
+from wavefilter import io, online
 from wavefilter.cli import main
 from wavefilter.experiments import default_experiment_config, run_experiment
 from wavefilter.filters import FeatureLayout, build_filter_bank, featurize_batch
@@ -210,6 +210,20 @@ class TestExperiments:
             assert np.allclose(stored, means, rtol=1e-10)
         for learner, vals in per_learner.items():
             assert summary["final_mse"][learner] == pytest.approx(np.mean(vals))
+
+    def test_one_featurization_and_comparator_fit_per_seed(self, monkeypatch):
+        calls = {"featurize_batch": 0, "_constrained_least_squares": 0}
+        for name in calls:
+            original = getattr(online, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(online, name, counted)
+        config = default_experiment_config("siso_hard", horizon=120, seeds=(0, 1))
+        run_experiment(config)
+        assert calls == {"featurize_batch": 2, "_constrained_least_squares": 2}
 
     def test_pendulum_smoke(self):
         config = default_experiment_config("pendulum", horizon=150, seeds=(0,))

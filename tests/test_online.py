@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wavefilter.batch import BatchSample, fit_batch
 from wavefilter.filters import build_filter_bank, featurize_batch
 from wavefilter.lds import LdsParams, Trajectory, simulate
 from wavefilter.online import (
     OnlineConfig,
+    _constrained_least_squares,
     default_hyperparams,
     ftl_update,
     init_state,
@@ -19,6 +21,22 @@ from wavefilter.online import (
     update,
 )
 from wavefilter.relaxation import build_M_theta
+
+
+def _bisection_by_solves(features, targets, r_m):
+    """Reference constrained fit: the multiplier bisection, one Gram solve per step."""
+    gram = features.T @ features
+    rhs = features.T @ targets
+    eye = np.eye(gram.shape[0])
+    lo, hi = 1e-14, 1e14
+    for _ in range(200):
+        lam = math.sqrt(lo * hi)
+        matrix = scipy.linalg.solve(gram + lam * eye, rhs, assume_a="pos").T
+        if np.linalg.norm(matrix) > r_m:
+            lo = lam
+        else:
+            hi = lam
+    return matrix
 
 
 class TestDefaultHyperparams:
@@ -198,6 +216,11 @@ class TestRunOnline:
         assert rep.regret == rep.learner_loss - rep.comparator_loss
         assert rep.normalized_regret == pytest.approx(rep.regret / T)
         assert rep.learner_loss >= rep.comparator_loss  # minimizer optimality
+        assert result.comparator_losses.shape == (T,)
+        assert result.comparator_losses.sum() == rep.comparator_loss
+        ftl = run_ftl(traj, OnlineConfig(bank=bank, r_m=5.0))
+        assert ftl.comparator_losses.sum() == ftl.report.comparator_loss
+        assert ftl.report.comparator_loss == pytest.approx(rep.comparator_loss)
 
     def test_true_derivative_comparator(self):
         rng = np.random.default_rng(7)
@@ -224,6 +247,7 @@ class TestRunOnline:
             for t in range(1, T + 1)
         )
         assert result.report.comparator_loss == pytest.approx(expected)
+        assert result.comparator_losses.sum() == result.report.comparator_loss
 
 
 class TestFtl:
@@ -273,15 +297,17 @@ class TestFtl:
         m = ftl_update(feats, targets, ridge=0.0, r_m=100.0)
         assert np.abs(feats @ m.T - targets).max() <= 1e-10
 
-    def test_warm_start_agrees_with_direct(self):
+    def test_ridge_solve_matches_augmented_lstsq(self):
+        # the ridge minimizer is plain least squares on [F; sqrt(ridge) I], [Y; 0]
         rng = np.random.default_rng(9)
         feats = rng.standard_normal((60, 5))
         targets = rng.standard_normal((60, 2))
-        direct = ftl_update(feats, targets, ridge=1e-3, r_m=100.0)
-        warm = ftl_update(
-            feats, targets, ridge=1e-3, r_m=100.0, warm_start=np.zeros((2, 5))
-        )
-        assert np.abs(direct - warm).max() <= 1e-8
+        ridge = 1e-3
+        direct = ftl_update(feats, targets, ridge=ridge, r_m=100.0)
+        aug_feats = np.vstack([feats, math.sqrt(ridge) * np.eye(5)])
+        aug_targets = np.vstack([targets, np.zeros((5, 2))])
+        expected, *_ = np.linalg.lstsq(aug_feats, aug_targets, rcond=None)
+        assert np.abs(direct - expected.T).max() <= 1e-8
 
     def test_run_ftl_learns_feedthrough(self):
         rng = np.random.default_rng(10)
@@ -316,10 +342,27 @@ class TestRegretVsBestFixed:
         rng = np.random.default_rng(13)
         feats = rng.standard_normal((60, 4))
         targets = 5.0 * feats @ rng.standard_normal((4, 2))
-        from wavefilter.online import _constrained_least_squares
-
         m = _constrained_least_squares(feats, targets, r_m=1.0)
         assert np.linalg.norm(m) == pytest.approx(1.0, abs=1e-6)
+
+    def test_spectral_bisection_matches_solve_reference(self):
+        rng = np.random.default_rng(16)
+        T, w = 200, 12
+        u, _ = np.linalg.qr(rng.standard_normal((T, w)))
+        v, _ = np.linalg.qr(rng.standard_normal((w, w)))
+        feats = (u * np.logspace(0, -6.5, w)) @ v.T  # cond(F^T F) = 1e13
+        assert np.linalg.cond(feats.T @ feats) >= 1e12
+        noise = 0.01 * rng.standard_normal((T, 2))
+        targets = feats @ rng.standard_normal((w, 2)) + noise
+        for r_m in (1.0, 0.1):
+            unconstrained, *_ = np.linalg.lstsq(feats, targets, rcond=None)
+            assert np.linalg.norm(unconstrained) > r_m  # the ball binds
+            fast = _constrained_least_squares(feats, targets, r_m)
+            slow = _bisection_by_solves(feats, targets, r_m)
+            fast_losses = ((targets - feats @ fast.T) ** 2).sum(axis=1)
+            slow_losses = ((targets - feats @ slow.T) ** 2).sum(axis=1)
+            np.testing.assert_allclose(fast_losses, slow_losses, rtol=1e-9, atol=0)
+            assert np.linalg.norm(fast) == pytest.approx(r_m, abs=1e-6)
 
     def test_ogd_respects_classical_regret_bound(self):
         # eta = D/(G sqrt(T)) with G the worst gradient over the ball

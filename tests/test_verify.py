@@ -1,6 +1,9 @@
 import json
+from dataclasses import replace
 
-from wavefilter import io
+import numpy as np
+
+from wavefilter import io, verify
 from wavefilter.cli import main
 from wavefilter.filters import build_filter_bank
 from wavefilter.verify import REGISTRY, ToleranceProfile, check_filter_bank, run_verification
@@ -20,6 +23,18 @@ class TestRunVerification:
     def test_small_profile_passes(self):
         checks = run_verification(ToleranceProfile(sizes=(64, 128), overlap_sizes=(200,)))
         assert all(c.passed for c in checks)
+
+
+class TestHiddenStateDecay:
+    def test_comparator_ignoring_h0_fails(self, monkeypatch):
+        # the upper bound alone holds for a zero gap; the closed form does not
+        real = verify.derivative_predictions
+        monkeypatch.setattr(
+            verify,
+            "derivative_predictions",
+            lambda params, traj: real(replace(params, h0=np.zeros_like(params.h0)), traj),
+        )
+        assert not verify._check_hidden_state_decay(ToleranceProfile()).passed
 
 
 class TestBankValidation:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lds import Trajectory
-from .online import _solve_gram
+from .online import _rolling_ridge
 
 __all__ = ["baseline_last_value", "baseline_ar"]
 
@@ -27,21 +27,10 @@ def baseline_ar(trajectory: Trajectory, tau: int, ridge: float = 1e-8) -> np.nda
         raise ValueError("window length must be nonnegative")
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    xs, ys = trajectory.inputs, trajectory.outputs
+    xs = trajectory.inputs
     T, n = xs.shape
-    m = ys.shape[1]
-    width = (tau + 1) * n
     padded = np.vstack([np.zeros((tau, n)), xs])
     # window at step t: [x_t, x_{t-1}, ..., x_{t-tau}]
     windows = np.hstack([padded[tau - d : tau - d + T] for d in range(tau + 1)])
-    gram = ridge * np.eye(width)
-    rhs = np.zeros((width, m))
-    matrix = np.zeros((m, width))
-    preds = np.zeros((T, m))
-    for t in range(T):
-        w = windows[t]
-        preds[t] = matrix @ w
-        gram += np.outer(w, w)
-        rhs += np.outer(w, ys[t])
-        matrix = _solve_gram(gram, rhs)
+    preds, _, _ = _rolling_ridge(windows, trajectory.outputs, ridge)
     return preds

@@ -15,20 +15,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io
 from .batch import BatchSample, fit_batch
-from .experiments import EXPERIMENT_NAMES, default_experiment_config, run_experiment
-from .filters import FeatureLayout, build_filter_bank
-from .lds import (
-    NoiseConfig,
-    PendulumConfig,
-    block_impulse_inputs,
-    pendulum_simulate,
-    simulate,
-    synthetic_system,
+from .experiments import (
+    EXPERIMENT_NAMES,
+    default_experiment_config,
+    run_experiment,
+    simulate_scenario,
 )
+from .filters import FeatureLayout, build_filter_bank
 from .online import OnlineConfig, run_ftl, run_online
 from .verify import ToleranceProfile, check_filter_bank, run_verification
 
@@ -56,25 +51,14 @@ def _cmd_filters(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.system == "pendulum":
-        rng = np.random.default_rng([args.seed, 1])
-        inputs = block_impulse_inputs(args.T, 1, rng, scale=2.0)
-        traj = pendulum_simulate(PendulumConfig(), inputs, seed=args.seed)
-        meta = {"generator": "pendulum", "seed": args.seed}
-    else:
-        params, gen = synthetic_system(args.system, seed=0)
-        rng = np.random.default_rng([args.seed, 1])
-        inputs = gen.generate(args.T, params.input_dim, rng)
-        noise = NoiseConfig(
-            process_std=args.process_std,
-            observation_std=args.observation_std,
-            seed=args.seed,
-        )
-        traj = simulate(params, inputs, noise)
-        meta = {
-            "generator": args.system,
-            "seed": args.seed,
-            "noise": {"process_std": args.process_std, "observation_std": args.observation_std},
+    traj = simulate_scenario(
+        args.system, args.T, args.seed, args.process_std, args.observation_std
+    )
+    meta = {"generator": args.system, "seed": args.seed}
+    if args.system != "pendulum":
+        meta["noise"] = {
+            "process_std": args.process_std,
+            "observation_std": args.observation_std,
         }
     paths = io.save_trajectory(traj, Path(args.out), metadata=meta)
     print(f"wrote {paths[0]} and {paths[1]}")
@@ -153,7 +137,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     seeds = tuple(range(args.num_seeds)) if args.seeds is None else tuple(args.seeds)
     config = default_experiment_config(
         args.name,
-        horizon=args.T or _default_horizon(args.name),
+        horizon=args.T,
         seeds=seeds,
         k=args.k,
         learner=args.learner,
@@ -162,12 +146,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     summary = run_experiment(config, threads=args.threads)
     print(json.dumps(summary["final_mse"], indent=2))
     return 0
-
-
-def _default_horizon(name: str) -> int:
-    from .experiments import _DEFAULT_HORIZONS
-
-    return _DEFAULT_HORIZONS[name]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -200,11 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a named system to a trajectory file")
     p.add_argument("--config", default=None)
-    p.add_argument("--system", required=True, choices=["siso_hard", "mimo_10", "pendulum"])
+    p.add_argument("--system", required=True, choices=list(EXPERIMENT_NAMES))
     p.add_argument("--T", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--process-std", type=float, default=0.1)
-    p.add_argument("--observation-std", type=float, default=0.1)
+    p.add_argument("--process-std", type=float, default=0.1,
+                   help="state noise; the pendulum's acceleration noise is half of it")
+    p.add_argument("--observation-std", type=float, default=0.1,
+                   help="output noise; the pendulum's is a hundredth of it")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_simulate)
 

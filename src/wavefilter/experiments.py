@@ -32,11 +32,20 @@ from .lds import (
 )
 from .online import OnlineConfig, ftl_refit_every, run_ftl, run_online
 
-__all__ = ["ExperimentConfig", "EXPERIMENT_NAMES", "default_experiment_config", "run_experiment"]
+__all__ = ["ExperimentConfig", "EXPERIMENT_NAMES", "default_experiment_config",
+           "simulate_scenario", "run_experiment"]
 
 EXPERIMENT_NAMES = ("siso_hard", "mimo_10", "pendulum")
 
 _DEFAULT_HORIZONS = {"siso_hard": 4000, "mimo_10": 2000, "pendulum": 2000}
+
+# fixed settings of every experiment
+RIDGE = 1.0  # follow-the-leader and AR regularizer; negligible once the
+# episode's feature mass dominates, but stops early noise overfitting
+AR_WINDOW = 4
+PROCESS_STD = 0.1
+OBSERVATION_STD = 0.1
+PENDULUM_INPUT_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -48,15 +57,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = tuple(range(10))
     k: int = 25
     learner: str = "ftl"  # 'ftl' | 'ogd'
-    eta: object = "auto"
-    r_m: object = "auto"
-    ridge: float = 1.0  # follow-the-leader regularizer; negligible once the
-    # episode's feature mass dominates, but stops early noise overfitting
-    baselines: tuple[str, ...] = ("last_value", "ar")
-    ar_window: int = 4
-    process_std: float = 0.1
-    observation_std: float = 0.1
-    pendulum_input_scale: float = 2.0
     out_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -71,30 +71,34 @@ class ExperimentConfig:
         return ftl_refit_every(self.horizon)
 
 
-def default_experiment_config(name: str, **overrides) -> ExperimentConfig:
-    horizon = overrides.pop("horizon", _DEFAULT_HORIZONS[name])
+def default_experiment_config(
+    name: str, horizon: Optional[int] = None, **overrides
+) -> ExperimentConfig:
+    """Config for a named experiment, at its default horizon unless given."""
+    if horizon is None:
+        horizon = _DEFAULT_HORIZONS[name]
     return ExperimentConfig(name=name, horizon=horizon, **overrides)
 
 
-def _make_trajectory(config: ExperimentConfig, seed: int) -> Trajectory:
-    T = config.horizon
-    if config.name == "pendulum":
-        rng = np.random.default_rng([seed, 1])
-        inputs = block_impulse_inputs(T, 1, rng, scale=config.pendulum_input_scale)
+def simulate_scenario(
+    name: str, T: int, seed: int, process_std: float, observation_std: float
+) -> Trajectory:
+    """Seeded trajectory of a named system; inputs come from the stream ``[seed, 1]``.
+
+    The pendulum's acceleration and observation noise are ``process_std / 2``
+    and ``observation_std / 100``, scaled to its state.
+    """
+    rng = np.random.default_rng([seed, 1])
+    if name == "pendulum":
+        inputs = block_impulse_inputs(T, 1, rng, scale=PENDULUM_INPUT_SCALE)
         pend = PendulumConfig(
-            accel_noise_std=config.process_std / 2.0,
-            obs_noise_std=config.observation_std / 100.0,
+            accel_noise_std=process_std / 2.0,
+            obs_noise_std=observation_std / 100.0,
         )
         return pendulum_simulate(pend, inputs, seed=seed)
-    params, gen = synthetic_system(config.name, seed=0)
-    rng = np.random.default_rng([seed, 1])
+    params, gen = synthetic_system(name, seed=0)
     inputs = gen.generate(T, params.input_dim, rng)
-    noise = NoiseConfig(
-        process_std=config.process_std,
-        observation_std=config.observation_std,
-        seed=seed,
-    )
-    return simulate(params, inputs, noise)
+    return simulate(params, inputs, NoiseConfig(process_std, observation_std, seed))
 
 
 @dataclass(frozen=True)
@@ -105,32 +109,26 @@ class _SeedOutcome:
 
 
 def _run_seed(config: ExperimentConfig, seed: int, bank) -> _SeedOutcome:
-    traj = _make_trajectory(config, seed)
-    r_m = config.r_m
-    if r_m == "auto":
-        # R_M = r_theta^2 sqrt(k); the pendulum has no system norm, so it
-        # falls back to the scale of the two-state benchmark
-        if config.name == "pendulum":
-            r_m = 2.0 * np.sqrt(config.k)
-        else:
-            params, _ = synthetic_system(config.name, seed=0)
-            r_m = params.r_theta**2 * np.sqrt(config.k)
-    learner_cfg = OnlineConfig(bank=bank, eta=config.eta, r_m=float(r_m))
+    traj = simulate_scenario(config.name, config.horizon, seed, PROCESS_STD, OBSERVATION_STD)
+    # R_M = r_theta^2 sqrt(k); the pendulum has no system norm, so it
+    # falls back to the scale of the two-state benchmark
+    if config.name == "pendulum":
+        r_m = 2.0 * np.sqrt(config.k)
+    else:
+        params, _ = synthetic_system(config.name, seed=0)
+        r_m = params.r_theta**2 * np.sqrt(config.k)
+    learner_cfg = OnlineConfig(bank=bank, r_m=float(r_m))
     if config.learner == "ftl":
-        result = run_ftl(traj, learner_cfg, ridge=config.ridge)
+        result = run_ftl(traj, learner_cfg, ridge=RIDGE)
     else:
         result = run_online(traj, learner_cfg)
 
     losses = {"wave_filter": result.losses}
-    for baseline in config.baselines:
-        if baseline == "last_value":
-            preds = baseline_last_value(traj)
-        elif baseline == "ar":
-            preds = baseline_ar(traj, tau=config.ar_window, ridge=config.ridge)
-        else:
-            raise ValueError(f"unknown baseline '{baseline}'")
+    for baseline, preds in (
+        ("last_value", baseline_last_value(traj)),
+        ("ar", baseline_ar(traj, tau=AR_WINDOW, ridge=RIDGE)),
+    ):
         losses[baseline] = ((traj.outputs - preds) ** 2).sum(axis=1)
-
     return _SeedOutcome(
         seed=seed, losses=losses, comparator_losses=result.comparator_losses
     )

@@ -129,11 +129,18 @@ def save_trajectory(
 
 
 def load_trajectory(base: PathLike) -> Trajectory:
+    """Read a trajectory; its payload shape must match the sidecar's T, n, m."""
     base = Path(base)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    data = _read_matrix_csv(base.with_suffix(".csv"), skip_header=True)
-    n, m = int(meta["n"]), int(meta["m"])
-    return Trajectory(inputs=data[:, 1 : 1 + n], outputs=data[:, 1 + n : 1 + n + m])
+    csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
+    meta = json.loads(json_path.read_text())
+    data = _read_matrix_csv(csv_path, skip_header=True)
+    n, m, T = int(meta["n"]), int(meta["m"]), int(meta["T"])
+    rows, cols = data.shape if data.ndim == 2 else (0, 0)
+    if cols != 1 + n + m:
+        raise ValueError(f"{csv_path} has {cols} columns; sidecar {json_path} says n={n}, m={m}")
+    if rows != T:
+        raise ValueError(f"{csv_path} has {rows} rows; sidecar {json_path} says T={T}")
+    return Trajectory(inputs=data[:, 1 : 1 + n], outputs=data[:, 1 + n :])
 
 
 def load_input_csv(path: PathLike) -> tuple[np.ndarray, Optional[np.ndarray]]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solveh_banded
 
-from .hankel import NOISE_FLOOR, Spectrum, build_hankel, top_eigenpairs
+from .hankel import NOISE_FLOOR, Spectrum, _sign_normalize, build_hankel, top_eigenpairs
 from .filters import EIGEN_K_CAP, FilterBank
 
 __all__ = [
@@ -191,12 +191,8 @@ def solve_ode_filter(spec: OdeFilterSpec) -> np.ndarray:
     lam_all = eigh_tridiagonal(diag, off, eigvals_only=True)
     idx = int(np.argmin(np.abs(lam_all - spec.lam)))
     _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(idx, idx))
-    v = vec[:, 0]
-    v = v / np.linalg.norm(v)
-    nz = np.flatnonzero(np.abs(v) > 1e-12)
-    if nz.size and v[nz[0]] < 0:
-        v = -v
-    return v
+    v = vec / np.linalg.norm(vec[:, 0])
+    return _sign_normalize(v)[:, 0]
 
 
 def ode_filter_bank(T: int, k: int) -> FilterBank:
@@ -228,11 +224,7 @@ def ode_filter_bank(T: int, k: int) -> FilterBank:
             break
         chosen.append(c)
 
-    phis = vecs[:, chosen].T.copy()
-    for row in phis:
-        nz = np.flatnonzero(np.abs(row) > 1e-12)
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
+    phis = _sign_normalize(vecs[:, chosen]).T.copy()
 
     sigmas = np.empty(k)
     n_matched = len(matched_sigmas)

@@ -106,7 +106,6 @@ class OnlineState:
     eta: float
     step: int = 0
     cumulative_loss: float = 0.0
-    max_grad_norm: float = 0.0
 
     def learned_norm(self) -> float:
         """Frobenius norm over the learned (non-frozen) part of the matrix."""
@@ -182,27 +181,27 @@ def update(state: OnlineState, features: np.ndarray, y_true: np.ndarray) -> Onli
         yb = state.layout.y_block
         matrix[:, yb] = np.eye(len(y_true))
         matrix[:, : yb.start] = _project_ball(matrix[:, : yb.start], cfg.r_m)
-        grad_norm = float(np.linalg.norm(grad[:, : yb.start]))
     else:
         matrix = _project_ball(matrix, cfg.r_m)
-        grad_norm = float(np.linalg.norm(grad))
     return replace(
         state,
         matrix=matrix,
         step=state.step + 1,
         cumulative_loss=state.cumulative_loss + loss,
-        max_grad_norm=max(state.max_grad_norm, grad_norm),
     )
 
 
 def _effective_parts(
-    features: np.ndarray, trajectory: Trajectory, freeze: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Learned-feature columns and the targets the learned part must fit."""
-    if freeze:
+    trajectory: Trajectory, config: OnlineConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Online features, the learned columns and their targets (frozen: differences)."""
+    if trajectory.length != config.bank.horizon:
+        raise ValueError("trajectory length does not match the bank horizon")
+    features = online_features(trajectory, config.bank)
+    if config.freeze_y_block:
         m = trajectory.output_dim
-        return features[:, :-m], trajectory.output_differences()
-    return features, trajectory.outputs
+        return features, features[:, :-m], trajectory.output_differences()
+    return features, features, trajectory.outputs
 
 
 def _auto_eta(eff_features: np.ndarray, eff_targets: np.ndarray, r_m: float, T: int) -> float:
@@ -229,13 +228,8 @@ def run_online(
     same decision set, or the derivative predictor of
     ``comparator_params`` when given.
     """
+    features, eff_features, eff_targets = _effective_parts(trajectory, config)
     T, m = trajectory.length, trajectory.output_dim
-    if T != config.bank.horizon:
-        raise ValueError("trajectory length does not match the bank horizon")
-    features = online_features(trajectory, config.bank)
-    eff_features, eff_targets = _effective_parts(
-        features, trajectory, config.freeze_y_block
-    )
     if config.eta == "auto":
         eta = _auto_eta(eff_features, eff_targets, config.r_m, T)
     else:
@@ -243,13 +237,12 @@ def run_online(
 
     state = init_state(config, trajectory.input_dim, m, eta)
     predictions = np.zeros((T, m))
-    losses = np.zeros(T)
     matrix_norms = np.zeros(T)
     for t in range(T):
         predictions[t] = predict(state, features[t])
         state = update(state, features[t], trajectory.outputs[t])
-        losses[t] = ((trajectory.outputs[t] - predictions[t]) ** 2).sum()
         matrix_norms[t] = state.learned_norm()
+    losses = ((trajectory.outputs - predictions) ** 2).sum(axis=1)
 
     if comparator_params is not None:
         comp = derivative_predictions(comparator_params, trajectory)
@@ -336,6 +329,39 @@ def ftl_update(
     return _project_ball(_ridge_least_squares(features, targets, ridge), r_m)
 
 
+def _rolling_ridge(
+    features: np.ndarray,
+    targets: np.ndarray,
+    ridge: float,
+    refit_every: int = 1,
+    r_m: Optional[float] = None,
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Predictions, final matrix and per-step norms of rolling ridge least squares.
+
+    Step t predicts ``targets[t]`` with the current matrix (zero at first),
+    then joins the Gram sums. Refits at steps 0, ``refit_every``, ... and the
+    last step solve the ridge normal equations; given ``r_m`` they are
+    projected onto its Frobenius ball and their norms fill the per-step norms.
+    """
+    (T, width), m = features.shape, targets.shape[1]
+    gram = ridge * np.eye(width)
+    rhs = np.zeros((width, m))
+    matrix = np.zeros((m, width))
+    predictions = np.zeros((T, m))
+    norms = None if r_m is None else np.zeros(T)
+    for t in range(T):
+        f = features[t]
+        predictions[t] = matrix @ f
+        gram += np.outer(f, f)
+        rhs += np.outer(f, targets[t])
+        if t % refit_every == 0 or t == T - 1:
+            matrix = _solve_gram(gram, rhs)
+            if r_m is not None:
+                matrix = _project_ball(matrix, r_m)
+                norms[t:] = np.linalg.norm(matrix)
+    return predictions, matrix, norms
+
+
 def ftl_refit_every(T: int) -> int:
     """Steps between follow-the-leader refits over a horizon of T steps.
 
@@ -354,39 +380,17 @@ def run_ftl(
     The output block follows the freeze convention of the config (frozen:
     fit output differences). The comparator is the best fixed matrix.
     """
+    features, eff_features, eff_targets = _effective_parts(trajectory, config)
     T, m = trajectory.length, trajectory.output_dim
-    if T != config.bank.horizon:
-        raise ValueError("trajectory length does not match the bank horizon")
-    refit_every = ftl_refit_every(T)
-    features = online_features(trajectory, config.bank)
-    eff_features, eff_targets = _effective_parts(
-        features, trajectory, config.freeze_y_block
+    predictions, matrix, matrix_norms = _rolling_ridge(
+        eff_features, eff_targets, ridge, ftl_refit_every(T), config.r_m
     )
-    width = eff_features.shape[1]
-    gram = ridge * np.eye(width)
-    rhs = np.zeros((width, m))
-    matrix = np.zeros((m, width))
-    predictions = np.zeros((T, m))
-    losses = np.zeros(T)
-    matrix_norms = np.zeros(T)
-    y_prev = np.zeros(m)
-    for t in range(T):
-        base = y_prev if config.freeze_y_block else 0.0
-        predictions[t] = base + matrix @ eff_features[t]
-        losses[t] = ((trajectory.outputs[t] - predictions[t]) ** 2).sum()
-        gram += np.outer(eff_features[t], eff_features[t])
-        rhs += np.outer(eff_features[t], eff_targets[t])
-        if t % refit_every == 0 or t == T - 1:
-            matrix = _project_ball(_solve_gram(gram, rhs), config.r_m)
-        matrix_norms[t] = np.linalg.norm(matrix)
-        y_prev = trajectory.outputs[t]
-    state = init_state(config, trajectory.input_dim, m, eta=0.0)
     if config.freeze_y_block:
-        full = state.matrix.copy()
-        full[:, : state.layout.y_block.start] = matrix
-    else:
-        full = matrix
-    state = replace(state, matrix=full, step=T, cumulative_loss=float(losses.sum()))
+        predictions += features[:, -m:]  # the frozen y_{t-1} block
+    losses = ((trajectory.outputs - predictions) ** 2).sum(axis=1)
+    state = init_state(config, trajectory.input_dim, m, eta=0.0)
+    state.matrix[:, : eff_features.shape[1]] = matrix
+    state = replace(state, step=T, cumulative_loss=float(losses.sum()))
     comp_losses = _best_fixed_losses(eff_features, eff_targets, config.r_m)
     return _run_result(
         predictions, losses, state, matrix_norms, comp_losses, "best-fixed-M"

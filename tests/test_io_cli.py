@@ -5,10 +5,25 @@ import numpy as np
 import pytest
 
 from wavefilter import io, online
+from wavefilter.baselines import baseline_ar, baseline_last_value
 from wavefilter.cli import main
-from wavefilter.experiments import default_experiment_config, run_experiment
+from wavefilter.experiments import (
+    EXPERIMENT_NAMES,
+    default_experiment_config,
+    run_experiment,
+    simulate_scenario,
+)
 from wavefilter.filters import FeatureLayout, build_filter_bank, featurize_batch
-from wavefilter.lds import LdsParams, NoiseConfig, simulate
+from wavefilter.lds import (
+    LdsParams,
+    NoiseConfig,
+    PendulumConfig,
+    block_impulse_inputs,
+    pendulum_simulate,
+    simulate,
+    synthetic_system,
+)
+from wavefilter.online import OnlineConfig, run_ftl
 from wavefilter.verify import check_filter_bank
 
 
@@ -88,6 +103,26 @@ class TestRoundTrips:
         assert np.array_equal(loaded[0].outputs, small_trajectory.outputs)
 
 
+class TestTrajectorySidecar:
+    def _saved(self, tmp_path, **sidecar):
+        base = tmp_path / "traj"
+        io.save_trajectory(simulate_scenario("mimo_10", 50, 0, 0.1, 0.1), base)
+        meta = json.loads(base.with_suffix(".json").read_text())
+        meta.update(sidecar)
+        base.with_suffix(".json").write_text(json.dumps(meta))
+        return base
+
+    def test_column_count_disagreeing_with_n_and_m_raises(self, tmp_path):
+        base = self._saved(tmp_path, n=11)
+        with pytest.raises(ValueError, match=r"traj\.csv has 21 columns.*n=11, m=10"):
+            io.load_trajectory(base)
+
+    def test_row_count_disagreeing_with_T_raises(self, tmp_path):
+        base = self._saved(tmp_path, T=99)
+        with pytest.raises(ValueError, match=r"traj\.csv has 50 rows.*T=99"):
+            io.load_trajectory(base)
+
+
 class TestCli:
     def test_filters_writes_bank(self, tmp_path, capsys):
         out = tmp_path / "bank"
@@ -136,6 +171,26 @@ class TestCli:
         matrix, layout, meta = io.load_predictor(tmp_path / "bmodel")
         assert meta["source"] == "batch"
         assert matrix.shape == (1, layout.width)
+
+    @pytest.mark.parametrize(
+        "system, stds",
+        [(name, (0.1, 0.1)) for name in EXPERIMENT_NAMES]
+        + [("pendulum", (0.4, 0.3)), ("siso_hard", (0.4, 0.3))],
+    )
+    def test_simulate_writes_the_scenario_trajectory(self, tmp_path, system, stds):
+        argv = ["simulate", "--system", system, "--T", "60", "--seed", "2",
+                "--process-std", str(stds[0]), "--observation-std", str(stds[1]),
+                "--out", str(tmp_path / "cli")]
+        assert main(argv) == 0
+        traj = simulate_scenario(system, 60, 2, *stds)
+        io.save_trajectory(traj, tmp_path / "direct")
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+        direct_meta = json.loads((tmp_path / "direct.json").read_text())
+        cli_meta = json.loads((tmp_path / "cli.json").read_text())
+        assert {key: cli_meta[key] for key in direct_meta} == direct_meta
+        if stds != (0.1, 0.1):  # the noise flags reach the simulator
+            default = simulate_scenario(system, 60, 2, 0.1, 0.1)
+            assert not np.array_equal(traj.outputs, default.outputs)
 
     def test_verify_detects_corrupt_bank(self, tmp_path):
         base = tmp_path / "bank"
@@ -224,6 +279,39 @@ class TestExperiments:
         config = default_experiment_config("siso_hard", horizon=120, seeds=(0, 1))
         run_experiment(config)
         assert calls == {"featurize_batch": 2, "_constrained_least_squares": 2}
+
+    @pytest.mark.parametrize("name", ["pendulum", "mimo_10"])
+    def test_experiment_wiring_matches_direct_calls(self, name):
+        # the intended settings: R_M = r_theta^2 sqrt(k) (r_theta^2 = 2 for
+        # the pendulum), ridge 1 for FTL and AR, AR window 4, noise 0.1
+        T, k, seeds = 120, 25, (0, 1)
+        summary = run_experiment(default_experiment_config(name, horizon=T, seeds=seeds))
+        bank = build_filter_bank(T, k)
+        per_seed = {"ar": [], "last_value": [], "wave_filter": []}
+        gaps = []
+        for seed in seeds:
+            rng = np.random.default_rng([seed, 1])
+            if name == "pendulum":
+                r_m = 2.0 * np.sqrt(k)
+                inputs = block_impulse_inputs(T, 1, rng, scale=2.0)
+                pend = PendulumConfig(accel_noise_std=0.05, obs_noise_std=0.001)
+                traj = pendulum_simulate(pend, inputs, seed=seed)
+            else:
+                params, gen = synthetic_system(name, seed=0)
+                r_m = params.r_theta**2 * np.sqrt(k)
+                inputs = gen.generate(T, params.input_dim, rng)
+                traj = simulate(params, inputs, NoiseConfig(0.1, 0.1, seed))
+            ftl = run_ftl(traj, OnlineConfig(bank=bank, r_m=float(r_m)), ridge=1.0)
+            for learner, preds in (
+                ("ar", baseline_ar(traj, tau=4, ridge=1.0)),
+                ("last_value", baseline_last_value(traj)),
+            ):
+                losses = ((traj.outputs - preds) ** 2).sum(axis=1)
+                per_seed[learner].append(float(losses.mean()))
+            per_seed["wave_filter"].append(float(ftl.losses.mean()))
+            gaps.append(ftl.losses.sum() - ftl.comparator_losses.sum())
+        assert summary["per_seed_final_mse"] == per_seed
+        assert summary["comparator_gap"] == float(np.mean(gaps))
 
     def test_pendulum_smoke(self):
         config = default_experiment_config("pendulum", horizon=150, seeds=(0,))

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from wavefilter import online
 from wavefilter.batch import BatchSample, fit_batch
-from wavefilter.filters import build_filter_bank, featurize_batch
+from wavefilter.filters import FilterBank, build_filter_bank, featurize_batch
 from wavefilter.lds import LdsParams, Trajectory, simulate
 from wavefilter.online import (
     OnlineConfig,
     _constrained_least_squares,
+    _rolling_ridge,
     default_hyperparams,
     ftl_update,
     init_state,
@@ -320,6 +322,70 @@ class TestFtl:
         bank = build_filter_bank(T, 4)
         result = run_ftl(traj, OnlineConfig(bank=bank, r_m=10.0), ridge=1e-8)
         assert result.losses[-50:].mean() <= 1e-10
+
+
+class TestRollingRidge:
+    @staticmethod
+    def _fresh_fit(features, targets, ridge, r_m):
+        # the ridge minimizer is plain least squares on [F; sqrt(ridge) I], [Y; 0]
+        w, m = features.shape[1], targets.shape[1]
+        aug_feats = np.vstack([features, math.sqrt(ridge) * np.eye(w)])
+        aug_targets = np.vstack([targets, np.zeros((w, m))])
+        matrix = np.linalg.lstsq(aug_feats, aug_targets, rcond=None)[0].T
+        norm = np.linalg.norm(matrix)
+        if r_m is not None and norm > r_m:
+            matrix = matrix * (r_m / norm)
+        return matrix
+
+    @pytest.mark.parametrize("refit_every", [1, 10])
+    @pytest.mark.parametrize("r_m", [None, 0.3])
+    def test_matches_fresh_solve_on_each_prefix(self, refit_every, r_m):
+        rng = np.random.default_rng(17)
+        T, w, m, ridge = 45, 4, 2, 0.5
+        feats = rng.standard_normal((T, w))
+        targets = feats @ rng.standard_normal((w, m)) + 0.1 * rng.standard_normal((T, m))
+        preds, final, norms = _rolling_ridge(feats, targets, ridge, refit_every, r_m)
+        # refits at 0, 10, 20, 30, 40 and the last step, 44
+        refits = {t for t in range(T) if t % refit_every == 0 or t == T - 1}
+        matrix = np.zeros((m, w))
+        expected_norms = np.zeros(T)
+        for t in range(T):
+            np.testing.assert_allclose(preds[t], matrix @ feats[t], rtol=1e-9, atol=1e-12)
+            if t in refits:
+                matrix = self._fresh_fit(feats[: t + 1], targets[: t + 1], ridge, r_m)
+            expected_norms[t] = np.linalg.norm(matrix)
+        np.testing.assert_allclose(final, matrix, rtol=1e-9, atol=1e-12)
+        if r_m is None:
+            assert norms is None
+        else:
+            np.testing.assert_allclose(norms, expected_norms, rtol=1e-9)
+            assert norms[-1] == pytest.approx(r_m)  # the ball binds
+
+    def test_run_ftl_refits_every_ten_steps_beyond_2000(self, monkeypatch):
+        T = 2001
+        rng = np.random.default_rng(18)
+        traj = Trajectory(
+            inputs=rng.standard_normal((T, 1)), outputs=rng.standard_normal((T, 1))
+        )
+        phi = 0.5 ** np.arange(T)
+        phi /= np.linalg.norm(phi)
+        bank = FilterBank(
+            horizon=T, k=1, phis=phi[None, :], sigmas=np.ones(1),
+            scaled_filters=phi[None, :], method="eigen",
+        )
+        solves = []
+        original = online._solve_gram
+
+        def counted(gram, rhs):
+            solves.append(gram.shape)
+            return original(gram, rhs)
+
+        monkeypatch.setattr(online, "_solve_gram", counted)
+        result = run_ftl(traj, OnlineConfig(bank=bank, r_m=10.0))
+        assert len(solves) == 201  # steps 0, 10, ..., 2000
+        blocks = result.matrix_norms[:2000].reshape(200, 10)
+        assert np.all(blocks == blocks[:, :1])
+        assert len(np.unique(blocks[:, 0])) > 1
 
 
 class TestRegretVsBestFixed:

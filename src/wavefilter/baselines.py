@@ -21,12 +21,11 @@ def baseline_ar(trajectory: Trajectory, tau: int, ridge: float = 1e-8) -> np.nda
 
     At each step the model is refit on all previous (window, output)
     pairs, then predicts from the current window; windows reaching before
-    time 1 are zero-padded. A singular fit with ridge 0 raises.
+    time 1 are zero-padded. The fit starts from an empty history, so a
+    ridge of 0 or less raises ``LinAlgError`` before the first step.
     """
     if tau < 0:
         raise ValueError("window length must be nonnegative")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
     xs = trajectory.inputs
     T, n = xs.shape
     padded = np.vstack([np.zeros((tau, n)), xs])

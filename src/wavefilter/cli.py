@@ -54,12 +54,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     traj = simulate_scenario(
         args.system, args.T, args.seed, args.process_std, args.observation_std
     )
-    meta = {"generator": args.system, "seed": args.seed}
-    if args.system != "pendulum":
-        meta["noise"] = {
-            "process_std": args.process_std,
-            "observation_std": args.observation_std,
-        }
+    noise = {"process_std": args.process_std, "observation_std": args.observation_std}
+    meta = {"generator": args.system, "seed": args.seed, "noise": noise}
     paths = io.save_trajectory(traj, Path(args.out), metadata=meta)
     print(f"wrote {paths[0]} and {paths[1]}")
     return 0

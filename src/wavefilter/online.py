@@ -284,14 +284,6 @@ def _project_ball(matrix: np.ndarray, r_m: float) -> np.ndarray:
     return matrix * (r_m / norm) if norm > r_m else matrix
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The matrix M with ``gram @ M.T = rhs``, by a Cholesky solve.
-
-    ``gram`` must be positive definite; a singular one raises ``LinAlgError``.
-    """
-    return scipy.linalg.solve(gram, rhs, assume_a="pos").T
-
-
 def _ridge_least_squares(
     features: np.ndarray, targets: np.ndarray, ridge: float
 ) -> np.ndarray:
@@ -310,7 +302,7 @@ def _ridge_least_squares(
         matrix, *_ = np.linalg.lstsq(features, targets, rcond=None)
         return matrix.T
     gram = features.T @ features + ridge * np.eye(features.shape[1])
-    return _solve_gram(gram, features.T @ targets)
+    return scipy.linalg.solve(gram, features.T @ targets, assume_a="pos").T
 
 
 def ftl_update(
@@ -339,23 +331,31 @@ def _rolling_ridge(
     """Predictions, final matrix and per-step norms of rolling ridge least squares.
 
     Step t predicts ``targets[t]`` with the current matrix (zero at first),
-    then joins the Gram sums. Refits at steps 0, ``refit_every``, ... and the
-    last step solve the ridge normal equations; given ``r_m`` they are
-    projected onto its Frobenius ball and their norms fill the per-step norms.
+    then joins the fit by recursive least squares: the inverse regularized
+    Gram ``P = (ridge I + sum f f^T)^-1`` and the ridge minimizer ``W`` take
+    a Sherman-Morrison rank-one step, O(width^2) and no solve. Refits at
+    steps 0, ``refit_every``, ... and the last step make ``W`` the current
+    matrix; given ``r_m`` it is projected onto its Frobenius ball and its
+    norm fills the per-step norms. The ridge must be positive, since the fit
+    starts from an empty history.
     """
+    if not ridge > 0:
+        raise np.linalg.LinAlgError(f"ridge {ridge!r} is not positive: step 0 is singular")
     (T, width), m = features.shape, targets.shape[1]
-    gram = ridge * np.eye(width)
-    rhs = np.zeros((width, m))
+    inverse = np.eye(width) / ridge
+    fit = np.zeros((m, width))
     matrix = np.zeros((m, width))
     predictions = np.zeros((T, m))
     norms = None if r_m is None else np.zeros(T)
     for t in range(T):
         f = features[t]
         predictions[t] = matrix @ f
-        gram += np.outer(f, f)
-        rhs += np.outer(f, targets[t])
+        pf = inverse @ f
+        gain = pf / (1.0 + f @ pf)
+        fit += np.outer(targets[t] - fit @ f, gain)
+        inverse -= np.outer(pf, gain)
         if t % refit_every == 0 or t == T - 1:
-            matrix = _solve_gram(gram, rhs)
+            matrix = fit.copy()  # the fit keeps moving between refits
             if r_m is not None:
                 matrix = _project_ball(matrix, r_m)
                 norms[t:] = np.linalg.norm(matrix)
@@ -365,8 +365,9 @@ def _rolling_ridge(
 def ftl_refit_every(T: int) -> int:
     """Steps between follow-the-leader refits over a horizon of T steps.
 
-    Every step up to T = 2000 and every 10 steps beyond, where one full
-    solve per step would dominate the run.
+    Every step up to T = 2000 and every 10 steps beyond. The rolling fit
+    itself is updated at every step; the cadence only sets how often the
+    learner adopts it, and FTL results beyond T = 2000 depend on it.
     """
     return 1 if T <= 2000 else 10
 
@@ -378,7 +379,8 @@ def run_ftl(
 
     Refits happen every ``ftl_refit_every(T)`` steps and at the last step.
     The output block follows the freeze convention of the config (frozen:
-    fit output differences). The comparator is the best fixed matrix.
+    fit output differences). The comparator is the best fixed matrix. The
+    ridge must be positive; ridge 0 raises ``LinAlgError`` before step 0.
     """
     features, eff_features, eff_targets = _effective_parts(trajectory, config)
     T, m = trajectory.length, trajectory.output_dim

@@ -188,6 +188,8 @@ class TestCli:
         direct_meta = json.loads((tmp_path / "direct.json").read_text())
         cli_meta = json.loads((tmp_path / "cli.json").read_text())
         assert {key: cli_meta[key] for key in direct_meta} == direct_meta
+        assert cli_meta["generator"] == system and cli_meta["seed"] == 2
+        assert cli_meta["noise"] == {"process_std": stds[0], "observation_std": stds[1]}
         if stds != (0.1, 0.1):  # the noise flags reach the simulator
             default = simulate_scenario(system, 60, 2, 0.1, 0.1)
             assert not np.array_equal(traj.outputs, default.outputs)

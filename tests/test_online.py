@@ -5,7 +5,9 @@ import pytest
 import scipy.linalg
 
 from wavefilter import online
+from wavefilter.baselines import baseline_ar
 from wavefilter.batch import BatchSample, fit_batch
+from wavefilter.experiments import simulate_scenario
 from wavefilter.filters import FilterBank, build_filter_bank, featurize_batch
 from wavefilter.lds import LdsParams, Trajectory, simulate
 from wavefilter.online import (
@@ -39,6 +41,29 @@ def _bisection_by_solves(features, targets, r_m):
         else:
             hi = lam
     return matrix
+
+
+def _rolling_ridge_by_solves(features, targets, ridge, refit_every=1, r_m=None):
+    """Reference rolling fit: the Gram sums re-solved by Cholesky at every refit."""
+    (T, width), m = features.shape, targets.shape[1]
+    gram = ridge * np.eye(width)
+    rhs = np.zeros((width, m))
+    matrix = np.zeros((m, width))
+    predictions = np.zeros((T, m))
+    norms = None if r_m is None else np.zeros(T)
+    for t in range(T):
+        f = features[t]
+        predictions[t] = matrix @ f
+        gram += np.outer(f, f)
+        rhs += np.outer(f, targets[t])
+        if t % refit_every == 0 or t == T - 1:
+            matrix = scipy.linalg.solve(gram, rhs, assume_a="pos").T
+            if r_m is not None:
+                norm = np.linalg.norm(matrix)
+                if norm > r_m:
+                    matrix = matrix * (r_m / norm)
+                norms[t:] = np.linalg.norm(matrix)
+    return predictions, matrix, norms
 
 
 class TestDefaultHyperparams:
@@ -361,6 +386,42 @@ class TestRollingRidge:
             np.testing.assert_allclose(norms, expected_norms, rtol=1e-9)
             assert norms[-1] == pytest.approx(r_m)  # the ball binds
 
+    @pytest.fixture(scope="class")
+    def wave_features(self):
+        # mimo_10 at T = 300: learned width 270 and 10 outputs
+        traj = simulate_scenario("mimo_10", 300, 0, 0.1, 0.1)
+        features = online_features(traj, build_filter_bank(300, 25))
+        return features[:, : -traj.output_dim], traj.output_differences()
+
+    @pytest.mark.parametrize("refit_every", [1, 10])
+    @pytest.mark.parametrize("binding_ball", [False, True])
+    @pytest.mark.parametrize("ridge", [1.0, 1e-6])
+    def test_matches_solve_reference_on_wave_filter_features(
+        self, wave_features, refit_every, binding_ball, ridge
+    ):
+        feats, targets = wave_features
+        assert feats.shape[1] >= 200 and targets.shape[1] >= 5
+        r_m = None
+        if binding_ball:  # half the norm of the unconstrained final fit
+            gram = feats.T @ feats + ridge * np.eye(feats.shape[1])
+            r_m = 0.5 * np.linalg.norm(np.linalg.solve(gram, feats.T @ targets))
+        preds, final, norms = _rolling_ridge(feats, targets, ridge, refit_every, r_m)
+        ref_preds, ref_final, ref_norms = _rolling_ridge_by_solves(
+            feats, targets, ridge, refit_every, r_m
+        )
+        if ridge == 1.0:
+            np.testing.assert_allclose(preds, ref_preds, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(final, ref_final, rtol=1e-9, atol=0)
+        else:  # ill-conditioned prefixes: compare on the scale of the output
+            scale = np.abs(ref_preds).max()
+            assert np.abs(preds - ref_preds).max() <= 1e-6 * scale
+            assert np.abs(final - ref_final).max() <= 1e-6 * np.abs(ref_final).max()
+        if r_m is None:
+            assert norms is None and ref_norms is None
+        else:
+            np.testing.assert_allclose(norms, ref_norms, rtol=1e-9 if ridge == 1.0 else 1e-6)
+            assert norms[-1] == pytest.approx(r_m)  # the ball binds
+
     def test_run_ftl_refits_every_ten_steps_beyond_2000(self, monkeypatch):
         T = 2001
         rng = np.random.default_rng(18)
@@ -373,19 +434,51 @@ class TestRollingRidge:
             horizon=T, k=1, phis=phi[None, :], sigmas=np.ones(1),
             scaled_filters=phi[None, :], method="eigen",
         )
-        solves = []
-        original = online._solve_gram
+        refits = []
+        original = online._project_ball
 
-        def counted(gram, rhs):
-            solves.append(gram.shape)
-            return original(gram, rhs)
+        def counted(matrix, r_m):
+            refits.append(matrix.shape)
+            return original(matrix, r_m)
 
-        monkeypatch.setattr(online, "_solve_gram", counted)
+        monkeypatch.setattr(online, "_project_ball", counted)
         result = run_ftl(traj, OnlineConfig(bank=bank, r_m=10.0))
-        assert len(solves) == 201  # steps 0, 10, ..., 2000
+        assert len(refits) == 201  # steps 0, 10, ..., 2000
         blocks = result.matrix_norms[:2000].reshape(200, 10)
         assert np.all(blocks == blocks[:, :1])
         assert len(np.unique(blocks[:, 0])) > 1
+
+    def test_rolling_fits_make_no_solve(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        T, k = 120, 4
+        traj = Trajectory(
+            inputs=rng.standard_normal((T, 2)), outputs=rng.standard_normal((T, 2))
+        )
+        bank = build_filter_bank(T, k)
+        solves = []
+        original = scipy.linalg.solve
+
+        def counted(*args, **kwargs):
+            solves.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve", counted)
+        run_ftl(traj, OnlineConfig(bank=bank, r_m=10.0), ridge=1.0)
+        baseline_ar(traj, tau=3, ridge=1.0)
+        assert solves == []
+        ftl_update(traj.inputs, traj.outputs, ridge=1.0, r_m=10.0)
+        assert len(solves) == 1  # the counter sees the one batch solve
+
+    def test_run_ftl_without_ridge_raises(self):
+        # an empty history has no fit without a ridge, so step 0 is singular
+        rng = np.random.default_rng(20)
+        T = 20
+        traj = Trajectory(
+            inputs=rng.standard_normal((T, 2)), outputs=np.ones((T, 1))
+        )
+        config = OnlineConfig(bank=build_filter_bank(T, 3), r_m=10.0)
+        with pytest.raises(np.linalg.LinAlgError, match="ridge 0.0"):
+            run_ftl(traj, config, ridge=0.0)
 
 
 class TestRegretVsBestFixed:

@@ -69,7 +69,6 @@ from .online import (
 from .batch import (
     BatchModel,
     BatchSample,
-    build_hilbert_filters,
     fit_batch,
     predict_derivative,
     predict_pure_batch,

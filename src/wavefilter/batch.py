@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .filters import FilterBank, build_filter_bank, featurize_batch
+from .filters import FilterBank, featurize_batch
 from .lds import Trajectory
 from .online import _ridge_least_squares
 
@@ -24,7 +24,6 @@ __all__ = [
     "fit_batch",
     "predict_derivative",
     "predict_pure_batch",
-    "build_hilbert_filters",
 ]
 
 
@@ -103,7 +102,3 @@ def predict_pure_batch(model: BatchModel, features: np.ndarray) -> np.ndarray:
     """Outputs as running sums of predicted differences over a full episode."""
     return np.cumsum(predict_derivative(model, np.atleast_2d(features)), axis=0)
 
-
-def build_hilbert_filters(T: int, k: int) -> FilterBank:
-    """Filter bank from the matrix with entries 1/(i+j-1); same scaling."""
-    return build_filter_bank(T, k, method="hilbert")

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hankel import NOISE_FLOOR, build_hankel, hilbert_matrix, top_eigenpairs
+from .hankel import NOISE_FLOOR, HankelMatrix, build_hankel, hilbert_matrix, top_eigenpairs
 
 __all__ = [
     "EIGEN_K_CAP",
@@ -114,11 +114,7 @@ class FeatureMatrix:
 
 
 def _eigen_bank(T: int, k: int, method: str) -> FilterBank:
-    matrix = build_hankel(T) if method == "eigen" else None
-    if method == "hilbert":
-        from .hankel import HankelMatrix
-
-        matrix = HankelMatrix(size=T, entries=hilbert_matrix(T, theta=-1))
+    matrix = build_hankel(T) if method == "eigen" else HankelMatrix(T, hilbert_matrix(T, -1))
     spec = top_eigenpairs(matrix, k)
     sig = np.clip(spec.sigmas, _SIGMA_MIN, None)
     phis = spec.phis.T.copy()

@@ -19,7 +19,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "NOISE_FLOOR",
@@ -42,7 +41,11 @@ NOISE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class HankelMatrix:
-    """Dense moment Hankel matrix of a given size."""
+    """Moment Hankel matrix of a given size.
+
+    ``entries`` is a T-by-T array and may be a read-only view of the
+    2T-1 values that fix a Hankel matrix (see ``build_hankel``).
+    """
 
     size: int
     entries: np.ndarray
@@ -76,23 +79,35 @@ class MuVector:
     entries: np.ndarray
 
 
+def _hankel_view(symbol: np.ndarray, T: int) -> np.ndarray:
+    """Read-only T-by-T view with entry (i, j) = symbol[i + j], 0-based."""
+    return np.lib.stride_tricks.sliding_window_view(symbol, T)
+
+
 def build_hankel(T: int) -> HankelMatrix:
-    """Construct the T-by-T matrix with entries 2/((i+j)^3 - (i+j))."""
+    """Construct the T-by-T matrix with entries 2/((i+j)^3 - (i+j)).
+
+    Allocates O(T): the entries are a read-only view of the 2T-1 values
+    at i+j = 2..2T, each computed exactly (s^3 - s stays below 2^53).
+    """
     if T < 1:
         raise ValueError(f"matrix size must be positive, got {T}")
-    idx = np.arange(1, T + 1)
-    s = idx[:, None] + idx[None, :]
-    return HankelMatrix(size=T, entries=2.0 / (s**3 - s))
+    s = np.arange(2, 2 * T + 1)
+    return HankelMatrix(size=T, entries=_hankel_view(2.0 / (s**3 - s), T))
 
 
 def hilbert_matrix(T: int, theta: int = -1) -> np.ndarray:
-    """Hilbert-family matrix with entries 1/(i+j+theta), 1-based indices."""
+    """Hilbert-family matrix with entries 1/(i+j+theta), 1-based indices.
+
+    Allocates O(T): returns a read-only view of the 2T-1 values at
+    i+j = 2..2T.
+    """
     if T < 1:
         raise ValueError(f"matrix size must be positive, got {T}")
     if theta <= -2:
         raise ValueError("theta must exceed -2 for positive definiteness")
-    idx = np.arange(1, T + 1)
-    return 1.0 / (idx[:, None] + idx[None, :] + float(theta))
+    s = np.arange(2, 2 * T + 1)
+    return _hankel_view(1.0 / (s + float(theta)), T)
 
 
 def mu_curve(alpha: float, T: int) -> MuVector:
@@ -126,6 +141,8 @@ def top_eigenpairs(H: HankelMatrix, k: int) -> Spectrum:
     Raises ``ValueError`` for k outside [1, T]; eigensolver failures
     propagate as ``numpy.linalg.LinAlgError``.
     """
+    import scipy.linalg  # scipy loads on first use, not at package import
+
     T = H.size
     if not 1 <= k <= T:
         raise ValueError(f"need 1 <= k <= {T}, got k={k}")

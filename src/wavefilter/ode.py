@@ -25,7 +25,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solveh_banded
 
 from .hankel import NOISE_FLOOR, Spectrum, _sign_normalize, build_hankel, top_eigenpairs
 from .filters import EIGEN_K_CAP, FilterBank
@@ -95,6 +94,8 @@ def _fit_banded(
     T: int, phis: np.ndarray, theta: np.ndarray, weights: np.ndarray,
     anchor_diag: np.ndarray, anchor_off: np.ndarray, ridge: float,
 ) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.linalg import solveh_banded  # scipy loads on first use, not at import
+
     # unknowns interleaved as (a_1, b_1, a_2, b_2, ..., a_T); the normal
     # matrix of the per-row residuals then has bandwidth 2
     n_u = 2 * T - 1
@@ -176,6 +177,8 @@ def fitted_wave_operator(T: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _operator_eigs(T: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = fitted_wave_operator(T)
     count = min(count, T)
     lam, vecs = eigh_tridiagonal(
@@ -187,6 +190,8 @@ def _operator_eigs(T: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_ode_filter(spec: OdeFilterSpec) -> np.ndarray:
     """Unit-norm operator eigenvector with eigenvalue nearest spec.lam."""
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = fitted_wave_operator(spec.size)
     lam_all = eigh_tridiagonal(diag, off, eigvals_only=True)
     idx = int(np.argmin(np.abs(lam_all - spec.lam)))

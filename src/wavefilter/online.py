@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .filters import FeatureLayout, FilterBank, featurize_batch
 from .lds import LdsParams, Trajectory, derivative_predictions
@@ -236,12 +235,29 @@ def run_online(
         eta = float(config.eta)
 
     state = init_state(config, trajectory.input_dim, m, eta)
+    # the arithmetic of predict/update, in the same order, on plain arrays
+    matrix, cumulative_loss = state.matrix, 0.0
+    yb = state.layout.y_block
+    learned = yb.start if config.freeze_y_block else None
+    eye = np.eye(m)
     predictions = np.zeros((T, m))
     matrix_norms = np.zeros(T)
     for t in range(T):
-        predictions[t] = predict(state, features[t])
-        state = update(state, features[t], trajectory.outputs[t])
-        matrix_norms[t] = state.learned_norm()
+        f = features[t]
+        predictions[t] = matrix @ f
+        resid = trajectory.outputs[t] - predictions[t]
+        cumulative_loss += float(resid @ resid)
+        grad = -2.0 * np.outer(resid, f)
+        if not np.all(np.isfinite(grad)):
+            raise FloatingPointError("non-finite gradient; the learning rate has blown up")
+        matrix = matrix - eta * grad
+        if config.freeze_y_block:
+            matrix[:, yb] = eye
+            matrix[:, : yb.start] = _project_ball(matrix[:, : yb.start], config.r_m)
+        else:
+            matrix = _project_ball(matrix, config.r_m)
+        matrix_norms[t] = np.linalg.norm(matrix[:, :learned])
+    state = replace(state, matrix=matrix, step=T, cumulative_loss=cumulative_loss)
     losses = ((trajectory.outputs - predictions) ** 2).sum(axis=1)
 
     if comparator_params is not None:
@@ -292,6 +308,8 @@ def _ridge_least_squares(
     With ridge 0 the minimum-norm least-squares solution is returned; an
     all-zero (information-free) feature matrix then raises ``LinAlgError``.
     """
+    import scipy.linalg  # scipy loads on first use, not at package import
+
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     if ridge == 0.0:

@@ -3,7 +3,6 @@ import pytest
 
 from wavefilter.batch import (
     BatchSample,
-    build_hilbert_filters,
     fit_batch,
     predict_derivative,
     predict_pure_batch,
@@ -185,18 +184,18 @@ class TestHilbertFilters:
         assert np.abs(hilbert_matrix(3, -1) - expected).max() == 0.0
 
     def test_two_by_two_eigenvalues(self):
-        bank = build_hilbert_filters(2, 2)
+        bank = build_filter_bank(2, 2, method="hilbert")
         assert bank.sigmas == pytest.approx([1.26760, 0.06573], abs=1e-4)
 
     def test_positive_and_decaying(self):
-        bank = build_hilbert_filters(40, 12)
+        bank = build_filter_bank(40, 12, method="hilbert")
         assert bank.sigmas.min() > 0
         assert np.all(np.diff(bank.sigmas) < 0)
 
     def test_interchangeable_in_fit(self):
         rng = np.random.default_rng(9)
         T = 150
-        bank = build_hilbert_filters(T, 15)
+        bank = build_filter_bank(T, 15, method="hilbert")
         params = random_diagonal_system(rng)
         samples = make_samples(rng, params, bank, 4)
         model = fit_batch(samples, bank)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from wavefilter.hankel import (
     NOISE_FLOOR,
+    HankelMatrix,
     build_hankel,
     full_spectrum,
     hilbert_matrix,
@@ -25,7 +27,41 @@ def closed_form_2x2(a, b, c):
     return mean + disc, mean - disc
 
 
+def _hankel_reference(T):
+    """The T-by-T moment matrix by broadcasting: T^2 integer temporaries."""
+    idx = np.arange(1, T + 1)
+    s = idx[:, None] + idx[None, :]
+    return 2.0 / (s**3 - s)
+
+
+def _hilbert_reference(T, theta):
+    idx = np.arange(1, T + 1)
+    return 1.0 / (idx[:, None] + idx[None, :] + float(theta))
+
+
 class TestBuildHankel:
+    @pytest.mark.parametrize("T", [1, 2, 3, 37, 1000])
+    def test_matches_broadcast_reference(self, T):
+        assert np.array_equal(build_hankel(T).entries, _hankel_reference(T))
+        for theta in (-1, 0, 2):
+            assert np.array_equal(hilbert_matrix(T, theta), _hilbert_reference(T, theta))
+
+    def test_entries_are_read_only(self):
+        with pytest.raises(ValueError):
+            build_hankel(4).entries[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            hilbert_matrix(4)[1, 2] = 1.0
+
+    def test_allocates_linear_memory(self):
+        # the dense 4000^2 matrix alone would be 122 MiB
+        tracemalloc.start()
+        try:
+            build_hankel(4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_size_one(self):
         entries = build_hankel(1).entries
         assert entries.shape == (1, 1)
@@ -46,9 +82,7 @@ class TestBuildHankel:
 
     def test_entry_formula_and_symmetry(self):
         Z = build_hankel(37).entries
-        i = np.arange(1, 38)
-        s = i[:, None] + i[None, :]
-        assert np.array_equal(Z, 2.0 / (s**3 - s))
+        assert np.array_equal(Z, _hankel_reference(37))
         assert np.array_equal(Z, Z.T)
 
     def test_rejects_zero(self):
@@ -118,6 +152,14 @@ class TestTopEigenpairs:
     def test_sorted_descending(self):
         spec = top_eigenpairs(build_hankel(80), 80)
         assert np.all(np.diff(spec.sigmas) <= 1e-12)
+
+    @pytest.mark.parametrize("k", [25, 300])
+    def test_view_and_owned_copy_give_identical_eigenpairs(self, k):
+        H = build_hankel(300)
+        owned = HankelMatrix(size=300, entries=np.array(H.entries))
+        a, b = top_eigenpairs(H, k), top_eigenpairs(owned, k)
+        assert np.array_equal(a.sigmas, b.sigmas)
+        assert np.array_equal(a.phis, b.phis)
 
     def test_deterministic(self):
         a = top_eigenpairs(build_hankel(60), 10)

@@ -276,6 +276,36 @@ class TestRunOnline:
         assert result.report.comparator_loss == pytest.approx(expected)
         assert result.comparator_losses.sum() == result.report.comparator_loss
 
+    @pytest.mark.parametrize("freeze_y_block", [True, False])
+    @pytest.mark.parametrize("r_m", [10.0, 0.3])
+    def test_loop_matches_per_step_update(self, freeze_y_block, r_m):
+        T = 200
+        traj = simulate_scenario("mimo_10", T, 0, 0.1, 0.1)
+        bank = build_filter_bank(T, 5)
+        config = OnlineConfig(bank=bank, r_m=r_m, freeze_y_block=freeze_y_block)
+        result = run_online(traj, config)
+
+        features = online_features(traj, bank)
+        state = init_state(config, traj.input_dim, traj.output_dim, result.state.eta)
+        predictions = np.zeros((T, traj.output_dim))
+        norms = np.zeros(T)
+        for t in range(T):
+            predictions[t] = predict(state, features[t])
+            state = update(state, features[t], traj.outputs[t])
+            norms[t] = state.learned_norm()
+        losses = ((traj.outputs - predictions) ** 2).sum(axis=1)
+
+        assert np.array_equal(result.predictions, predictions)
+        assert np.array_equal(result.losses, losses)
+        assert np.array_equal(result.matrix_norms, norms)
+        assert np.array_equal(result.state.matrix, state.matrix)
+        assert result.state.step == state.step == T
+        assert result.state.cumulative_loss == state.cumulative_loss
+        if r_m < 1.0:
+            assert norms.max() == pytest.approx(r_m)  # the ball binds
+        else:
+            assert norms.max() < r_m
+
 
 class TestFtl:
     def test_single_sample_exact_fit(self):

@@ -10,10 +10,11 @@ file can supply any flag's value; explicit flags win.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import io
 from .batch import BatchSample, fit_batch
@@ -26,8 +27,6 @@ from .experiments import (
 from .filters import FeatureLayout, build_filter_bank
 from .online import OnlineConfig, run_ftl, run_online
 from .verify import ToleranceProfile, check_filter_bank, run_verification
-
-FLOAT_FMT = io.FLOAT_FMT
 
 
 def _apply_config_defaults(args: argparse.Namespace, argv: list[str]) -> None:
@@ -61,25 +60,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_step_csv(path: Path, result, outputs_width: int) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t", "loss", "cumulative_loss", "matrix_norm"]
-        header += [f"yhat_{i+1}" for i in range(outputs_width)]
-        writer.writerow(header)
-        cum = 0.0
-        for t in range(len(result.losses)):
-            cum += result.losses[t]
-            row = [
-                str(t + 1),
-                FLOAT_FMT % result.losses[t],
-                FLOAT_FMT % cum,
-                FLOAT_FMT % result.matrix_norms[t],
-            ]
-            row += [FLOAT_FMT % v for v in result.predictions[t]]
-            writer.writerow(row)
-
-
 def _cmd_online(args: argparse.Namespace) -> int:
     traj = io.load_trajectory(Path(args.data))
     bank = build_filter_bank(traj.length, args.k, method=args.method)
@@ -90,7 +70,11 @@ def _cmd_online(args: argparse.Namespace) -> int:
     else:
         result = run_online(traj, config)
     out = Path(args.out)
-    _write_step_csv(out.with_suffix(".steps.csv"), result, traj.output_dim)
+    header = ["t", "loss", "cumulative_loss", "matrix_norm"]
+    header += [f"yhat_{i+1}" for i in range(traj.output_dim)]
+    losses = result.losses
+    steps = np.column_stack((losses, np.cumsum(losses), result.matrix_norms, result.predictions))
+    io._write_csv(out.with_suffix(".steps.csv"), header, io._numbered(steps))
     io.save_predictor(
         result.state.matrix,
         result.state.layout,

@@ -134,24 +134,6 @@ def _run_seed(config: ExperimentConfig, seed: int, bank) -> _SeedOutcome:
     )
 
 
-def _result_rows(config: ExperimentConfig, outcome: _SeedOutcome) -> list[dict]:
-    rows = []
-    for learner, losses in outcome.losses.items():
-        cum = np.cumsum(losses) / np.arange(1, len(losses) + 1)
-        for t in range(len(losses)):
-            rows.append(
-                {
-                    "experiment": config.name,
-                    "seed": outcome.seed,
-                    "t": t + 1,
-                    "learner": learner,
-                    "loss": float(losses[t]),
-                    "cumulative_mse": float(cum[t]),
-                }
-            )
-    return rows
-
-
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     """Run all seeds, optionally in a thread pool; return the summary.
 
@@ -171,10 +153,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         for outcome in outcomes:
-            save_result_rows(
-                _result_rows(config, outcome),
-                out_dir / f"rows_{config.name}_seed{outcome.seed}.csv",
-            )
+            path = out_dir / f"rows_{config.name}_seed{outcome.seed}.csv"
+            save_result_rows(config.name, outcome.seed, outcome.losses, path)
 
     learners = sorted(outcomes[0].losses)
     final_mse = {

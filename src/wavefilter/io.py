@@ -1,16 +1,20 @@
 """File formats: CSV payloads with JSON sidecars.
 
-All floats are written in full double precision scientific notation so
-round trips are exact. A saved artifact is a pair ``<base>.csv`` plus
-``<base>.json`` describing it.
+Every CSV goes through one writer and one reader. Floats are written as
+``%.17e`` (full double precision, so round trips are exact), step counters
+as ``%d``, and every line ends in ``\\r\\n``. A saved artifact is a pair
+``<base>.csv`` plus ``<base>.json`` describing it. The reader rejects a
+ragged row, a non-numeric cell or a non-finite value with a ``ValueError``
+naming the file, the 1-based line and the column; the loaders reject a
+payload or sidecar list that disagrees with the sidecar's counts, naming
+both files.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,30 +40,92 @@ SIGN_CONVENTION = "first-significant-coordinate-positive"
 PathLike = Union[str, Path]
 
 
-def _write_matrix_csv(path: Path, matrix: np.ndarray, header: Optional[list[str]] = None) -> None:
+def _write_csv(path: Path, header: Sequence[str], *blocks: tuple) -> None:
+    """The one CSV writer.
+
+    Writes the ``header`` line unless it is empty, then each ``(fmt, rows)``
+    block: one line per row, in ``np.savetxt``'s ``fmt`` (a format per cell,
+    or one for the whole line, which may hold literal text).
+    """
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([FLOAT_FMT % v for v in row])
+        if header:
+            fh.write(",".join(header) + "\r\n")
+        for fmt, rows in blocks:
+            np.savetxt(fh, np.atleast_2d(rows), fmt=fmt, delimiter=",", newline="\r\n")
+
+
+def _numbered(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """A ``_write_csv`` block: a 1-based step counter, then the rows of ``values``."""
+    steps = np.arange(1, len(values) + 1)
+    return ["%d"] + [FLOAT_FMT] * values.shape[1], np.column_stack((steps, values))
+
+
+def _bad_cell(path: Path, lines: list[str], first: int) -> str:
+    """Where and why ``lines`` (file lines ``first`` on) are not a finite table."""
+    rows = [(n, line.split(",")) for n, line in enumerate(lines, start=first) if line.strip()]
+    width = len(rows[0][1])
+    for number, cells in rows:
+        where = f"{path}, line {number}, column"
+        if len(cells) != width:
+            return f"{where} {min(len(cells), width) + 1}: {len(cells)} cells, not {width}"
+        for column, cell in enumerate(cells, start=1):
+            try:
+                if "_" in cell or not cell.isascii():  # np.loadtxt rejects these, float() not
+                    raise ValueError(cell)
+                if not np.isfinite(float(cell)):
+                    return f"{where} {column}: {cell!r} is not finite"
+            except ValueError:
+                return f"{where} {column}: {cell!r} is not a number"
+    return f"{path} is not a table of numbers"
 
 
 def _read_matrix_csv(path: Path, skip_header: bool) -> np.ndarray:
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if skip_header:
-        rows = rows[1:]
-    return np.array([[float(v) for v in row] for row in rows])
+    """The one CSV reader: a finite 2-D array, shaped (0, 0) when there are no rows."""
+    lines = path.read_text().splitlines()[int(skip_header):]
+    if not any(line.strip() for line in lines):
+        return np.empty((0, 0))
+    try:
+        data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        data = None
+    if data is None or not np.isfinite(data).all():
+        raise ValueError(_bad_cell(path, lines, 1 + int(skip_header)))
+    return data
+
+
+def _save_pair(base: PathLike, meta: dict, header: Sequence[str], *blocks) -> tuple[Path, Path]:
+    """Write ``<base>.csv`` from ``header`` and ``blocks`` and ``<base>.json`` from ``meta``."""
+    base = Path(base)
+    csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
+    _write_csv(csv_path, header, *blocks)
+    json_path.write_text(json.dumps(meta, indent=2))
+    return csv_path, json_path
+
+
+def _load_pair(base: PathLike, skip_header: bool) -> tuple[np.ndarray, dict, tuple[Path, Path]]:
+    """The ``<base>.csv`` payload, the ``<base>.json`` sidecar and both paths."""
+    base = Path(base)
+    paths = base.with_suffix(".csv"), base.with_suffix(".json")
+    meta = json.loads(paths[1].read_text())
+    return _read_matrix_csv(paths[0], skip_header), meta, paths
+
+
+def _disagree(paths: tuple[Path, Path], found: str, claim: str) -> ValueError:
+    return ValueError(f"{paths[0]} {found}; sidecar {paths[1]} says {claim}")
+
+
+def _layout_meta(layout: FeatureLayout) -> dict:
+    return {
+        "n": layout.n,
+        "k": layout.k,
+        "m": layout.m,
+        "include_y": layout.include_y,
+        "width": layout.width,
+    }
 
 
 def save_filter_bank(bank: FilterBank, base: PathLike) -> tuple[Path, Path]:
     """Write filters as a T-by-k CSV of eigenvector entries plus a sidecar."""
-    base = Path(base)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    _write_matrix_csv(csv_path, bank.phis.T)  # T rows, k columns
     meta = {
         "T": bank.horizon,
         "k": bank.k,
@@ -71,14 +137,19 @@ def save_filter_bank(bank: FilterBank, base: PathLike) -> tuple[Path, Path]:
         meta["lambdas"] = list(bank.lambdas)
     if bank.sigma_extrapolated is not None:
         meta["sigma_extrapolated"] = [bool(v) for v in bank.sigma_extrapolated]
-    json_path.write_text(json.dumps(meta, indent=2))
-    return csv_path, json_path
+    return _save_pair(base, meta, (), (FLOAT_FMT, bank.phis.T))  # T rows, k columns
 
 
 def load_filter_bank(base: PathLike) -> FilterBank:
-    base = Path(base)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    phis = _read_matrix_csv(base.with_suffix(".csv"), skip_header=False).T
+    """Read a bank; the payload must be T-by-k and each sidecar list k long."""
+    data, meta, paths = _load_pair(base, skip_header=False)
+    T, k = int(meta["T"]), int(meta["k"])
+    if data.shape != (T, k):
+        raise _disagree(paths, f"has shape {data.shape}", f"T={T}, k={k}")
+    for key in ("sigmas", "lambdas", "sigma_extrapolated"):
+        if key in meta and len(meta[key]) != k:
+            raise _disagree(paths, f"comes with {len(meta[key])} {key}", f"k={k}")
+    phis = data.T
     sigmas = np.array(meta["sigmas"], dtype=float)
     lambdas = np.array(meta["lambdas"], dtype=float) if "lambdas" in meta else None
     extrap = (
@@ -87,8 +158,8 @@ def load_filter_bank(base: PathLike) -> FilterBank:
         else None
     )
     return FilterBank(
-        horizon=int(meta["T"]),
-        k=int(meta["k"]),
+        horizon=T,
+        k=k,
         phis=phis,
         sigmas=sigmas,
         scaled_filters=sigmas[:, None] ** 0.25 * phis,
@@ -102,19 +173,8 @@ def save_trajectory(
     trajectory: Trajectory, base: PathLike, metadata: Optional[dict] = None
 ) -> tuple[Path, Path]:
     """Write (t, x_1..x_n, y_1..y_m) rows plus dimension/scale metadata."""
-    base = Path(base)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
     n, m = trajectory.input_dim, trajectory.output_dim
     header = ["t"] + [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(m)]
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(trajectory.length):
-            row = [str(t + 1)]
-            row += [FLOAT_FMT % v for v in trajectory.inputs[t]]
-            row += [FLOAT_FMT % v for v in trajectory.outputs[t]]
-            writer.writerow(row)
     meta = {
         "n": n,
         "m": m,
@@ -124,33 +184,28 @@ def save_trajectory(
     }
     if metadata:
         meta.update(metadata)
-    json_path.write_text(json.dumps(meta, indent=2))
-    return csv_path, json_path
+    rows = _numbered(np.hstack((trajectory.inputs, trajectory.outputs)))
+    return _save_pair(base, meta, header, rows)
 
 
 def load_trajectory(base: PathLike) -> Trajectory:
     """Read a trajectory; its payload shape must match the sidecar's T, n, m."""
-    base = Path(base)
-    csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
-    meta = json.loads(json_path.read_text())
-    data = _read_matrix_csv(csv_path, skip_header=True)
+    data, meta, paths = _load_pair(base, skip_header=True)
     n, m, T = int(meta["n"]), int(meta["m"]), int(meta["T"])
-    rows, cols = data.shape if data.ndim == 2 else (0, 0)
+    rows, cols = data.shape
     if cols != 1 + n + m:
-        raise ValueError(f"{csv_path} has {cols} columns; sidecar {json_path} says n={n}, m={m}")
+        raise _disagree(paths, f"has {cols} columns", f"n={n}, m={m}")
     if rows != T:
-        raise ValueError(f"{csv_path} has {rows} rows; sidecar {json_path} says T={T}")
+        raise _disagree(paths, f"has {rows} rows", f"T={T}")
     return Trajectory(inputs=data[:, 1 : 1 + n], outputs=data[:, 1 + n :])
 
 
 def load_input_csv(path: PathLike) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Read an input sequence CSV with x_* (and optionally y_*) columns."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.array(rows)
+    with path.open() as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+    data = _read_matrix_csv(path, skip_header=True)
     x_cols = [i for i, name in enumerate(header) if name.startswith("x_")]
     y_cols = [i for i, name in enumerate(header) if name.startswith("y_")]
     if not x_cols:
@@ -164,26 +219,15 @@ def save_features(
     features: np.ndarray, layout: FeatureLayout, base: PathLike
 ) -> tuple[Path, Path]:
     """Write a feature matrix with a JSON header describing the blocks."""
-    base = Path(base)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    _write_matrix_csv(csv_path, np.atleast_2d(features))
-    meta = {
-        "n": layout.n,
-        "k": layout.k,
-        "m": layout.m,
-        "include_y": layout.include_y,
-        "width": layout.width,
-        "blocks": {
-            "convolutions": [0, layout.n * layout.k],
-            "x_prev": [layout.x_prev_block.start, layout.x_prev_block.stop],
-            "x": [layout.x_block.start, layout.x_block.stop],
-        },
+    blocks = {
+        "convolutions": [0, layout.n * layout.k],
+        "x_prev": [layout.x_prev_block.start, layout.x_prev_block.stop],
+        "x": [layout.x_block.start, layout.x_block.stop],
     }
     if layout.include_y:
-        meta["blocks"]["y_prev"] = [layout.y_block.start, layout.y_block.stop]
-    json_path.write_text(json.dumps(meta, indent=2))
-    return csv_path, json_path
+        blocks["y_prev"] = [layout.y_block.start, layout.y_block.stop]
+    meta = {**_layout_meta(layout), "blocks": blocks}
+    return _save_pair(base, meta, (), (FLOAT_FMT, features))
 
 
 def save_predictor(
@@ -194,58 +238,49 @@ def save_predictor(
     config_echo: Optional[dict] = None,
 ) -> tuple[Path, Path]:
     """Write a prediction matrix with its block layout and provenance."""
-    base = Path(base)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    _write_matrix_csv(csv_path, matrix)
     meta = {
         "source": source,
         "rows": int(np.atleast_2d(matrix).shape[0]),
-        "layout": {
-            "n": layout.n,
-            "k": layout.k,
-            "m": layout.m,
-            "include_y": layout.include_y,
-            "width": layout.width,
-        },
+        "layout": _layout_meta(layout),
     }
     if config_echo:
         meta["config"] = config_echo
-    json_path.write_text(json.dumps(meta, indent=2))
-    return csv_path, json_path
+    return _save_pair(base, meta, (), (FLOAT_FMT, matrix))
 
 
 def load_predictor(base: PathLike) -> tuple[np.ndarray, FeatureLayout, dict]:
-    base = Path(base)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    matrix = _read_matrix_csv(base.with_suffix(".csv"), skip_header=False)
+    """Read a predictor; the payload must have the sidecar's rows and layout width."""
+    matrix, meta, paths = _load_pair(base, skip_header=False)
     lay = meta["layout"]
     layout = FeatureLayout(
         n=int(lay["n"]), k=int(lay["k"]), m=int(lay["m"]), include_y=bool(lay["include_y"])
     )
+    rows, cols = matrix.shape
+    if cols != layout.width:
+        raise _disagree(paths, f"has {cols} columns", f"layout width {layout.width}")
+    if rows != int(meta["rows"]):
+        raise _disagree(paths, f"has {rows} rows", f"rows={meta['rows']}")
     return matrix, layout, meta
 
 
-def save_result_rows(rows: Sequence[dict], path: PathLike) -> Path:
-    """Write per-step benchmark results (one dict per row)."""
+def save_result_rows(
+    experiment: str, seed: int, losses: Mapping[str, np.ndarray], path: PathLike
+) -> Path:
+    """Write per-step results: for each learner in turn, its loss and running mean per step."""
     path = Path(path)
-    fields = ["experiment", "seed", "t", "learner", "loss", "cumulative_mse"]
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            for key in ("loss", "cumulative_mse"):
-                out[key] = FLOAT_FMT % out[key]
-            writer.writerow(out)
+    blocks = []
+    for learner, loss in losses.items():
+        fmt = f"{experiment},{seed},%d,{learner},{FLOAT_FMT},{FLOAT_FMT}"
+        steps = np.arange(1, len(loss) + 1)
+        blocks.append((fmt, np.column_stack((steps, loss, np.cumsum(loss) / steps))))
+    _write_csv(path, ("experiment", "seed", "t", "learner", "loss", "cumulative_mse"), *blocks)
     return path
 
 
 def load_training_set(directory: PathLike) -> list[Trajectory]:
     """Load trajectories listed in a directory's manifest.json."""
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    out = []
-    for name in manifest["trajectories"]:
-        out.append(load_trajectory(directory / name))
-    return out
+    manifest_path = Path(directory) / "manifest.json"
+    names = json.loads(manifest_path.read_text())["trajectories"]
+    if not names:
+        raise ValueError(f"{manifest_path} lists no trajectories")
+    return [load_trajectory(manifest_path.parent / name) for name in names]

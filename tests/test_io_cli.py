@@ -1,10 +1,15 @@
 import csv
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from wavefilter import io, online
+from wavefilter import experiments, io, online
 from wavefilter.baselines import baseline_ar, baseline_last_value
 from wavefilter.cli import main
 from wavefilter.experiments import (
@@ -16,6 +21,7 @@ from wavefilter.experiments import (
 from wavefilter.filters import FeatureLayout, build_filter_bank, featurize_batch
 from wavefilter.lds import (
     LdsParams,
+    Trajectory,
     NoiseConfig,
     PendulumConfig,
     block_impulse_inputs,
@@ -23,7 +29,7 @@ from wavefilter.lds import (
     simulate,
     synthetic_system,
 )
-from wavefilter.online import OnlineConfig, run_ftl
+from wavefilter.online import OnlineConfig, run_ftl, run_online
 from wavefilter.verify import check_filter_bank
 
 
@@ -38,6 +44,59 @@ def small_trajectory():
         h0=np.zeros(2),
     )
     return simulate(params, rng.standard_normal((40, 2)), NoiseConfig(0.05, 0.05, 3))
+
+
+# Reference writers: the csv-module loops the package used before it wrote
+# every table with np.savetxt. Every file must stay byte-identical to them.
+FMT = "%.17e"
+
+
+def _reference_matrix_csv(path, matrix):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in np.atleast_2d(matrix):
+            writer.writerow([FMT % v for v in row])
+
+
+def _reference_trajectory_csv(path, trajectory):
+    n, m = trajectory.input_dim, trajectory.output_dim
+    header = ["t"] + [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(m)]
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t in range(trajectory.length):
+            row = [str(t + 1)]
+            row += [FMT % v for v in trajectory.inputs[t]]
+            row += [FMT % v for v in trajectory.outputs[t]]
+            writer.writerow(row)
+
+
+def _reference_step_csv(path, result, outputs_width):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["t", "loss", "cumulative_loss", "matrix_norm"]
+        header += [f"yhat_{i+1}" for i in range(outputs_width)]
+        writer.writerow(header)
+        cum = 0.0
+        for t in range(len(result.losses)):
+            cum += result.losses[t]
+            row = [str(t + 1), FMT % result.losses[t], FMT % cum, FMT % result.matrix_norms[t]]
+            row += [FMT % v for v in result.predictions[t]]
+            writer.writerow(row)
+
+
+def _reference_result_rows_csv(path, experiment, seed, losses_by_learner):
+    fields = ["experiment", "seed", "t", "learner", "loss", "cumulative_mse"]
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        for learner, losses in losses_by_learner.items():
+            cum = np.cumsum(losses) / np.arange(1, len(losses) + 1)
+            for t in range(len(losses)):
+                writer.writerow(
+                    {"experiment": experiment, "seed": seed, "t": t + 1, "learner": learner,
+                     "loss": FMT % float(losses[t]), "cumulative_mse": FMT % float(cum[t])}
+                )
 
 
 class TestRoundTrips:
@@ -121,6 +180,223 @@ class TestTrajectorySidecar:
         base = self._saved(tmp_path, T=99)
         with pytest.raises(ValueError, match=r"traj\.csv has 50 rows.*T=99"):
             io.load_trajectory(base)
+
+
+class TestByteIdentity:
+    """Every table the package writes equals the reference writers' bytes."""
+
+    @pytest.mark.parametrize("system", EXPERIMENT_NAMES)
+    def test_trajectory(self, tmp_path, system):
+        traj = simulate_scenario(system, 80, 1, 0.4, 0.3)
+        csv_path, _ = io.save_trajectory(traj, tmp_path / "traj")
+        _reference_trajectory_csv(tmp_path / "ref.csv", traj)
+        assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("method, k", [("eigen", 8), ("ode", 20)])
+    def test_filter_bank(self, tmp_path, method, k):
+        bank = build_filter_bank(60, k, method=method)
+        csv_path, _ = io.save_filter_bank(bank, tmp_path / "bank")
+        _reference_matrix_csv(tmp_path / "ref.csv", bank.phis.T)
+        assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_predictor_and_features(self, tmp_path):
+        layout = FeatureLayout(n=2, k=3, m=2, include_y=True)
+        matrix = np.random.default_rng(5).standard_normal((2, layout.width))
+        csv_path, _ = io.save_predictor(matrix, layout, tmp_path / "pred", source="test")
+        _reference_matrix_csv(tmp_path / "ref.csv", matrix)
+        assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        feats = featurize_batch(np.random.default_rng(6).standard_normal((30, 2)),
+                                build_filter_bank(30, 4))
+        csv_path, _ = io.save_features(feats.entries, feats.layout, tmp_path / "feats")
+        _reference_matrix_csv(tmp_path / "ref.csv", feats.entries)
+        assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_special_values(self, tmp_path):
+        row = np.array([[np.nan, np.inf, -np.inf, -0.0, 1e-320, 5e300]])
+        layout = FeatureLayout(n=1, k=1, m=0, include_y=False)
+        csv_path, _ = io.save_features(row, layout, tmp_path / "feats")
+        _reference_matrix_csv(tmp_path / "ref.csv", row)
+        assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("learner", ["ogd", "ftl"])
+    def test_online_steps(self, tmp_path, capsys, learner):
+        io.save_trajectory(simulate_scenario("mimo_10", 60, 0, 0.1, 0.1), tmp_path / "traj")
+        argv = ["online", "--data", str(tmp_path / "traj"), "--k", "6",
+                "--learner", learner, "--out", str(tmp_path / "model")]
+        assert main(argv) == 0
+        traj = io.load_trajectory(tmp_path / "traj")
+        config = OnlineConfig(bank=build_filter_bank(60, 6), eta="auto", r_m=10.0)
+        if learner == "ftl":
+            result = run_ftl(traj, config, ridge=1e-6)
+        else:
+            result = run_online(traj, config)
+        _reference_step_csv(tmp_path / "ref.csv", result, traj.output_dim)
+        written = (tmp_path / "model.steps.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+
+    def test_result_rows(self, tmp_path):
+        rng = np.random.default_rng(4)
+        losses = {
+            "wave_filter": rng.exponential(size=40),
+            "last_value": rng.exponential(size=40) * 1e-300,
+            "ar": np.array([0.0, 5e-324, 1e300, 2.5]),
+        }
+        path = io.save_result_rows("mimo_10", 3, losses, tmp_path / "rows.csv")
+        assert path == tmp_path / "rows.csv"
+        _reference_result_rows_csv(tmp_path / "ref.csv", "mimo_10", 3, losses)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_experiment_rows_file(self, tmp_path, monkeypatch):
+        outcomes = []
+        original = experiments._run_seed
+
+        def recorded(*args):
+            outcomes.append(original(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(experiments, "_run_seed", recorded)
+        config = default_experiment_config(
+            "siso_hard", horizon=60, seeds=(2,), out_dir=str(tmp_path)
+        )
+        run_experiment(config)
+        (outcome,) = outcomes
+        _reference_result_rows_csv(tmp_path / "ref.csv", "siso_hard", 2, outcome.losses)
+        written = (tmp_path / "rows_siso_hard_seed2.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+
+
+# finite doubles, with signed zeros, subnormals and +-1e300 always in reach
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_TABLES = arrays(
+    np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6), elements=_FINITE
+)
+
+
+def _identical(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestTableRoundTrip:
+    @given(matrix=_TABLES)
+    @settings(max_examples=60, deadline=None)
+    def test_matrix(self, tmp_path_factory, matrix):
+        path = tmp_path_factory.mktemp("table") / "m.csv"
+        io._write_csv(path, (), (io.FLOAT_FMT, matrix))
+        _reference_matrix_csv(path.with_name("ref.csv"), matrix)
+        assert path.read_bytes() == path.with_name("ref.csv").read_bytes()
+        assert _identical(io._read_matrix_csv(path, skip_header=False), matrix)
+
+    @given(matrix=_TABLES)
+    @settings(max_examples=40, deadline=None)
+    def test_trajectory(self, tmp_path_factory, matrix):
+        base = tmp_path_factory.mktemp("traj") / "traj"
+        with np.errstate(over="ignore"):  # r_x and l_y of +-1e300 entries overflow
+            traj = Trajectory(inputs=matrix, outputs=matrix[:, ::-1])
+            io.save_trajectory(traj, base)
+            loaded = io.load_trajectory(base)
+        assert _identical(loaded.inputs, traj.inputs)
+        assert _identical(loaded.outputs, traj.outputs)
+
+
+class TestReaderRejects:
+    """Bad payloads fail at the reader, naming the file, line and column."""
+
+    def _rewrite(self, path, line, edit):
+        # rewritten with \n endings, which the reader accepts as well
+        lines = path.read_text().splitlines()
+        cells = lines[line - 1].split(",")
+        lines[line - 1] = ",".join(edit(cells))
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "cell, why",
+        [("abc", "'abc' is not a number"), ("1_0", "'1_0' is not a number"),
+         ("nan", "'nan' is not finite"), ("-inf", "'-inf' is not finite")],
+    )
+    def test_bad_cell(self, tmp_path, cell, why):
+        io.save_filter_bank(build_filter_bank(30, 4), tmp_path / "bank")
+        self._rewrite(tmp_path / "bank.csv", 3, lambda c: c[:3] + [cell])
+        with pytest.raises(ValueError, match=r"bank\.csv, line 3, column 4: " + re.escape(why)):
+            io.load_filter_bank(tmp_path / "bank")
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [(lambda c: c + ["1.0"], "column 22: 22 cells, not 21"),
+         (lambda c: c[:-2], "column 20: 19 cells, not 21")],
+    )
+    def test_ragged_row(self, tmp_path, edit, where):
+        io.save_trajectory(simulate_scenario("mimo_10", 20, 0, 0.1, 0.1), tmp_path / "traj")
+        self._rewrite(tmp_path / "traj.csv", 5, edit)
+        with pytest.raises(ValueError, match=r"traj\.csv, line 5, " + where):
+            io.load_trajectory(tmp_path / "traj")
+
+    def test_non_finite_trajectory_value(self, tmp_path):
+        io.save_trajectory(simulate_scenario("siso_hard", 20, 0, 0.1, 0.1), tmp_path / "traj")
+        self._rewrite(tmp_path / "traj.csv", 7, lambda c: c[:2] + ["inf"])
+        with pytest.raises(ValueError, match=r"traj\.csv, line 7, column 3: 'inf' is not finite"):
+            io.load_trajectory(tmp_path / "traj")
+
+    def test_header_only_payload_names_the_sidecar(self, tmp_path):
+        io.save_trajectory(simulate_scenario("siso_hard", 20, 0, 0.1, 0.1), tmp_path / "traj")
+        header = (tmp_path / "traj.csv").read_text().splitlines()[0]
+        (tmp_path / "traj.csv").write_text(header + "\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"traj\.csv has 0 columns.*n=1, m=1"):
+                io.load_trajectory(tmp_path / "traj")
+
+
+class TestSidecarCrossChecks:
+    def _edit_sidecar(self, base, **changes):
+        meta = json.loads(base.with_suffix(".json").read_text())
+        for key, change in changes.items():
+            meta[key] = change(meta[key])
+        base.with_suffix(".json").write_text(json.dumps(meta))
+
+    @pytest.mark.parametrize("key, value, claim", [("k", 4, "T=30, k=4"), ("T", 31, "T=31, k=5")])
+    def test_bank_payload_shape(self, tmp_path, key, value, claim):
+        # a k=4 sidecar beside a 5-filter payload, or a T=31 one beside 30 rows
+        base = tmp_path / "bank"
+        io.save_filter_bank(build_filter_bank(30, 5), base)
+        self._edit_sidecar(base, **{key: lambda v: value})
+        expected = r"bank\.csv has shape \(30, 5\); sidecar .*bank\.json says " + claim
+        with pytest.raises(ValueError, match=expected):
+            io.load_filter_bank(base)
+
+    @pytest.mark.parametrize("key", ["sigmas", "lambdas", "sigma_extrapolated"])
+    def test_bank_sidecar_list_length(self, tmp_path, key):
+        base = tmp_path / "bank"
+        io.save_filter_bank(build_filter_bank(40, 6, method="ode"), base)
+        self._edit_sidecar(base, **{key: lambda v: v[:-1]})
+        expected = rf"bank\.csv comes with 5 {key}; sidecar .*bank\.json says k=6"
+        with pytest.raises(ValueError, match=expected):
+            io.load_filter_bank(base)
+
+    def test_predictor_width(self, tmp_path):
+        base = tmp_path / "pred"
+        layout = FeatureLayout(n=2, k=3, m=2, include_y=True)
+        io.save_predictor(np.ones((2, layout.width)), layout, base, source="test")
+        self._edit_sidecar(base, layout=lambda lay: {**lay, "m": 4, "width": 14})
+        with pytest.raises(ValueError, match=r"pred\.csv has 12 columns; .* says layout width 14"):
+            io.load_predictor(base)
+
+    def test_predictor_rows(self, tmp_path):
+        base = tmp_path / "pred"
+        layout = FeatureLayout(n=1, k=2, m=0, include_y=False)
+        io.save_predictor(np.ones((1, layout.width)), layout, base, source="test")
+        self._edit_sidecar(base, rows=lambda v: 3)
+        with pytest.raises(ValueError, match=r"pred\.csv has 1 rows; .* says rows=3"):
+            io.load_predictor(base)
+
+    def test_empty_manifest(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps({"trajectories": []}))
+        with pytest.raises(ValueError, match=r"manifest\.json lists no trajectories"):
+            io.load_training_set(tmp_path)
+        with pytest.raises(ValueError, match=r"manifest\.json lists no trajectories"):
+            main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
 
 
 class TestCli:

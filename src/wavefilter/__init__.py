@@ -12,7 +12,6 @@ verification suite, all behind a CLI.
 from .hankel import (
     NOISE_FLOOR,
     HankelMatrix,
-    MuVector,
     Spectrum,
     build_hankel,
     full_spectrum,
@@ -25,8 +24,6 @@ from .hankel import (
 )
 from .filters import (
     FeatureLayout,
-    FeatureMatrix,
-    FeatureVector,
     FilterBank,
     augment_alternating,
     augment_hint,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lds import Trajectory
+from .lds import Trajectory, _previous
 from .online import _rolling_ridge
 
 __all__ = ["baseline_last_value", "baseline_ar"]
@@ -12,8 +12,7 @@ __all__ = ["baseline_last_value", "baseline_ar"]
 
 def baseline_last_value(trajectory: Trajectory) -> np.ndarray:
     """Predict each output by the previous one (zero at the first step)."""
-    m = trajectory.output_dim
-    return np.vstack([np.zeros((1, m)), trajectory.outputs[:-1]])
+    return _previous(trajectory.outputs)
 
 
 def baseline_ar(trajectory: Trajectory, tau: int, ridge: float = 1e-8) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .filters import FilterBank, featurize_batch
-from .lds import Trajectory
+from .lds import Trajectory, _check_finite
 from .online import _ridge_least_squares
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BatchSample:
-    """One training episode: inputs and output differences (y_0 = 0)."""
+    """One training episode: inputs and output differences (y_0 = 0), finite only."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -39,6 +39,8 @@ class BatchSample:
         targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
         if inputs.shape[0] != targets.shape[0]:
             raise ValueError("inputs and difference targets must have equal length")
+        _check_finite(inputs, "inputs")
+        _check_finite(targets, "targets")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 
@@ -74,7 +76,7 @@ def fit_batch(
     for s in samples:
         if s.targets.shape[1] != m:
             raise ValueError("inconsistent target widths across samples")
-        feats.append(featurize_batch(s.inputs, bank).entries)
+        feats.append(featurize_batch(s.inputs, bank))
         targets.append(s.targets)
     F = np.vstack(feats)
     Y = np.vstack(targets)

@@ -4,7 +4,9 @@ Subcommands: ``filters`` (generate and export a filter bank),
 ``simulate`` (run a named system or the pendulum to a trajectory file),
 ``online`` / ``batch`` (learners over trajectory files), ``experiment``
 (named multi-seed benchmark), ``verify`` (invariant suite). A JSON config
-file can supply any flag's value; explicit flags win.
+file can supply any flag's value; explicit flags win. Its keys are parsed
+as flags placed before the command line's own, so argparse checks their
+types, choices and required flags alike.
 """
 
 from __future__ import annotations
@@ -29,17 +31,19 @@ from .online import OnlineConfig, run_ftl, run_online
 from .verify import ToleranceProfile, check_filter_bank, run_verification
 
 
-def _apply_config_defaults(args: argparse.Namespace, argv: list[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    overrides = json.loads(Path(args.config).read_text())
-    explicit = {
-        a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")
-    }
-    for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in explicit:
-            setattr(args, attr, value)
+def _config_flags(argv: list[str]) -> list[str]:
+    """``--key value...`` per non-null entry of the ``--config`` file named in ``argv``."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return []
+    tokens = []
+    for key, value in json.loads(Path(path).read_text()).items():
+        if value is not None:
+            values = value if isinstance(value, list) else [value]
+            tokens += ["--" + key.replace("_", "-")] + [str(v) for v in values]
+    return tokens
 
 
 def _cmd_filters(args: argparse.Namespace) -> int:
@@ -149,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("filters", help="generate and export a filter bank")
-    p.add_argument("--config", default=None)
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", default="eigen", choices=["eigen", "ode", "hilbert"])
@@ -157,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_filters)
 
     p = sub.add_parser("simulate", help="simulate a named system to a trajectory file")
-    p.add_argument("--config", default=None)
     p.add_argument("--system", required=True, choices=list(EXPERIMENT_NAMES))
     p.add_argument("--T", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
@@ -169,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("online", help="online learner over a trajectory file")
-    p.add_argument("--config", default=None)
     p.add_argument("--data", required=True, help="trajectory file base path")
     p.add_argument("--k", type=int, default=25)
     p.add_argument("--method", default="eigen", choices=["eigen", "ode", "hilbert"])
@@ -181,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_online)
 
     p = sub.add_parser("batch", help="batch fit over a training-set directory")
-    p.add_argument("--config", default=None)
     p.add_argument("--data", required=True, help="directory with manifest.json")
     p.add_argument("--k", type=int, default=25)
     p.add_argument("--method", default="eigen", choices=["eigen", "ode", "hilbert"])
@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_batch)
 
     p = sub.add_parser("experiment", help="run a named multi-seed benchmark")
-    p.add_argument("--config", default=None)
     p.add_argument("--name", required=True, choices=list(EXPERIMENT_NAMES))
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--num-seeds", type=int, default=10)
@@ -202,20 +201,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--config", default=None)
     p.add_argument("--sizes", type=int, nargs="*", default=[64, 256, 1000])
     p.add_argument("--bank", default=None, help="also validate an exported bank")
     p.add_argument("--out", default=None, help="write a JSON report")
     p.set_defaults(fn=_cmd_verify)
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None, help="JSON file of flag values")
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_config_defaults(args, list(argv))
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and not argv[0].startswith("-"):
+        # after the subcommand, before its flags: the last occurrence wins
+        argv[1:1] = _config_flags(argv[1:])
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -20,13 +20,12 @@ from typing import Optional
 import numpy as np
 
 from .hankel import NOISE_FLOOR, HankelMatrix, build_hankel, hilbert_matrix, top_eigenpairs
+from .lds import _check_finite, _previous
 
 __all__ = [
     "EIGEN_K_CAP",
     "FilterBank",
     "FeatureLayout",
-    "FeatureVector",
-    "FeatureMatrix",
     "build_filter_bank",
     "featurize_online",
     "featurize_batch",
@@ -69,7 +68,7 @@ class FilterBank:
 
 @dataclass(frozen=True)
 class FeatureLayout:
-    """Block structure of a feature vector."""
+    """Block structure of a feature vector; the one place its columns are fixed."""
 
     n: int
     k: int
@@ -79,6 +78,11 @@ class FeatureLayout:
     @property
     def width(self) -> int:
         return self.n * self.k + 2 * self.n + (self.m if self.include_y else 0)
+
+    @property
+    def conv_blocks(self) -> slice:
+        """Columns of all k convolution blocks."""
+        return slice(0, self.n * self.k)
 
     def conv_block(self, j: int) -> slice:
         """Columns of the j-th (0-based) filter's convolution block."""
@@ -97,20 +101,6 @@ class FeatureLayout:
         if not self.include_y:
             raise ValueError("layout has no trailing output block")
         return slice(self.n * self.k + 2 * self.n, self.width)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    entries: np.ndarray
-    layout: FeatureLayout
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Features for every time step of a sequence, one row per step."""
-
-    entries: np.ndarray
-    layout: FeatureLayout
 
 
 def _eigen_bank(T: int, k: int, method: str) -> FilterBank:
@@ -162,30 +152,41 @@ def _as_2d(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
-def featurize_online(
-    x_history: np.ndarray, y_prev: np.ndarray, bank: FilterBank
-) -> FeatureVector:
+def _feature_rows(layout: FeatureLayout, conv, x_prev, x, y_prev=None) -> np.ndarray:
+    """Rows ``[conv | x_{t-1} | x_t | y_{t-1}]``, each block one row per step or one row."""
+    out = np.empty((len(np.atleast_2d(x)), layout.width))
+    out[:, layout.conv_blocks] = conv
+    out[:, layout.x_prev_block] = x_prev
+    out[:, layout.x_block] = x
+    if layout.include_y:
+        out[:, layout.y_block] = y_prev
+    return out
+
+
+def _direct_conv(xs: np.ndarray, bank: FilterBank, t: int) -> np.ndarray:
+    """Convolution blocks at step t by direct summation over x_{t-1}, x_{t-2}, ..."""
+    depth = min(t - 1, bank.horizon - 1)
+    past = xs[t - 2 :: -1][:depth]
+    return (bank.scaled_filters[:, :depth] @ past).ravel()
+
+
+def featurize_online(x_history: np.ndarray, y_prev: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Features at the current step from inputs x_1..x_t and the last output.
 
     ``x_history`` is (t, n) with the current input last; inputs before
-    time 1 are treated as zero.
+    time 1 are treated as zero. Returns a row laid out by
+    ``FeatureLayout(n, bank.k, len(y_prev), include_y=True)``.
     """
     xs = _as_2d(x_history, "x_history")
     t, n = xs.shape
     if t < 1:
         raise ValueError("x_history must contain at least the current input")
     y_prev = np.atleast_1d(np.asarray(y_prev, dtype=float))
+    _check_finite(xs, "inputs")
+    _check_finite(y_prev[None], "outputs", first_step=t - 1)
     layout = FeatureLayout(n=n, k=bank.k, m=len(y_prev), include_y=True)
-    out = np.zeros(layout.width)
-    depth = min(t - 1, bank.horizon - 1)
-    if depth > 0:
-        past = xs[t - 2 :: -1][:depth]  # x_{t-1}, x_{t-2}, ...
-        out[: n * bank.k] = (bank.scaled_filters[:, :depth] @ past).ravel()
-    if t >= 2:
-        out[layout.x_prev_block] = xs[-2]
-    out[layout.x_block] = xs[-1]
-    out[layout.y_block] = y_prev
-    return FeatureVector(entries=out, layout=layout)
+    x_prev = xs[-2] if t >= 2 else 0.0
+    return _feature_rows(layout, _direct_conv(xs, bank, t), x_prev, xs[-1], y_prev)[0]
 
 
 def _convolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -214,53 +215,37 @@ def _conv_blocks_fft(xs: np.ndarray, bank: FilterBank) -> np.ndarray:
     return blocks.reshape(T, bank.k * n)
 
 
-def _batch_from_blocks(xs: np.ndarray, conv: np.ndarray, bank: FilterBank) -> FeatureMatrix:
-    T, n = xs.shape
-    layout = FeatureLayout(n=n, k=bank.k, m=0, include_y=False)
-    out = np.zeros((T, layout.width))
-    out[:, : n * bank.k] = conv
-    out[1:, layout.x_prev_block] = xs[:-1]
-    out[:, layout.x_block] = xs
-    return FeatureMatrix(entries=out, layout=layout)
-
-
 def _batch_inputs(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
     xs = _as_2d(inputs, "inputs")
     if xs.shape[0] != bank.horizon:
         raise ValueError(
             f"input length {xs.shape[0]} does not match bank horizon {bank.horizon}"
         )
-    bad = np.argwhere(~np.isfinite(xs))
-    if bad.size:
-        # an FFT would smear the value over every step, earlier ones included
-        t, i = bad[0]
-        raise ValueError(
-            f"inputs hold a non-finite value ({xs[t, i]}) at step {t + 1}, "
-            f"column {i + 1} (both 1-based)"
-        )
+    _check_finite(xs, "inputs")  # an FFT would smear it over every step, earlier ones too
     return xs
 
 
-def featurize_batch(inputs: np.ndarray, bank: FilterBank) -> FeatureMatrix:
+def _batch_rows(xs: np.ndarray, conv: np.ndarray, bank: FilterBank) -> np.ndarray:
+    layout = FeatureLayout(n=xs.shape[1], k=bank.k, m=0, include_y=False)
+    return _feature_rows(layout, conv, _previous(xs), xs)
+
+
+def featurize_batch(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Features for all time steps in one pass (FFT convolutions).
 
-    Raises ``ValueError`` naming the first step and column of a
-    non-finite input.
+    Returns one row per step, laid out by
+    ``FeatureLayout(n, bank.k, 0, include_y=False)``. Raises
+    ``ValueError`` naming the first step and column of a non-finite input.
     """
     xs = _batch_inputs(inputs, bank)
-    return _batch_from_blocks(xs, _conv_blocks_fft(xs, bank), bank)
+    return _batch_rows(xs, _conv_blocks_fft(xs, bank), bank)
 
 
-def featurize_batch_naive(inputs: np.ndarray, bank: FilterBank) -> FeatureMatrix:
+def featurize_batch_naive(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Direct-summation reference path for the FFT featurizer."""
     xs = _batch_inputs(inputs, bank)
-    T, n = xs.shape
-    conv = np.zeros((T, bank.k * n))
-    for t in range(2, T + 1):
-        depth = min(t - 1, bank.horizon - 1)
-        past = xs[t - 2 :: -1][:depth]
-        conv[t - 1] = (bank.scaled_filters[:, :depth] @ past).ravel()
-    return _batch_from_blocks(xs, conv, bank)
+    conv = np.array([_direct_conv(xs, bank, t) for t in range(1, len(xs) + 1)])
+    return _batch_rows(xs, conv, bank)
 
 
 def augment_alternating(inputs: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "NOISE_FLOOR",
     "HankelMatrix",
     "Spectrum",
-    "MuVector",
     "build_hankel",
     "hilbert_matrix",
     "mu_curve",
@@ -71,14 +70,6 @@ class Spectrum:
         return len(self.sigmas) == self.source_size
 
 
-@dataclass(frozen=True)
-class MuVector:
-    """The length-T vector with entries (alpha - 1) * alpha^(i-1)."""
-
-    alpha: float
-    entries: np.ndarray
-
-
 def _hankel_view(symbol: np.ndarray, T: int) -> np.ndarray:
     """Read-only T-by-T view with entry (i, j) = symbol[i + j], 0-based."""
     return np.lib.stride_tricks.sliding_window_view(symbol, T)
@@ -110,7 +101,7 @@ def hilbert_matrix(T: int, theta: int = -1) -> np.ndarray:
     return _hankel_view(1.0 / (s + float(theta)), T)
 
 
-def mu_curve(alpha: float, T: int) -> MuVector:
+def mu_curve(alpha: float, T: int) -> np.ndarray:
     """Evaluate the decay curve (alpha - 1) * alpha^(i-1) for i = 1..T.
 
     Uses the convention 0^0 = 1, so mu(0) = -e_1.
@@ -122,7 +113,7 @@ def mu_curve(alpha: float, T: int) -> MuVector:
     powers = np.ones(T)
     if T > 1:
         powers[1:] = np.cumprod(np.full(T - 1, alpha))
-    return MuVector(alpha=float(alpha), entries=(alpha - 1.0) * powers)
+    return (alpha - 1.0) * powers
 
 
 def _sign_normalize(vectors: np.ndarray) -> np.ndarray:

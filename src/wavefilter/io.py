@@ -98,7 +98,7 @@ def _save_pair(base: PathLike, meta: dict, header: Sequence[str], *blocks) -> tu
     base = Path(base)
     csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
     _write_csv(csv_path, header, *blocks)
-    json_path.write_text(json.dumps(meta, indent=2))
+    json_path.write_text(json.dumps(meta, indent=2, allow_nan=False))
     return csv_path, json_path
 
 
@@ -172,16 +172,16 @@ def load_filter_bank(base: PathLike) -> FilterBank:
 def save_trajectory(
     trajectory: Trajectory, base: PathLike, metadata: Optional[dict] = None
 ) -> tuple[Path, Path]:
-    """Write (t, x_1..x_n, y_1..y_m) rows plus dimension/scale metadata."""
+    """Write (t, x_1..x_n, y_1..y_m) rows plus dimension/scale metadata.
+
+    JSON has no infinity: a bound beyond the double range is written as null.
+    """
     n, m = trajectory.input_dim, trajectory.output_dim
     header = ["t"] + [f"x_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(m)]
-    meta = {
-        "n": n,
-        "m": m,
-        "T": trajectory.length,
-        "r_x": trajectory.r_x,
-        "l_y": trajectory.l_y,
-    }
+    meta = {"n": n, "m": m, "T": trajectory.length}
+    for key in ("r_x", "l_y"):
+        bound = getattr(trajectory, key)
+        meta[key] = bound if np.isfinite(bound) else None
     if metadata:
         meta.update(metadata)
     rows = _numbered(np.hstack((trajectory.inputs, trajectory.outputs)))

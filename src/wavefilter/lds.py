@@ -137,9 +137,46 @@ class NoiseConfig:
             raise ValueError("noise standard deviations must be nonnegative")
 
 
+def _previous(rows: np.ndarray) -> np.ndarray:
+    """Rows shifted one step later: row t holds row t-1, and row 0 is zero."""
+    out = np.zeros_like(rows)
+    out[1:] = rows[:-1]
+    return out
+
+
+def _check_finite(rows: np.ndarray, name: str, first_step: int = 1) -> None:
+    """Raise ``ValueError`` naming the first non-finite entry; row 0 is ``first_step``."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        t, i = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"{name} hold a non-finite value ({rows[t, i]}) at step {t + first_step}, "
+            f"column {i + 1} (both 1-based)"
+        )
+
+
+def _max_row_norm(rows: np.ndarray, steps: bool = False) -> float:
+    """Largest Euclidean norm of ``rows`` (with ``steps``, of ``rows - _previous(rows)``).
+
+    If the plain sum of squares overflows, it is redone on ``rows`` scaled
+    by their largest entry, so the result is finite whenever the norm is.
+    """
+
+    def largest(r: np.ndarray) -> float:
+        r = r - _previous(r) if steps else r
+        return float(np.linalg.norm(r, axis=1).max(initial=0.0))
+
+    with np.errstate(over="ignore"):
+        norm = largest(rows)
+        if np.isinf(norm):
+            scale = np.abs(rows).max()
+            norm = largest(rows / scale) * scale
+    return norm
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Aligned input/output sequences with recorded scale bounds."""
+    """Aligned input/output sequences with recorded scale bounds; finite values only."""
 
     inputs: np.ndarray
     outputs: np.ndarray
@@ -151,15 +188,12 @@ class Trajectory:
         outputs = np.atleast_2d(np.asarray(self.outputs, dtype=float))
         if inputs.shape[0] != outputs.shape[0]:
             raise ValueError("inputs and outputs must have equal length")
+        _check_finite(inputs, "inputs")
+        _check_finite(outputs, "outputs")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
-        actual_rx = float(np.linalg.norm(inputs, axis=1).max(initial=0.0))
-        prev = np.vstack([np.zeros((1, outputs.shape[1])), outputs[:-1]])
-        actual_ly = float(np.linalg.norm(outputs - prev, axis=1).max(initial=0.0))
-        if self.r_x < actual_rx:
-            object.__setattr__(self, "r_x", actual_rx)
-        if self.l_y < actual_ly:
-            object.__setattr__(self, "l_y", actual_ly)
+        object.__setattr__(self, "r_x", max(self.r_x, _max_row_norm(inputs)))
+        object.__setattr__(self, "l_y", max(self.l_y, _max_row_norm(outputs, steps=True)))
 
     @property
     def length(self) -> int:
@@ -175,8 +209,7 @@ class Trajectory:
 
     def output_differences(self) -> np.ndarray:
         """y_t - y_{t-1} with y_0 = 0."""
-        prev = np.vstack([np.zeros((1, self.output_dim)), self.outputs[:-1]])
-        return self.outputs - prev
+        return self.outputs - _previous(self.outputs)
 
 
 def _apply_a(params: LdsParams, v: np.ndarray) -> np.ndarray:
@@ -271,12 +304,10 @@ def derivative_predictions(params: LdsParams, trajectory: Trajectory) -> np.ndar
         states[t] = s
         s = _apply_a(params, s) + bx[t]
     c_decay = params.c @ (params.dense_a() - np.eye(params.state_dim))
-    x_prev = np.vstack([np.zeros((1, params.input_dim)), xs[:-1]])
-    y_prev = np.vstack([np.zeros((1, params.output_dim)), trajectory.outputs[:-1]])
     return (
-        y_prev
+        _previous(trajectory.outputs)
         + xs @ (params.c @ params.b + params.d).T
-        - x_prev @ params.d.T
+        - _previous(xs) @ params.d.T
         + states @ c_decay.T
     )
 

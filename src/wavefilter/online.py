@@ -18,8 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .filters import FeatureLayout, FilterBank, featurize_batch
-from .lds import LdsParams, Trajectory, derivative_predictions
+from .filters import FeatureLayout, FilterBank, _feature_rows, featurize_batch
+from .lds import LdsParams, Trajectory, _previous, derivative_predictions
 
 __all__ = [
     "OnlineConfig",
@@ -137,12 +137,18 @@ class OnlineRunResult:
     comparator_losses: np.ndarray  # per step; sums to report.comparator_loss
 
 
+def _online_layout(trajectory: Trajectory, bank: FilterBank) -> FeatureLayout:
+    return FeatureLayout(
+        n=trajectory.input_dim, k=bank.k, m=trajectory.output_dim, include_y=True
+    )
+
+
 def online_features(trajectory: Trajectory, bank: FilterBank) -> np.ndarray:
-    """Full online feature matrix: batch features plus the shifted outputs."""
-    batch = featurize_batch(trajectory.inputs, bank)
-    m = trajectory.output_dim
-    y_prev = np.vstack([np.zeros((1, m)), trajectory.outputs[:-1]])
-    return np.hstack([batch.entries, y_prev])
+    """Full online feature matrix: the batch convolutions, inputs and previous outputs."""
+    layout = _online_layout(trajectory, bank)
+    conv = featurize_batch(trajectory.inputs, bank)[:, layout.conv_blocks]
+    xs = trajectory.inputs
+    return _feature_rows(layout, conv, _previous(xs), xs, _previous(trajectory.outputs))
 
 
 def init_state(config: OnlineConfig, n: int, m: int, eta: float) -> OnlineState:
@@ -168,26 +174,33 @@ def update(state: OnlineState, features: np.ndarray, y_true: np.ndarray) -> Onli
     features = np.asarray(features, dtype=float)
     y_true = np.atleast_1d(np.asarray(y_true, dtype=float))
     resid = y_true - predict(state, features)
-    loss = float(resid @ resid)
-    grad = -2.0 * np.outer(resid, features)
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError(
-            "non-finite gradient; the learning rate has blown up"
-        )
-    matrix = state.matrix - state.eta * grad
-    cfg = state.config
-    if cfg.freeze_y_block:
-        yb = state.layout.y_block
-        matrix[:, yb] = np.eye(len(y_true))
-        matrix[:, : yb.start] = _project_ball(matrix[:, : yb.start], cfg.r_m)
-    else:
-        matrix = _project_ball(matrix, cfg.r_m)
     return replace(
         state,
-        matrix=matrix,
+        matrix=_descend(state.matrix, features, resid, state.eta, state.config, state.layout),
         step=state.step + 1,
-        cumulative_loss=state.cumulative_loss + loss,
+        cumulative_loss=state.cumulative_loss + float(resid @ resid),
     )
+
+
+def _descend(
+    matrix: np.ndarray,
+    features: np.ndarray,
+    resid: np.ndarray,
+    eta: float,
+    config: OnlineConfig,
+    layout: FeatureLayout,
+) -> np.ndarray:
+    """``matrix`` after one gradient step on the loss of residual ``resid``, projected."""
+    grad = -2.0 * np.outer(resid, features)
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError("non-finite gradient; the learning rate has blown up")
+    matrix = matrix - eta * grad
+    if config.freeze_y_block:
+        yb = layout.y_block
+        matrix[:, yb] = np.eye(len(resid))
+        matrix[:, : yb.start] = _project_ball(matrix[:, : yb.start], config.r_m)
+        return matrix
+    return _project_ball(matrix, config.r_m)
 
 
 def _effective_parts(
@@ -198,8 +211,8 @@ def _effective_parts(
         raise ValueError("trajectory length does not match the bank horizon")
     features = online_features(trajectory, config.bank)
     if config.freeze_y_block:
-        m = trajectory.output_dim
-        return features, features[:, :-m], trajectory.output_differences()
+        learned = _online_layout(trajectory, config.bank).y_block.start
+        return features, features[:, :learned], trajectory.output_differences()
     return features, features, trajectory.outputs
 
 
@@ -237,25 +250,14 @@ def run_online(
     state = init_state(config, trajectory.input_dim, m, eta)
     # the arithmetic of predict/update, in the same order, on plain arrays
     matrix, cumulative_loss = state.matrix, 0.0
-    yb = state.layout.y_block
-    learned = yb.start if config.freeze_y_block else None
-    eye = np.eye(m)
+    learned = state.layout.y_block.start if config.freeze_y_block else None
     predictions = np.zeros((T, m))
     matrix_norms = np.zeros(T)
     for t in range(T):
-        f = features[t]
-        predictions[t] = matrix @ f
+        predictions[t] = matrix @ features[t]
         resid = trajectory.outputs[t] - predictions[t]
         cumulative_loss += float(resid @ resid)
-        grad = -2.0 * np.outer(resid, f)
-        if not np.all(np.isfinite(grad)):
-            raise FloatingPointError("non-finite gradient; the learning rate has blown up")
-        matrix = matrix - eta * grad
-        if config.freeze_y_block:
-            matrix[:, yb] = eye
-            matrix[:, : yb.start] = _project_ball(matrix[:, : yb.start], config.r_m)
-        else:
-            matrix = _project_ball(matrix, config.r_m)
+        matrix = _descend(matrix, features[t], resid, eta, config, state.layout)
         matrix_norms[t] = np.linalg.norm(matrix[:, :learned])
     state = replace(state, matrix=matrix, step=T, cumulative_loss=cumulative_loss)
     losses = ((trajectory.outputs - predictions) ** 2).sum(axis=1)
@@ -401,14 +403,14 @@ def run_ftl(
     ridge must be positive; ridge 0 raises ``LinAlgError`` before step 0.
     """
     features, eff_features, eff_targets = _effective_parts(trajectory, config)
-    T, m = trajectory.length, trajectory.output_dim
+    T = trajectory.length
+    state = init_state(config, trajectory.input_dim, trajectory.output_dim, eta=0.0)
     predictions, matrix, matrix_norms = _rolling_ridge(
         eff_features, eff_targets, ridge, ftl_refit_every(T), config.r_m
     )
     if config.freeze_y_block:
-        predictions += features[:, -m:]  # the frozen y_{t-1} block
+        predictions += features[:, state.layout.y_block]
     losses = ((trajectory.outputs - predictions) ** 2).sum(axis=1)
-    state = init_state(config, trajectory.input_dim, m, eta=0.0)
     state.matrix[:, : eff_features.shape[1]] = matrix
     state = replace(state, step=T, cumulative_loss=float(losses.sum()))
     comp_losses = _best_fixed_losses(eff_features, eff_targets, config.r_m)

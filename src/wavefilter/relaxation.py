@@ -42,16 +42,12 @@ class RelaxedPredictor:
 
     @property
     def layout(self) -> FeatureLayout:
-        n = self.m_x.shape[1]
-        m = self.m_y.shape[0]
+        m, n = self.m_x.shape
         return FeatureLayout(n=n, k=self.bank.k, m=m, include_y=True)
 
     def as_matrix(self) -> np.ndarray:
         """Flatten the blocks into the m-by-k' prediction matrix."""
-        m, n = self.m_x.shape
-        parts = [self.conv_blocks[j] for j in range(self.bank.k)]
-        parts += [self.m_x_prev, self.m_x, self.m_y]
-        return np.hstack(parts)
+        return np.hstack([*self.conv_blocks, self.m_x_prev, self.m_x, self.m_y])
 
     def frobenius_norm_active(self) -> float:
         """Frobenius norm over every block except the identity output block."""
@@ -87,7 +83,7 @@ def build_M_theta(
     m, n = params.output_dim, params.input_dim
     alphas = params.a
 
-    mu_mat = np.stack([mu_curve(a, T).entries for a in alphas])  # (d, T)
+    mu_mat = np.stack([mu_curve(a, T) for a in alphas])  # (d, T)
     outer = np.einsum("ml,ln->lmn", params.c, params.b)  # (d, m, n): c_l b_l^T
     conv_blocks = np.zeros((bank.k, m, n))
     usable = 0

@@ -95,7 +95,7 @@ def _check_moment_identity(p: ToleranceProfile) -> InvariantCheck:
     w = 0.5 * weights
     acc = np.zeros((T, T))
     for a, wt in zip(alphas, w):
-        v = mu_curve(a, T).entries
+        v = mu_curve(a, T)
         acc += wt * np.outer(v, v)
     err = float(np.abs(acc - build_hankel(T).entries).max())
     return InvariantCheck("moment-identity", err <= 1e-10, f"entrywise error {err:.2e}")
@@ -140,7 +140,7 @@ def _check_projection_residual(p: ToleranceProfile) -> InvariantCheck:
         basis = spec.phis[:, :k]
         bound = math.sqrt(6.0 * spectral_tail_sum(spec, k))
         for a in _alpha_grid(p.alpha_step):
-            v = mu_curve(a, T).entries
+            v = mu_curve(a, T)
             resid = v - basis @ (basis.T @ v)
             worst = max(worst, float(resid @ resid) - bound)
     return InvariantCheck(
@@ -155,7 +155,7 @@ def _check_reconstruction_coefficients(p: ToleranceProfile) -> InvariantCheck:
     bound = 6.0**0.25 * spec.sigmas[:reliable] ** 0.25
     worst = -np.inf
     for a in _alpha_grid(p.alpha_step):
-        coef = np.abs(spec.phis[:, :reliable].T @ mu_curve(a, T).entries)
+        coef = np.abs(spec.phis[:, :reliable].T @ mu_curve(a, T))
         worst = max(worst, float((coef - bound).max()))
     return InvariantCheck(
         "reconstruction-coefficients", worst <= 0, f"worst coeff-minus-bound {worst:.3e}"
@@ -193,35 +193,28 @@ def _check_mu_envelope(p: ToleranceProfile) -> InvariantCheck:
     worst = -np.inf
     envelope = 1.0 / np.arange(1, T + 1)
     for a in _alpha_grid(p.alpha_step):
-        worst = max(worst, float((np.abs(mu_curve(a, T).entries) - envelope).max()))
+        worst = max(worst, float((np.abs(mu_curve(a, T)) - envelope).max()))
     return InvariantCheck("mu-envelope", worst <= 0, f"worst excess {worst:.3e}")
 
 
 def _check_mu_l1(p: ToleranceProfile) -> InvariantCheck:
     T = 400
-    worst = max(
-        float(np.abs(mu_curve(a, T).entries).sum()) for a in _alpha_grid(p.alpha_step)
-    )
+    worst = max(float(np.abs(mu_curve(a, T)).sum()) for a in _alpha_grid(p.alpha_step))
     return InvariantCheck("mu-l1", worst <= 1.0 + 1e-12, f"max l1 norm {worst:.6f}")
 
 
 def _check_mu_l2(p: ToleranceProfile) -> InvariantCheck:
     T = 400
-    worst = max(
-        float(mu_curve(a, T).entries @ mu_curve(a, T).entries)
-        for a in _alpha_grid(p.alpha_step)
-    )
-    return InvariantCheck(
-        "mu-l2", worst <= 1.0 + 1e-12, f"max squared l2 norm {worst:.6f}"
-    )
+    worst = max(float(mu_curve(a, T) @ mu_curve(a, T)) for a in _alpha_grid(p.alpha_step))
+    return InvariantCheck("mu-l2", worst <= 1.0 + 1e-12, f"max squared l2 norm {worst:.6f}")
 
 
 def _check_mu_derivative(p: ToleranceProfile) -> InvariantCheck:
     T, h = 400, 1e-5
     worst = 0.0
     for a in np.arange(0.005, 0.996, 0.005):
-        lo = mu_curve(a - h, T).entries
-        hi = mu_curve(a + h, T).entries
+        lo = mu_curve(a - h, T)
+        hi = mu_curve(a + h, T)
         deriv = (hi @ hi - lo @ lo) / (2 * h)
         worst = max(worst, abs(deriv))
     return InvariantCheck("mu-l2-derivative", worst <= 3.0 + 1e-3, f"max |d/da| {worst:.6f}")
@@ -262,7 +255,7 @@ def _check_feature_entry_bound(p: ToleranceProfile) -> InvariantCheck:
         xs = rng.uniform(-1, 1, (T, 2))
         r_x = float(np.abs(xs).max())
         bound = (2.0 + 2.0 * math.log2(T)) * r_x
-        conv = featurize_batch(xs, bank).entries[:, : bank.k * 2]
+        conv = featurize_batch(xs, bank)[:, : bank.k * 2]
         worst = max(worst, float(np.abs(conv).max()) - bound)
     return InvariantCheck(
         "feature-entry-bound", worst <= 0, f"worst entry-minus-bound {worst:.3e}"
@@ -287,7 +280,7 @@ def _check_feature_norm_bound(p: ToleranceProfile) -> InvariantCheck:
             + np.linalg.norm(xs[t - 1])
             + np.linalg.norm(y_prev)
         )
-        worst = max(worst, float(np.linalg.norm(fv.entries)) - bound)
+        worst = max(worst, float(np.linalg.norm(fv)) - bound)
     return InvariantCheck(
         "feature-norm-bound", worst <= 0, f"worst norm-minus-bound {worst:.3e}"
     )
@@ -299,8 +292,8 @@ def _check_fft_equivalence(p: ToleranceProfile) -> InvariantCheck:
     for T, n, k in ((64, 1, 5), (200, 3, 10), (256, 2, 25), (1024, 10, 25)):
         bank = build_filter_bank(T, k)
         xs = rng.standard_normal((T, n))
-        fast = featurize_batch(xs, bank).entries
-        slow = featurize_batch_naive(xs, bank).entries
+        fast = featurize_batch(xs, bank)
+        slow = featurize_batch_naive(xs, bank)
         worst = max(worst, float(np.abs(fast - slow).max()))
     return InvariantCheck("fft-equivalence", worst <= 1e-8, f"max abs diff {worst:.3e}")
 

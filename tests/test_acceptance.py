@@ -112,7 +112,7 @@ def test_criterion_04_moment_identity():
         nodes, weights = np.polynomial.legendre.leggauss(200)
         acc = np.zeros((T, T))
         for a, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
-            v = mu_curve(a, T).entries
+            v = mu_curve(a, T)
             acc += w * np.outer(v, v)
         assert np.abs(acc - build_hankel(T).entries).max() <= 1e-10
 
@@ -126,7 +126,7 @@ def test_criterion_05_reconstruction_bound():
             basis = spec.phis[:, :k]
             bound = math.sqrt(6.0 * spectral_tail_sum(spec, k))
             for alpha in grid:
-                v = mu_curve(alpha, T).entries
+                v = mu_curve(alpha, T)
                 resid = v - basis @ (basis.T @ v)
                 assert resid @ resid <= bound
 
@@ -138,7 +138,7 @@ def test_criterion_06_coefficient_bound():
         reliable = int(np.sum(spec.sigmas > NOISE_FLOOR))
         bound = 6.0**0.25 * spec.sigmas[:reliable] ** 0.25
         for alpha in np.round(np.arange(0.0, 1.0001, 0.01), 10):
-            coef = np.abs(spec.phis[:, :reliable].T @ mu_curve(alpha, T).entries)
+            coef = np.abs(spec.phis[:, :reliable].T @ mu_curve(alpha, T))
             assert np.all(coef <= bound)
 
 
@@ -165,14 +165,14 @@ def test_criterion_08_mu_lemmas():
         T = 500
         envelope = 1.0 / np.arange(1, T + 1)
         for alpha in np.round(np.arange(0.0, 1.0001, 0.002), 10):
-            entries = mu_curve(alpha, T).entries
+            entries = mu_curve(alpha, T)
             assert np.all(np.abs(entries) <= envelope + 1e-15)
             assert np.abs(entries).sum() <= 1.0 + 1e-12
             assert entries @ entries <= 1.0 + 1e-12
         h = 1e-5
         for alpha in np.arange(0.001, 0.9995, 0.002):
-            lo = mu_curve(alpha - h, T).entries
-            hi = mu_curve(alpha + h, T).entries
+            lo = mu_curve(alpha - h, T)
+            hi = mu_curve(alpha + h, T)
             assert abs((hi @ hi - lo @ lo) / (2 * h)) <= 3.0 + 1e-3
 
 
@@ -317,7 +317,7 @@ def test_criterion_14_batch_realizability():
         model = fit_batch(samples, bank)
 
         def mse(sample):
-            feats = featurize_batch(sample.inputs, bank).entries
+            feats = featurize_batch(sample.inputs, bank)
             return float(((sample.targets - feats @ model.matrix.T) ** 2).mean())
 
         train = float(np.mean([mse(s) for s in samples]))
@@ -335,8 +335,8 @@ def test_criterion_15_fft_equivalence():
         for T, n, k in ((64, 1, 5), (256, 3, 12), (500, 2, 25), (1024, 10, 25)):
             bank = build_filter_bank(T, k)
             xs = rng.standard_normal((T, n))
-            fast = featurize_batch(xs, bank).entries
-            slow = featurize_batch_naive(xs, bank).entries
+            fast = featurize_batch(xs, bank)
+            slow = featurize_batch_naive(xs, bank)
             worst = max(worst, float(np.abs(fast - slow).max()))
         assert worst <= 1e-8, worst
 
@@ -365,7 +365,7 @@ def test_criterion_16_hidden_state_hints():
             model = fit_batch(samples, bank)
             total, count = 0.0, 0
             for s in samples:
-                feats = featurize_batch(s.inputs, bank).entries
+                feats = featurize_batch(s.inputs, bank)
                 resid = s.targets - feats @ model.matrix.T
                 total += float((resid**2).sum())
                 count += resid.size
@@ -398,7 +398,7 @@ def test_criterion_18_ode_filters():
             assert abs(bank.phis[j] @ spec.phis[:, j]) >= 0.95
         deep = build_filter_bank(T, 40, method="ode")
         feats = featurize_batch(np.random.default_rng(18).standard_normal((T, 1)), deep)
-        assert feats.entries.shape == (T, 42)
+        assert feats.shape == (T, 42)
 
 
 def test_criterion_19_deep_eigenvalue_noise_floor():

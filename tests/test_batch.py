@@ -32,6 +32,16 @@ def make_samples(rng, params, bank, N):
     return samples
 
 
+class TestBatchSample:
+    @pytest.mark.parametrize("field", ["inputs", "targets"])
+    def test_rejects_non_finite_naming_step_and_column(self, field):
+        arrays = {"inputs": np.zeros((6, 2)), "targets": np.zeros((6, 1))}
+        arrays[field][2, -1] = np.inf
+        column = arrays[field].shape[1]
+        with pytest.raises(ValueError, match=f"{field} hold .* at step 3, column {column}"):
+            BatchSample(**arrays)
+
+
 class TestFitBatch:
     def test_planted_model_recovered(self):
         rng = np.random.default_rng(0)
@@ -42,12 +52,12 @@ class TestFitBatch:
         samples = []
         for _ in range(4):
             xs = rng.standard_normal((T, n))
-            feats = featurize_batch(xs, bank).entries
+            feats = featurize_batch(xs, bank)
             samples.append(BatchSample(inputs=xs, targets=feats @ m_true.T))
         model = fit_batch(samples, bank, ridge=1e-10)
         mse = 0.0
         for s in samples:
-            feats = featurize_batch(s.inputs, bank).entries
+            feats = featurize_batch(s.inputs, bank)
             mse += float(((s.targets - feats @ model.matrix.T) ** 2).mean())
         assert mse / len(samples) <= 1e-6
 
@@ -69,7 +79,7 @@ class TestFitBatch:
         model = fit_batch(samples, bank)
         mse = 0.0
         for s in samples:
-            feats = featurize_batch(s.inputs, bank).entries
+            feats = featurize_batch(s.inputs, bank)
             mse += float(((s.targets - feats @ model.matrix.T) ** 2).mean())
         assert mse / N <= 1e-4
 
@@ -80,7 +90,7 @@ class TestFitBatch:
         model = fit_batch(samples, bank, ridge=1e-4)
         total, count = 0.0, 0
         for s in samples:
-            feats = featurize_batch(s.inputs, bank).entries
+            feats = featurize_batch(s.inputs, bank)
             resid = s.targets - feats @ model.matrix.T
             total += float((resid**2).sum())
             count += resid.size
@@ -96,7 +106,7 @@ class TestFitBatch:
             model = fit_batch(samples, bank, ridge=ridge)
             total = 0.0
             for s in samples:
-                feats = featurize_batch(s.inputs, bank).entries
+                feats = featurize_batch(s.inputs, bank)
                 total += float(((s.targets - feats @ model.matrix.T) ** 2).sum())
             residuals.append(total)
         assert all(b >= a - 1e-12 for a, b in zip(residuals, residuals[1:]))
@@ -156,7 +166,7 @@ class TestPredictions:
         model = fit_batch(train, bank)
         xs = rng.standard_normal((T, 2))
         traj = simulate(params, xs)
-        feats = featurize_batch(xs, bank).entries
+        feats = featurize_batch(xs, bank)
         preds = predict_pure_batch(model, feats)
         per_step = np.abs(
             predict_derivative(model, feats) - traj.output_differences()
@@ -172,7 +182,7 @@ class TestPredictions:
         model = fit_batch(
             [BatchSample(inputs=xs, targets=np.zeros((30, 2)))], bank, ridge=1e-6
         )
-        feats = featurize_batch(xs, bank).entries
+        feats = featurize_batch(xs, bank)
         assert np.abs(predict_pure_batch(model, feats)).max() <= 1e-10
 
 
@@ -201,7 +211,7 @@ class TestHilbertFilters:
         model = fit_batch(samples, bank)
         mse = 0.0
         for s in samples:
-            feats = featurize_batch(s.inputs, bank).entries
+            feats = featurize_batch(s.inputs, bank)
             mse += float(((s.targets - feats @ model.matrix.T) ** 2).mean())
         assert mse / len(samples) <= 1e-3
 
@@ -235,7 +245,7 @@ class TestHiddenStateHints:
             model = fit_batch(samples, bank)
             total, count = 0.0, 0
             for s in samples:
-                feats = featurize_batch(s.inputs, bank).entries
+                feats = featurize_batch(s.inputs, bank)
                 resid = s.targets - feats @ model.matrix.T
                 total += float((resid**2).sum())
                 count += resid.size

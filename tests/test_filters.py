@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefilter.filters import (
+    FeatureLayout,
     _convolve_full,
     augment_alternating,
     augment_hint,
@@ -13,7 +16,8 @@ from wavefilter.filters import (
     featurize_online,
 )
 from wavefilter.hankel import build_hankel, hilbert_matrix, top_eigenpairs
-from wavefilter.lds import LdsParams, simulate
+from wavefilter.lds import LdsParams, Trajectory, simulate
+from wavefilter.online import online_features
 
 
 class TestInternalFft:
@@ -80,8 +84,9 @@ class TestFeaturizeOnline:
         bank = build_filter_bank(32, 4)
         y_prev = np.array([1.5, -2.0])
         fv = featurize_online(np.zeros((10, 3)), y_prev, bank)
-        assert fv.entries[: fv.layout.y_block.start] == pytest.approx(0.0)
-        assert fv.entries[fv.layout.y_block] == pytest.approx(y_prev)
+        layout = FeatureLayout(n=3, k=4, m=2, include_y=True)
+        assert fv[: layout.y_block.start] == pytest.approx(0.0)
+        assert fv[layout.y_block] == pytest.approx(y_prev)
 
     def test_impulse_selects_filter_coordinate(self):
         T, k, n = 32, 4, 3
@@ -90,7 +95,7 @@ class TestFeaturizeOnline:
             xs = np.zeros((t, n))
             xs[0, 1] = 1.0  # impulse on coordinate 2 at time 1
             fv = featurize_online(xs, np.zeros(1), bank)
-            conv = fv.entries[: n * k].reshape(k, n)
+            conv = fv[: n * k].reshape(k, n)
             for j in range(k):
                 assert conv[j, 1] == pytest.approx(bank.scaled_filters[j, t - 2])
             assert conv[:, 0] == pytest.approx(0.0)
@@ -98,8 +103,8 @@ class TestFeaturizeOnline:
     def test_width_identity(self):
         bank = build_filter_bank(20, 6)
         fv = featurize_online(np.ones((5, 3)), np.zeros(2), bank)
-        assert fv.entries.shape == (3 * 6 + 2 * 3 + 2,)
-        assert fv.layout.width == 26
+        assert fv.shape == (3 * 6 + 2 * 3 + 2,)
+        assert FeatureLayout(n=3, k=6, m=2, include_y=True).width == 26
 
     def test_entry_bound(self):
         T, k, n = 128, 10, 2
@@ -109,7 +114,17 @@ class TestFeaturizeOnline:
         r_x = np.abs(xs).max()
         fv = featurize_online(xs, np.zeros(1), bank)
         bound = (2 + 2 * math.log2(T)) * r_x
-        assert np.abs(fv.entries[: n * k]).max() <= bound
+        assert np.abs(fv[: n * k]).max() <= bound
+
+    def test_rejects_non_finite_naming_step_and_column(self):
+        bank = build_filter_bank(16, 2)
+        xs = np.zeros((7, 2))
+        xs[4, 1] = np.nan
+        with pytest.raises(ValueError, match="inputs hold .* at step 5, column 2"):
+            featurize_online(xs, np.zeros(1), bank)
+        # y_prev is the output of the step before the current input
+        with pytest.raises(ValueError, match="outputs hold .* at step 6, column 3"):
+            featurize_online(np.zeros((7, 2)), np.array([0.0, 1.0, np.inf]), bank)
 
     def test_rejects_bad_history(self):
         bank = build_filter_bank(16, 2)
@@ -125,8 +140,8 @@ class TestFeaturizeBatch:
         T, n, k = 1024, 4, 10
         bank = build_filter_bank(T, k)
         xs = rng.standard_normal((T, n))
-        fast = featurize_batch(xs, bank).entries
-        slow = featurize_batch_naive(xs, bank).entries
+        fast = featurize_batch(xs, bank)
+        slow = featurize_batch_naive(xs, bank)
         assert np.abs(fast - slow).max() <= 1e-8
 
     def test_rejects_non_finite_inputs_naming_step_and_column(self):
@@ -141,7 +156,7 @@ class TestFeaturizeBatch:
 
     def test_zero_inputs(self):
         bank = build_filter_bank(64, 5)
-        feats = featurize_batch(np.zeros((64, 2)), bank).entries
+        feats = featurize_batch(np.zeros((64, 2)), bank)
         assert np.abs(feats).max() == 0.0
 
     def test_impulse_identity(self):
@@ -149,7 +164,7 @@ class TestFeaturizeBatch:
         bank = build_filter_bank(T, k)
         xs = np.zeros((T, n))
         xs[0, 0] = 1.0
-        feats = featurize_batch(xs, bank).entries
+        feats = featurize_batch(xs, bank)
         for t in range(2, T + 1):
             conv = feats[t - 1, : k * n].reshape(k, n)
             assert conv[:, 0] == pytest.approx(bank.scaled_filters[:, t - 2])
@@ -159,15 +174,52 @@ class TestFeaturizeBatch:
         bank = build_filter_bank(T, k)
         rng = np.random.default_rng(5)
         xs = rng.standard_normal((T, n))
-        batch = featurize_batch(xs, bank).entries
+        batch = featurize_batch(xs, bank)
         for t in (1, 2, 7, 40):
             fv = featurize_online(xs[:t], np.zeros(1), bank)
-            assert batch[t - 1] == pytest.approx(fv.entries[:-1], abs=1e-10)
+            assert batch[t - 1] == pytest.approx(fv[:-1], abs=1e-10)
 
     def test_rejects_length_mismatch(self):
         bank = build_filter_bank(64, 5)
         with pytest.raises(ValueError):
             featurize_batch(np.zeros((32, 2)), bank)
+
+
+class TestFeatureLayout:
+    """One layout fixes the columns of every featurizer's output."""
+
+    @given(
+        n=st.integers(1, 6), k=st.integers(1, 8), m=st.integers(1, 4), include_y=st.booleans()
+    )
+    def test_blocks_tile_the_width_once_in_order(self, n, k, m, include_y):
+        layout = FeatureLayout(n=n, k=k, m=m, include_y=include_y)
+        blocks = [layout.conv_block(j) for j in range(k)]
+        blocks += [layout.x_prev_block, layout.x_block]
+        if include_y:
+            blocks.append(layout.y_block)
+        columns = [c for block in blocks for c in range(layout.width)[block]]
+        assert columns == list(range(layout.width))
+        assert list(range(layout.width)[layout.conv_blocks]) == columns[: n * k]
+
+    @given(
+        T=st.integers(1, 40),
+        n=st.integers(1, 3),
+        k=st.integers(1, 6),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_online_step_matches_the_batch_rows(self, T, n, k, m, seed):
+        bank = build_filter_bank(T, min(k, T))
+        rng = np.random.default_rng(seed)
+        xs, ys = rng.standard_normal((T, n)), rng.standard_normal((T, m))
+        rows = online_features(Trajectory(inputs=xs, outputs=ys), bank)
+        naive = featurize_batch_naive(xs, bank)
+        conv = FeatureLayout(n=n, k=bank.k, m=m, include_y=True).conv_blocks
+        for t in range(1, T + 1):
+            fv = featurize_online(xs[:t], ys[t - 2] if t >= 2 else np.zeros(m), bank)
+            assert np.allclose(fv, rows[t - 1], rtol=0.0, atol=1e-10)
+            assert np.array_equal(fv[conv], naive[t - 1, conv])
 
 
 class TestAugmentAlternating:

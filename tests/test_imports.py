@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 
 import wavefilter
-from wavefilter import experiments, io, online
+from wavefilter import experiments, filters, io, online
 from wavefilter.filters import FeatureLayout, build_filter_bank
+from wavefilter.hankel import build_hankel
+from wavefilter.lds import Trajectory, synthetic_system
 
 
 def test_package_import_loads_no_heavy_scipy_submodule():
@@ -48,7 +50,7 @@ def test_every_exported_name_exists():
     assert missing == []
 
 
-def test_names_the_benchmark_reaches_directly(tmp_path):
+def test_names_the_benchmark_reaches_directly(tmp_path, monkeypatch):
     # perfbench/ calls these by name: run_experiment with threads, the
     # config's refit cadence, and it traces _run_seed (reading the seed
     # from its second argument) and the comparator fit
@@ -83,3 +85,21 @@ def test_names_the_benchmark_reaches_directly(tmp_path):
     assert rows == tmp_path / "rows.csv" and rows.stat().st_size > 0
     assert list(inspect.signature(io.load_trajectory).parameters) == ["base"]
     assert list(inspect.signature(io.load_training_set).parameters) == ["directory"]
+
+    # it counts featurize_batch and online_features calls per layer, sizes
+    # the Hankel matrix from its entries, and the oracle workload draws its
+    # inputs from the mimo_10 generator
+    assert "featurize_batch" in filters.__all__
+    assert "online_features" in online.__all__
+    calls = []
+    featurize_batch = online.featurize_batch
+
+    def counted(*args):
+        calls.append(args)
+        return featurize_batch(*args)
+
+    monkeypatch.setattr(online, "featurize_batch", counted)
+    online.online_features(Trajectory(inputs=np.ones((5, 1)), outputs=np.ones((5, 1))), bank)
+    assert len(calls) == 1
+    assert build_hankel(3).entries.nbytes > 0
+    assert callable(synthetic_system("mimo_10")[1].generate)

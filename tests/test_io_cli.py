@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from wavefilter import experiments, io, online
+from wavefilter import cli, experiments, io, online
 from wavefilter.baselines import baseline_ar, baseline_last_value
 from wavefilter.cli import main
 from wavefilter.experiments import (
@@ -145,11 +145,12 @@ class TestRoundTrips:
         bank = build_filter_bank(30, 4)
         xs = np.random.default_rng(2).standard_normal((30, 2))
         feats = featurize_batch(xs, bank)
-        io.save_features(feats.entries, feats.layout, tmp_path / "feats")
+        layout = FeatureLayout(n=2, k=4, m=0, include_y=False)
+        io.save_features(feats, layout, tmp_path / "feats")
         meta = json.loads((tmp_path / "feats.json").read_text())
-        assert meta["width"] == feats.layout.width
+        assert meta["width"] == layout.width
         data = io._read_matrix_csv(tmp_path / "feats.csv", skip_header=False)
-        assert np.array_equal(data, feats.entries)
+        assert np.array_equal(data, feats)
 
     def test_training_set_manifest(self, tmp_path, small_trajectory):
         io.save_trajectory(small_trajectory, tmp_path / "ep0")
@@ -181,6 +182,24 @@ class TestTrajectorySidecar:
         with pytest.raises(ValueError, match=r"traj\.csv has 50 rows.*T=99"):
             io.load_trajectory(base)
 
+    def test_bounds_of_huge_finite_entries_are_standard_json(self, tmp_path):
+        base = tmp_path / "traj"
+        traj = Trajectory(inputs=[[1e300, 1e300]], outputs=[[1e300]])
+        io.save_trajectory(traj, base)
+        text = base.with_suffix(".json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        meta = json.loads(text)
+        assert meta["r_x"] == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-15)
+        assert meta["l_y"] == 1e300
+
+    def test_bounds_beyond_the_double_range_are_null(self, tmp_path):
+        big = np.finfo(float).max
+        base = tmp_path / "traj"
+        traj = Trajectory(inputs=[[big, big], [0.0, 0.0]], outputs=[[big], [-big]])
+        io.save_trajectory(traj, base)
+        meta = json.loads(base.with_suffix(".json").read_text())
+        assert meta["r_x"] is None and meta["l_y"] is None
+
 
 class TestByteIdentity:
     """Every table the package writes equals the reference writers' bytes."""
@@ -207,8 +226,9 @@ class TestByteIdentity:
         assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
         feats = featurize_batch(np.random.default_rng(6).standard_normal((30, 2)),
                                 build_filter_bank(30, 4))
-        csv_path, _ = io.save_features(feats.entries, feats.layout, tmp_path / "feats")
-        _reference_matrix_csv(tmp_path / "ref.csv", feats.entries)
+        layout = FeatureLayout(n=2, k=4, m=0, include_y=False)
+        csv_path, _ = io.save_features(feats, layout, tmp_path / "feats")
+        _reference_matrix_csv(tmp_path / "ref.csv", feats)
         assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_special_values(self, tmp_path):
@@ -485,6 +505,37 @@ class TestCli:
         corrupt = io.load_filter_bank(base)
         checks = check_filter_bank(corrupt)
         assert not all(c.passed for c in checks)
+
+    def test_config_file_supplies_required_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 50, "k": "6"}))
+        out = tmp_path / "bank"
+        assert main(["filters", "--config", str(cfg), "--out", str(out)]) == 0
+        loaded = io.load_filter_bank(out)
+        assert (loaded.horizon, loaded.k) == (50, 6)
+
+    def test_config_values_meet_the_flag_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "bogus"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["filters", "--config", str(cfg), "--T", "50", "--k", "6",
+                  "--out", str(tmp_path / "bank")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_abbreviated_explicit_flag_wins_over_config(self, tmp_path, monkeypatch):
+        configs = []
+
+        def recorded(config, threads=1):
+            configs.append(config)
+            return {"final_mse": {}}
+
+        monkeypatch.setattr(cli, "run_experiment", recorded)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"num_seeds": 3}))
+        assert main(["experiment", "--config", str(cfg), "--name", "siso_hard",
+                     "--num", "1"]) == 0
+        assert configs[0].seeds == (0,)
 
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"

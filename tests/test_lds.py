@@ -346,3 +346,18 @@ class TestTrajectory:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             Trajectory(inputs=np.zeros((5, 1)), outputs=np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["inputs", "outputs"])
+    def test_rejects_non_finite_naming_step_and_column(self, field, bad):
+        arrays = {"inputs": np.zeros((6, 3)), "outputs": np.zeros((6, 3))}
+        arrays[field][3, 1] = bad
+        arrays[field][5, 0] = np.nan  # only the first bad entry is named
+        with pytest.raises(ValueError, match=f"{field} hold .* at step 4, column 2"):
+            Trajectory(**arrays)
+
+    def test_bounds_of_huge_finite_entries_stay_finite(self):
+        # the plain sum of squares overflows; the bounds are rescaled instead
+        traj = Trajectory(inputs=[[1e300, 1e300], [0.0, 0.0]], outputs=[[1e300], [-1e300]])
+        assert traj.r_x == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-15)
+        assert traj.l_y == pytest.approx(2e300, rel=1e-15)

@@ -83,12 +83,12 @@ class TestOdeFilterBank:
         bank = ode_filter_bank(100, 20)
         xs = np.random.default_rng(0).standard_normal((100, 2))
         feats = featurize_batch(xs, bank)
-        assert feats.entries.shape == (100, 20 * 2 + 4)
+        assert feats.shape == (100, 20 * 2 + 4)
         from wavefilter.filters import featurize_online
 
         fv = featurize_online(xs[:40], np.zeros(3), bank)
-        assert fv.entries.shape == (20 * 2 + 4 + 3,)
-        assert np.allclose(fv.entries[: 20 * 2 + 4][-2:], xs[39])
+        assert fv.shape == (20 * 2 + 4 + 3,)
+        assert np.allclose(fv[: 20 * 2 + 4][-2:], xs[39])
 
     def test_deep_bank_succeeds_where_eigen_refuses(self):
         with pytest.raises(ValueError):

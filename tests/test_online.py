@@ -213,9 +213,9 @@ class TestRunOnline:
         T = 64
         xs = np.zeros((T, 2))
         xs[30, 1] = np.nan
-        traj = Trajectory(inputs=xs, outputs=np.zeros((T, 1)))
         bank = build_filter_bank(T, 4)
         with pytest.raises(ValueError, match="step 31, column 2"):
+            traj = Trajectory(inputs=xs, outputs=np.zeros((T, 1)))
             run_online(traj, OnlineConfig(bank=bank, eta=0.1, r_m=1.0))
 
     def test_deterministic(self):
@@ -326,7 +326,7 @@ class TestFtl:
             h0=np.zeros(3),
         )
         traj = simulate(params, rng.standard_normal((T, n)))
-        feats = featurize_batch(traj.inputs, bank).entries
+        feats = featurize_batch(traj.inputs, bank)
         targets = traj.output_differences()
         ridge = 1e-8
         direct = ftl_update(feats, targets, ridge=ridge, r_m=1e9)

@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .filters import FeatureLayout, FilterBank, _feature_rows, featurize_batch
-from .lds import LdsParams, Trajectory, _previous, derivative_predictions
+from .lds import LdsParams, Trajectory, _check_finite, _previous, derivative_predictions
 
 __all__ = [
     "OnlineConfig",
@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 K_MIN, K_MAX = 1, 40
+_BLOCK = 128  # steps per block of the rolling fit (see _rolling_ridge)
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 def default_hyperparams(
@@ -85,10 +87,10 @@ class OnlineConfig:
         if isinstance(self.eta, str):
             if self.eta != "auto":
                 raise ValueError("eta must be a positive float or 'auto'")
-        elif self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.r_m <= 0:
-            raise ValueError("r_m must be positive")
+        elif not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
+        if not 0 < self.r_m < math.inf:
+            raise ValueError(f"r_m must be finite and positive, got {self.r_m!r}")
 
     @property
     def k(self) -> int:
@@ -325,6 +327,17 @@ def _ridge_least_squares(
     return scipy.linalg.solve(gram, features.T @ targets, assume_a="pos").T
 
 
+def _learner_inputs(
+    features: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature and target rows as floats, rejected if any entry is not finite."""
+    features = np.asarray(features, dtype=float)
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    _check_finite(features, "features")
+    _check_finite(targets, "targets")
+    return features, targets
+
+
 def ftl_update(
     features: np.ndarray, targets: np.ndarray, ridge: float, r_m: float
 ) -> np.ndarray:
@@ -333,9 +346,10 @@ def ftl_update(
     A positive ridge solves the regularized normal equations by Cholesky.
     With ridge 0 the minimum-norm least-squares solution is returned; an
     all-zero (information-free) feature matrix then raises ``LinAlgError``.
+    A non-finite feature or target raises ``ValueError`` naming its step
+    and column.
     """
-    features = np.asarray(features, dtype=float)
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    features, targets = _learner_inputs(features, targets)
     if features.shape[0] != targets.shape[0] or features.shape[0] == 0:
         raise ValueError("need equally many (and at least one) features and targets")
     return _project_ball(_ridge_least_squares(features, targets, ridge), r_m)
@@ -351,34 +365,88 @@ def _rolling_ridge(
     """Predictions, final matrix and per-step norms of rolling ridge least squares.
 
     Step t predicts ``targets[t]`` with the current matrix (zero at first),
-    then joins the fit by recursive least squares: the inverse regularized
-    Gram ``P = (ridge I + sum f f^T)^-1`` and the ridge minimizer ``W`` take
-    a Sherman-Morrison rank-one step, O(width^2) and no solve. Refits at
-    steps 0, ``refit_every``, ... and the last step make ``W`` the current
-    matrix; given ``r_m`` it is projected onto its Frobenius ball and its
-    norm fills the per-step norms. The ridge must be positive, since the fit
-    starts from an empty history.
+    then joins the fit. Refits at steps 0, ``refit_every``, ... and the
+    last step make the ridge minimizer ``W`` the current matrix; given
+    ``r_m`` it is projected onto its Frobenius ball and its norm fills the
+    per-step norms. The ridge must be positive, since the fit starts from
+    an empty history.
+
+    The fit is block recursive least squares over the inverse regularized
+    Gram ``P = (ridge I + sum f f^T)^-1``. Step 0 is one block, and the
+    rest are blocks of ``_BLOCK`` steps rounded down to a multiple of the
+    cadence, so that each ends on a refit. For block rows ``F``, ``Y``:
+    ``U = F P``, ``C = chol(S)`` with ``S = I + U F^T``,
+    ``[Z | V] = C^-1 [Y - F W^T | U]``, then ``W += Z^T V`` and
+    ``P -= V^T V``. The fit after the block's step r is
+    ``W + Z[:r+1]^T V[:r+1]``; since ``F V^T`` equals ``C`` below the
+    diagonal, the predictions made with those in-block fits are
+    ``F W^T + (C * mask) Z``, and prefix sums of ``(Z Z^T) * (V V^T)`` give
+    their norms. Every pivot ``C_ii`` is at least 1 in exact arithmetic,
+    and rounding moves it by about ``n eps max(S_ii)``: rows that reach
+    where ``P`` is still of order 1/ridge make that large, so a block
+    whose factor keeps fewer than half the digits is halved. numpy's BLAS
+    runs every product and solve: scipy ships its own OpenBLAS, and
+    alternating the two thread pools stalls each call.
     """
     if not ridge > 0:
         raise np.linalg.LinAlgError(f"ridge {ridge!r} is not positive: step 0 is singular")
     (T, width), m = features.shape, targets.shape[1]
     inverse = np.eye(width) / ridge
     fit = np.zeros((m, width))
-    matrix = np.zeros((m, width))
+    matrix, norm = np.zeros((m, width)), 0.0  # the matrix in force and its norm
     predictions = np.zeros((T, m))
     norms = None if r_m is None else np.zeros(T)
-    for t in range(T):
-        f = features[t]
-        predictions[t] = matrix @ f
-        pf = inverse @ f
-        gain = pf / (1.0 + f @ pf)
-        fit += np.outer(targets[t] - fit @ f, gain)
-        inverse -= np.outer(pf, gain)
-        if t % refit_every == 0 or t == T - 1:
-            matrix = fit.copy()  # the fit keeps moving between refits
-            if r_m is not None:
-                matrix = _project_ball(matrix, r_m)
-                norms[t:] = np.linalg.norm(matrix)
+    block = max(_BLOCK // refit_every, 1) * refit_every
+    starts = list(range(1, T, block))
+    pending = list(zip([0, *starts], [*starts, T]))[::-1]  # the next block is last
+    while pending:
+        start, stop = pending.pop()
+        f, y = features[start:stop], targets[start:stop]
+        n = stop - start
+        gain = f @ inverse
+        system = np.eye(n) + gain @ f.T
+        try:
+            chol = np.linalg.cholesky(system)
+            precise = n * _SQRT_EPS * system.diagonal().max() <= chol.diagonal().min() ** 2
+        except np.linalg.LinAlgError:
+            if n == 1:
+                raise np.linalg.LinAlgError(
+                    f"step {start}: the inverse Gram is no longer positive definite; "
+                    f"ridge {ridge!r} is below the rounding of the features' Gram"
+                ) from None
+            precise = False
+        if n > 1 and not precise:
+            middle = (start + stop) // 2
+            pending += [(middle, stop), (start, middle)]
+            continue
+        steps = np.arange(start, stop)
+        refit = (steps % refit_every == 0) | (steps == T - 1)
+        # the last refit at or before each step, and the one in force at its prediction
+        last = np.maximum.accumulate(np.where(refit, np.arange(n), -1))
+        in_force = np.append(-1, last)[:n]
+        fitted = f @ fit.T
+        zv = np.linalg.solve(chol, np.hstack([y - fitted, gain]))
+        z, v = zv[:, :m], zv[:, m:]
+        mask = np.arange(n) <= in_force[:, None]
+        refitted = fitted + (chol * mask) @ z  # by this block's refits, unprojected
+        scales = np.ones(n)
+        if r_m is not None:
+            cross = np.einsum("ij,ij->i", z, v @ fit.T)  # <W, z_i v_i^T>
+            gram = (z @ z.T) * (v @ v.T)
+            growth = 2.0 * (cross + np.tril(gram, -1).sum(axis=1)) + np.diag(gram)
+            fit_norms = np.sqrt(np.maximum(np.vdot(fit, fit) + np.cumsum(growth), 0.0))
+            scales = r_m / np.maximum(fit_norms, r_m)
+            norms[start:stop] = np.append(np.minimum(fit_norms, r_m), norm)[last]
+            norm = norms[stop - 1]
+        early = int(np.sum(in_force < 0))  # steps before this block's first refit
+        predictions[start : start + early] = f[:early] @ matrix.T
+        predictions[start + early : stop] = scales[in_force[early:], None] * refitted[early:]
+        adopted = last[-1] + 1  # rows up to this block's last refit
+        fit += z[:adopted].T @ v[:adopted]
+        if adopted:
+            matrix = scales[adopted - 1] * fit
+        fit += z[adopted:].T @ v[adopted:]
+        inverse -= v.T @ v
     return predictions, matrix, norms
 
 
@@ -462,7 +530,10 @@ def _best_fixed_losses(
 def regret_vs_best_fixed(
     features: np.ndarray, targets: np.ndarray, r_m: float
 ) -> float:
-    """Loss of the best fixed matrix in the Frobenius ball, in hindsight."""
-    features = np.asarray(features, dtype=float)
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    """Loss of the best fixed matrix in the Frobenius ball, in hindsight.
+
+    A non-finite feature or target raises ``ValueError`` naming its step
+    and column.
+    """
+    features, targets = _learner_inputs(features, targets)
     return float(_best_fixed_losses(features, targets, r_m).sum())

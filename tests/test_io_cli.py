@@ -431,6 +431,16 @@ class TestCli:
         with pytest.raises(ValueError):
             main(["filters", "--T", "100", "--k", "0", "--out", str(tmp_path / "b")])
 
+    @pytest.mark.parametrize("flag, field", [("--r-m", "r_m"), ("--eta", "eta")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_online_rejects_a_non_finite_setting_by_name(self, tmp_path, flag, field, value):
+        traj_base = tmp_path / "traj"
+        main(["simulate", "--system", "siso_hard", "--T", "60", "--out", str(traj_base)])
+        argv = ["online", "--data", str(traj_base), "--k", "4", flag, value]
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and positive, got {value}"):
+            main(argv + ["--out", str(tmp_path / "model")])
+        assert not (tmp_path / "model.steps.csv").exists()
+
     def test_simulate_online_batch_pipeline(self, tmp_path, capsys):
         traj_base = tmp_path / "traj"
         rc = main(

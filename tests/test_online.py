@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefilter import online
 from wavefilter.baselines import baseline_ar
@@ -44,7 +46,11 @@ def _bisection_by_solves(features, targets, r_m):
 
 
 def _rolling_ridge_by_solves(features, targets, ridge, refit_every=1, r_m=None):
-    """Reference rolling fit: the Gram sums re-solved by Cholesky at every refit."""
+    """Reference rolling fit: the Gram sums re-solved at every refit.
+
+    numpy's solve, not scipy's: scipy's own OpenBLAS thread pool, called
+    between the blocked fit's numpy products, stalls both.
+    """
     (T, width), m = features.shape, targets.shape[1]
     gram = ridge * np.eye(width)
     rhs = np.zeros((width, m))
@@ -57,13 +63,43 @@ def _rolling_ridge_by_solves(features, targets, ridge, refit_every=1, r_m=None):
         gram += np.outer(f, f)
         rhs += np.outer(f, targets[t])
         if t % refit_every == 0 or t == T - 1:
-            matrix = scipy.linalg.solve(gram, rhs, assume_a="pos").T
+            matrix = np.linalg.solve(gram, rhs).T
             if r_m is not None:
                 norm = np.linalg.norm(matrix)
                 if norm > r_m:
                     matrix = matrix * (r_m / norm)
                 norms[t:] = np.linalg.norm(matrix)
     return predictions, matrix, norms
+
+
+def _rolling_ridge_by_rank_one_steps(features, targets, ridge, refit_every=1, r_m=None):
+    """Reference rolling fit: one Sherman-Morrison step of the inverse Gram per step."""
+    (T, width), m = features.shape, targets.shape[1]
+    inverse = np.eye(width) / ridge
+    fit = np.zeros((m, width))
+    matrix = np.zeros((m, width))
+    predictions = np.zeros((T, m))
+    norms = None if r_m is None else np.zeros(T)
+    for t in range(T):
+        f = features[t]
+        predictions[t] = matrix @ f
+        pf = inverse @ f
+        gain = pf / (1.0 + f @ pf)
+        fit += np.outer(targets[t] - fit @ f, gain)
+        inverse -= np.outer(pf, gain)
+        if t % refit_every == 0 or t == T - 1:
+            matrix = fit.copy()  # the fit keeps moving between refits
+            if r_m is not None:
+                norm = np.linalg.norm(matrix)
+                if norm > r_m:
+                    matrix = matrix * (r_m / norm)
+                norms[t:] = np.linalg.norm(matrix)
+    return predictions, matrix, norms
+
+
+def _assert_close(actual, expected, rtol):
+    """Largest entry error at most ``rtol`` times the largest expected entry."""
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
 
 
 class TestDefaultHyperparams:
@@ -88,6 +124,20 @@ class TestDefaultHyperparams:
             default_hyperparams(0, 2.0, 1.0, 1.0, 1)
         with pytest.raises(ValueError):
             default_hyperparams(100, 0.5, 1.0, 1.0, 1)  # product below 1
+
+
+class TestOnlineConfig:
+    @pytest.mark.parametrize("field", ["r_m", "eta"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_or_non_positive_value_by_name(self, field, value):
+        bank = build_filter_bank(16, 2)
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and positive, got "):
+            OnlineConfig(bank=bank, **{field: value})
+
+    @pytest.mark.parametrize("field", ["r_m", "eta"])
+    def test_accepts_finite_positive_values(self, field):
+        config = OnlineConfig(bank=build_filter_bank(16, 2), **{field: 1e-300})
+        assert getattr(config, field) == 1e-300
 
 
 class TestPredictUpdate:
@@ -452,7 +502,7 @@ class TestRollingRidge:
             np.testing.assert_allclose(norms, ref_norms, rtol=1e-9 if ridge == 1.0 else 1e-6)
             assert norms[-1] == pytest.approx(r_m)  # the ball binds
 
-    def test_run_ftl_refits_every_ten_steps_beyond_2000(self, monkeypatch):
+    def test_run_ftl_refits_every_ten_steps_beyond_2000(self):
         T = 2001
         rng = np.random.default_rng(18)
         traj = Trajectory(
@@ -464,40 +514,50 @@ class TestRollingRidge:
             horizon=T, k=1, phis=phi[None, :], sigmas=np.ones(1),
             scaled_filters=phi[None, :], method="eigen",
         )
-        refits = []
-        original = online._project_ball
-
-        def counted(matrix, r_m):
-            refits.append(matrix.shape)
-            return original(matrix, r_m)
-
-        monkeypatch.setattr(online, "_project_ball", counted)
-        result = run_ftl(traj, OnlineConfig(bank=bank, r_m=10.0))
-        assert len(refits) == 201  # steps 0, 10, ..., 2000
+        config = OnlineConfig(bank=bank, r_m=0.2)
+        result = run_ftl(traj, config, ridge=1.0)
+        features = online_features(traj, bank)
+        preds, _, norms = _rolling_ridge_by_solves(
+            features[:, :-1], traj.output_differences(), 1.0, refit_every=10, r_m=0.2
+        )
+        _assert_close(result.predictions, preds + features[:, -1:], 1e-9)
+        _assert_close(result.matrix_norms, norms, 1e-9)
+        assert norms.min() < 0.2 and norms.max() == pytest.approx(0.2)  # binds at some refits
         blocks = result.matrix_norms[:2000].reshape(200, 10)
         assert np.all(blocks == blocks[:, :1])
         assert len(np.unique(blocks[:, 0])) > 1
 
     def test_rolling_fits_make_no_solve(self, monkeypatch):
         rng = np.random.default_rng(19)
-        T, k = 120, 4
+        T, k, n = 300, 40, 4
         traj = Trajectory(
-            inputs=rng.standard_normal((T, 2)), outputs=rng.standard_normal((T, 2))
+            inputs=rng.standard_normal((T, n)), outputs=rng.standard_normal((T, 2))
         )
         bank = build_filter_bank(T, k)
+        assert k * n > online._BLOCK  # the learned width exceeds the block length
+        scipy_calls = []
+        for name in ("solve", "solve_triangular", "cholesky", "cho_factor", "cho_solve"):
+            original = getattr(scipy.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                scipy_calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, counted)
         solves = []
-        original = scipy.linalg.solve
+        np_solve = np.linalg.solve
 
-        def counted(*args, **kwargs):
-            solves.append(args[0].shape)
-            return original(*args, **kwargs)
+        def counted_np(a, b):
+            solves.append(a.shape)
+            return np_solve(a, b)
 
-        monkeypatch.setattr(scipy.linalg, "solve", counted)
+        monkeypatch.setattr(np.linalg, "solve", counted_np)
         run_ftl(traj, OnlineConfig(bank=bank, r_m=10.0), ridge=1.0)
         baseline_ar(traj, tau=3, ridge=1.0)
-        assert solves == []
+        assert scipy_calls == []
+        assert solves and all(s[0] <= online._BLOCK for s in solves)
         ftl_update(traj.inputs, traj.outputs, ridge=1.0, r_m=10.0)
-        assert len(solves) == 1  # the counter sees the one batch solve
+        assert scipy_calls == ["solve"]  # the counter sees the one batch solve
 
     def test_run_ftl_without_ridge_raises(self):
         # an empty history has no fit without a ridge, so step 0 is singular
@@ -509,6 +569,149 @@ class TestRollingRidge:
         config = OnlineConfig(bank=build_filter_bank(T, 3), r_m=10.0)
         with pytest.raises(np.linalg.LinAlgError, match="ridge 0.0"):
             run_ftl(traj, config, ridge=0.0)
+
+
+# horizons around the block edges (128 steps after step 0), with the final
+# step on and off the cadence of 10; widths 1 and above the block length
+_SHAPES = [
+    *[(T, 3, 2) for T in (1, 2, 127, 128, 129, 130, 2001)],
+    *[(T, width, 1) for width in (1, 130) for T in (1, 129, 130)],
+]
+
+
+class TestBlockBoundaries:
+    """The blocked rolling fit against both per-step references, around the block edges."""
+
+    @staticmethod
+    def _problem(T, width, m, ridge, refit_every, bind):
+        rng = np.random.default_rng(T + 7 * width)
+        feats = rng.standard_normal((T, width))
+        targets = feats @ rng.standard_normal((width, m)) + 0.1 * rng.standard_normal((T, m))
+        if not bind:
+            return feats, targets, None
+        # the median of the unprojected refit norms in the block after step 0
+        _, _, raw = _rolling_ridge_by_rank_one_steps(feats, targets, ridge, refit_every, np.inf)
+        r_m = float(np.median(raw[: online._BLOCK + 1]))
+        if T > 2:  # binding at some refits of that block and not at others
+            block = raw[1 : online._BLOCK + 1]
+            assert block.min() < r_m < block.max()
+        return feats, targets, r_m
+
+    @pytest.mark.parametrize("T, width, m", _SHAPES)
+    @pytest.mark.parametrize("refit_every", [1, 10])
+    @pytest.mark.parametrize("bind", [False, True])
+    def test_matches_rank_one_steps(self, T, width, m, refit_every, bind):
+        feats, targets, r_m = self._problem(T, width, m, 1.0, refit_every, bind)
+        preds, final, norms = _rolling_ridge(feats, targets, 1.0, refit_every, r_m)
+        ref_preds, ref_final, ref_norms = _rolling_ridge_by_rank_one_steps(
+            feats, targets, 1.0, refit_every, r_m
+        )
+        if T > 1:  # step 0 predicts zero in both
+            _assert_close(preds, ref_preds, 1e-12)
+        _assert_close(final, ref_final, 1e-12)
+        if r_m is None:
+            assert norms is None and ref_norms is None
+        else:
+            _assert_close(norms, ref_norms, 1e-12)
+
+    @pytest.mark.parametrize("T, width, m", _SHAPES)
+    @pytest.mark.parametrize("refit_every", [1, 10])
+    @pytest.mark.parametrize("bind", [False, True])
+    @pytest.mark.parametrize("ridge", [1.0, 1e-6])
+    def test_matches_solves(self, T, width, m, refit_every, bind, ridge):
+        feats, targets, r_m = self._problem(T, width, m, ridge, refit_every, bind)
+        preds, final, norms = _rolling_ridge(feats, targets, ridge, refit_every, r_m)
+        ref_preds, ref_final, ref_norms = _rolling_ridge_by_solves(
+            feats, targets, ridge, refit_every, r_m
+        )
+        rtol = 1e-9 if ridge == 1.0 else 1e-6
+        if T > 1:
+            _assert_close(preds, ref_preds, rtol)
+        _assert_close(final, ref_final, rtol)
+        if r_m is not None:
+            _assert_close(norms, ref_norms, rtol)
+
+
+class TestIllConditionedBlocks:
+    """A tiny ridge against large features: the blocked fit halves its blocks."""
+
+    @staticmethod
+    def _cholesky_sizes(monkeypatch):
+        sizes = []
+        original = np.linalg.cholesky
+
+        def counted(a):
+            try:
+                factor = original(a)
+            except np.linalg.LinAlgError:
+                sizes.append(-a.shape[0])  # negative: this factorization failed
+                raise
+            sizes.append(a.shape[0])
+            return factor
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        return sizes
+
+    @staticmethod
+    def _ar_trajectory(scale):
+        rng = np.random.default_rng(0)
+        xs = scale * rng.standard_normal((300, 2))
+        ys = xs @ np.array([[0.5], [-0.2]]) + 0.01 * scale * rng.standard_normal((300, 1))
+        return Trajectory(inputs=xs, outputs=ys)
+
+    def test_imprecise_blocks_are_halved_and_match_the_per_step_loop(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        feats = 10.0 * rng.standard_normal((300, 4))
+        targets = feats @ rng.standard_normal((4, 2)) + rng.standard_normal((300, 2))
+        sizes = self._cholesky_sizes(monkeypatch)
+        preds, final, _ = _rolling_ridge(feats, targets, 1e-8)
+        assert sizes[:4] == [1, 128, 64, 32]  # the first full block was halved
+        step_preds, step_final, _ = _rolling_ridge_by_rank_one_steps(feats, targets, 1e-8)
+        _assert_close(preds, step_preds, 1e-6)
+        _assert_close(final, step_final, 1e-6)
+        solve_preds, _, _ = _rolling_ridge_by_solves(feats, targets, 1e-8)
+        error, step_error = (np.abs(p - solve_preds).max() for p in (preds, step_preds))
+        assert error <= 2 * step_error  # no less accurate than the per-step loop
+
+    def test_a_block_whose_factor_fails_is_halved(self, monkeypatch):
+        scale = 1e3
+        traj = self._ar_trajectory(scale)
+        sizes = self._cholesky_sizes(monkeypatch)
+        preds = baseline_ar(traj, tau=3)  # at its default ridge, 1e-8
+        assert sizes[:2] == [1, -128]
+        late = ((preds[50:] - traj.outputs[50:]) ** 2).mean() / scale**2
+        assert late <= 2e-4  # twice the observation noise
+
+    def test_ridge_below_the_rounding_of_the_gram_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="ridge 1e-08 is below the rounding"):
+            baseline_ar(self._ar_trajectory(1e6), tau=3)
+
+
+class TestNonFiniteLearnerInputs:
+    """``ftl_update`` and ``regret_vs_best_fixed`` name the first non-finite entry."""
+
+    @given(
+        T=st.integers(1, 12),
+        width=st.integers(1, 4),
+        m=st.integers(1, 3),
+        in_targets=st.booleans(),
+        where=st.tuples(st.integers(0, 11), st.integers(0, 3)),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+        ridge=st.sampled_from([0.0, 1e-6, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_names_step_and_column(self, T, width, m, in_targets, where, value, ridge):
+        rng = np.random.default_rng(T * 100 + width * 10 + m)
+        feats, targets = rng.standard_normal((T, width)), rng.standard_normal((T, m))
+        bad = targets if in_targets else feats
+        t, i = where[0] % T, where[1] % bad.shape[1]
+        bad[t, i] = value
+        name = "targets" if in_targets else "features"
+        expected = rf"^{name} hold a non-finite value \({value}\) at step {t + 1}, column {i + 1}"
+        with pytest.raises(ValueError, match=expected):
+            ftl_update(feats, targets, ridge=ridge, r_m=10.0)
+        with pytest.raises(ValueError, match=expected):
+            regret_vs_best_fixed(feats, targets, r_m=10.0)
 
 
 class TestRegretVsBestFixed:

@@ -105,7 +105,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     bank = build_filter_bank(T, args.k, method=args.method)
     samples = [BatchSample.from_trajectory(t) for t in trajectories]
     model = fit_batch(samples, bank, ridge=args.ridge)
-    layout = FeatureLayout(n=trajectories[0].input_dim, k=args.k, m=0, include_y=False)
+    layout = FeatureLayout(n=trajectories[0].input_dim, k=args.k, m=0)
     io.save_predictor(
         model.matrix,
         layout,
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="eigen", choices=["eigen", "ode", "hilbert"])
     p.add_argument("--eta", default="auto")
     p.add_argument("--r-m", type=float, default=10.0)
-    p.add_argument("--ridge", type=float, default=1e-6)
+    p.add_argument("--ridge", type=float, default=1.0)
     p.add_argument("--learner", default="ogd", choices=["ogd", "ftl"])
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_online)

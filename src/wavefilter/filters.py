@@ -14,7 +14,7 @@ n*k + 2n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -44,9 +44,9 @@ _SIGMA_MIN = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class FilterBank:
-    """k filters of length `horizon` with their eigenvalue scalings.
+    """k filters of length `horizon`, the rows of ``phis``, with their eigenvalue scalings.
 
-    ``scaled_filters[j] = sigmas[j]**0.25 * phis[j]`` row-wise. Eigenvalues
+    ``scaled_filters[j] = sigmas[j]**0.25 * phis[j]`` is derived. Eigenvalues
     are clamped to the smallest positive normal float so quarter powers
     stay finite; values at or below ``NOISE_FLOOR`` mark filters whose
     shapes are numerically unreliable (eigen/hilbert methods).
@@ -56,14 +56,28 @@ class FilterBank:
     by geometric extrapolation rather than matched to the moment matrix.
     """
 
-    horizon: int
-    k: int
     phis: np.ndarray
     sigmas: np.ndarray
-    scaled_filters: np.ndarray
     method: str
     lambdas: Optional[np.ndarray] = None
     sigma_extrapolated: Optional[np.ndarray] = None
+    scaled_filters: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        phis, sigmas = self.phis, self.sigmas
+        if np.ndim(phis) != 2:
+            raise ValueError(f"phis must be 2-D (filter, time), got shape {np.shape(phis)}")
+        if len(sigmas) != len(phis):
+            raise ValueError(f"{len(sigmas)} sigmas for {len(phis)} filters")
+        object.__setattr__(self, "scaled_filters", sigmas[:, None] ** 0.25 * phis)
+
+    @property
+    def k(self) -> int:
+        return self.phis.shape[0]
+
+    @property
+    def horizon(self) -> int:
+        return self.phis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -73,11 +87,14 @@ class FeatureLayout:
     n: int
     k: int
     m: int
-    include_y: bool
+
+    @property
+    def include_y(self) -> bool:
+        return self.m > 0
 
     @property
     def width(self) -> int:
-        return self.n * self.k + 2 * self.n + (self.m if self.include_y else 0)
+        return self.n * self.k + 2 * self.n + self.m
 
     @property
     def conv_blocks(self) -> slice:
@@ -104,18 +121,10 @@ class FeatureLayout:
 
 
 def _eigen_bank(T: int, k: int, method: str) -> FilterBank:
-    matrix = build_hankel(T) if method == "eigen" else HankelMatrix(T, hilbert_matrix(T, -1))
+    matrix = build_hankel(T) if method == "eigen" else HankelMatrix(hilbert_matrix(T, -1))
     spec = top_eigenpairs(matrix, k)
     sig = np.clip(spec.sigmas, _SIGMA_MIN, None)
-    phis = spec.phis.T.copy()
-    return FilterBank(
-        horizon=T,
-        k=k,
-        phis=phis,
-        sigmas=sig,
-        scaled_filters=sig[:, None] ** 0.25 * phis,
-        method=method,
-    )
+    return FilterBank(phis=spec.phis.T.copy(), sigmas=sig, method=method)
 
 
 def build_filter_bank(T: int, k: int, method: str = "eigen") -> FilterBank:
@@ -175,7 +184,7 @@ def featurize_online(x_history: np.ndarray, y_prev: np.ndarray, bank: FilterBank
 
     ``x_history`` is (t, n) with the current input last; inputs before
     time 1 are treated as zero. Returns a row laid out by
-    ``FeatureLayout(n, bank.k, len(y_prev), include_y=True)``.
+    ``FeatureLayout(n, bank.k, len(y_prev))``.
     """
     xs = _as_2d(x_history, "x_history")
     t, n = xs.shape
@@ -184,7 +193,7 @@ def featurize_online(x_history: np.ndarray, y_prev: np.ndarray, bank: FilterBank
     y_prev = np.atleast_1d(np.asarray(y_prev, dtype=float))
     _check_finite(xs, "inputs")
     _check_finite(y_prev[None], "outputs", first_step=t - 1)
-    layout = FeatureLayout(n=n, k=bank.k, m=len(y_prev), include_y=True)
+    layout = FeatureLayout(n=n, k=bank.k, m=len(y_prev))
     x_prev = xs[-2] if t >= 2 else 0.0
     return _feature_rows(layout, _direct_conv(xs, bank, t), x_prev, xs[-1], y_prev)[0]
 
@@ -226,7 +235,7 @@ def _batch_inputs(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
 
 
 def _batch_rows(xs: np.ndarray, conv: np.ndarray, bank: FilterBank) -> np.ndarray:
-    layout = FeatureLayout(n=xs.shape[1], k=bank.k, m=0, include_y=False)
+    layout = FeatureLayout(n=xs.shape[1], k=bank.k, m=0)
     return _feature_rows(layout, conv, _previous(xs), xs)
 
 
@@ -234,7 +243,7 @@ def featurize_batch(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Features for all time steps in one pass (FFT convolutions).
 
     Returns one row per step, laid out by
-    ``FeatureLayout(n, bank.k, 0, include_y=False)``. Raises
+    ``FeatureLayout(n, bank.k, 0)``. Raises
     ``ValueError`` naming the first step and column of a non-finite input.
     """
     xs = _batch_inputs(inputs, bank)

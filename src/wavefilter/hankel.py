@@ -40,14 +40,17 @@ NOISE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class HankelMatrix:
-    """Moment Hankel matrix of a given size.
+    """Moment Hankel matrix; its size is the row count of ``entries``.
 
     ``entries`` is a T-by-T array and may be a read-only view of the
     2T-1 values that fix a Hankel matrix (see ``build_hankel``).
     """
 
-    size: int
     entries: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,10 @@ class Spectrum:
 
     sigmas: np.ndarray
     phis: np.ndarray
-    source_size: int
+
+    @property
+    def source_size(self) -> int:
+        return self.phis.shape[0]
 
     def __len__(self) -> int:
         return len(self.sigmas)
@@ -84,7 +90,7 @@ def build_hankel(T: int) -> HankelMatrix:
     if T < 1:
         raise ValueError(f"matrix size must be positive, got {T}")
     s = np.arange(2, 2 * T + 1)
-    return HankelMatrix(size=T, entries=_hankel_view(2.0 / (s**3 - s), T))
+    return HankelMatrix(_hankel_view(2.0 / (s**3 - s), T))
 
 
 def hilbert_matrix(T: int, theta: int = -1) -> np.ndarray:
@@ -142,11 +148,7 @@ def top_eigenpairs(H: HankelMatrix, k: int) -> Spectrum:
     else:
         w, v = np.linalg.eigh(H.entries)
     order = np.argsort(w)[::-1]
-    return Spectrum(
-        sigmas=w[order].copy(),
-        phis=_sign_normalize(v[:, order]),
-        source_size=T,
-    )
+    return Spectrum(sigmas=w[order].copy(), phis=_sign_normalize(v[:, order]))
 
 
 @functools.lru_cache(maxsize=8)

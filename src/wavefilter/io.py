@@ -149,24 +149,13 @@ def load_filter_bank(base: PathLike) -> FilterBank:
     for key in ("sigmas", "lambdas", "sigma_extrapolated"):
         if key in meta and len(meta[key]) != k:
             raise _disagree(paths, f"comes with {len(meta[key])} {key}", f"k={k}")
-    phis = data.T
+    optional = {
+        key: np.array(meta[key], dtype=dtype)
+        for key, dtype in (("lambdas", float), ("sigma_extrapolated", bool))
+        if key in meta
+    }
     sigmas = np.array(meta["sigmas"], dtype=float)
-    lambdas = np.array(meta["lambdas"], dtype=float) if "lambdas" in meta else None
-    extrap = (
-        np.array(meta["sigma_extrapolated"], dtype=bool)
-        if "sigma_extrapolated" in meta
-        else None
-    )
-    return FilterBank(
-        horizon=T,
-        k=k,
-        phis=phis,
-        sigmas=sigmas,
-        scaled_filters=sigmas[:, None] ** 0.25 * phis,
-        method=meta["method"],
-        lambdas=lambdas,
-        sigma_extrapolated=extrap,
-    )
+    return FilterBank(phis=data.T, sigmas=sigmas, method=meta["method"], **optional)
 
 
 def save_trajectory(
@@ -249,12 +238,18 @@ def save_predictor(
 
 
 def load_predictor(base: PathLike) -> tuple[np.ndarray, FeatureLayout, dict]:
-    """Read a predictor; the payload must have the sidecar's rows and layout width."""
+    """Read a predictor; the sidecar's n, k, m fix its width, include_y and payload shape."""
     matrix, meta, paths = _load_pair(base, skip_header=False)
     lay = meta["layout"]
-    layout = FeatureLayout(
-        n=int(lay["n"]), k=int(lay["k"]), m=int(lay["m"]), include_y=bool(lay["include_y"])
-    )
+    layout = FeatureLayout(n=int(lay["n"]), k=int(lay["k"]), m=int(lay["m"]))
+    width, include_y = lay.get("width"), lay.get("include_y")
+    if (width, include_y) != (layout.width, layout.include_y):
+        raise _disagree(
+            paths,
+            f"is laid out by n={layout.n}, k={layout.k}, m={layout.m}: "
+            f"width {layout.width}, include_y {layout.include_y}",
+            f"width {width}, include_y {include_y}",
+        )
     rows, cols = matrix.shape
     if cols != layout.width:
         raise _disagree(paths, f"has {cols} columns", f"layout width {layout.width}")

@@ -176,12 +176,12 @@ def _max_row_norm(rows: np.ndarray, steps: bool = False) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Aligned input/output sequences with recorded scale bounds; finite values only."""
+    """Aligned input/output sequences, finite only; their scale bounds r_x, l_y are derived."""
 
     inputs: np.ndarray
     outputs: np.ndarray
-    r_x: float = field(default=0.0)
-    l_y: float = field(default=0.0)
+    r_x: float = field(init=False)
+    l_y: float = field(init=False)
 
     def __post_init__(self) -> None:
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -192,8 +192,8 @@ class Trajectory:
         _check_finite(outputs, "outputs")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "r_x", max(self.r_x, _max_row_norm(inputs)))
-        object.__setattr__(self, "l_y", max(self.l_y, _max_row_norm(outputs, steps=True)))
+        object.__setattr__(self, "r_x", _max_row_norm(inputs))
+        object.__setattr__(self, "l_y", _max_row_norm(outputs, steps=True))
 
     @property
     def length(self) -> int:
@@ -340,8 +340,8 @@ class InputGenerator:
 
     kind: str  # 'gaussian' | 'block_impulse'
     scale: float = 1.0
-    block_len: int = 20
-    duty: float = 0.25
+    block_len: int = field(default=20, init=False)
+    duty: float = field(default=0.25, init=False)
 
     def generate(self, T: int, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "gaussian":

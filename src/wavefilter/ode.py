@@ -22,7 +22,7 @@ noise floor.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,19 +44,17 @@ _FIT_RIDGE = 1e-7
 
 @dataclass(frozen=True)
 class OdeFilterSpec:
-    """One filter request: operator eigenvalue, grid size, boundary rule."""
+    """One filter request: operator eigenvalue and grid size; Dirichlet ends."""
 
     lam: float
     size: int
-    boundary: str = "dirichlet"
+    boundary: str = field(default="dirichlet", init=False)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.lam):
             raise ValueError("eigenvalue parameter must be finite")
         if self.size < 2:
             raise ValueError("grid size must be at least 2")
-        if self.boundary != "dirichlet":
-            raise ValueError(f"unsupported boundary rule '{self.boundary}'")
 
 
 def fd_wave_operator(T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,11 +243,8 @@ def ode_filter_bank(T: int, k: int) -> FilterBank:
     sigmas = np.minimum.accumulate(np.clip(sigmas, np.finfo(float).tiny, None))
 
     return FilterBank(
-        horizon=T,
-        k=k,
         phis=phis,
         sigmas=sigmas,
-        scaled_filters=sigmas[:, None] ** 0.25 * phis,
         method="ode",
         lambdas=lam[chosen].copy(),
         sigma_extrapolated=extrapolated,

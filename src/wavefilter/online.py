@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .filters import FeatureLayout, FilterBank, _feature_rows, featurize_batch
+from .filters import EIGEN_K_CAP, FeatureLayout, FilterBank, _feature_rows, featurize_batch
 from .lds import LdsParams, Trajectory, _check_finite, _previous, derivative_predictions
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "regret_vs_best_fixed",
 ]
 
-K_MIN, K_MAX = 1, 40
 _BLOCK = 128  # steps per block of the rolling fit (see _rolling_ridge)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
@@ -49,28 +48,27 @@ def default_hyperparams(
     r_x: float,
     l_y: float,
     n: int,
-    c_k: float = 1.0,
-    c_r: float = 1.0,
-    c_eta: float = 1.0,
 ) -> tuple[int, float, float]:
-    """Theory-shaped hyperparameters (k, R_M, eta) with tunable constants.
+    """Theory-shaped hyperparameters (k, R_M, eta).
 
-    k = round(c_k * ln(T)^2 * ln(r_theta r_x l_y n)) clamped to [1, 40],
-    R_M = c_r * r_theta^2 * sqrt(k),
-    eta = c_eta / (r_x^2 l_y ln(r_theta r_x l_y n) n sqrt(T) ln(T)^4).
+    k = round(ln(T)^2 * ln(r_theta r_x l_y n)) clamped to [1, 40],
+    R_M = r_theta^2 * sqrt(k),
+    eta = 1 / (r_x^2 l_y ln(r_theta r_x l_y n) n sqrt(T) ln(T)^4).
 
-    Natural logarithms throughout; the scale product must exceed 1.
+    Natural logarithms throughout; T must be at least 2 (ln T divides eta)
+    and the scale product must exceed 1.
     """
-    if min(T, r_theta, r_x, l_y, n) <= 0:
+    if T < 2:
+        raise ValueError(f"horizon T={T} is too short: eta divides by ln T, so T >= 2 is needed")
+    if min(r_theta, r_x, l_y, n) <= 0:
         raise ValueError("all scale arguments must be positive")
     product = r_theta * r_x * l_y * n
     if product <= 1.0:
         raise ValueError("scale product r_theta*r_x*l_y*n must exceed 1")
     log_scale = math.log(product)
-    k = int(round(c_k * math.log(T) ** 2 * log_scale))
-    k = min(max(k, K_MIN), K_MAX)
-    r_m = c_r * r_theta**2 * math.sqrt(k)
-    eta = c_eta / (r_x**2 * l_y * log_scale * n * math.sqrt(T) * math.log(T) ** 4)
+    k = min(max(int(round(math.log(T) ** 2 * log_scale)), 1), EIGEN_K_CAP)
+    r_m = r_theta**2 * math.sqrt(k)
+    eta = 1.0 / (r_x**2 * l_y * log_scale * n * math.sqrt(T) * math.log(T) ** 4)
     return k, r_m, eta
 
 
@@ -140,9 +138,7 @@ class OnlineRunResult:
 
 
 def _online_layout(trajectory: Trajectory, bank: FilterBank) -> FeatureLayout:
-    return FeatureLayout(
-        n=trajectory.input_dim, k=bank.k, m=trajectory.output_dim, include_y=True
-    )
+    return FeatureLayout(n=trajectory.input_dim, k=bank.k, m=trajectory.output_dim)
 
 
 def online_features(trajectory: Trajectory, bank: FilterBank) -> np.ndarray:
@@ -154,7 +150,7 @@ def online_features(trajectory: Trajectory, bank: FilterBank) -> np.ndarray:
 
 
 def init_state(config: OnlineConfig, n: int, m: int, eta: float) -> OnlineState:
-    layout = FeatureLayout(n=n, k=config.bank.k, m=m, include_y=True)
+    layout = FeatureLayout(n=n, k=config.bank.k, m=m)
     matrix = np.zeros((m, layout.width))
     if config.freeze_y_block:
         matrix[:, layout.y_block] = np.eye(m)
@@ -461,7 +457,7 @@ def ftl_refit_every(T: int) -> int:
 
 
 def run_ftl(
-    trajectory: Trajectory, config: OnlineConfig, ridge: float = 1e-6
+    trajectory: Trajectory, config: OnlineConfig, ridge: float = 1.0
 ) -> OnlineRunResult:
     """Follow-the-leader run: periodic least-squares refits on the prefix.
 

@@ -43,7 +43,7 @@ class RelaxedPredictor:
     @property
     def layout(self) -> FeatureLayout:
         m, n = self.m_x.shape
-        return FeatureLayout(n=n, k=self.bank.k, m=m, include_y=True)
+        return FeatureLayout(n=n, k=self.bank.k, m=m)
 
     def as_matrix(self) -> np.ndarray:
         """Flatten the blocks into the m-by-k' prediction matrix."""

@@ -10,7 +10,7 @@ check and any failure flips the exit status.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,12 +51,12 @@ class InvariantCheck:
 
 @dataclass(frozen=True)
 class ToleranceProfile:
-    """Sizes and slacks used by the verification suite."""
+    """Sizes used by the verification suite; its alpha grid step and seed are fixed."""
 
     sizes: tuple[int, ...] = (64, 256, 1000)
-    alpha_step: float = 0.01
-    seed: int = 0
     overlap_sizes: tuple[int, ...] = (200, 1000)
+    alpha_step: float = field(default=0.01, init=False)
+    seed: int = field(default=0, init=False)
 
 
 def _alpha_grid(step: float) -> np.ndarray:
@@ -383,37 +383,37 @@ def _check_bank_orthonormality(p: ToleranceProfile) -> InvariantCheck:
     )
 
 
-REGISTRY: list[tuple[str, Callable[[ToleranceProfile], InvariantCheck]]] = [
-    ("hankel-entry-formula", _check_hankel_entries),
-    ("hankel-psd", _check_hankel_psd),
-    ("hankel-trace", _check_hankel_trace),
-    ("moment-identity", _check_moment_identity),
-    ("spectral-decay", _check_spectral_decay),
-    ("tail-dominance", _check_tail_dominance),
-    ("projection-residual", _check_projection_residual),
-    ("reconstruction-coefficients", _check_reconstruction_coefficients),
-    ("filter-l1", _check_filter_l1),
-    ("quarter-power-l1", _check_quarter_power_l1),
-    ("mu-envelope", _check_mu_envelope),
-    ("mu-l1", _check_mu_l1),
-    ("mu-l2", _check_mu_l2),
-    ("mu-l2-derivative", _check_mu_derivative),
-    ("predictor-frobenius", _check_predictor_frobenius),
-    ("feature-entry-bound", _check_feature_entry_bound),
-    ("feature-norm-bound", _check_feature_norm_bound),
-    ("fft-equivalence", _check_fft_equivalence),
-    ("derivative-equivalence", _check_derivative_equivalence),
-    ("output-lipschitz", _check_output_lipschitz),
-    ("hidden-state-decay", _check_hidden_state_decay),
-    ("ode-filter-overlap", _check_ode_overlap),
-    ("bank-orthonormality", _check_bank_orthonormality),
+REGISTRY: list[Callable[[ToleranceProfile], InvariantCheck]] = [
+    _check_hankel_entries,
+    _check_hankel_psd,
+    _check_hankel_trace,
+    _check_moment_identity,
+    _check_spectral_decay,
+    _check_tail_dominance,
+    _check_projection_residual,
+    _check_reconstruction_coefficients,
+    _check_filter_l1,
+    _check_quarter_power_l1,
+    _check_mu_envelope,
+    _check_mu_l1,
+    _check_mu_l2,
+    _check_mu_derivative,
+    _check_predictor_frobenius,
+    _check_feature_entry_bound,
+    _check_feature_norm_bound,
+    _check_fft_equivalence,
+    _check_derivative_equivalence,
+    _check_output_lipschitz,
+    _check_hidden_state_decay,
+    _check_ode_overlap,
+    _check_bank_orthonormality,
 ]
 
 
 def run_verification(profile: Optional[ToleranceProfile] = None) -> list[InvariantCheck]:
     """Run every registered invariant; one result row per registry entry."""
     profile = profile or ToleranceProfile()
-    return [fn(profile) for _, fn in REGISTRY]
+    return [fn(profile) for fn in REGISTRY]
 
 
 def check_filter_bank(bank: FilterBank) -> list[InvariantCheck]:

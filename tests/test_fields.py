@@ -1,0 +1,46 @@
+"""Values derived from other fields, or fixed, are read but never passed in."""
+
+import numpy as np
+import pytest
+
+from wavefilter.filters import FeatureLayout, FilterBank
+from wavefilter.hankel import HankelMatrix, Spectrum
+from wavefilter.lds import InputGenerator, Trajectory
+from wavefilter.ode import OdeFilterSpec
+from wavefilter.online import default_hyperparams
+from wavefilter.verify import ToleranceProfile
+
+_BANK = dict(phis=np.eye(2, 4), sigmas=np.ones(2), method="eigen")
+_TRAJECTORY = dict(inputs=np.ones((2, 1)), outputs=np.ones((2, 1)))
+
+CASES = [
+    (FilterBank, _BANK, "horizon", 4),
+    (FilterBank, _BANK, "k", 2),
+    (FilterBank, _BANK, "scaled_filters", np.eye(2, 4)),
+    (FeatureLayout, dict(n=1, k=2, m=0), "include_y", False),
+    (HankelMatrix, dict(entries=np.eye(3)), "size", 3),
+    (Spectrum, dict(sigmas=np.ones(2), phis=np.eye(3, 2)), "source_size", 3),
+    (Trajectory, _TRAJECTORY, "r_x", 1.0),
+    (Trajectory, _TRAJECTORY, "l_y", 1.0),
+    (ToleranceProfile, {}, "alpha_step", 0.01),
+    (ToleranceProfile, {}, "seed", 0),
+    (OdeFilterSpec, dict(lam=-1.0, size=8), "boundary", "dirichlet"),
+    (InputGenerator, dict(kind="gaussian"), "block_len", 20),
+    (InputGenerator, dict(kind="gaussian"), "duty", 0.25),
+]
+
+
+@pytest.mark.parametrize(
+    "make, kwargs, name, value", CASES, ids=[f"{c[0].__name__}.{c[2]}" for c in CASES]
+)
+def test_is_read_but_not_a_keyword(make, kwargs, name, value):
+    assert np.array_equal(getattr(make(**kwargs), name), value)
+    with pytest.raises(TypeError):
+        make(**kwargs, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["c_k", "c_r", "c_eta"])
+def test_default_hyperparams_takes_no_tuning_constant(name):
+    assert default_hyperparams(100, 2.0, 1.0, 1.0, 1)[0] == round(np.log(100) ** 2 * np.log(2))
+    with pytest.raises(TypeError):
+        default_hyperparams(100, 2.0, 1.0, 1.0, 1, **{name: 1.0})

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavefilter import io
 from wavefilter.filters import (
     FeatureLayout,
+    FilterBank,
     _convolve_full,
     augment_alternating,
     augment_hint,
@@ -79,12 +81,40 @@ class TestBuildFilterBank:
             build_filter_bank(64, 5, method="mystery")
 
 
+class TestDerivedBankFields:
+    """k, horizon and the scaled filters come from phis and sigmas alone."""
+
+    @staticmethod
+    def _assert_derived(bank):
+        assert (bank.k, bank.horizon) == bank.phis.shape
+        assert np.array_equal(bank.scaled_filters, bank.sigmas[:, None] ** 0.25 * bank.phis)
+
+    @pytest.mark.parametrize(
+        "method, T, k", [("eigen", 30, 5), ("hilbert", 20, 4), ("ode", 40, 12)]
+    )
+    def test_built_and_reloaded_banks(self, tmp_path, method, T, k):
+        bank = build_filter_bank(T, k, method=method)
+        self._assert_derived(bank)
+        io.save_filter_bank(bank, tmp_path / "bank")
+        loaded = io.load_filter_bank(tmp_path / "bank")
+        self._assert_derived(loaded)
+        assert np.array_equal(loaded.scaled_filters, bank.scaled_filters)
+
+    def test_rejects_one_dimensional_phis(self):
+        with pytest.raises(ValueError, match=r"phis must be 2-D .*got shape \(5,\)"):
+            FilterBank(phis=np.ones(5), sigmas=np.ones(1), method="eigen")
+
+    def test_rejects_a_sigma_count_unlike_the_filter_count(self):
+        with pytest.raises(ValueError, match="3 sigmas for 2 filters"):
+            FilterBank(phis=np.eye(2, 5), sigmas=np.ones(3), method="eigen")
+
+
 class TestFeaturizeOnline:
     def test_zero_inputs_leave_only_y_block(self):
         bank = build_filter_bank(32, 4)
         y_prev = np.array([1.5, -2.0])
         fv = featurize_online(np.zeros((10, 3)), y_prev, bank)
-        layout = FeatureLayout(n=3, k=4, m=2, include_y=True)
+        layout = FeatureLayout(n=3, k=4, m=2)
         assert fv[: layout.y_block.start] == pytest.approx(0.0)
         assert fv[layout.y_block] == pytest.approx(y_prev)
 
@@ -104,7 +134,7 @@ class TestFeaturizeOnline:
         bank = build_filter_bank(20, 6)
         fv = featurize_online(np.ones((5, 3)), np.zeros(2), bank)
         assert fv.shape == (3 * 6 + 2 * 3 + 2,)
-        assert FeatureLayout(n=3, k=6, m=2, include_y=True).width == 26
+        assert FeatureLayout(n=3, k=6, m=2).width == 26
 
     def test_entry_bound(self):
         T, k, n = 128, 10, 2
@@ -188,14 +218,13 @@ class TestFeaturizeBatch:
 class TestFeatureLayout:
     """One layout fixes the columns of every featurizer's output."""
 
-    @given(
-        n=st.integers(1, 6), k=st.integers(1, 8), m=st.integers(1, 4), include_y=st.booleans()
-    )
-    def test_blocks_tile_the_width_once_in_order(self, n, k, m, include_y):
-        layout = FeatureLayout(n=n, k=k, m=m, include_y=include_y)
+    @given(n=st.integers(1, 6), k=st.integers(1, 8), m=st.integers(0, 4))
+    def test_blocks_tile_the_width_once_in_order(self, n, k, m):
+        layout = FeatureLayout(n=n, k=k, m=m)
+        assert layout.include_y == (m > 0)
         blocks = [layout.conv_block(j) for j in range(k)]
         blocks += [layout.x_prev_block, layout.x_block]
-        if include_y:
+        if m:
             blocks.append(layout.y_block)
         columns = [c for block in blocks for c in range(layout.width)[block]]
         assert columns == list(range(layout.width))
@@ -215,7 +244,7 @@ class TestFeatureLayout:
         xs, ys = rng.standard_normal((T, n)), rng.standard_normal((T, m))
         rows = online_features(Trajectory(inputs=xs, outputs=ys), bank)
         naive = featurize_batch_naive(xs, bank)
-        conv = FeatureLayout(n=n, k=bank.k, m=m, include_y=True).conv_blocks
+        conv = FeatureLayout(n=n, k=bank.k, m=m).conv_blocks
         for t in range(1, T + 1):
             fv = featurize_online(xs[:t], ys[t - 2] if t >= 2 else np.zeros(m), bank)
             assert np.allclose(fv, rows[t - 1], rtol=0.0, atol=1e-10)

@@ -156,7 +156,7 @@ class TestTopEigenpairs:
     @pytest.mark.parametrize("k", [25, 300])
     def test_view_and_owned_copy_give_identical_eigenpairs(self, k):
         H = build_hankel(300)
-        owned = HankelMatrix(size=300, entries=np.array(H.entries))
+        owned = HankelMatrix(np.array(H.entries))
         a, b = top_eigenpairs(H, k), top_eigenpairs(owned, k)
         assert np.array_equal(a.sigmas, b.sigmas)
         assert np.array_equal(a.phis, b.phis)

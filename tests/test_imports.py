@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import wavefilter
-from wavefilter import experiments, filters, io, online
+from wavefilter import experiments, filters, io, lds, online, relaxation
 from wavefilter.filters import FeatureLayout, build_filter_bank
 from wavefilter.hankel import build_hankel
 from wavefilter.lds import Trajectory, synthetic_system
@@ -70,7 +70,7 @@ def test_names_the_benchmark_reaches_directly(tmp_path, monkeypatch):
                  "save_result_rows", "load_trajectory", "load_training_set")
     assert set(traced_io) <= set(io.__all__)
     bank = build_filter_bank(5, 2)
-    layout = FeatureLayout(n=1, k=2, m=0, include_y=False)
+    layout = FeatureLayout(n=1, k=2, m=0)
     pairs = [
         io.save_trajectory(experiments.simulate_scenario("siso_hard", 5, 0, 0.1, 0.1),
                            tmp_path / "traj"),
@@ -103,3 +103,21 @@ def test_names_the_benchmark_reaches_directly(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert build_hankel(3).entries.nbytes > 0
     assert callable(synthetic_system("mimo_10")[1].generate)
+
+    # the oracle workload builds these by keyword and reads these results
+    params, gen = synthetic_system("mimo_10", seed=0)
+    noise = lds.NoiseConfig(process_std=0.1, observation_std=0.1, seed=0)
+    traj = lds.simulate(params, gen.generate(5, params.input_dim, np.random.default_rng(0)), noise)
+    result = online.run_online(traj, online.OnlineConfig(bank=bank), comparator_params=params)
+    assert np.isfinite([result.report.learner_loss, result.report.comparator_loss]).all()
+    predictor = relaxation.build_M_theta(params, bank)
+    zeta, gap = relaxation.relaxation_residual(params, predictor, traj)
+    assert np.isfinite([float(zeta.max()), gap]).all()
+
+    # the experiment workloads read the config's horizon and seeds, and per
+    # seed the final MSEs and the mean regret curve of the summary
+    config = experiments.default_experiment_config("siso_hard", horizon=5, seeds=(0, 1), k=2)
+    assert (config.horizon, config.seeds) == (5, (0, 1))
+    summary = experiments.run_experiment(config, threads=1)
+    assert all(len(values) == 2 for values in summary["per_seed_final_mse"].values())
+    assert len(summary["regret_curve"]["mean_regret"]) == 5

@@ -132,7 +132,7 @@ class TestRoundTrips:
         assert np.array_equal(ys, small_trajectory.outputs)
 
     def test_predictor(self, tmp_path):
-        layout = FeatureLayout(n=2, k=3, m=2, include_y=True)
+        layout = FeatureLayout(n=2, k=3, m=2)
         rng = np.random.default_rng(1)
         matrix = rng.standard_normal((2, layout.width))
         io.save_predictor(matrix, layout, tmp_path / "pred", source="relaxation")
@@ -145,7 +145,7 @@ class TestRoundTrips:
         bank = build_filter_bank(30, 4)
         xs = np.random.default_rng(2).standard_normal((30, 2))
         feats = featurize_batch(xs, bank)
-        layout = FeatureLayout(n=2, k=4, m=0, include_y=False)
+        layout = FeatureLayout(n=2, k=4, m=0)
         io.save_features(feats, layout, tmp_path / "feats")
         meta = json.loads((tmp_path / "feats.json").read_text())
         assert meta["width"] == layout.width
@@ -219,21 +219,21 @@ class TestByteIdentity:
         assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_predictor_and_features(self, tmp_path):
-        layout = FeatureLayout(n=2, k=3, m=2, include_y=True)
+        layout = FeatureLayout(n=2, k=3, m=2)
         matrix = np.random.default_rng(5).standard_normal((2, layout.width))
         csv_path, _ = io.save_predictor(matrix, layout, tmp_path / "pred", source="test")
         _reference_matrix_csv(tmp_path / "ref.csv", matrix)
         assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
         feats = featurize_batch(np.random.default_rng(6).standard_normal((30, 2)),
                                 build_filter_bank(30, 4))
-        layout = FeatureLayout(n=2, k=4, m=0, include_y=False)
+        layout = FeatureLayout(n=2, k=4, m=0)
         csv_path, _ = io.save_features(feats, layout, tmp_path / "feats")
         _reference_matrix_csv(tmp_path / "ref.csv", feats)
         assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_special_values(self, tmp_path):
         row = np.array([[np.nan, np.inf, -np.inf, -0.0, 1e-320, 5e300]])
-        layout = FeatureLayout(n=1, k=1, m=0, include_y=False)
+        layout = FeatureLayout(n=1, k=1, m=0)
         csv_path, _ = io.save_features(row, layout, tmp_path / "feats")
         _reference_matrix_csv(tmp_path / "ref.csv", row)
         assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -247,7 +247,7 @@ class TestByteIdentity:
         traj = io.load_trajectory(tmp_path / "traj")
         config = OnlineConfig(bank=build_filter_bank(60, 6), eta="auto", r_m=10.0)
         if learner == "ftl":
-            result = run_ftl(traj, config, ridge=1e-6)
+            result = run_ftl(traj, config)
         else:
             result = run_online(traj, config)
         _reference_step_csv(tmp_path / "ref.csv", result, traj.output_dim)
@@ -397,15 +397,36 @@ class TestSidecarCrossChecks:
 
     def test_predictor_width(self, tmp_path):
         base = tmp_path / "pred"
-        layout = FeatureLayout(n=2, k=3, m=2, include_y=True)
+        layout = FeatureLayout(n=2, k=3, m=2)
         io.save_predictor(np.ones((2, layout.width)), layout, base, source="test")
         self._edit_sidecar(base, layout=lambda lay: {**lay, "m": 4, "width": 14})
         with pytest.raises(ValueError, match=r"pred\.csv has 12 columns; .* says layout width 14"):
             io.load_predictor(base)
 
+    @pytest.mark.parametrize(
+        "change, claim",
+        [
+            ({"width": 999}, "width 999, include_y True"),
+            ({"include_y": False}, "width 12, include_y False"),
+            ({"width": None}, "width None, include_y True"),  # None drops the key
+        ],
+        ids=["width", "include_y", "no-width"],
+    )
+    def test_predictor_layout_fields_must_follow_from_n_k_m(self, tmp_path, change, claim):
+        base = tmp_path / "pred"
+        layout = FeatureLayout(n=2, k=3, m=2)
+        io.save_predictor(np.ones((2, layout.width)), layout, base, source="test")
+        self._edit_sidecar(
+            base, layout=lambda lay: {k: v for k, v in {**lay, **change}.items() if v is not None}
+        )
+        expected = (r"pred\.csv is laid out by n=2, k=3, m=2: width 12, include_y True; "
+                    rf"sidecar .*pred\.json says {claim}")
+        with pytest.raises(ValueError, match=expected):
+            io.load_predictor(base)
+
     def test_predictor_rows(self, tmp_path):
         base = tmp_path / "pred"
-        layout = FeatureLayout(n=1, k=2, m=0, include_y=False)
+        layout = FeatureLayout(n=1, k=2, m=0)
         io.save_predictor(np.ones((1, layout.width)), layout, base, source="test")
         self._edit_sidecar(base, rows=lambda v: 3)
         with pytest.raises(ValueError, match=r"pred\.csv has 1 rows; .* says rows=3"):

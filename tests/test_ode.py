@@ -52,8 +52,6 @@ class TestSolveOdeFilter:
             OdeFilterSpec(lam=np.inf, size=64)
         with pytest.raises(ValueError):
             OdeFilterSpec(lam=-1.0, size=1)
-        with pytest.raises(ValueError):
-            OdeFilterSpec(lam=-1.0, size=64, boundary="free")
 
 
 class TestOdeFilterBank:

@@ -125,6 +125,11 @@ class TestDefaultHyperparams:
         with pytest.raises(ValueError):
             default_hyperparams(100, 0.5, 1.0, 1.0, 1)  # product below 1
 
+    def test_rejects_a_one_step_horizon_by_name(self):
+        # ln 1 = 0 divides eta
+        with pytest.raises(ValueError, match="T=1 .*T >= 2 is needed"):
+            default_hyperparams(1, 2.0, 1.0, 1.0, 1)
+
 
 class TestOnlineConfig:
     @pytest.mark.parametrize("field", ["r_m", "eta"])
@@ -428,6 +433,16 @@ class TestFtl:
         result = run_ftl(traj, OnlineConfig(bank=bank, r_m=10.0), ridge=1e-8)
         assert result.losses[-50:].mean() <= 1e-10
 
+    def test_default_ridge_keeps_the_loss_scale_free(self):
+        # inputs and outputs x100 leave the mean loss / 100^2 within 10%;
+        # a ridge of 1e-6 lets the first steps overfit the scaled copy (9.7
+        # against 0.055)
+        traj = simulate_scenario("siso_hard", 1000, 0, 0.1, 0.1)
+        config = OnlineConfig(bank=build_filter_bank(1000, 25), r_m=1e6)
+        scaled = Trajectory(inputs=100 * traj.inputs, outputs=100 * traj.outputs)
+        plain = run_ftl(traj, config).losses.mean()
+        assert run_ftl(scaled, config).losses.mean() / 100**2 == pytest.approx(plain, rel=0.1)
+
 
 class TestRollingRidge:
     @staticmethod
@@ -510,10 +525,7 @@ class TestRollingRidge:
         )
         phi = 0.5 ** np.arange(T)
         phi /= np.linalg.norm(phi)
-        bank = FilterBank(
-            horizon=T, k=1, phis=phi[None, :], sigmas=np.ones(1),
-            scaled_filters=phi[None, :], method="eigen",
-        )
+        bank = FilterBank(phis=phi[None, :], sigmas=np.ones(1), method="eigen")
         config = OnlineConfig(bank=bank, r_m=0.2)
         result = run_ftl(traj, config, ridge=1.0)
         features = online_features(traj, bank)

@@ -86,8 +86,10 @@ def simulate_scenario(
     """Seeded trajectory of a named system; inputs come from the stream ``[seed, 1]``.
 
     The pendulum's acceleration and observation noise are ``process_std / 2``
-    and ``observation_std / 100``, scaled to its state.
+    and ``observation_std / 100``, scaled to its state. ``NoiseConfig``
+    checks both settings for every system, the pendulum included.
     """
+    noise = NoiseConfig(process_std, observation_std, seed)
     rng = np.random.default_rng([seed, 1])
     if name == "pendulum":
         inputs = block_impulse_inputs(T, 1, rng, scale=PENDULUM_INPUT_SCALE)
@@ -98,7 +100,7 @@ def simulate_scenario(
         return pendulum_simulate(pend, inputs, seed=seed)
     params, gen = synthetic_system(name, seed=0)
     inputs = gen.generate(T, params.input_dim, rng)
-    return simulate(params, inputs, NoiseConfig(process_std, observation_std, seed))
+    return simulate(params, inputs, noise)
 
 
 @dataclass(frozen=True)

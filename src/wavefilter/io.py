@@ -6,8 +6,8 @@ as ``%d``, and every line ends in ``\\r\\n``. A saved artifact is a pair
 ``<base>.csv`` plus ``<base>.json`` describing it. The reader rejects a
 ragged row, a non-numeric cell or a non-finite value with a ``ValueError``
 naming the file, the 1-based line and the column; the loaders reject a
-payload or sidecar list that disagrees with the sidecar's counts, naming
-both files.
+payload or sidecar list that disagrees with the sidecar's counts, and a
+sidecar that lacks a key they read, naming both files.
 """
 
 from __future__ import annotations
@@ -114,6 +114,16 @@ def _disagree(paths: tuple[Path, Path], found: str, claim: str) -> ValueError:
     return ValueError(f"{paths[0]} {found}; sidecar {paths[1]} says {claim}")
 
 
+def _sidecar(meta: dict, paths: tuple[Path, Path], *keys: str, within: str = "") -> list:
+    """The sidecar values at ``keys`` (of its ``within`` entry); a missing one names both files."""
+    missing = [within + key for key in keys if key not in meta]
+    if missing:
+        raise ValueError(
+            f"{paths[0]} is described by sidecar {paths[1]}, which lacks {', '.join(missing)}"
+        )
+    return [meta[key] for key in keys]
+
+
 def _layout_meta(layout: FeatureLayout) -> dict:
     return {
         "n": layout.n,
@@ -143,7 +153,8 @@ def save_filter_bank(bank: FilterBank, base: PathLike) -> tuple[Path, Path]:
 def load_filter_bank(base: PathLike) -> FilterBank:
     """Read a bank; the payload must be T-by-k and each sidecar list k long."""
     data, meta, paths = _load_pair(base, skip_header=False)
-    T, k = int(meta["T"]), int(meta["k"])
+    T, k, sigmas, method = _sidecar(meta, paths, "T", "k", "sigmas", "method")
+    T, k = int(T), int(k)
     if data.shape != (T, k):
         raise _disagree(paths, f"has shape {data.shape}", f"T={T}, k={k}")
     for key in ("sigmas", "lambdas", "sigma_extrapolated"):
@@ -154,8 +165,8 @@ def load_filter_bank(base: PathLike) -> FilterBank:
         for key, dtype in (("lambdas", float), ("sigma_extrapolated", bool))
         if key in meta
     }
-    sigmas = np.array(meta["sigmas"], dtype=float)
-    return FilterBank(phis=data.T, sigmas=sigmas, method=meta["method"], **optional)
+    sigmas = np.array(sigmas, dtype=float)
+    return FilterBank(phis=data.T, sigmas=sigmas, method=method, **optional)
 
 
 def save_trajectory(
@@ -180,7 +191,7 @@ def save_trajectory(
 def load_trajectory(base: PathLike) -> Trajectory:
     """Read a trajectory; its payload shape must match the sidecar's T, n, m."""
     data, meta, paths = _load_pair(base, skip_header=True)
-    n, m, T = int(meta["n"]), int(meta["m"]), int(meta["T"])
+    n, m, T = (int(v) for v in _sidecar(meta, paths, "n", "m", "T"))
     rows, cols = data.shape
     if cols != 1 + n + m:
         raise _disagree(paths, f"has {cols} columns", f"n={n}, m={m}")
@@ -240,8 +251,9 @@ def save_predictor(
 def load_predictor(base: PathLike) -> tuple[np.ndarray, FeatureLayout, dict]:
     """Read a predictor; the sidecar's n, k, m fix its width, include_y and payload shape."""
     matrix, meta, paths = _load_pair(base, skip_header=False)
-    lay = meta["layout"]
-    layout = FeatureLayout(n=int(lay["n"]), k=int(lay["k"]), m=int(lay["m"]))
+    lay, claimed_rows = _sidecar(meta, paths, "layout", "rows")
+    n, k, m = (int(v) for v in _sidecar(lay, paths, "n", "k", "m", within="layout."))
+    layout = FeatureLayout(n=n, k=k, m=m)
     width, include_y = lay.get("width"), lay.get("include_y")
     if (width, include_y) != (layout.width, layout.include_y):
         raise _disagree(
@@ -253,8 +265,8 @@ def load_predictor(base: PathLike) -> tuple[np.ndarray, FeatureLayout, dict]:
     rows, cols = matrix.shape
     if cols != layout.width:
         raise _disagree(paths, f"has {cols} columns", f"layout width {layout.width}")
-    if rows != int(meta["rows"]):
-        raise _disagree(paths, f"has {rows} rows", f"rows={meta['rows']}")
+    if rows != int(claimed_rows):
+        raise _disagree(paths, f"has {rows} rows", f"rows={claimed_rows}")
     return matrix, layout, meta
 
 

@@ -133,8 +133,10 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.process_std < 0 or self.observation_std < 0:
-            raise ValueError("noise standard deviations must be nonnegative")
+        for name in ("process_std", "observation_std"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def _previous(rows: np.ndarray) -> np.ndarray:
@@ -219,7 +221,18 @@ def _apply_a(params: LdsParams, v: np.ndarray) -> np.ndarray:
 def simulate(
     params: LdsParams, inputs: np.ndarray, noise: Optional[NoiseConfig] = None
 ) -> Trajectory:
-    """Run the recurrence over the input sequence; deterministic per seed."""
+    """Run the recurrence over the input sequence; deterministic per seed.
+
+    The noise is one draw of standard normals, T rows of the active blocks:
+    the m observation values of step t, then its d process values. These
+    are the values that drawing each block at its own step gives, in the
+    same order. Only the state recurrence runs step by step. ``B x_t``,
+    ``C h_t`` and ``D x_t`` are stacked matrix-vector products
+    (``np.matmul`` of a matrix with a (T, w, 1) stack), which run the gemv
+    of ``M @ v`` on each row. A 2-D product such as ``states @ C.T`` runs
+    gemm instead, which sums in another order and moves the outputs in
+    their last bits.
+    """
     xs = np.atleast_2d(np.asarray(inputs, dtype=float))
     T, n = xs.shape
     if T < 1:
@@ -227,20 +240,33 @@ def simulate(
     if n != params.input_dim:
         raise ValueError(f"input width {n} does not match system ({params.input_dim})")
     m, d = params.output_dim, params.state_dim
-    rng = np.random.default_rng(noise.seed) if noise is not None else None
     pstd = noise.process_std if noise else 0.0
     ostd = noise.observation_std if noise else 0.0
+    blocks = (m if ostd else 0, d if pstd else 0)
+    if any(blocks):
+        draws = np.random.default_rng(noise.seed).standard_normal((T, sum(blocks)))
+    else:
+        draws = np.empty((T, 0))
+    observation, process = np.hsplit(draws, [blocks[0]])  # views; an inactive one is empty
+    observation *= ostd
+    process *= pstd
 
+    def stacked(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.matmul(matrix, rows[:, :, None])[:, :, 0]
+
+    states = stacked(params.b, xs)  # row t holds B x_t until h_t replaces it
+    a, diagonal = params.a, params.is_diagonal
     h = _apply_a(params, params.h0)
-    ys = np.zeros((T, m))
     for t in range(T):
-        ys[t] = params.c @ h + params.d @ xs[t]
-        if ostd:
-            ys[t] += ostd * rng.standard_normal(m)
-        drive = h + params.b @ xs[t]
+        drive = h + states[t]
+        states[t] = h
         if pstd:
-            drive = drive + pstd * rng.standard_normal(d)
-        h = _apply_a(params, drive)
+            drive += process[t]
+        h = a * drive if diagonal else a @ drive
+    ys = stacked(params.c, states)
+    ys += stacked(params.d, xs)
+    if ostd:
+        ys += observation
     return Trajectory(inputs=xs, outputs=ys)
 
 

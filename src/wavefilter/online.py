@@ -40,6 +40,7 @@ __all__ = [
 
 _BLOCK = 128  # steps per block of the rolling fit (see _rolling_ridge)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_BLOWN_UP = "non-finite gradient; the learning rate has blown up"
 
 
 def default_hyperparams(
@@ -191,7 +192,7 @@ def _descend(
     """``matrix`` after one gradient step on the loss of residual ``resid``, projected."""
     grad = -2.0 * np.outer(resid, features)
     if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("non-finite gradient; the learning rate has blown up")
+        raise FloatingPointError(_BLOWN_UP)
     matrix = matrix - eta * grad
     if config.freeze_y_block:
         yb = layout.y_block
@@ -246,17 +247,44 @@ def run_online(
         eta = float(config.eta)
 
     state = init_state(config, trajectory.input_dim, m, eta)
-    # the arithmetic of predict/update, in the same order, on plain arrays
+    # The arithmetic of predict/update, in the same order, in place on arrays
+    # allocated once. The learned block is its own contiguous array (the
+    # whole matrix when nothing is frozen), so its norm is sqrt(flat . flat),
+    # as in np.linalg.norm; a frozen run copies it into the full matrix for
+    # the next gemv. No gradient entry exceeds 2 ||r|| max|f|, so only a step
+    # where that bound nears overflow checks the entries.
+    frozen, r_m = config.freeze_y_block, config.r_m
     matrix, cumulative_loss = state.matrix, 0.0
-    learned = state.layout.y_block.start if config.freeze_y_block else None
+    learned = state.layout.y_block.start if frozen else matrix.shape[1]
+    head = matrix[:, :learned]
+    block = head.copy() if frozen else matrix
+    flat = block.reshape(-1)
+    grad, resid = np.empty_like(block), np.empty(m)
+    column = resid[:, None]
+    peaks = np.maximum(features.max(axis=1), -features.min(axis=1)).tolist()  # max |f|
+    outputs = trajectory.outputs
     predictions = np.zeros((T, m))
     matrix_norms = np.zeros(T)
     for t in range(T):
-        predictions[t] = matrix @ features[t]
-        resid = trajectory.outputs[t] - predictions[t]
-        cumulative_loss += float(resid @ resid)
-        matrix = _descend(matrix, features[t], resid, eta, config, state.layout)
-        matrix_norms[t] = np.linalg.norm(matrix[:, :learned])
+        f, prediction = features[t], predictions[t]
+        matrix.dot(f, out=prediction)
+        np.subtract(outputs[t], prediction, out=resid)
+        loss = float(resid.dot(resid))
+        cumulative_loss += loss
+        if not 2.0 * math.sqrt(loss) * peaks[t] < 1e300:
+            if not np.isfinite(-2.0 * np.outer(resid, f)).all():
+                raise FloatingPointError(f"{_BLOWN_UP} (step {t + 1})")
+        np.multiply(column, f[:learned], out=grad)  # np.outer
+        np.multiply(-2.0, grad, out=grad)
+        np.multiply(eta, grad, out=grad)
+        np.subtract(block, grad, out=block)
+        norm = math.sqrt(flat.dot(flat))
+        if norm > r_m:
+            np.multiply(block, r_m / norm, out=block)
+            norm = math.sqrt(flat.dot(flat))
+        if frozen:
+            np.copyto(head, block)
+        matrix_norms[t] = norm
     state = replace(state, matrix=matrix, step=T, cumulative_loss=cumulative_loss)
     losses = ((trajectory.outputs - predictions) ** 2).sum(axis=1)
 

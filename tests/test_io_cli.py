@@ -432,6 +432,43 @@ class TestSidecarCrossChecks:
         with pytest.raises(ValueError, match=r"pred\.csv has 1 rows; .* says rows=3"):
             io.load_predictor(base)
 
+    def _drop_from_sidecar(self, base, key, within=None):
+        meta = json.loads(base.with_suffix(".json").read_text())
+        del (meta[within] if within else meta)[key]
+        base.with_suffix(".json").write_text(json.dumps(meta))
+
+    @pytest.mark.parametrize("key", ["n", "m", "T"])
+    def test_trajectory_sidecar_without_a_key_names_both_files(self, tmp_path, small_trajectory, key):
+        base = tmp_path / "traj"
+        io.save_trajectory(small_trajectory, base)
+        self._drop_from_sidecar(base, key)
+        expected = rf"traj\.csv is described by sidecar .*traj\.json, which lacks {key}$"
+        with pytest.raises(ValueError, match=expected):
+            io.load_trajectory(base)
+
+    @pytest.mark.parametrize("key", ["T", "k", "method", "sigmas"])
+    def test_bank_sidecar_without_a_key_names_both_files(self, tmp_path, key):
+        base = tmp_path / "bank"
+        io.save_filter_bank(build_filter_bank(30, 5), base)
+        self._drop_from_sidecar(base, key)
+        expected = rf"bank\.csv is described by sidecar .*bank\.json, which lacks {key}$"
+        with pytest.raises(ValueError, match=expected):
+            io.load_filter_bank(base)
+
+    @pytest.mark.parametrize(
+        "key, within", [("layout", None), ("rows", None), ("n", "layout"), ("k", "layout"),
+                        ("m", "layout")]
+    )
+    def test_predictor_sidecar_without_a_key_names_both_files(self, tmp_path, key, within):
+        base = tmp_path / "pred"
+        layout = FeatureLayout(n=2, k=3, m=2)
+        io.save_predictor(np.ones((2, layout.width)), layout, base, source="test")
+        self._drop_from_sidecar(base, key, within)
+        name = f"{within}\\.{key}" if within else key
+        expected = rf"pred\.csv is described by sidecar .*pred\.json, which lacks {name}$"
+        with pytest.raises(ValueError, match=expected):
+            io.load_predictor(base)
+
     def test_empty_manifest(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"trajectories": []}))
         with pytest.raises(ValueError, match=r"manifest\.json lists no trajectories"):
@@ -441,6 +478,16 @@ class TestSidecarCrossChecks:
 
 
 class TestCli:
+    @pytest.mark.parametrize("flag, field", [("--process-std", "process_std"),
+                                             ("--observation-std", "observation_std")])
+    @pytest.mark.parametrize("system", ["mimo_10", "pendulum"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_simulate_rejects_a_non_finite_std_by_name(self, tmp_path, flag, field, system, value):
+        argv = ["simulate", "--system", system, "--T", "5", flag, value]
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and nonnegative, got {value}"):
+            main(argv + ["--out", str(tmp_path / "traj")])
+        assert not (tmp_path / "traj.csv").exists()
+
     def test_filters_writes_bank(self, tmp_path, capsys):
         out = tmp_path / "bank"
         rc = main(["filters", "--T", "100", "--k", "8", "--out", str(out)])
@@ -580,6 +627,11 @@ class TestCli:
 
 
 class TestExperiments:
+    def test_simulate_scenario_names_a_non_finite_std(self):
+        # was misreported as a non-finite output at step 2
+        with pytest.raises(ValueError, match=r"^process_std must be finite and nonnegative"):
+            simulate_scenario("mimo_10", 5, 0, float("nan"), 0.1)
+
     def test_deterministic_outputs(self, tmp_path):
         config = default_experiment_config(
             "siso_hard", horizon=150, seeds=(0, 1), out_dir=str(tmp_path / "a")

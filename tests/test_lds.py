@@ -18,6 +18,36 @@ from wavefilter.lds import (
 )
 
 
+def _simulate_by_steps(params, inputs, noise=None):
+    """Reference simulator: every product and noise draw at its own step."""
+    xs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    T = xs.shape[0]
+    m, d = params.output_dim, params.state_dim
+    rng = np.random.default_rng(noise.seed) if noise is not None else None
+    pstd = noise.process_std if noise else 0.0
+    ostd = noise.observation_std if noise else 0.0
+
+    def apply_a(v):
+        return params.a * v if params.is_diagonal else params.a @ v
+
+    h = apply_a(params.h0)
+    ys = np.zeros((T, m))
+    for t in range(T):
+        ys[t] = params.c @ h + params.d @ xs[t]
+        if ostd:
+            ys[t] += ostd * rng.standard_normal(m)
+        drive = h + params.b @ xs[t]
+        if pstd:
+            drive = drive + pstd * rng.standard_normal(d)
+        h = apply_a(drive)
+    return ys
+
+
+def _same_bits(a, b):
+    """Equal entries with equal signs, so zeros of either sign match too."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def random_system(rng, d=4, n=2, m=2, with_h0=False, scale=1.0):
     h0 = rng.standard_normal(d) if with_h0 else np.zeros(d)
     return LdsParams(
@@ -107,6 +137,52 @@ class TestSimulate:
         params = random_system(np.random.default_rng(2))
         with pytest.raises(ValueError):
             simulate(params, np.zeros((5, 3)))
+
+
+NOISE_MODES = {
+    "none": None,
+    "quiet": NoiseConfig(0.0, 0.0, seed=3),
+    "process": NoiseConfig(process_std=0.3, seed=3),
+    "observation": NoiseConfig(observation_std=0.2, seed=3),
+    "both": NoiseConfig(0.3, 0.2, seed=3),
+}
+
+
+class TestSimulateMatchesPerStepLoop:
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    @pytest.mark.parametrize("noise", list(NOISE_MODES))
+    @pytest.mark.parametrize("T", [1, 2, 57])
+    def test_random_systems(self, dense, noise, T):
+        rng = np.random.default_rng(T)
+        params = random_system(rng, d=5, n=3, m=2, with_h0=True)
+        if dense:
+            q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+            a = (q * params.a) @ q.T
+            params = LdsParams(a=(a + a.T) / 2, b=params.b, c=params.c, d=params.d, h0=params.h0)
+        xs = rng.standard_normal((T, 3))
+        expect = _simulate_by_steps(params, xs, NOISE_MODES[noise])
+        assert _same_bits(simulate(params, xs, NOISE_MODES[noise]).outputs, expect)
+
+    @pytest.mark.parametrize("name, T", [("siso_hard", 4000), ("mimo_10", 1000)])
+    def test_named_systems(self, name, T):
+        params, gen = synthetic_system(name, seed=0)
+        for seed in range(10):
+            xs = gen.generate(T, params.input_dim, np.random.default_rng([seed, 1]))
+            noise = NoiseConfig(0.1, 0.1, seed)
+            expect = _simulate_by_steps(params, xs, noise)
+            assert _same_bits(simulate(params, xs, noise).outputs, expect), seed
+
+
+class TestNoiseConfig:
+    @pytest.mark.parametrize("field", ["process_std", "observation_std"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1])
+    def test_rejects_a_non_finite_or_negative_std_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and nonnegative, got "):
+            NoiseConfig(**{field: value})
+
+    def test_accepts_zero_and_finite_stds(self):
+        noise = NoiseConfig(process_std=0.0, observation_std=1e300)
+        assert (noise.process_std, noise.observation_std) == (0.0, 1e300)
 
 
 class TestDerivativePredictor:

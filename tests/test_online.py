@@ -361,6 +361,74 @@ class TestRunOnline:
         else:
             assert norms.max() < r_m
 
+    @staticmethod
+    def _per_step_updates(traj, config, eta):
+        """The loop of ``predict``/``update`` calls: its final state, predictions and
+        norms, and the step whose update raised (None if none did)."""
+        features = online_features(traj, config.bank)
+        state = init_state(config, traj.input_dim, traj.output_dim, eta)
+        predictions, norms = [], []
+        for t in range(traj.length):
+            predictions.append(predict(state, features[t]))
+            try:
+                with np.errstate(over="ignore"):
+                    state = update(state, features[t], traj.outputs[t])
+            except FloatingPointError:
+                return state, predictions, norms, t + 1
+            norms.append(state.learned_norm())
+        return state, np.array(predictions), np.array(norms), None
+
+    @staticmethod
+    def _spiked(freeze_y_block, spike_step):
+        """A 64-step trajectory whose output 3 is 1e300 at ``spike_step``, and a config
+        whose step is small enough that the spike's update keeps the matrix norm finite."""
+        T = 64
+        base = simulate_scenario("mimo_10", T, 0, 0.1, 0.1)
+        outputs = base.outputs.copy()
+        outputs[spike_step - 1, 2] = 1e300
+        config = OnlineConfig(
+            bank=build_filter_bank(T, 4), eta=1e-200, r_m=10.0, freeze_y_block=freeze_y_block
+        )
+        return Trajectory(inputs=base.inputs, outputs=outputs), config
+
+    @pytest.mark.parametrize("freeze_y_block", [True, False])
+    def test_blow_up_raises_where_the_per_step_update_does(self, freeze_y_block):
+        # the spike's own gradient is finite; the next step's, whose features
+        # hold the spike as the previous output, overflows
+        traj, config = self._spiked(freeze_y_block, spike_step=40)
+        *_, where = self._per_step_updates(traj, config, config.eta)
+        assert where == 41
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=r"\(step 41\)$"):
+            run_online(traj, config)
+
+    @pytest.mark.parametrize("freeze_y_block", [True, False])
+    def test_a_finite_gradient_beyond_the_quick_bound_matches_per_step_update(
+        self, freeze_y_block
+    ):
+        # a last-step spike: 2 ||r|| max|f| exceeds 1e300, every gradient entry is finite
+        traj, config = self._spiked(freeze_y_block, spike_step=64)
+        state, predictions, norms, where = self._per_step_updates(traj, config, config.eta)
+        assert where is None
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_online(traj, config)
+        assert np.array_equal(result.predictions, predictions)
+        assert np.array_equal(result.state.matrix, state.matrix)
+        assert np.array_equal(result.matrix_norms, norms)
+
+    @pytest.mark.parametrize("freeze_y_block", [True, False])
+    def test_single_output_loop_matches_per_step_update(self, freeze_y_block):
+        # with one output row the prediction is a dot product, not a gemv
+        T = 300
+        traj = simulate_scenario("siso_hard", T, 0, 0.1, 0.1)
+        config = OnlineConfig(bank=build_filter_bank(T, 8), r_m=0.5, freeze_y_block=freeze_y_block)
+        result = run_online(traj, config)
+        state, predictions, norms, where = self._per_step_updates(traj, config, result.state.eta)
+        assert where is None
+        assert np.array_equal(result.predictions, predictions)
+        assert np.array_equal(result.state.matrix, state.matrix)
+        assert np.array_equal(result.matrix_norms, norms)
+        assert norms.max() == pytest.approx(0.5)  # the ball binds
+
 
 class TestFtl:
     def test_single_sample_exact_fit(self):

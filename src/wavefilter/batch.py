@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .filters import FilterBank, featurize_batch
+from .filters import FeatureLayout, FilterBank, _batch_inputs, _streamed_rows
 from .lds import Trajectory, _check_finite
 from .online import _ridge_least_squares
 
@@ -67,25 +67,37 @@ def fit_batch(
     Solves ``M = Y F^T (F F^T + ridge I)^{-1}`` where F stacks the batch
     features of every sample column-wise and Y the difference targets.
     With ridge 0 the minimum-norm least-squares solution is used instead.
+    F is one design matrix, allocated once: each episode's convolutions
+    stream into its row block one filter at a time, so the transient
+    beyond F is a few length-2T rows per input coordinate. Episodes whose
+    input or target widths differ raise ``ValueError`` before any is
+    featurized.
     """
     if len(samples) < 1:
         raise ValueError("need at least one training sample")
-    feats = []
-    targets = []
-    m = samples[0].targets.shape[1]
-    for s in samples:
+    n, m = samples[0].inputs.shape[1], samples[0].targets.shape[1]
+    for i, s in enumerate(samples):
+        if s.inputs.shape[1] != n:
+            raise ValueError(
+                f"episode {i} has input width {s.inputs.shape[1]}, episode 0 has {n}"
+            )
         if s.targets.shape[1] != m:
-            raise ValueError("inconsistent target widths across samples")
-        feats.append(featurize_batch(s.inputs, bank))
-        targets.append(s.targets)
-    F = np.vstack(feats)
-    Y = np.vstack(targets)
+            raise ValueError(
+                f"episode {i} has target width {s.targets.shape[1]}, episode 0 has {m}"
+            )
+    layout = FeatureLayout(n=n, k=bank.k, m=0)
+    stops = np.cumsum([len(s.inputs) for s in samples])
+    F = np.empty((int(stops[-1]), layout.width))
+    blocks = [F[stop - len(s.inputs) : stop] for s, stop in zip(samples, stops)]
+    for s, block in zip(samples, blocks):
+        _streamed_rows(layout, _batch_inputs(s.inputs, bank), bank, block)
+    Y = np.vstack([s.targets for s in samples])
     matrix = _ridge_least_squares(F, Y, ridge)
     if not np.all(np.isfinite(matrix)):
         raise FloatingPointError("least-squares solution has non-finite entries")
     # per sample: one product with the stacked F made BLAS take ~18 MB more
     # peak memory (cli batch at 12 x T=1000, width 420)
-    sse = sum(float(((t - f @ matrix.T) ** 2).sum()) for f, t in zip(feats, targets))
+    sse = sum(float(((s.targets - f @ matrix.T) ** 2).sum()) for s, f in zip(samples, blocks))
     return BatchModel(matrix=matrix, bank=bank, ridge=ridge, training_mse=sse / Y.size)
 
 

@@ -161,10 +161,16 @@ def _as_2d(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
-def _feature_rows(layout: FeatureLayout, conv, x_prev, x, y_prev=None) -> np.ndarray:
-    """Rows ``[conv | x_{t-1} | x_t | y_{t-1}]``, each block one row per step or one row."""
-    out = np.empty((len(np.atleast_2d(x)), layout.width))
-    out[:, layout.conv_blocks] = conv
+def _feature_rows(layout: FeatureLayout, conv, x_prev, x, y_prev=None, out=None) -> np.ndarray:
+    """Rows ``[conv | x_{t-1} | x_t | y_{t-1}]``, each block one row per step or one row.
+
+    Written into ``out`` when it is given, else into a new array. With
+    ``conv`` None the convolution blocks are left as the caller wrote them.
+    """
+    if out is None:
+        out = np.empty((len(np.atleast_2d(x)), layout.width))
+    if conv is not None:
+        out[:, layout.conv_blocks] = conv
     out[:, layout.x_prev_block] = x_prev
     out[:, layout.x_block] = x
     if layout.include_y:
@@ -198,30 +204,23 @@ def featurize_online(x_history: np.ndarray, y_prev: np.ndarray, bank: FilterBank
     return _feature_rows(layout, _direct_conv(xs, bank, t), x_prev, xs[-1], y_prev)[0]
 
 
-def _convolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of real arrays along the last axis.
+def _conv_blocks_fft(xs: np.ndarray, bank: FilterBank, out: np.ndarray) -> None:
+    """Write every step's convolution blocks into ``out`` (T, k*n), one filter at a time.
 
-    Broadcasts over leading axes; the output length is
-    ``a.shape[-1] + b.shape[-1] - 1``. Uses ``numpy.fft`` real transforms
-    zero-padded to the next power of two at or above that length, so the
-    error is double-precision roundoff.
+    The inputs and the scaled filters are transformed once, zero-padded to
+    the next power of two at or above the full convolution length 2T-1;
+    each filter then takes one ``irfft`` of shape (n, N), so the transient
+    is a few rows of N values, not all k*n of them.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out_len = a.shape[-1] + b.shape[-1] - 1
-    n = 1 << max(out_len - 1, 1).bit_length()
-    spec = np.fft.rfft(a, n) * np.fft.rfft(b, n)
-    return np.fft.irfft(spec, n)[..., :out_len]
-
-
-def _conv_blocks_fft(xs: np.ndarray, bank: FilterBank) -> np.ndarray:
     T, n = xs.shape
-    # c[j, i, s] = sum_u filt[j, u] * x[s - u, i]; feature time t picks s = t-2
-    c = _convolve_full(bank.scaled_filters[:, None, :], xs.T[None, :, :])
-    blocks = np.zeros((T, bank.k, n))
-    if T > 1:
-        blocks[1:] = np.moveaxis(c[:, :, : T - 1], -1, 0)
-    return blocks.reshape(T, bank.k * n)
+    size = 1 << max(2 * T - 2, 1).bit_length()
+    spec_x = np.fft.rfft(xs.T, size)
+    spec_f = np.fft.rfft(bank.scaled_filters, size)
+    out[0] = 0.0
+    for j in range(bank.k):
+        # c[i, s] = sum_u filt[j, u] * x[s - u, i]; feature time t picks s = t-2
+        c = np.fft.irfft(spec_f[j] * spec_x, size)
+        out[1:, j * n : (j + 1) * n] = c[:, : T - 1].T
 
 
 def _batch_inputs(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
@@ -234,27 +233,37 @@ def _batch_inputs(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
     return xs
 
 
-def _batch_rows(xs: np.ndarray, conv: np.ndarray, bank: FilterBank) -> np.ndarray:
-    layout = FeatureLayout(n=xs.shape[1], k=bank.k, m=0)
-    return _feature_rows(layout, conv, _previous(xs), xs)
+def _streamed_rows(
+    layout: FeatureLayout,
+    xs: np.ndarray,
+    bank: FilterBank,
+    out: np.ndarray,
+    y_prev: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``out`` (T, layout.width) filled with the rows of ``xs``, convolutions written in place."""
+    _conv_blocks_fft(xs, bank, out[:, layout.conv_blocks])
+    return _feature_rows(layout, None, _previous(xs), xs, y_prev, out)
 
 
 def featurize_batch(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Features for all time steps in one pass (FFT convolutions).
 
-    Returns one row per step, laid out by
-    ``FeatureLayout(n, bank.k, 0)``. Raises
-    ``ValueError`` naming the first step and column of a non-finite input.
+    Returns one row per step, laid out by ``FeatureLayout(n, bank.k, 0)``.
+    The convolutions stream into that array one filter at a time, so the
+    transient beyond the output is a few length-2T rows per input
+    coordinate. Raises ``ValueError`` naming the first step and column of
+    a non-finite input.
     """
     xs = _batch_inputs(inputs, bank)
-    return _batch_rows(xs, _conv_blocks_fft(xs, bank), bank)
+    layout = FeatureLayout(n=xs.shape[1], k=bank.k, m=0)
+    return _streamed_rows(layout, xs, bank, np.empty((len(xs), layout.width)))
 
 
 def featurize_batch_naive(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Direct-summation reference path for the FFT featurizer."""
     xs = _batch_inputs(inputs, bank)
     conv = np.array([_direct_conv(xs, bank, t) for t in range(1, len(xs) + 1)])
-    return _batch_rows(xs, conv, bank)
+    return _feature_rows(FeatureLayout(n=xs.shape[1], k=bank.k, m=0), conv, _previous(xs), xs)
 
 
 def augment_alternating(inputs: np.ndarray) -> np.ndarray:

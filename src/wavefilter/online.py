@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .filters import EIGEN_K_CAP, FeatureLayout, FilterBank, _feature_rows, featurize_batch
+from .filters import EIGEN_K_CAP, FeatureLayout, FilterBank, _batch_inputs, _streamed_rows
 from .lds import LdsParams, Trajectory, _check_finite, _previous, derivative_predictions
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
 _BLOCK = 128  # steps per block of the rolling fit (see _rolling_ridge)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _BLOWN_UP = "non-finite gradient; the learning rate has blown up"
+_OVERFLOWED = "the step overflowed the matrix; the learning rate has blown up"
 
 
 def default_hyperparams(
@@ -143,11 +144,16 @@ def _online_layout(trajectory: Trajectory, bank: FilterBank) -> FeatureLayout:
 
 
 def online_features(trajectory: Trajectory, bank: FilterBank) -> np.ndarray:
-    """Full online feature matrix: the batch convolutions, inputs and previous outputs."""
+    """Full online feature matrix: the batch convolutions, inputs and previous outputs.
+
+    The FFT convolutions stream into the one (T, width) matrix one filter
+    at a time, as in ``featurize_batch``; the rows equal its rows followed
+    by the previous output.
+    """
     layout = _online_layout(trajectory, bank)
-    conv = featurize_batch(trajectory.inputs, bank)[:, layout.conv_blocks]
-    xs = trajectory.inputs
-    return _feature_rows(layout, conv, _previous(xs), xs, _previous(trajectory.outputs))
+    xs = _batch_inputs(trajectory.inputs, bank)
+    out = np.empty((len(xs), layout.width))
+    return _streamed_rows(layout, xs, bank, out, _previous(trajectory.outputs))
 
 
 def init_state(config: OnlineConfig, n: int, m: int, eta: float) -> OnlineState:
@@ -221,10 +227,19 @@ def _auto_eta(eff_features: np.ndarray, eff_targets: np.ndarray, r_m: float, T: 
     D is the decision-set diameter 2 R_M; G estimates the worst gradient
     norm 2 (R_M F + L) F from root-mean-square feature and target norms.
     """
-    f_bar = float(np.sqrt((eff_features**2).sum(axis=1).mean()))
-    l_bar = float(np.sqrt((eff_targets**2).sum(axis=1).mean()))
+    f_bar, l_bar = _rms_norm(eff_features), _rms_norm(eff_targets)
     g_hat = 2.0 * (r_m * f_bar + l_bar) * max(f_bar, 1e-12)
     return 2.0 * r_m / (g_hat * math.sqrt(T))
+
+
+def _rms_norm(rows: np.ndarray) -> float:
+    """Root-mean-square row norm; scaled by the largest magnitude if the squares overflow."""
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt((rows**2).sum(axis=1).mean()))
+    if math.isfinite(rms):
+        return rms
+    peak = float(np.abs(rows).max())
+    return peak * float(np.sqrt(((rows / peak) ** 2).sum(axis=1).mean()))
 
 
 def run_online(
@@ -252,7 +267,8 @@ def run_online(
     # whole matrix when nothing is frozen), so its norm is sqrt(flat . flat),
     # as in np.linalg.norm; a frozen run copies it into the full matrix for
     # the next gemv. No gradient entry exceeds 2 ||r|| max|f|, so only a step
-    # where that bound nears overflow checks the entries.
+    # where that bound nears overflow checks the entries. A norm that
+    # overflows is projected as _project_ball does it, by _project_huge.
     frozen, r_m = config.freeze_y_block, config.r_m
     matrix, cumulative_loss = state.matrix, 0.0
     learned = state.layout.y_block.start if frozen else matrix.shape[1]
@@ -280,7 +296,12 @@ def run_online(
         np.subtract(block, grad, out=block)
         norm = math.sqrt(flat.dot(flat))
         if norm > r_m:
-            np.multiply(block, r_m / norm, out=block)
+            if math.isfinite(norm):
+                np.multiply(block, r_m / norm, out=block)
+            elif np.isfinite(block).all():
+                _project_huge(block, r_m, out=block)
+            else:
+                raise FloatingPointError(f"{_OVERFLOWED} (step {t + 1})")
             norm = math.sqrt(flat.dot(flat))
         if frozen:
             np.copyto(head, block)
@@ -323,9 +344,29 @@ def _run_result(
 
 
 def _project_ball(matrix: np.ndarray, r_m: float) -> np.ndarray:
-    """``matrix`` scaled back onto the Frobenius ball of radius ``r_m``."""
+    """``matrix`` scaled back onto the Frobenius ball of radius ``r_m``.
+
+    A norm that overflows is taken scaled by the largest magnitude (see
+    ``_project_huge``), so a huge finite matrix lands on the ball, not at 0.
+    """
     norm = np.linalg.norm(matrix)
+    if not math.isfinite(norm):
+        return _project_huge(matrix, r_m)
     return matrix * (r_m / norm) if norm > r_m else matrix
+
+
+def _project_huge(matrix: np.ndarray, r_m: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Projection of a matrix whose Frobenius norm overflows: ``(M / s) * (r_m / ||M / s||)``.
+
+    ``s`` is the largest magnitude, which bounds ``||M / s||`` by the square
+    root of the entry count. An infinite or NaN entry raises
+    ``FloatingPointError``.
+    """
+    peak = float(np.abs(matrix).max())
+    if not math.isfinite(peak):
+        raise FloatingPointError(_OVERFLOWED)
+    unit = np.divide(matrix, peak, out=out)
+    return np.multiply(unit, r_m / np.linalg.norm(unit), out=out)
 
 
 def _ridge_least_squares(

@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from wavefilter import filters
 from wavefilter.batch import (
     BatchSample,
     fit_batch,
     predict_derivative,
     predict_pure_batch,
 )
-from wavefilter.filters import augment_hint, build_filter_bank, featurize_batch
+from wavefilter.filters import FilterBank, augment_hint, build_filter_bank, featurize_batch
 from wavefilter.hankel import hilbert_matrix
 from wavefilter.lds import LdsParams, simulate
+from wavefilter.online import _ridge_least_squares
 
 
 def random_diagonal_system(rng, d=5, n=2, m=2):
@@ -121,6 +125,70 @@ class TestFitBatch:
         bank = build_filter_bank(20, 3)
         with pytest.raises(ValueError):
             fit_batch([], bank)
+
+    @pytest.mark.parametrize("ridge", [1e-8, 0.0])
+    @pytest.mark.parametrize("method", ["eigen", "ode"])
+    def test_equals_the_stacking_reference(self, method, ridge):
+        # the fit over separately featurized, vstacked episodes, bit for bit
+        rng = np.random.default_rng(11)
+        bank = build_filter_bank(120, 8, method=method)
+        samples = make_samples(rng, random_diagonal_system(rng, n=3), bank, 5)
+        feats = [featurize_batch(s.inputs, bank) for s in samples]
+        Y = np.vstack([s.targets for s in samples])
+        matrix = _ridge_least_squares(np.vstack(feats), Y, ridge)
+        sse = sum(float(((s.targets - f @ matrix.T) ** 2).sum()) for s, f in zip(samples, feats))
+        model = fit_batch(samples, bank, ridge=ridge)
+        assert np.array_equal(model.matrix, matrix)
+        assert model.training_mse == sse / Y.size
+
+    @pytest.mark.parametrize("field, widths, message", [
+        ("inputs", (2, 2, 3), "episode 2 has input width 3, episode 0 has 2"),
+        ("targets", (1, 2, 1), "episode 1 has target width 2, episode 0 has 1"),
+    ])
+    def test_rejects_differing_widths_before_featurizing(self, monkeypatch, field, widths,
+                                                         message):
+        def unreachable(*args):
+            raise AssertionError("featurized before the widths were checked")
+
+        monkeypatch.setattr(filters, "_conv_blocks_fft", unreachable)
+        bank = build_filter_bank(20, 3)
+        shapes = {"inputs": [2, 2, 2], "targets": [1, 1, 1], field: widths}
+        samples = [BatchSample(inputs=np.ones((20, a)), targets=np.ones((20, b)))
+                   for a, b in zip(shapes["inputs"], shapes["targets"])]
+        with pytest.raises(ValueError, match=message):
+            fit_batch(samples, bank)
+
+
+def _traced_peak(fn, *args):
+    """Result of ``fn(*args)`` and the peak bytes numpy allocated during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFeaturizationMemory:
+    """The convolutions stream into their destination; the transient stays small."""
+
+    def test_fit_batch_holds_one_design_matrix(self):
+        rng = np.random.default_rng(12)
+        T, n, k, episodes = 1000, 10, 40, 12
+        bank = build_filter_bank(T, k)
+        samples = [BatchSample(inputs=rng.standard_normal((T, n)),
+                               targets=rng.standard_normal((T, 3))) for _ in range(episodes)]
+        _, peak = _traced_peak(fit_batch, samples, bank)
+        design_bytes = episodes * T * (n * k + 2 * n) * 8
+        assert peak < 1.25 * design_bytes  # a vstacked copy would make it over 2
+
+    def test_featurize_batch_transient_is_bounded(self):
+        rng = np.random.default_rng(13)
+        T, n, k = 4096, 10, 25
+        # the filter values do not matter to the allocations; skip the T=4096 eigensolve
+        bank = FilterBank(phis=rng.standard_normal((k, T)), sigmas=np.ones(k), method="eigen")
+        out, peak = _traced_peak(featurize_batch, rng.standard_normal((T, n)), bank)
+        assert peak < 2.5 * out.nbytes  # all k*n convolutions at once took 3.7
 
 
 class TestPredictions:

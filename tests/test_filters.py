@@ -9,7 +9,6 @@ from wavefilter import io
 from wavefilter.filters import (
     FeatureLayout,
     FilterBank,
-    _convolve_full,
     augment_alternating,
     augment_hint,
     build_filter_bank,
@@ -20,6 +19,39 @@ from wavefilter.filters import (
 from wavefilter.hankel import build_hankel, hilbert_matrix, top_eigenpairs
 from wavefilter.lds import LdsParams, Trajectory, simulate
 from wavefilter.online import online_features
+
+
+def _convolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of real arrays along the last axis, broadcast over the rest.
+
+    The batched FFT the featurizer ran before it streamed one filter at a
+    time: ``numpy.fft`` real transforms zero-padded to the next power of two
+    at or above the output length ``a.shape[-1] + b.shape[-1] - 1``.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out_len = a.shape[-1] + b.shape[-1] - 1
+    n = 1 << max(out_len - 1, 1).bit_length()
+    spec = np.fft.rfft(a, n) * np.fft.rfft(b, n)
+    return np.fft.irfft(spec, n)[..., :out_len]
+
+
+def _batched_rows(xs: np.ndarray, bank: FilterBank) -> np.ndarray:
+    """Batch rows from all k*n convolutions at once: the reference for the streamed path."""
+    T, n = xs.shape
+    # c[j, i, s] = sum_u filt[j, u] * x[s - u, i]; feature time t picks s = t-2
+    c = _convolve_full(bank.scaled_filters[:, None, :], xs.T[None, :, :])
+    blocks = np.zeros((T, bank.k, n))
+    if T > 1:
+        blocks[1:] = np.moveaxis(c[:, :, : T - 1], -1, 0)
+    return np.hstack([blocks.reshape(T, bank.k * n), _shifted(xs), xs])
+
+
+def _shifted(rows: np.ndarray) -> np.ndarray:
+    """Rows one step later, row 0 zero."""
+    out = np.zeros_like(rows)
+    out[1:] = rows[:-1]
+    return out
 
 
 class TestInternalFft:
@@ -213,6 +245,34 @@ class TestFeaturizeBatch:
         bank = build_filter_bank(64, 5)
         with pytest.raises(ValueError):
             featurize_batch(np.zeros((32, 2)), bank)
+
+
+# the ode fit needs a grid of at least two points
+@pytest.mark.parametrize(
+    "T, method",
+    [(T, method) for T in (1, 2, 3, 64, 513, 1000) for method in ("eigen", "hilbert", "ode")
+     if T > 1 or method != "ode"],
+)
+class TestStreamedConvolutions:
+    """The per-filter streamed FFT equals the batched one bit for bit."""
+
+    @staticmethod
+    def _bank(T, method):
+        return build_filter_bank(T, min(T, 6), method=method)
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_featurize_batch_equals_the_batched_fft(self, T, method, n):
+        bank = self._bank(T, method)
+        xs = np.random.default_rng(T * n).standard_normal((T, n))
+        assert np.array_equal(featurize_batch(xs, bank), _batched_rows(xs, bank))
+
+    def test_online_features_equal_their_old_construction(self, T, method):
+        bank = self._bank(T, method)
+        rng = np.random.default_rng(T)
+        xs, ys = rng.standard_normal((T, 3)), rng.standard_normal((T, 2))
+        conv = FeatureLayout(n=3, k=bank.k, m=2).conv_blocks
+        old = np.hstack([_batched_rows(xs, bank)[:, conv], _shifted(xs), xs, _shifted(ys)])
+        assert np.array_equal(online_features(Trajectory(inputs=xs, outputs=ys), bank), old)
 
 
 class TestFeatureLayout:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from wavefilter import cli, experiments, io, online
+from wavefilter import cli, experiments, filters, io, online
 from wavefilter.baselines import baseline_ar, baseline_last_value
 from wavefilter.cli import main
 from wavefilter.experiments import (
@@ -679,18 +679,19 @@ class TestExperiments:
             assert summary["final_mse"][learner] == pytest.approx(np.mean(vals))
 
     def test_one_featurization_and_comparator_fit_per_seed(self, monkeypatch):
-        calls = {"featurize_batch": 0, "_constrained_least_squares": 0}
-        for name in calls:
-            original = getattr(online, name)
+        # every FFT featurization, whatever its caller, streams through _conv_blocks_fft
+        calls = {"_conv_blocks_fft": 0, "_constrained_least_squares": 0}
+        for module, name in ((filters, "_conv_blocks_fft"), (online, "_constrained_least_squares")):
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(online, name, counted)
+            monkeypatch.setattr(module, name, counted)
         config = default_experiment_config("siso_hard", horizon=120, seeds=(0, 1))
         run_experiment(config)
-        assert calls == {"featurize_batch": 2, "_constrained_least_squares": 2}
+        assert calls == {"_conv_blocks_fft": 2, "_constrained_least_squares": 2}
 
     @pytest.mark.parametrize("name", ["pendulum", "mimo_10"])
     def test_experiment_wiring_matches_direct_calls(self, name):

@@ -234,6 +234,14 @@ class TestPredictUpdate:
             assert np.array_equal(state.matrix[:, state.layout.y_block], np.eye(2))
 
     @pytest.mark.filterwarnings("ignore:overflow")
+    def test_projection_of_a_norm_that_overflows(self):
+        matrix = np.array([[1e300, -3e299], [0.0, 2e300]])
+        projected = online._project_ball(matrix, 10.0)
+        assert np.linalg.norm(projected) == pytest.approx(10.0)
+        assert projected == pytest.approx(matrix * (10.0 / np.linalg.norm(matrix / 1e300)) / 1e300)
+        with pytest.raises(FloatingPointError):
+            online._project_ball(np.array([[np.inf, 1.0]]), 10.0)
+
     def test_nonfinite_gradient_detected(self):
         state = self._state(eta=1.0)
         feats = np.full(state.layout.width, 1e200)
@@ -379,15 +387,16 @@ class TestRunOnline:
         return state, np.array(predictions), np.array(norms), None
 
     @staticmethod
-    def _spiked(freeze_y_block, spike_step):
+    def _spiked(freeze_y_block, spike_step, eta=1e-200):
         """A 64-step trajectory whose output 3 is 1e300 at ``spike_step``, and a config
-        whose step is small enough that the spike's update keeps the matrix norm finite."""
+        whose step (by default) is small enough that the spike's update keeps the
+        matrix norm finite."""
         T = 64
         base = simulate_scenario("mimo_10", T, 0, 0.1, 0.1)
         outputs = base.outputs.copy()
         outputs[spike_step - 1, 2] = 1e300
         config = OnlineConfig(
-            bank=build_filter_bank(T, 4), eta=1e-200, r_m=10.0, freeze_y_block=freeze_y_block
+            bank=build_filter_bank(T, 4), eta=eta, r_m=10.0, freeze_y_block=freeze_y_block
         )
         return Trajectory(inputs=base.inputs, outputs=outputs), config
 
@@ -414,6 +423,59 @@ class TestRunOnline:
         assert np.array_equal(result.predictions, predictions)
         assert np.array_equal(result.state.matrix, state.matrix)
         assert np.array_equal(result.matrix_norms, norms)
+
+    def test_an_overflowing_norm_lands_on_the_ball_not_at_zero(self):
+        # the spike's step leaves entries near 1e299: their squares overflow, and
+        # r_m / inf once zeroed the matrix; the next step's gradient then overflows
+        traj, config = self._spiked(False, spike_step=40, eta=0.05)
+        _, _, norms, where = self._per_step_updates(traj, config, config.eta)
+        assert norms[39] == pytest.approx(10.0)
+        assert where == 41
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=r"\(step 41\)$"):
+            run_online(traj, config)
+
+    @pytest.mark.parametrize("freeze_y_block", [True, False])
+    def test_an_overflowing_norm_is_projected_as_the_per_step_update_does(self, freeze_y_block):
+        traj, config = self._spiked(freeze_y_block, spike_step=64, eta=0.05)
+        state, predictions, norms, where = self._per_step_updates(traj, config, config.eta)
+        assert where is None
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = run_online(traj, config)
+        assert np.array_equal(result.predictions, predictions)
+        assert np.array_equal(result.state.matrix, state.matrix)
+        assert np.array_equal(result.matrix_norms, norms)
+        assert norms[-1] == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("freeze_y_block", [True, False])
+    def test_a_step_that_overflows_an_entry_raises_where_the_per_step_update_does(
+        self, freeze_y_block
+    ):
+        traj, config = self._spiked(freeze_y_block, spike_step=40, eta=1e10)
+        *_, where = self._per_step_updates(traj, config, config.eta)
+        assert where == 40
+        with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError, match=r"overflowed the matrix.*\(step 40\)$"
+        ):
+            run_online(traj, config)
+
+    def test_auto_eta_stays_positive_when_the_squared_targets_overflow(self):
+        T = 64
+        base = simulate_scenario("mimo_10", T, 0, 0.1, 0.1)
+        outputs = base.outputs.copy()
+        outputs[-1, 2] = 1e160
+        traj = Trajectory(inputs=base.inputs, outputs=outputs)
+        with np.errstate(over="ignore"):
+            result = run_online(traj, OnlineConfig(bank=build_filter_bank(T, 4)))
+        assert 0.0 < result.state.eta < math.inf  # it was 0.0: the learner never moved
+        assert result.matrix_norms[: T - 1].max() > 0.0
+
+    def test_auto_eta_without_overflow_is_the_plain_formula(self):
+        rng = np.random.default_rng(14)
+        features, targets = rng.standard_normal((50, 12)), 3.0 * rng.standard_normal((50, 2))
+        f_bar = float(np.sqrt((features**2).sum(axis=1).mean()))
+        l_bar = float(np.sqrt((targets**2).sum(axis=1).mean()))
+        g_hat = 2.0 * (10.0 * f_bar + l_bar) * max(f_bar, 1e-12)
+        assert online._auto_eta(features, targets, 10.0, 50) == 2.0 * 10.0 / (g_hat * math.sqrt(50))
 
     @pytest.mark.parametrize("freeze_y_block", [True, False])
     def test_single_output_loop_matches_per_step_update(self, freeze_y_block):

@@ -14,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .filters import FeatureLayout, FilterBank, _batch_inputs, _streamed_rows
+from .filters import FeatureLayout, FilterBank, _batch_inputs, _filter_spectrum, _streamed_rows
 from .lds import Trajectory, _check_finite
-from .online import _ridge_least_squares
+from .online import _ridge_gram_solve, _ridge_least_squares
 
 __all__ = [
     "BatchSample",
@@ -66,10 +66,13 @@ def fit_batch(
 
     Solves ``M = Y F^T (F F^T + ridge I)^{-1}`` where F stacks the batch
     features of every sample column-wise and Y the difference targets.
-    With ridge 0 the minimum-norm least-squares solution is used instead.
-    F is one design matrix, allocated once: each episode's convolutions
-    stream into its row block one filter at a time, so the transient
-    beyond F is a few length-2T rows per input coordinate. Episodes whose
+    A positive ridge streams the episodes one at a time through a (T, width)
+    block, sums ``G = F_e^T F_e`` and ``B = F_e^T Y_e`` and solves
+    ``(G + ridge I) M^T = B``: O(T width + width^2) memory. Its SSE is
+    ``||Y||^2 - <M, B^T> - ridge ||M||^2`` (clamped at 0), exact to about
+    ``eps || |F| |M|^T ||^2``: ``eps ||Y||^2`` unless the fitted terms cancel.
+    Ridge 0 stacks the episodes for the minimum-norm ``lstsq``, as the
+    Gram would square cond(F) (about 1e14 on ode banks). Episodes whose
     input or target widths differ raise ``ValueError`` before any is
     featurized.
     """
@@ -86,19 +89,27 @@ def fit_batch(
                 f"episode {i} has target width {s.targets.shape[1]}, episode 0 has {m}"
             )
     layout = FeatureLayout(n=n, k=bank.k, m=0)
-    stops = np.cumsum([len(s.inputs) for s in samples])
-    F = np.empty((int(stops[-1]), layout.width))
-    blocks = [F[stop - len(s.inputs) : stop] for s, stop in zip(samples, stops)]
-    for s, block in zip(samples, blocks):
-        _streamed_rows(layout, _batch_inputs(s.inputs, bank), bank, block)
-    Y = np.vstack([s.targets for s in samples])
-    matrix = _ridge_least_squares(F, Y, ridge)
+    spec_f = _filter_spectrum(bank)
+    blocks = np.empty((len(samples) if ridge == 0.0 else 1, bank.horizon, layout.width))
+    gram = cross = 0.0
+    for i, s in enumerate(samples):
+        block = blocks[i % len(blocks)]
+        _streamed_rows(layout, _batch_inputs(s.inputs, bank), spec_f, block)
+        if ridge != 0.0:
+            gram += block.T @ block
+            cross += block.T @ s.targets
+    if ridge == 0.0:  # residuals per sample: one product over the stacked F took ~18 MB more
+        Y = np.vstack([s.targets for s in samples])
+        matrix = _ridge_least_squares(blocks.reshape(-1, layout.width), Y, ridge)
+        sse = sum(float(((s.targets - f @ matrix.T) ** 2).sum()) for s, f in zip(samples, blocks))
+    else:  # rounding can take the identity below zero on a near-perfect fit
+        matrix = _ridge_gram_solve(gram, cross, ridge)
+        sse = sum(float((s.targets**2).sum()) for s in samples)
+        sse = max(sse - float((matrix * (cross.T + ridge * matrix)).sum()), 0.0)
     if not np.all(np.isfinite(matrix)):
         raise FloatingPointError("least-squares solution has non-finite entries")
-    # per sample: one product with the stacked F made BLAS take ~18 MB more
-    # peak memory (cli batch at 12 x T=1000, width 420)
-    sse = sum(float(((s.targets - f @ matrix.T) ** 2).sum()) for s, f in zip(samples, blocks))
-    return BatchModel(matrix=matrix, bank=bank, ridge=ridge, training_mse=sse / Y.size)
+    size = sum(s.targets.size for s in samples)
+    return BatchModel(matrix=matrix, bank=bank, ridge=ridge, training_mse=sse / size)
 
 
 def predict_derivative(model: BatchModel, features: np.ndarray) -> np.ndarray:

@@ -204,20 +204,18 @@ def featurize_online(x_history: np.ndarray, y_prev: np.ndarray, bank: FilterBank
     return _feature_rows(layout, _direct_conv(xs, bank, t), x_prev, xs[-1], y_prev)[0]
 
 
-def _conv_blocks_fft(xs: np.ndarray, bank: FilterBank, out: np.ndarray) -> None:
+def _conv_blocks_fft(xs: np.ndarray, spec_f: np.ndarray, out: np.ndarray) -> None:
     """Write every step's convolution blocks into ``out`` (T, k*n), one filter at a time.
 
-    The inputs and the scaled filters are transformed once, zero-padded to
-    the next power of two at or above the full convolution length 2T-1;
-    each filter then takes one ``irfft`` of shape (n, N), so the transient
-    is a few rows of N values, not all k*n of them.
+    The inputs are transformed once at the length of ``spec_f``, the
+    bank's ``_filter_spectrum``; each filter then takes one ``irfft`` of
+    shape (n, N), so the transient is a few rows of N values, not all k*n.
     """
     T, n = xs.shape
-    size = 1 << max(2 * T - 2, 1).bit_length()
+    size = 2 * (spec_f.shape[1] - 1)
     spec_x = np.fft.rfft(xs.T, size)
-    spec_f = np.fft.rfft(bank.scaled_filters, size)
     out[0] = 0.0
-    for j in range(bank.k):
+    for j in range(len(spec_f)):
         # c[i, s] = sum_u filt[j, u] * x[s - u, i]; feature time t picks s = t-2
         c = np.fft.irfft(spec_f[j] * spec_x, size)
         out[1:, j * n : (j + 1) * n] = c[:, : T - 1].T
@@ -233,15 +231,20 @@ def _batch_inputs(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
     return xs
 
 
+def _filter_spectrum(bank: FilterBank) -> np.ndarray:
+    """rfft of the scaled filters, zero-padded to the next power of two at or above 2T-1."""
+    return np.fft.rfft(bank.scaled_filters, 1 << max(2 * bank.horizon - 2, 1).bit_length())
+
+
 def _streamed_rows(
     layout: FeatureLayout,
     xs: np.ndarray,
-    bank: FilterBank,
+    spec_f: np.ndarray,
     out: np.ndarray,
     y_prev: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """``out`` (T, layout.width) filled with the rows of ``xs``, convolutions written in place."""
-    _conv_blocks_fft(xs, bank, out[:, layout.conv_blocks])
+    _conv_blocks_fft(xs, spec_f, out[:, layout.conv_blocks])
     return _feature_rows(layout, None, _previous(xs), xs, y_prev, out)
 
 
@@ -256,7 +259,7 @@ def featurize_batch(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
     """
     xs = _batch_inputs(inputs, bank)
     layout = FeatureLayout(n=xs.shape[1], k=bank.k, m=0)
-    return _streamed_rows(layout, xs, bank, np.empty((len(xs), layout.width)))
+    return _streamed_rows(layout, xs, _filter_spectrum(bank), np.empty((len(xs), layout.width)))
 
 
 def featurize_batch_naive(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:

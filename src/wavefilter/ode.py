@@ -99,22 +99,21 @@ def _fit_banded(
     n_u = 2 * T - 1
     ab = np.zeros((3, n_u))
     rhs = np.zeros(n_u)
-    ia = 2 * np.arange(T)
     for j in range(phis.shape[1]):
         phi = phis[:, j]
         wt = weights[j]
         pm = np.r_[0.0, phi[:-1]]
         pp = np.r_[phi[1:], 0.0]
         y = theta[j] * phi
-        np.add.at(rhs, ia, wt * phi * y)
-        np.add.at(rhs, ia[1:] - 1, wt * pm[1:] * y[1:])
-        np.add.at(rhs, ia[:-1] + 1, wt * pp[:-1] * y[:-1])
-        np.add.at(ab[0], ia, wt * phi * phi)
-        np.add.at(ab[0], ia[1:] - 1, wt * pm[1:] * pm[1:])
-        np.add.at(ab[0], ia[:-1] + 1, wt * pp[:-1] * pp[:-1])
-        np.add.at(ab[1], ia[1:] - 1, wt * pm[1:] * phi[1:])
-        np.add.at(ab[1], ia[:-1], wt * phi[:-1] * pp[:-1])
-        np.add.at(ab[2], ia[1:-1] - 1, wt * pm[1:-1] * pp[1:-1])
+        rhs[0::2] += wt * phi * y
+        rhs[1::2] += wt * pm[1:] * y[1:]
+        rhs[1::2] += wt * pp[:-1] * y[:-1]
+        ab[0, 0::2] += wt * phi * phi
+        ab[0, 1::2] += wt * pm[1:] * pm[1:]
+        ab[0, 1::2] += wt * pp[:-1] * pp[:-1]
+        ab[1, 1::2] += wt * pm[1:] * phi[1:]
+        ab[1, 0:-1:2] += wt * phi[:-1] * pp[:-1]
+        ab[2, 1:-2:2] += wt * pm[1:-1] * pp[1:-1]
     ab[0] += ridge
     rhs[0::2] += ridge * anchor_diag
     rhs[1::2] += ridge * anchor_off

@@ -18,7 +18,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .filters import EIGEN_K_CAP, FeatureLayout, FilterBank, _batch_inputs, _streamed_rows
+from .filters import (
+    EIGEN_K_CAP, FeatureLayout, FilterBank, _batch_inputs, _filter_spectrum, _streamed_rows,
+)
 from .lds import LdsParams, Trajectory, _check_finite, _previous, derivative_predictions
 
 __all__ = [
@@ -153,7 +155,7 @@ def online_features(trajectory: Trajectory, bank: FilterBank) -> np.ndarray:
     layout = _online_layout(trajectory, bank)
     xs = _batch_inputs(trajectory.inputs, bank)
     out = np.empty((len(xs), layout.width))
-    return _streamed_rows(layout, xs, bank, out, _previous(trajectory.outputs))
+    return _streamed_rows(layout, xs, _filter_spectrum(bank), out, _previous(trajectory.outputs))
 
 
 def init_state(config: OnlineConfig, n: int, m: int, eta: float) -> OnlineState:
@@ -377,10 +379,6 @@ def _ridge_least_squares(
     With ridge 0 the minimum-norm least-squares solution is returned; an
     all-zero (information-free) feature matrix then raises ``LinAlgError``.
     """
-    import scipy.linalg  # scipy loads on first use, not at package import
-
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
     if ridge == 0.0:
         if not np.any(features):
             raise np.linalg.LinAlgError(
@@ -388,8 +386,16 @@ def _ridge_least_squares(
             )
         matrix, *_ = np.linalg.lstsq(features, targets, rcond=None)
         return matrix.T
-    gram = features.T @ features + ridge * np.eye(features.shape[1])
-    return scipy.linalg.solve(gram, features.T @ targets, assume_a="pos").T
+    return _ridge_gram_solve(features.T @ features, features.T @ targets, ridge)
+
+
+def _ridge_gram_solve(gram: np.ndarray, cross: np.ndarray, ridge: float) -> np.ndarray:
+    """M solving ``(gram + ridge I) M^T = cross`` by Cholesky, for ``F^T F`` and ``F^T Y``."""
+    import scipy.linalg  # scipy loads on first use, not at package import
+
+    if ridge < 0:
+        raise ValueError("ridge must be nonnegative")
+    return scipy.linalg.solve(gram + ridge * np.eye(len(gram)), cross, assume_a="pos").T
 
 
 def _learner_inputs(

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavefilter import filters
+from wavefilter import batch, filters
 from wavefilter.batch import (
     BatchSample,
     fit_batch,
@@ -126,20 +126,99 @@ class TestFitBatch:
         with pytest.raises(ValueError):
             fit_batch([], bank)
 
-    @pytest.mark.parametrize("ridge", [1e-8, 0.0])
-    @pytest.mark.parametrize("method", ["eigen", "ode"])
-    def test_equals_the_stacking_reference(self, method, ridge):
-        # the fit over separately featurized, vstacked episodes, bit for bit
-        rng = np.random.default_rng(11)
-        bank = build_filter_bank(120, 8, method=method)
-        samples = make_samples(rng, random_diagonal_system(rng, n=3), bank, 5)
+    @staticmethod
+    def _stacking_reference(samples, bank, ridge):
+        """Matrix, SSE, stacked features and targets of the fit over vstacked episodes."""
         feats = [featurize_batch(s.inputs, bank) for s in samples]
         Y = np.vstack([s.targets for s in samples])
         matrix = _ridge_least_squares(np.vstack(feats), Y, ridge)
         sse = sum(float(((s.targets - f @ matrix.T) ** 2).sum()) for s, f in zip(samples, feats))
+        return matrix, sse, np.vstack(feats), Y
+
+    @pytest.mark.parametrize("ridge", [1e-8, 0.0])
+    @pytest.mark.parametrize("method", ["eigen", "ode"])
+    def test_equals_the_stacking_reference(self, method, ridge):
+        # ridge 0 keeps the stacked lstsq, bit for bit. A positive ridge sums
+        # per-episode Grams, which round differently from one product over the
+        # stacked rows, and the solve amplifies that by about cond(F)^2
+        # (cond(F) ~ 2.5e3 here; observed 1.6e-9 and 1.5e-12 at most)
+        rng = np.random.default_rng(11)
+        bank = build_filter_bank(120, 8, method=method)
+        samples = make_samples(rng, random_diagonal_system(rng, n=3), bank, 5)
+        matrix, sse, F, Y = self._stacking_reference(samples, bank, ridge)
+        model = fit_batch(samples, bank, ridge=ridge)
+        if ridge == 0.0:
+            assert np.array_equal(model.matrix, matrix)
+            assert model.training_mse == sse / Y.size
+        else:
+            assert np.linalg.norm(model.matrix - matrix) <= 1e-8 * np.linalg.norm(matrix)
+            assert np.linalg.norm(F @ (model.matrix - matrix).T) <= 1e-11 * np.linalg.norm(Y)
+
+    @pytest.mark.parametrize("ridge", [1e-8, 0.0])
+    @pytest.mark.parametrize("method", ["eigen", "ode"])
+    def test_one_episode_equals_the_stacking_reference(self, method, ridge):
+        # one episode's Gram is 0 + F^T F, exactly the reference's
+        rng = np.random.default_rng(11)
+        bank = build_filter_bank(120, 8, method=method)
+        samples = make_samples(rng, random_diagonal_system(rng, n=3), bank, 1)
+        matrix, sse, _, Y = self._stacking_reference(samples, bank, ridge)
         model = fit_batch(samples, bank, ridge=ridge)
         assert np.array_equal(model.matrix, matrix)
-        assert model.training_mse == sse / Y.size
+        if ridge == 0.0:
+            assert model.training_mse == sse / Y.size
+        else:  # from the normal equations, to a few eps ||Y||^2
+            eps = np.finfo(float).eps
+            assert abs(model.training_mse * Y.size - sse) <= 8 * eps * float((Y**2).sum())
+
+    @pytest.mark.parametrize("T, k, ridge, fit_ratio", [
+        (120, 8, 1e-4, 1e7),  # ||Y||^2 / sse about 8e7
+        (200, 20, 1e-8, 1e15),  # a perfect fit: sse is rounding, as large as the error
+    ])
+    def test_training_mse_of_a_noiseless_system(self, T, k, ridge, fit_ratio):
+        # sse = ||Y||^2 - <M, B^T> - ridge ||M||^2 cancels all but sse of ||Y||^2,
+        # so its error is a few eps ||Y||^2 (at most 2.2 in a sweep of ridges
+        # 1e-8..1e-2 over three banks and two noiseless systems each)
+        rng = np.random.default_rng(21)
+        bank = build_filter_bank(T, k)
+        samples = make_samples(rng, random_diagonal_system(rng), bank, 5)
+        model = fit_batch(samples, bank, ridge=ridge)
+        F = np.vstack([featurize_batch(s.inputs, bank) for s in samples])
+        Y = np.vstack([s.targets for s in samples])
+        sse, squares = float(((Y - F @ model.matrix.T) ** 2).sum()), float((Y**2).sum())
+        assert squares / sse > fit_ratio
+        assert model.training_mse >= 0.0
+        assert abs(model.training_mse * Y.size - sse) <= 8 * np.finfo(float).eps * squares
+
+    @pytest.mark.parametrize("method", ["eigen", "hilbert"])
+    def test_training_mse_where_the_fitted_terms_cancel(self, method):
+        # random targets on ill-conditioned features: large coefficients cancel
+        # in F M^T, and the identity's error follows || |F| |M|^T ||^2 instead of
+        # ||Y||^2 (observed at most 0.37 eps of it, and up to 1.8e5 eps ||Y||^2)
+        rng = np.random.default_rng(0)
+        bank = build_filter_bank(300, 10, method=method)
+        samples = [BatchSample(inputs=rng.standard_normal((300, 4)),
+                               targets=rng.standard_normal((300, 2))) for _ in range(2)]
+        model = fit_batch(samples, bank)
+        F = np.vstack([featurize_batch(s.inputs, bank) for s in samples])
+        Y = np.vstack([s.targets for s in samples])
+        sse = float(((Y - F @ model.matrix.T) ** 2).sum())
+        magnitude = float(((np.abs(F) @ np.abs(model.matrix).T) ** 2).sum())
+        assert abs(model.training_mse * Y.size - sse) <= np.finfo(float).eps * magnitude
+
+    @pytest.mark.parametrize("ridge", [1e-8, 0.0])
+    def test_filters_are_transformed_once_per_fit(self, monkeypatch, ridge):
+        transform, calls = filters._filter_spectrum, []
+
+        def counted(bank):
+            calls.append(bank)
+            return transform(bank)
+
+        monkeypatch.setattr(batch, "_filter_spectrum", counted)
+        monkeypatch.setattr(filters, "_filter_spectrum", counted)
+        rng = np.random.default_rng(14)
+        bank = build_filter_bank(40, 4)
+        fit_batch(make_samples(rng, random_diagonal_system(rng), bank, 4), bank, ridge)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("field, widths, message", [
         ("inputs", (2, 2, 3), "episode 2 has input width 3, episode 0 has 2"),
@@ -172,15 +251,23 @@ def _traced_peak(fn, *args):
 class TestFeaturizationMemory:
     """The convolutions stream into their destination; the transient stays small."""
 
-    def test_fit_batch_holds_one_design_matrix(self):
+    def test_fit_batch_memory_does_not_grow_with_episodes(self):
+        # a positive ridge keeps one episode's rows and the width^2 normal equations;
+        # ridge 0 holds the stacked design matrix once
         rng = np.random.default_rng(12)
-        T, n, k, episodes = 1000, 10, 40, 12
+        T, n, k = 1000, 10, 40
         bank = build_filter_bank(T, k)
-        samples = [BatchSample(inputs=rng.standard_normal((T, n)),
-                               targets=rng.standard_normal((T, 3))) for _ in range(episodes)]
-        _, peak = _traced_peak(fit_batch, samples, bank)
-        design_bytes = episodes * T * (n * k + 2 * n) * 8
-        assert peak < 1.25 * design_bytes  # a vstacked copy would make it over 2
+        design_bytes = 6 * T * (n * k + 2 * n) * 8
+        peaks = {}
+        for episodes in (6, 24):
+            samples = [BatchSample(inputs=rng.standard_normal((T, n)),
+                                   targets=rng.standard_normal((T, 3)))
+                       for _ in range(episodes)]
+            _, peaks[episodes] = _traced_peak(fit_batch, samples, bank)
+        assert peaks[24] <= 1.1 * peaks[6]
+        assert peaks[6] < design_bytes
+        _, stacked = _traced_peak(fit_batch, samples[:6], bank, 0.0)
+        assert stacked < 1.25 * design_bytes  # a vstacked copy would make it over 2
 
     def test_featurize_batch_transient_is_bounded(self):
         rng = np.random.default_rng(13)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefilter import io
+from wavefilter import filters, io
 from wavefilter.filters import (
     FeatureLayout,
     FilterBank,
@@ -273,6 +273,17 @@ class TestStreamedConvolutions:
         conv = FeatureLayout(n=3, k=bank.k, m=2).conv_blocks
         old = np.hstack([_batched_rows(xs, bank)[:, conv], _shifted(xs), xs, _shifted(ys)])
         assert np.array_equal(online_features(Trajectory(inputs=xs, outputs=ys), bank), old)
+
+    def test_one_filter_spectrum_serves_every_episode(self, T, method):
+        # fit_batch transforms the filters once and hands the spectrum to each episode
+        bank = self._bank(T, method)
+        spec_f = filters._filter_spectrum(bank)
+        layout = FeatureLayout(n=3, k=bank.k, m=0)
+        out = np.empty((T, layout.width))
+        for seed in (T, T + 1):
+            xs = np.random.default_rng(seed).standard_normal((T, 3))
+            filters._streamed_rows(layout, xs, spec_f, out)
+            assert np.array_equal(out, featurize_batch(xs, bank))
 
 
 class TestFeatureLayout:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wavefilter import ode
 from wavefilter.filters import build_filter_bank, featurize_batch
 from wavefilter.hankel import NOISE_FLOOR, full_spectrum
 from wavefilter.ode import (
@@ -35,6 +36,52 @@ class TestOperators:
         assert np.median(rel) < 0.5
 
 
+def _fit_banded_add_at(T, phis, theta, weights, anchor_diag, anchor_off, ridge):
+    """The banded operator fit assembled by ``np.add.at`` scatters: the reference."""
+    from scipy.linalg import solveh_banded
+
+    n_u = 2 * T - 1
+    ab = np.zeros((3, n_u))
+    rhs = np.zeros(n_u)
+    ia = 2 * np.arange(T)
+    for j in range(phis.shape[1]):
+        phi = phis[:, j]
+        wt = weights[j]
+        pm = np.r_[0.0, phi[:-1]]
+        pp = np.r_[phi[1:], 0.0]
+        y = theta[j] * phi
+        np.add.at(rhs, ia, wt * phi * y)
+        np.add.at(rhs, ia[1:] - 1, wt * pm[1:] * y[1:])
+        np.add.at(rhs, ia[:-1] + 1, wt * pp[:-1] * y[:-1])
+        np.add.at(ab[0], ia, wt * phi * phi)
+        np.add.at(ab[0], ia[1:] - 1, wt * pm[1:] * pm[1:])
+        np.add.at(ab[0], ia[:-1] + 1, wt * pp[:-1] * pp[:-1])
+        np.add.at(ab[1], ia[1:] - 1, wt * pm[1:] * phi[1:])
+        np.add.at(ab[1], ia[:-1], wt * phi[:-1] * pp[:-1])
+        np.add.at(ab[2], ia[1:-1] - 1, wt * pm[1:-1] * pp[1:-1])
+    ab[0] += ridge
+    rhs[0::2] += ridge * anchor_diag
+    rhs[1::2] += ridge * anchor_off
+    u = solveh_banded(ab, rhs, lower=True)
+    return u[0::2], u[1::2]
+
+
+class TestFitBanded:
+    @pytest.mark.parametrize("T", [2, 3, 50, 257, 1000])
+    def test_strided_assembly_equals_the_scatter_reference(self, T):
+        rng = np.random.default_rng(T)
+        J = min(T, 8)
+        phis = np.linalg.qr(rng.standard_normal((T, J)))[0]
+        theta = -rng.uniform(0.1, 1.0, J)
+        weights = rng.uniform(0.5, 2.0, J)
+        diag, off = fd_wave_operator(T)
+        scale = np.abs(diag).max()
+        args = (T, phis, theta, weights, diag / scale, off / scale, ode._FIT_RIDGE)
+        a, b = ode._fit_banded(*args)
+        a_ref, b_ref = _fit_banded_add_at(*args)
+        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+
+
 class TestSolveOdeFilter:
     def test_unit_norm_output(self):
         for lam in (-1.0, -40.0, -200.0):
@@ -56,8 +103,6 @@ class TestSolveOdeFilter:
 
 class TestOdeFilterBank:
     def test_one_hankel_eigendecomposition_per_horizon(self, monkeypatch):
-        from wavefilter import ode
-
         calls = []
         original = ode.top_eigenpairs
 

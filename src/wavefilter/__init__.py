@@ -70,7 +70,7 @@ from .batch import (
     predict_derivative,
     predict_pure_batch,
 )
-from .ode import OdeFilterSpec, fitted_wave_operator, ode_filter_bank, solve_ode_filter
+from .ode import fitted_wave_operator, ode_filter_bank
 from .baselines import baseline_ar, baseline_last_value
 from .experiments import ExperimentConfig, default_experiment_config, run_experiment
 from .verify import InvariantCheck, ToleranceProfile, check_filter_bank, run_verification

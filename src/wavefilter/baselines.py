@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._blas import serial_blas
 from .lds import Trajectory, _previous
 from .online import _rolling_ridge
 
@@ -15,6 +16,7 @@ def baseline_last_value(trajectory: Trajectory) -> np.ndarray:
     return _previous(trajectory.outputs)
 
 
+@serial_blas
 def baseline_ar(trajectory: Trajectory, tau: int, ridge: float = 1e-8) -> np.ndarray:
     """Rolling least squares on the last tau+1 inputs.
 

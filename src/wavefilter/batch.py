@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._blas import serial_blas
 from .filters import FeatureLayout, FilterBank, _batch_inputs, _filter_spectrum, _streamed_rows
 from .lds import Trajectory, _check_finite
 from .online import _ridge_gram_solve, _ridge_least_squares
@@ -59,6 +60,7 @@ class BatchModel:
     training_mse: float  # mean squared residual over every target entry
 
 
+@serial_blas
 def fit_batch(
     samples: Sequence[BatchSample], bank: FilterBank, ridge: float = 1e-8
 ) -> BatchModel:
@@ -72,12 +74,14 @@ def fit_batch(
     ``||Y||^2 - <M, B^T> - ridge ||M||^2`` (clamped at 0), exact to about
     ``eps || |F| |M|^T ||^2``: ``eps ||Y||^2`` unless the fitted terms cancel.
     Ridge 0 stacks the episodes for the minimum-norm ``lstsq``, as the
-    Gram would square cond(F) (about 1e14 on ode banks). Episodes whose
-    input or target widths differ raise ``ValueError`` before any is
-    featurized.
+    Gram would square cond(F) (about 1e14 on ode banks). A negative ridge,
+    or episodes whose input or target widths differ, raise ``ValueError``
+    before any episode is featurized.
     """
     if len(samples) < 1:
         raise ValueError("need at least one training sample")
+    if ridge < 0:
+        raise ValueError("ridge must be nonnegative")
     n, m = samples[0].inputs.shape[1], samples[0].targets.shape[1]
     for i, s in enumerate(samples):
         if s.inputs.shape[1] != n:

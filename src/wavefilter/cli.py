@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
+from ._blas import serial_blas
 from .batch import BatchSample, fit_batch
 from .experiments import (
     EXPERIMENT_NAMES,
@@ -210,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@serial_blas
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and not argv[0].startswith("-"):

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._blas import serial_blas
 from .baselines import baseline_ar, baseline_last_value
 from .filters import build_filter_bank
 from .io import save_result_rows
@@ -136,6 +137,7 @@ def _run_seed(config: ExperimentConfig, seed: int, bank) -> _SeedOutcome:
     )
 
 
+@serial_blas
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     """Run all seeds, optionally in a thread pool; return the summary.
 

@@ -36,6 +36,8 @@ from typing import Optional
 
 import numpy as np
 
+from ._blas import serial_blas
+
 __all__ = [
     "LdsParams",
     "Trajectory",
@@ -218,6 +220,7 @@ def _apply_a(params: LdsParams, v: np.ndarray) -> np.ndarray:
     return params.a * v if params.is_diagonal else params.a @ v
 
 
+@serial_blas
 def simulate(
     params: LdsParams, inputs: np.ndarray, noise: Optional[NoiseConfig] = None
 ) -> Trajectory:
@@ -313,6 +316,7 @@ def derivative_predictor(params: LdsParams, trajectory: Trajectory, t: int) -> n
     return y_prev + acc
 
 
+@serial_blas
 def derivative_predictions(params: LdsParams, trajectory: Trajectory) -> np.ndarray:
     """Comparator predictions at every step, one row per t (shape (T, m)).
 

@@ -22,39 +22,17 @@ noise floor.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hankel import NOISE_FLOOR, Spectrum, _sign_normalize, build_hankel, top_eigenpairs
 from .filters import EIGEN_K_CAP, FilterBank
 
-__all__ = [
-    "OdeFilterSpec",
-    "fd_wave_operator",
-    "fitted_wave_operator",
-    "solve_ode_filter",
-    "ode_filter_bank",
-]
+__all__ = ["fd_wave_operator", "fitted_wave_operator", "ode_filter_bank"]
 
 _FIT_MODES = 12
 _FIT_ITERS = 30
 _FIT_RIDGE = 1e-7
-
-
-@dataclass(frozen=True)
-class OdeFilterSpec:
-    """One filter request: operator eigenvalue and grid size; Dirichlet ends."""
-
-    lam: float
-    size: int
-    boundary: str = field(default="dirichlet", init=False)
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.lam):
-            raise ValueError("eigenvalue parameter must be finite")
-        if self.size < 2:
-            raise ValueError("grid size must be at least 2")
 
 
 def fd_wave_operator(T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,18 +161,6 @@ def _operator_eigs(T: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     )
     order = np.argsort(lam)[::-1]  # algebraically largest first
     return lam[order], vecs[:, order]
-
-
-def solve_ode_filter(spec: OdeFilterSpec) -> np.ndarray:
-    """Unit-norm operator eigenvector with eigenvalue nearest spec.lam."""
-    from scipy.linalg import eigh_tridiagonal
-
-    diag, off = fitted_wave_operator(spec.size)
-    lam_all = eigh_tridiagonal(diag, off, eigvals_only=True)
-    idx = int(np.argmin(np.abs(lam_all - spec.lam)))
-    _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(idx, idx))
-    v = vec / np.linalg.norm(vec[:, 0])
-    return _sign_normalize(v)[:, 0]
 
 
 def ode_filter_bank(T: int, k: int) -> FilterBank:

@@ -18,6 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._blas import serial_blas
 from .filters import (
     EIGEN_K_CAP, FeatureLayout, FilterBank, _batch_inputs, _filter_spectrum, _streamed_rows,
 )
@@ -244,6 +245,7 @@ def _rms_norm(rows: np.ndarray) -> float:
     return peak * float(np.sqrt(((rows / peak) ** 2).sum(axis=1).mean()))
 
 
+@serial_blas
 def run_online(
     trajectory: Trajectory,
     config: OnlineConfig,
@@ -409,6 +411,7 @@ def _learner_inputs(
     return features, targets
 
 
+@serial_blas
 def ftl_update(
     features: np.ndarray, targets: np.ndarray, ridge: float, r_m: float
 ) -> np.ndarray:
@@ -456,8 +459,8 @@ def _rolling_ridge(
     and rounding moves it by about ``n eps max(S_ii)``: rows that reach
     where ``P`` is still of order 1/ridge make that large, so a block
     whose factor keeps fewer than half the digits is halved. numpy's BLAS
-    runs every product and solve: scipy ships its own OpenBLAS, and
-    alternating the two thread pools stalls each call.
+    runs every product and solve, on one thread inside the entry points
+    (``_blas.serial_blas``): scipy ships its own OpenBLAS and thread pool.
     """
     if not ridge > 0:
         raise np.linalg.LinAlgError(f"ridge {ridge!r} is not positive: step 0 is singular")
@@ -531,6 +534,7 @@ def ftl_refit_every(T: int) -> int:
     return 1 if T <= 2000 else 10
 
 
+@serial_blas
 def run_ftl(
     trajectory: Trajectory, config: OnlineConfig, ridge: float = 1.0
 ) -> OnlineRunResult:
@@ -598,6 +602,7 @@ def _best_fixed_losses(
     return ((targets - features @ matrix.T) ** 2).sum(axis=1)
 
 
+@serial_blas
 def regret_vs_best_fixed(
     features: np.ndarray, targets: np.ndarray, r_m: float
 ) -> float:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import serial_blas
 from .filters import FeatureLayout, FilterBank
 from .hankel import NOISE_FLOOR, mu_curve
 from .lds import LdsParams, Trajectory, derivative_predictions
@@ -60,6 +61,7 @@ class RelaxedPredictor:
         return np.asarray(features) @ self.as_matrix().T
 
 
+@serial_blas
 def build_M_theta(
     params: LdsParams, bank: FilterBank, noise_floor: float = NOISE_FLOOR
 ) -> RelaxedPredictor:
@@ -104,6 +106,7 @@ def build_M_theta(
     )
 
 
+@serial_blas
 def relaxation_residual(
     params: LdsParams, predictor: RelaxedPredictor, trajectory: Trajectory
 ) -> tuple[np.ndarray, float]:

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._blas import serial_blas
 from .filters import (
     FilterBank,
     build_filter_bank,
@@ -410,6 +411,7 @@ REGISTRY: list[Callable[[ToleranceProfile], InvariantCheck]] = [
 ]
 
 
+@serial_blas
 def run_verification(profile: Optional[ToleranceProfile] = None) -> list[InvariantCheck]:
     """Run every registered invariant; one result row per registry entry."""
     profile = profile or ToleranceProfile()

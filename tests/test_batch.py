@@ -92,13 +92,27 @@ class TestFitBatch:
         bank = build_filter_bank(60, 5)
         samples = make_samples(rng, random_diagonal_system(rng), bank, 3)
         model = fit_batch(samples, bank, ridge=1e-4)
-        total, count = 0.0, 0
+        total, count, y_sq = 0.0, 0, 0.0
         for s in samples:
             feats = featurize_batch(s.inputs, bank)
             resid = s.targets - feats @ model.matrix.T
             total += float((resid**2).sum())
             count += resid.size
-        assert model.training_mse == pytest.approx(total / count, rel=1e-12)
+            y_sq += float((s.targets**2).sum())
+        # the streamed SSE subtracts terms of size ||Y||^2, so it is exact to a
+        # few eps ||Y||^2; here ||Y||^2 / SSE is about 8e5 (observed 1.06x the bound)
+        rel = 8 * np.finfo(float).eps * y_sq / total
+        assert model.training_mse == pytest.approx(total / count, rel=rel, abs=0)
+
+    def test_rejects_negative_ridge_before_featurizing(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("featurized before the ridge was checked")
+
+        monkeypatch.setattr(batch, "_streamed_rows", unreachable)
+        bank = build_filter_bank(20, 3)
+        samples = [BatchSample(inputs=np.ones((20, 2)), targets=np.ones((20, 1)))] * 3
+        with pytest.raises(ValueError, match="ridge must be nonnegative"):
+            fit_batch(samples, bank, -1.0)
 
     def test_ridge_monotonicity(self):
         rng = np.random.default_rng(3)

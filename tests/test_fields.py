@@ -6,7 +6,6 @@ import pytest
 from wavefilter.filters import FeatureLayout, FilterBank
 from wavefilter.hankel import HankelMatrix, Spectrum
 from wavefilter.lds import InputGenerator, Trajectory
-from wavefilter.ode import OdeFilterSpec
 from wavefilter.online import default_hyperparams
 from wavefilter.verify import ToleranceProfile
 
@@ -24,7 +23,6 @@ CASES = [
     (Trajectory, _TRAJECTORY, "l_y", 1.0),
     (ToleranceProfile, {}, "alpha_step", 0.01),
     (ToleranceProfile, {}, "seed", 0),
-    (OdeFilterSpec, dict(lam=-1.0, size=8), "boundary", "dirichlet"),
     (InputGenerator, dict(kind="gaussian"), "block_len", 20),
     (InputGenerator, dict(kind="gaussian"), "duty", 0.25),
 ]

@@ -17,9 +17,11 @@ from wavefilter.lds import Trajectory, synthetic_system
 
 def test_package_import_loads_no_heavy_scipy_submodule():
     # no scipy module at all: scipy.linalg alone adds about 0.4 s, so the
-    # package imports scipy inside the functions that call it
+    # package imports scipy inside the functions that call it. Nor does it
+    # look up numpy's BLAS thread controls; the first decorated call does.
     code = (
-        "import sys, wavefilter; "
+        "import sys, wavefilter, wavefilter._blas; "
+        "assert 'api' not in wavefilter._blas._scope; "
         "print(','.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = str(Path(wavefilter.__file__).resolve().parents[1])

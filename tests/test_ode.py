@@ -4,13 +4,7 @@ import pytest
 from wavefilter import ode
 from wavefilter.filters import build_filter_bank, featurize_batch
 from wavefilter.hankel import NOISE_FLOOR, full_spectrum
-from wavefilter.ode import (
-    OdeFilterSpec,
-    fd_wave_operator,
-    fitted_wave_operator,
-    ode_filter_bank,
-    solve_ode_filter,
-)
+from wavefilter.ode import fd_wave_operator, fitted_wave_operator, ode_filter_bank
 
 
 class TestOperators:
@@ -80,25 +74,6 @@ class TestFitBanded:
         a, b = ode._fit_banded(*args)
         a_ref, b_ref = _fit_banded_add_at(*args)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
-
-
-class TestSolveOdeFilter:
-    def test_unit_norm_output(self):
-        for lam in (-1.0, -40.0, -200.0):
-            v = solve_ode_filter(OdeFilterSpec(lam=lam, size=128))
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_bank_filter_for_recorded_lambda(self):
-        bank = ode_filter_bank(128, 6)
-        for j in (0, 3):
-            v = solve_ode_filter(OdeFilterSpec(lam=float(bank.lambdas[j]), size=128))
-            assert abs(v @ bank.phis[j]) == pytest.approx(1.0, abs=1e-8)
-
-    def test_rejects_bad_spec(self):
-        with pytest.raises(ValueError):
-            OdeFilterSpec(lam=np.inf, size=64)
-        with pytest.raises(ValueError):
-            OdeFilterSpec(lam=-1.0, size=1)
 
 
 class TestOdeFilterBank:

@@ -16,6 +16,7 @@ for a stable way to generate deep filters).
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
 
 # eigenvalues at or below this are treated as numerically unresolved
 NOISE_FLOOR = 1e-12
+_HUGEPAGE_LOCK = threading.Lock()  # numpy's huge-page advice is process-wide
 
 
 @dataclass(frozen=True)
@@ -132,11 +134,32 @@ def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lower_triangle(entries: np.ndarray) -> np.ndarray:
+    try:
+        from numpy._core.multiarray import _set_madvise_hugepage as advise
+    except ImportError:  # every page may become resident
+        advise = bool  # returns its argument, so the calls below change nothing
+    with _HUGEPAGE_LOCK:
+        previous = advise(False)
+        try:
+            out = np.empty(entries.shape, order="F")
+        finally:
+            advise(previous)
+    for j in range(len(out)):
+        out[j:, j] = entries[j:, j]  # LAPACK with UPLO='L' reads nothing above the diagonal
+        if not np.isfinite(out[j:, j]).all():
+            raise ValueError(f"matrix entries must be finite; column {j} is not")
+    return out
+
+
 def top_eigenpairs(H: HankelMatrix, k: int) -> Spectrum:
     """Top-k eigenpairs of a symmetric matrix, nonincreasing, sign-fixed.
 
-    Raises ``ValueError`` for k outside [1, T]; eigensolver failures
-    propagate as ``numpy.linalg.LinAlgError``.
+    For k < T the solver gets a new T-by-T buffer with only the lower triangle
+    written: its 4 KiB pages above the diagonal, about half its 8T^2 bytes, stay
+    unresident unless the kernel puts every allocation on huge pages (THP ``always``).
+    Raises ``ValueError`` for k outside [1, T] or (k < T) a non-finite entry on or
+    below the diagonal; eigensolver failures propagate as ``numpy.linalg.LinAlgError``.
     """
     import scipy.linalg  # scipy loads on first use, not at package import
 
@@ -144,7 +167,8 @@ def top_eigenpairs(H: HankelMatrix, k: int) -> Spectrum:
     if not 1 <= k <= T:
         raise ValueError(f"need 1 <= k <= {T}, got k={k}")
     if k < T:
-        w, v = scipy.linalg.eigh(H.entries, subset_by_index=[T - k, T - 1])
+        w, v = scipy.linalg.eigh(_lower_triangle(H.entries), subset_by_index=[T - k, T - 1],
+                                 overwrite_a=True, check_finite=False)
     else:
         w, v = np.linalg.eigh(H.entries)
     order = np.argsort(w)[::-1]

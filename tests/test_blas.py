@@ -111,3 +111,29 @@ def test_ftl_losses_are_bit_identical_across_blas_thread_counts(tmp_path):
                              capture_output=True, text=True, timeout=300)
         hashes.append(out.stdout.strip())
     assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
+
+
+def test_eigen_bank_moves_within_davis_kahan_across_thread_counts(tmp_path):
+    # scipy's eigh keeps its threads, so the filters may move across thread
+    # counts; the eigenvalues may not, and filter j may move by no more than
+    # a perturbation of size 8 eps sigma_1 allows for its gap sigma_j - sigma_{j+1}
+    child = ("import sys, numpy as np\n"
+             "from wavefilter.filters import build_filter_bank\n"
+             "b = build_filter_bank(1000, 26)\n"
+             "np.savez(sys.argv[1], sigmas=b.sigmas, phis=b.phis)\n")
+    src = str(Path(wavefilter.__file__).resolve().parents[1])
+    banks = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   OPENBLAS_NUM_THREADS=threads)
+        path = tmp_path / f"bank{threads}.npz"
+        subprocess.run([sys.executable, "-c", child, str(path)], env=env, check=True,
+                       capture_output=True, text=True, timeout=300)
+        banks.append(np.load(path))
+    sigmas = banks[0]["sigmas"]
+    assert np.array_equal(sigmas, banks[1]["sigmas"])
+    gaps = sigmas[:25] - sigmas[1:]
+    assert np.all(gaps > 0)
+    bound = 8 * np.finfo(float).eps * sigmas[0] / gaps
+    moved = np.abs(banks[0]["phis"][:25] - banks[1]["phis"][:25]).max(axis=1)
+    assert np.all(moved <= bound)

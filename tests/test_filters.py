@@ -47,6 +47,17 @@ def _batched_rows(xs: np.ndarray, bank: FilterBank) -> np.ndarray:
     return np.hstack([blocks.reshape(T, bank.k * n), _shifted(xs), xs])
 
 
+def _conv_blocks_per_filter(xs: np.ndarray, spec_f: np.ndarray, out: np.ndarray) -> None:
+    """One ``irfft`` of shape (n, N) per filter: the reference for the grouped transforms."""
+    T, n = xs.shape
+    size = 2 * (spec_f.shape[1] - 1)
+    spec_x = np.fft.rfft(xs.T, size)
+    out[0] = 0.0
+    for j in range(len(spec_f)):
+        c = np.fft.irfft(spec_f[j] * spec_x, size)
+        out[1:, j * n : (j + 1) * n] = c[:, : T - 1].T
+
+
 def _shifted(rows: np.ndarray) -> np.ndarray:
     """Rows one step later, row 0 zero."""
     out = np.zeros_like(rows)
@@ -284,6 +295,19 @@ class TestStreamedConvolutions:
             xs = np.random.default_rng(seed).standard_normal((T, 3))
             filters._streamed_rows(layout, xs, spec_f, out)
             assert np.array_equal(out, featurize_batch(xs, bank))
+
+
+@pytest.mark.parametrize("T, k, method",
+                         [(1000, 40, "ode"), (1000, 25, "eigen"), (257, 9, "hilbert")])
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_grouped_transforms_equal_one_per_filter(T, k, method, n):
+    bank = build_filter_bank(T, k, method=method)
+    spec_f = filters._filter_spectrum(bank)
+    xs = np.random.default_rng(T + n).standard_normal((T, n))
+    grouped, single = np.empty((T, k * n)), np.empty((T, k * n))
+    filters._conv_blocks_fft(xs, spec_f, grouped)
+    _conv_blocks_per_filter(xs, spec_f, single)
+    assert np.array_equal(grouped, single)
 
 
 class TestFeatureLayout:

@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wavefilter
+from wavefilter import hankel
 from wavefilter.hankel import (
     NOISE_FLOOR,
     HankelMatrix,
@@ -183,6 +190,123 @@ class TestTopEigenpairs:
             if sig[j - 1] <= NOISE_FLOOR:
                 break
             assert sig[j - 1] <= min(0.75, 1e6 * c ** (-j / math.log(T)))
+
+
+def _old_top_eigenpairs(entries, k):
+    """The subset eigensolve of the full T-by-T matrix: the reference for the triangle copy."""
+    T = len(entries)
+    w, v = scipy.linalg.eigh(entries, subset_by_index=[T - k, T - 1])
+    order = np.argsort(w)[::-1]
+    return w[order], hankel._sign_normalize(v[:, order])
+
+
+def _hugepage_advice():
+    """numpy's current huge-page advice, read by setting it and putting it back."""
+    from numpy._core.multiarray import _set_madvise_hugepage
+
+    value = _set_madvise_hugepage(True)
+    _set_madvise_hugepage(value)
+    return value
+
+
+@pytest.fixture
+def hugepage_switch():
+    """numpy's huge-page switch, with its setting restored after the test."""
+    set_advice = pytest.importorskip("numpy._core.multiarray")._set_madvise_hugepage
+    saved = _hugepage_advice()
+    try:
+        yield set_advice
+    finally:
+        set_advice(saved)
+
+
+class TestLowerTriangleSolve:
+    """The k < T path copies only the lower triangle, the part LAPACK reads."""
+
+    @pytest.mark.parametrize("matrix", [build_hankel, lambda T: HankelMatrix(hilbert_matrix(T))],
+                             ids=["eigen", "hilbert"])
+    # (2000, 1999) would add 30 s for the same all-but-one solve checked at T = 1000
+    @pytest.mark.parametrize("T, k", sorted(
+        {(T, k) for T in (2, 3, 257, 1000, 2000) for k in (1, min(25, T - 1), T - 1)}
+        - {(2000, 1999)}
+    ))
+    def test_bit_identical_to_the_full_matrix_solve(self, matrix, T, k):
+        H = matrix(T)
+        sigmas, phis = _old_top_eigenpairs(H.entries, k)
+        spec = top_eigenpairs(H, k)
+        assert np.array_equal(spec.sigmas, sigmas)
+        assert np.array_equal(spec.phis, phis)
+
+    def test_upper_triangle_is_never_read(self):
+        H = build_hankel(60)
+        owned = np.array(H.entries)
+        owned[np.triu_indices(60, 1)] = np.nan
+        a, b = top_eigenpairs(H, 10), top_eigenpairs(HankelMatrix(owned), 10)
+        assert np.array_equal(a.sigmas, b.sigmas)
+        assert np.array_equal(a.phis, b.phis)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("i, j", [(0, 0), (59, 59), (59, 0), (31, 30)])
+    def test_rejects_non_finite_on_or_below_the_diagonal(self, value, i, j):
+        owned = np.array(build_hankel(60).entries)
+        owned[i, j] = value
+        with pytest.raises(ValueError, match=f"column {j} is not"):
+            top_eigenpairs(HankelMatrix(owned), 10)
+
+    @pytest.mark.parametrize("advice", [True, False])
+    def test_huge_page_advice_is_restored_after_return_and_raise(self, hugepage_switch, advice,
+                                                                 monkeypatch):
+        hugepage_switch(advice)
+        top_eigenpairs(build_hankel(40), 5)
+        assert _hugepage_advice() is advice
+
+        def failing_empty(*args, **kwargs):
+            assert _hugepage_advice() is False  # the buffer itself gets no advice
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(hankel.np, "empty", failing_empty)
+        with pytest.raises(MemoryError, match="no room"):
+            top_eigenpairs(build_hankel(40), 5)
+        monkeypatch.undo()
+        assert _hugepage_advice() is advice
+        assert not hankel._HUGEPAGE_LOCK.locked()
+
+    def test_without_the_switch_gives_the_same_eigenpairs(self, monkeypatch):
+        import numpy._core.multiarray as multiarray
+
+        H = build_hankel(300)
+        a = top_eigenpairs(H, 25)
+        monkeypatch.delattr(multiarray, "_set_madvise_hugepage", raising=False)
+        b = top_eigenpairs(H, 25)
+        assert np.array_equal(a.sigmas, b.sigmas)
+        assert np.array_equal(a.phis, b.phis)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_upper_triangle_pages_stay_unresident(self):
+        thp = Path("/sys/kernel/mm/transparent_hugepage/enabled")
+        if thp.exists() and "[always]" in thp.read_text():
+            pytest.skip("the kernel backs every allocation with huge pages")
+        T = 3000
+        # VmHWM is the child's own peak; ru_maxrss starts from the parent's at exec
+        child = (
+            "from wavefilter.hankel import build_hankel, top_eigenpairs\n"
+            "def peak():\n"
+            "    return next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+            "                if line.startswith('VmHWM:'))\n"
+            "import scipy.linalg\n"
+            f"H = build_hankel({T})\n"
+            "before = peak()\n"
+            "top_eigenpairs(H, 25)\n"
+            "print(peak() - before)\n"
+        )
+        src = str(Path(wavefilter.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        grown = 1024 * int(out.stdout)
+        # a full copy is 8T^2 bytes; the lower triangle is 4T^2, and each column's
+        # lower part shares at most two 4 KiB pages with the upper triangle
+        assert grown < 4 * T * T + 2 * 4096 * T
 
 
 class TestSpectralTailSum:

@@ -200,19 +200,25 @@ def _old_top_eigenpairs(entries, k):
     return w[order], hankel._sign_normalize(v[:, order])
 
 
+def _multiarray_with_switch():
+    multiarray = pytest.importorskip("numpy._core.multiarray")
+    if not hasattr(multiarray, "_set_madvise_hugepage"):
+        pytest.skip("this numpy has no huge-page switch")
+    return multiarray
+
+
 def _hugepage_advice():
     """numpy's current huge-page advice, read by setting it and putting it back."""
-    from numpy._core.multiarray import _set_madvise_hugepage
-
-    value = _set_madvise_hugepage(True)
-    _set_madvise_hugepage(value)
+    set_advice = _multiarray_with_switch()._set_madvise_hugepage
+    value = set_advice(True)
+    set_advice(value)
     return value
 
 
 @pytest.fixture
 def hugepage_switch():
     """numpy's huge-page switch, with its setting restored after the test."""
-    set_advice = pytest.importorskip("numpy._core.multiarray")._set_madvise_hugepage
+    set_advice = _multiarray_with_switch()._set_madvise_hugepage
     saved = _hugepage_advice()
     try:
         yield set_advice
@@ -272,11 +278,10 @@ class TestLowerTriangleSolve:
         assert not hankel._HUGEPAGE_LOCK.locked()
 
     def test_without_the_switch_gives_the_same_eigenpairs(self, monkeypatch):
-        import numpy._core.multiarray as multiarray
-
+        multiarray = _multiarray_with_switch()
         H = build_hankel(300)
         a = top_eigenpairs(H, 25)
-        monkeypatch.delattr(multiarray, "_set_madvise_hugepage", raising=False)
+        monkeypatch.delattr(multiarray, "_set_madvise_hugepage")
         b = top_eigenpairs(H, 25)
         assert np.array_equal(a.sigmas, b.sigmas)
         assert np.array_equal(a.phis, b.phis)

@@ -155,9 +155,9 @@ def _lower_triangle(entries: np.ndarray) -> np.ndarray:
 def top_eigenpairs(H: HankelMatrix, k: int) -> Spectrum:
     """Top-k eigenpairs of a symmetric matrix, nonincreasing, sign-fixed.
 
-    For k < T the solver gets a new T-by-T buffer with only the lower triangle
-    written: its 4 KiB pages above the diagonal, about half its 8T^2 bytes, stay
-    unresident unless the kernel puts every allocation on huge pages (THP ``always``).
+    For k < T the solver gets a new T-by-T buffer, allocated without numpy's huge-page
+    advice, with only the lower triangle written: its 4 KiB pages above the diagonal,
+    about half its 8T^2 bytes, stay unresident unless the kernel's THP mode is ``always``.
     Raises ``ValueError`` for k outside [1, T] or (k < T) a non-finite entry on or
     below the diagonal; eigensolver failures propagate as ``numpy.linalg.LinAlgError``.
     """

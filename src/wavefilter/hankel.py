@@ -15,8 +15,9 @@ for a stable way to generate deep filters).
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import threading
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ __all__ = [
 
 # eigenvalues at or below this are treated as numerically unresolved
 NOISE_FLOOR = 1e-12
-_HUGEPAGE_LOCK = threading.Lock()  # numpy's huge-page advice is process-wide
 
 
 @dataclass(frozen=True)
@@ -134,17 +134,17 @@ def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _drop_pages(a: np.ndarray) -> None:
+    """Drop the pages lying wholly inside ``a`` and keep huge pages off them (Linux only)."""
+    page = mmap.PAGESIZE
+    lo, hi = -(-a.ctypes.data // page) * page, (a.ctypes.data + a.nbytes) // page * page
+    if hi > lo and hasattr(mmap, "MADV_NOHUGEPAGE"):
+        for advice in (mmap.MADV_NOHUGEPAGE, mmap.MADV_DONTNEED):
+            ctypes.CDLL(None).madvise(ctypes.c_void_p(lo), ctypes.c_size_t(hi - lo), advice)
+
+
 def _lower_triangle(entries: np.ndarray) -> np.ndarray:
-    try:
-        from numpy._core.multiarray import _set_madvise_hugepage as advise
-    except ImportError:  # every page may become resident
-        advise = bool  # returns its argument, so the calls below change nothing
-    with _HUGEPAGE_LOCK:
-        previous = advise(False)
-        try:
-            out = np.empty(entries.shape, order="F")
-        finally:
-            advise(previous)
+    _drop_pages(out := np.empty(entries.shape, order="F"))
     for j in range(len(out)):
         out[j:, j] = entries[j:, j]  # LAPACK with UPLO='L' reads nothing above the diagonal
         if not np.isfinite(out[j:, j]).all():
@@ -155,11 +155,10 @@ def _lower_triangle(entries: np.ndarray) -> np.ndarray:
 def top_eigenpairs(H: HankelMatrix, k: int) -> Spectrum:
     """Top-k eigenpairs of a symmetric matrix, nonincreasing, sign-fixed.
 
-    For k < T the solver gets a new T-by-T buffer, allocated without numpy's huge-page
-    advice, with only the lower triangle written: its 4 KiB pages above the diagonal,
-    about half its 8T^2 bytes, stay unresident unless the kernel's THP mode is ``always``.
-    Raises ``ValueError`` for k outside [1, T] or (k < T) a non-finite entry on or
-    below the diagonal; eigensolver failures propagate as ``numpy.linalg.LinAlgError``.
+    For k < T the solver gets only the lower triangle of a new T-by-T buffer whose pages are
+    dropped before and after: about half its 8T^2 bytes never become resident (unless THP is
+    ``always``). Raises ``ValueError`` for k outside [1, T] or (k < T) a non-finite entry on
+    or below the diagonal; eigensolver failures propagate as ``numpy.linalg.LinAlgError``.
     """
     import scipy.linalg  # scipy loads on first use, not at package import
 
@@ -167,8 +166,9 @@ def top_eigenpairs(H: HankelMatrix, k: int) -> Spectrum:
     if not 1 <= k <= T:
         raise ValueError(f"need 1 <= k <= {T}, got k={k}")
     if k < T:
-        w, v = scipy.linalg.eigh(_lower_triangle(H.entries), subset_by_index=[T - k, T - 1],
+        w, v = scipy.linalg.eigh(a := _lower_triangle(H.entries), subset_by_index=[T - k, T - 1],
                                  overwrite_a=True, check_finite=False)
+        _drop_pages(a)
     else:
         w, v = np.linalg.eigh(H.entries)
     order = np.argsort(w)[::-1]

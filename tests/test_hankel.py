@@ -200,30 +200,20 @@ def _old_top_eigenpairs(entries, k):
     return w[order], hankel._sign_normalize(v[:, order])
 
 
-def _multiarray_with_switch():
-    multiarray = pytest.importorskip("numpy._core.multiarray")
-    if not hasattr(multiarray, "_set_madvise_hugepage"):
-        pytest.skip("this numpy has no huge-page switch")
-    return multiarray
+def _run_child(code: str) -> str:
+    """stdout of a fresh interpreter that runs ``code`` with this checkout's package."""
+    src = str(Path(wavefilter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=300).stdout
 
 
-def _hugepage_advice():
-    """numpy's current huge-page advice, read by setting it and putting it back."""
-    set_advice = _multiarray_with_switch()._set_madvise_hugepage
-    value = set_advice(True)
-    set_advice(value)
-    return value
-
-
-@pytest.fixture
-def hugepage_switch():
-    """numpy's huge-page switch, with its setting restored after the test."""
-    set_advice = _multiarray_with_switch()._set_madvise_hugepage
-    saved = _hugepage_advice()
-    try:
-        yield set_advice
-    finally:
-        set_advice(saved)
+def _skip_unless_pages_can_be_counted():
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/status")
+    thp = Path("/sys/kernel/mm/transparent_hugepage/enabled")
+    if thp.exists() and "[always]" in thp.read_text():
+        pytest.skip("the kernel backs every allocation with huge pages")
 
 
 class TestLowerTriangleSolve:
@@ -259,41 +249,19 @@ class TestLowerTriangleSolve:
         with pytest.raises(ValueError, match=f"column {j} is not"):
             top_eigenpairs(HankelMatrix(owned), 10)
 
-    @pytest.mark.parametrize("advice", [True, False])
-    def test_huge_page_advice_is_restored_after_return_and_raise(self, hugepage_switch, advice,
-                                                                 monkeypatch):
-        hugepage_switch(advice)
-        top_eigenpairs(build_hankel(40), 5)
-        assert _hugepage_advice() is advice
-
-        def failing_empty(*args, **kwargs):
-            assert _hugepage_advice() is False  # the buffer itself gets no advice
-            raise MemoryError("no room")
-
-        monkeypatch.setattr(hankel.np, "empty", failing_empty)
-        with pytest.raises(MemoryError, match="no room"):
-            top_eigenpairs(build_hankel(40), 5)
-        monkeypatch.undo()
-        assert _hugepage_advice() is advice
-        assert not hankel._HUGEPAGE_LOCK.locked()
-
-    def test_without_the_switch_gives_the_same_eigenpairs(self, monkeypatch):
-        multiarray = _multiarray_with_switch()
+    def test_without_madvise_gives_the_same_eigenpairs(self, monkeypatch):
         H = build_hankel(300)
         a = top_eigenpairs(H, 25)
-        monkeypatch.delattr(multiarray, "_set_madvise_hugepage")
+        monkeypatch.delattr(hankel.mmap, "MADV_NOHUGEPAGE", raising=False)
         b = top_eigenpairs(H, 25)
         assert np.array_equal(a.sigmas, b.sigmas)
         assert np.array_equal(a.phis, b.phis)
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_upper_triangle_pages_stay_unresident(self):
-        thp = Path("/sys/kernel/mm/transparent_hugepage/enabled")
-        if thp.exists() and "[always]" in thp.read_text():
-            pytest.skip("the kernel backs every allocation with huge pages")
+        _skip_unless_pages_can_be_counted()
         T = 3000
         # VmHWM is the child's own peak; ru_maxrss starts from the parent's at exec
-        child = (
+        grown = 1024 * int(_run_child(
             "from wavefilter.hankel import build_hankel, top_eigenpairs\n"
             "def peak():\n"
             "    return next(int(line.split()[1]) for line in open('/proc/self/status')\n"
@@ -303,15 +271,28 @@ class TestLowerTriangleSolve:
             "before = peak()\n"
             "top_eigenpairs(H, 25)\n"
             "print(peak() - before)\n"
-        )
-        src = str(Path(wavefilter.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
-                             capture_output=True, text=True, timeout=300)
-        grown = 1024 * int(out.stdout)
+        ))
         # a full copy is 8T^2 bytes; the lower triangle is 4T^2, and each column's
         # lower part shares at most two 4 KiB pages with the upper triangle
         assert grown < 4 * T * T + 2 * 4096 * T
+
+    def test_buffer_leaves_no_pages_resident_in_the_heap(self):
+        _skip_unless_pages_can_be_counted()
+        T = 2000
+        # glibc maps the first 32 MB buffer on its own and, once that is freed, serves
+        # the next one from the heap, where freed memory stays resident unless dropped
+        grown = 1024 * int(_run_child(
+            "from wavefilter.hankel import build_hankel, top_eigenpairs\n"
+            "def rss():\n"
+            "    return next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+            "                if line.startswith('VmRSS:'))\n"
+            f"H = build_hankel({T})\n"
+            "top_eigenpairs(H, 25)\n"
+            "before = rss()\n"
+            "top_eigenpairs(H, 25)\n"
+            "print(rss() - before)\n"
+        ))
+        assert grown < T * T  # the triangle alone would leave about 4T^2 bytes
 
 
 class TestSpectralTailSum:

@@ -134,13 +134,13 @@ def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _drop_pages(a: np.ndarray) -> None:
-    """Drop the pages lying wholly inside ``a`` and keep huge pages off them (Linux only)."""
-    page = mmap.PAGESIZE
+def _drop_pages(a: np.ndarray, page: int = mmap.PAGESIZE) -> None:
+    """Drop the pages wholly inside ``a`` (no huge pages) and the heap's free pages; Linux only."""
     lo, hi = -(-a.ctypes.data // page) * page, (a.ctypes.data + a.nbytes) // page * page
     if hi > lo and hasattr(mmap, "MADV_NOHUGEPAGE"):
         for advice in (mmap.MADV_NOHUGEPAGE, mmap.MADV_DONTNEED):
             ctypes.CDLL(None).madvise(ctypes.c_void_p(lo), ctypes.c_size_t(hi - lo), advice)
+        getattr(ctypes.CDLL(None), "malloc_trim", int)(0)  # glibc keeps freed heap resident
 
 
 def _lower_triangle(entries: np.ndarray) -> np.ndarray:

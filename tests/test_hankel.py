@@ -294,6 +294,25 @@ class TestLowerTriangleSolve:
         ))
         assert grown < T * T  # the triangle alone would leave about 4T^2 bytes
 
+    def test_free_heap_pages_are_released_before_the_fill(self):
+        _skip_unless_pages_can_be_counted()
+        # the second 32 MB array comes from the heap, which keeps it resident once freed
+        released = 1024 * int(_run_child(
+            "import numpy as np\n"
+            "import scipy.linalg\n"
+            "from wavefilter.hankel import build_hankel, top_eigenpairs\n"
+            "def rss():\n"
+            "    return next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+            "                if line.startswith('VmRSS:'))\n"
+            "for _ in range(2):\n"
+            "    x = np.ones(4_000_000)\n"
+            "    del x\n"
+            "before = rss()\n"
+            "top_eigenpairs(build_hankel(100), 5)\n"
+            "print(before - rss())\n"
+        ))
+        assert released > 16e6
+
 
 class TestSpectralTailSum:
     def test_full_cut_is_zero(self):

@@ -17,7 +17,6 @@ from .hankel import (
     full_spectrum,
     hilbert_matrix,
     mu_curve,
-    project_onto_filters,
     quarter_power_apply,
     spectral_tail_sum,
     top_eigenpairs,
@@ -55,7 +54,6 @@ from .online import (
     OnlineState,
     RegretReport,
     default_hyperparams,
-    ftl_update,
     online_features,
     predict,
     regret_vs_best_fixed,

@@ -17,7 +17,7 @@ import numpy as np
 from ._blas import serial_blas
 from .filters import FeatureLayout, FilterBank, _batch_inputs, _filter_spectrum, _streamed_rows
 from .lds import Trajectory, _check_finite
-from .online import _ridge_gram_solve, _ridge_least_squares
+from .online import _ridge_gram_solve
 
 __all__ = [
     "BatchSample",
@@ -74,7 +74,8 @@ def fit_batch(
     ``||Y||^2 - <M, B^T> - ridge ||M||^2`` (clamped at 0), exact to about
     ``eps || |F| |M|^T ||^2``: ``eps ||Y||^2`` unless the fitted terms cancel.
     Ridge 0 stacks the episodes for the minimum-norm ``lstsq``, as the
-    Gram would square cond(F) (about 1e14 on ode banks). A negative ridge,
+    Gram would square cond(F) (about 1e14 on ode banks); all-zero features
+    then raise ``LinAlgError``. A negative ridge,
     or episodes whose input or target widths differ, raise ``ValueError``
     before any episode is featurized.
     """
@@ -103,8 +104,10 @@ def fit_batch(
             gram += block.T @ block
             cross += block.T @ s.targets
     if ridge == 0.0:  # residuals per sample: one product over the stacked F took ~18 MB more
+        if not np.any(blocks):
+            raise np.linalg.LinAlgError("all-zero feature matrix is singular without a ridge")
         Y = np.vstack([s.targets for s in samples])
-        matrix = _ridge_least_squares(blocks.reshape(-1, layout.width), Y, ridge)
+        matrix = np.linalg.lstsq(blocks.reshape(-1, layout.width), Y, rcond=None)[0].T
         sse = sum(float(((s.targets - f @ matrix.T) ** 2).sum()) for s, f in zip(samples, blocks))
     else:  # rounding can take the identity below zero on a near-perfect fit
         matrix = _ridge_gram_solve(gram, cross, ridge)

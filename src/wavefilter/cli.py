@@ -34,13 +34,16 @@ from .verify import ToleranceProfile, check_filter_bank, run_verification
 
 def _config_flags(argv: list[str]) -> list[str]:
     """``--key value...`` per non-null entry of the ``--config`` file named in ``argv``."""
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = argparse.ArgumentParser(prog="wavefilter", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if not path:
         return []
+    config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict):
+        pre.error(f"--config file {path} does not hold a JSON object of flag values")
     tokens = []
-    for key, value in json.loads(Path(path).read_text()).items():
+    for key, value in config.items():
         if value is not None:
             values = value if isinstance(value, list) else [value]
             tokens += ["--" + key.replace("_", "-")] + [str(v) for v in values]

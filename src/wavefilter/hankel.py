@@ -32,7 +32,6 @@ __all__ = [
     "top_eigenpairs",
     "full_spectrum",
     "spectral_tail_sum",
-    "project_onto_filters",
     "quarter_power_apply",
 ]
 
@@ -188,19 +187,6 @@ def spectral_tail_sum(full: Spectrum, k: int) -> float:
     if not 0 <= k <= full.source_size:
         raise ValueError(f"need 0 <= k <= {full.source_size}, got k={k}")
     return float(np.clip(full.sigmas[k:], 0.0, None).sum())
-
-
-def project_onto_filters(v: np.ndarray, spec: Spectrum, k: int) -> np.ndarray:
-    """Orthogonal projection of v onto the span of the first k eigenvectors."""
-    if not 1 <= k <= len(spec):
-        raise ValueError(f"need 1 <= k <= {len(spec)}, got k={k}")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (spec.source_size,):
-        raise ValueError(
-            f"vector length {v.shape} does not match spectrum size {spec.source_size}"
-        )
-    basis = spec.phis[:, :k]
-    return basis @ (basis.T @ v)
 
 
 def quarter_power_apply(spec: Spectrum, v: np.ndarray) -> np.ndarray:

@@ -26,8 +26,6 @@ __all__ = [
     "load_filter_bank",
     "save_trajectory",
     "load_trajectory",
-    "load_input_csv",
-    "save_features",
     "save_predictor",
     "load_predictor",
     "save_result_rows",
@@ -124,16 +122,6 @@ def _sidecar(meta: dict, paths: tuple[Path, Path], *keys: str, within: str = "")
     return [meta[key] for key in keys]
 
 
-def _layout_meta(layout: FeatureLayout) -> dict:
-    return {
-        "n": layout.n,
-        "k": layout.k,
-        "m": layout.m,
-        "include_y": layout.include_y,
-        "width": layout.width,
-    }
-
-
 def save_filter_bank(bank: FilterBank, base: PathLike) -> tuple[Path, Path]:
     """Write filters as a T-by-k CSV of eigenvector entries plus a sidecar."""
     meta = {
@@ -200,36 +188,6 @@ def load_trajectory(base: PathLike) -> Trajectory:
     return Trajectory(inputs=data[:, 1 : 1 + n], outputs=data[:, 1 + n :])
 
 
-def load_input_csv(path: PathLike) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Read an input sequence CSV with x_* (and optionally y_*) columns."""
-    path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-    data = _read_matrix_csv(path, skip_header=True)
-    x_cols = [i for i, name in enumerate(header) if name.startswith("x_")]
-    y_cols = [i for i, name in enumerate(header) if name.startswith("y_")]
-    if not x_cols:
-        raise ValueError(f"no x_* columns found in {path}")
-    xs = data[:, x_cols]
-    ys = data[:, y_cols] if y_cols else None
-    return xs, ys
-
-
-def save_features(
-    features: np.ndarray, layout: FeatureLayout, base: PathLike
-) -> tuple[Path, Path]:
-    """Write a feature matrix with a JSON header describing the blocks."""
-    blocks = {
-        "convolutions": [0, layout.n * layout.k],
-        "x_prev": [layout.x_prev_block.start, layout.x_prev_block.stop],
-        "x": [layout.x_block.start, layout.x_block.stop],
-    }
-    if layout.include_y:
-        blocks["y_prev"] = [layout.y_block.start, layout.y_block.stop]
-    meta = {**_layout_meta(layout), "blocks": blocks}
-    return _save_pair(base, meta, (), (FLOAT_FMT, features))
-
-
 def save_predictor(
     matrix: np.ndarray,
     layout: FeatureLayout,
@@ -241,7 +199,8 @@ def save_predictor(
     meta = {
         "source": source,
         "rows": int(np.atleast_2d(matrix).shape[0]),
-        "layout": _layout_meta(layout),
+        "layout": {"n": layout.n, "k": layout.k, "m": layout.m,
+                   "include_y": layout.include_y, "width": layout.width},
     }
     if config_echo:
         meta["config"] = config_echo
@@ -285,9 +244,27 @@ def save_result_rows(
 
 
 def load_training_set(directory: PathLike) -> list[Trajectory]:
-    """Load trajectories listed in a directory's manifest.json."""
+    """Load the trajectories listed in a directory's manifest.json, all equally long.
+
+    The manifest's ``trajectories`` must be a non-empty list of base names.
+    A manifest that breaks this, or trajectories that differ in length,
+    raise ``ValueError`` naming the files.
+    """
     manifest_path = Path(directory) / "manifest.json"
-    names = json.loads(manifest_path.read_text())["trajectories"]
+    manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict) or "trajectories" not in manifest:
+        raise ValueError(f"{manifest_path} lacks a trajectories list")
+    names = manifest["trajectories"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ValueError(f"{manifest_path} lists trajectories as {names!r}, not as a list of names")
     if not names:
         raise ValueError(f"{manifest_path} lists no trajectories")
-    return [load_trajectory(manifest_path.parent / name) for name in names]
+    bases = [manifest_path.parent / name for name in names]
+    trajectories = [load_trajectory(base) for base in bases]
+    for base, trajectory in zip(bases, trajectories):
+        if trajectory.length != trajectories[0].length:
+            raise ValueError(
+                f"{base.with_suffix('.csv')} has {trajectory.length} steps, "
+                f"{bases[0].with_suffix('.csv')} has {trajectories[0].length}"
+            )
+    return trajectories

@@ -35,7 +35,6 @@ __all__ = [
     "predict",
     "update",
     "run_online",
-    "ftl_update",
     "ftl_refit_every",
     "run_ftl",
     "regret_vs_best_fixed",
@@ -373,31 +372,17 @@ def _project_huge(matrix: np.ndarray, r_m: float, out: Optional[np.ndarray] = No
     return np.multiply(unit, r_m / np.linalg.norm(unit), out=out)
 
 
-def _ridge_least_squares(
-    features: np.ndarray, targets: np.ndarray, ridge: float
-) -> np.ndarray:
-    """Minimizer M of ``||targets - features M^T||^2 + ridge ||M||^2``.
-
-    With ridge 0 the minimum-norm least-squares solution is returned; an
-    all-zero (information-free) feature matrix then raises ``LinAlgError``.
-    """
-    if ridge == 0.0:
-        if not np.any(features):
-            raise np.linalg.LinAlgError(
-                "all-zero feature matrix is singular without a ridge"
-            )
-        matrix, *_ = np.linalg.lstsq(features, targets, rcond=None)
-        return matrix.T
-    return _ridge_gram_solve(features.T @ features, features.T @ targets, ridge)
-
-
 def _ridge_gram_solve(gram: np.ndarray, cross: np.ndarray, ridge: float) -> np.ndarray:
-    """M solving ``(gram + ridge I) M^T = cross`` by Cholesky, for ``F^T F`` and ``F^T Y``."""
+    """M solving ``(gram + ridge I) M^T = cross`` by Cholesky, for ``F^T F`` and ``F^T Y``.
+
+    A ``gram + ridge I`` that is not positive definite raises ``LinAlgError``.
+    """
     import scipy.linalg  # scipy loads on first use, not at package import
 
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    return scipy.linalg.solve(gram + ridge * np.eye(len(gram)), cross, assume_a="pos").T
+    factor = scipy.linalg.cho_factor(gram + ridge * np.eye(len(gram)), overwrite_a=True)
+    return scipy.linalg.cho_solve(factor, cross).T
 
 
 def _learner_inputs(
@@ -409,24 +394,6 @@ def _learner_inputs(
     _check_finite(features, "features")
     _check_finite(targets, "targets")
     return features, targets
-
-
-@serial_blas
-def ftl_update(
-    features: np.ndarray, targets: np.ndarray, ridge: float, r_m: float
-) -> np.ndarray:
-    """Ridge least-squares minimizer over the history, ball-projected.
-
-    A positive ridge solves the regularized normal equations by Cholesky.
-    With ridge 0 the minimum-norm least-squares solution is returned; an
-    all-zero (information-free) feature matrix then raises ``LinAlgError``.
-    A non-finite feature or target raises ``ValueError`` naming its step
-    and column.
-    """
-    features, targets = _learner_inputs(features, targets)
-    if features.shape[0] != targets.shape[0] or features.shape[0] == 0:
-        raise ValueError("need equally many (and at least one) features and targets")
-    return _project_ball(_ridge_least_squares(features, targets, ridge), r_m)
 
 
 def _rolling_ridge(

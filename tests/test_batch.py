@@ -13,7 +13,7 @@ from wavefilter.batch import (
 from wavefilter.filters import FilterBank, augment_hint, build_filter_bank, featurize_batch
 from wavefilter.hankel import hilbert_matrix
 from wavefilter.lds import LdsParams, simulate
-from wavefilter.online import _ridge_least_squares
+from wavefilter.online import _ridge_gram_solve
 
 
 def random_diagonal_system(rng, d=5, n=2, m=2):
@@ -144,10 +144,13 @@ class TestFitBatch:
     def _stacking_reference(samples, bank, ridge):
         """Matrix, SSE, stacked features and targets of the fit over vstacked episodes."""
         feats = [featurize_batch(s.inputs, bank) for s in samples]
-        Y = np.vstack([s.targets for s in samples])
-        matrix = _ridge_least_squares(np.vstack(feats), Y, ridge)
+        F, Y = np.vstack(feats), np.vstack([s.targets for s in samples])
+        if ridge == 0.0:
+            matrix = np.linalg.lstsq(F, Y, rcond=None)[0].T
+        else:
+            matrix = _ridge_gram_solve(F.T @ F, F.T @ Y, ridge)
         sse = sum(float(((s.targets - f @ matrix.T) ** 2).sum()) for s, f in zip(samples, feats))
-        return matrix, sse, np.vstack(feats), Y
+        return matrix, sse, F, Y
 
     @pytest.mark.parametrize("ridge", [1e-8, 0.0])
     @pytest.mark.parametrize("method", ["eigen", "ode"])

@@ -1,0 +1,27 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+STEADY = [10.0, 10.02, 9.98, 10.01, 9.99, 10.0, 10.03, 9.97, 10.01, 9.99]
+NOISY = [10.0] * 5 + [12.0] * 5  # quartiles 10 and 12: a spread of 2, wider than 5% of 11
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    (STEADY, [v - 1.0 for v in STEADY], "gain"),
+    (STEADY, [v - 1.0 for v in STEADY[:8]] + [11.0, 11.0], "unchanged"),  # 8 of 10 pairs won
+    (STEADY, [v + 0.4 for v in STEADY], "unchanged"),  # within the 5% bound
+    (STEADY, [v + 0.6 for v in STEADY], "regression"),
+    (STEADY, STEADY, "unchanged"),  # ties count for neither side
+    (NOISY, NOISY, "unresolved"),
+    (NOISY, [9.9] * 10, "unchanged"),  # every change run beats every parent run
+    (NOISY, [8.0] * 10, "gain"),
+    (NOISY, [12.0] * 10, "regression"),
+])
+def test_verdict_follows_the_review_rules(parent, change, verdict):
+    assert bench_pairs._verdict(parent, change, 0.05) == verdict

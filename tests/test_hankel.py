@@ -20,7 +20,6 @@ from wavefilter.hankel import (
     full_spectrum,
     hilbert_matrix,
     mu_curve,
-    project_onto_filters,
     quarter_power_apply,
     spectral_tail_sum,
     top_eigenpairs,
@@ -342,32 +341,6 @@ class TestSpectralTailSum:
         spec = top_eigenpairs(build_hankel(64), 10)
         with pytest.raises(ValueError):
             spectral_tail_sum(spec, 2)
-
-
-class TestProjectOntoFilters:
-    def test_idempotent_on_basis(self):
-        spec = full_spectrum(64)
-        phi1 = spec.phis[:, 0]
-        assert np.abs(project_onto_filters(phi1, spec, 5) - phi1).max() <= 1e-12
-
-    def test_orthogonal_vector_projects_to_zero(self):
-        spec = full_spectrum(64)
-        v = spec.phis[:, 10]  # orthogonal to span of the first 5
-        assert np.abs(project_onto_filters(v, spec, 5)).max() <= 1e-10
-
-    def test_reconstruction_bound(self):
-        T, k = 200, 25
-        spec = full_spectrum(T)
-        bound = math.sqrt(6.0 * spectral_tail_sum(spec, k))
-        for alpha in np.arange(0.0, 1.001, 0.01):
-            v = mu_curve(alpha, T)
-            resid = v - project_onto_filters(v, spec, k)
-            assert resid @ resid <= bound
-
-    def test_dimension_mismatch(self):
-        spec = full_spectrum(64)
-        with pytest.raises(ValueError):
-            project_onto_filters(np.ones(60), spec, 5)
 
 
 class TestQuarterPowerApply:

@@ -68,8 +68,8 @@ def test_names_the_benchmark_reaches_directly(tmp_path, monkeypatch):
     # files they touch into io.bytes_written / io.bytes_read: from the
     # (csv, json) pair or the path that a save_* returns, and from the base
     # or directory that a load_* takes first
-    traced_io = ("save_trajectory", "save_predictor", "save_filter_bank", "save_features",
-                 "save_result_rows", "load_trajectory", "load_training_set")
+    traced_io = ("save_trajectory", "save_predictor", "save_filter_bank", "save_result_rows",
+                 "load_trajectory", "load_training_set")
     assert set(traced_io) <= set(io.__all__)
     bank = build_filter_bank(5, 2)
     layout = FeatureLayout(n=1, k=2, m=0)
@@ -78,9 +78,8 @@ def test_names_the_benchmark_reaches_directly(tmp_path, monkeypatch):
                            tmp_path / "traj"),
         io.save_predictor(np.ones((1, layout.width)), layout, tmp_path / "pred", source="x"),
         io.save_filter_bank(bank, tmp_path / "bank"),
-        io.save_features(np.ones((5, layout.width)), layout, tmp_path / "feats"),
     ]
-    for pair, name in zip(pairs, ("traj", "pred", "bank", "feats")):
+    for pair, name in zip(pairs, ("traj", "pred", "bank")):
         assert pair == (tmp_path / f"{name}.csv", tmp_path / f"{name}.json")
         assert all(path.stat().st_size > 0 for path in pair)
     rows = io.save_result_rows("siso_hard", 0, {"ar": np.ones(3)}, tmp_path / "rows.csv")

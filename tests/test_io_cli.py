@@ -125,12 +125,6 @@ class TestRoundTrips:
         assert np.array_equal(loaded.inputs, small_trajectory.inputs)
         assert np.array_equal(loaded.outputs, small_trajectory.outputs)
 
-    def test_input_csv(self, tmp_path, small_trajectory):
-        io.save_trajectory(small_trajectory, tmp_path / "traj")
-        xs, ys = io.load_input_csv(tmp_path / "traj.csv")
-        assert np.array_equal(xs, small_trajectory.inputs)
-        assert np.array_equal(ys, small_trajectory.outputs)
-
     def test_predictor(self, tmp_path):
         layout = FeatureLayout(n=2, k=3, m=2)
         rng = np.random.default_rng(1)
@@ -140,17 +134,6 @@ class TestRoundTrips:
         assert np.array_equal(loaded, matrix)
         assert lay == layout
         assert meta["source"] == "relaxation"
-
-    def test_features(self, tmp_path):
-        bank = build_filter_bank(30, 4)
-        xs = np.random.default_rng(2).standard_normal((30, 2))
-        feats = featurize_batch(xs, bank)
-        layout = FeatureLayout(n=2, k=4, m=0)
-        io.save_features(feats, layout, tmp_path / "feats")
-        meta = json.loads((tmp_path / "feats.json").read_text())
-        assert meta["width"] == layout.width
-        data = io._read_matrix_csv(tmp_path / "feats.csv", skip_header=False)
-        assert np.array_equal(data, feats)
 
     def test_training_set_manifest(self, tmp_path, small_trajectory):
         io.save_trajectory(small_trajectory, tmp_path / "ep0")
@@ -226,15 +209,15 @@ class TestByteIdentity:
         assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
         feats = featurize_batch(np.random.default_rng(6).standard_normal((30, 2)),
                                 build_filter_bank(30, 4))
-        layout = FeatureLayout(n=2, k=4, m=0)
-        csv_path, _ = io.save_features(feats, layout, tmp_path / "feats")
+        layout = FeatureLayout(n=2, k=4, m=0)  # a tall matrix of feature values
+        csv_path, _ = io.save_predictor(feats, layout, tmp_path / "feats", source="test")
         _reference_matrix_csv(tmp_path / "ref.csv", feats)
         assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_special_values(self, tmp_path):
         row = np.array([[np.nan, np.inf, -np.inf, -0.0, 1e-320, 5e300]])
-        layout = FeatureLayout(n=1, k=1, m=0)
-        csv_path, _ = io.save_features(row, layout, tmp_path / "feats")
+        layout = FeatureLayout(n=2, k=1, m=0)
+        csv_path, _ = io.save_predictor(row, layout, tmp_path / "pred", source="test")
         _reference_matrix_csv(tmp_path / "ref.csv", row)
         assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -476,6 +459,31 @@ class TestSidecarCrossChecks:
         with pytest.raises(ValueError, match=r"manifest\.json lists no trajectories"):
             main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
 
+    @pytest.mark.parametrize("manifest, expected", [
+        ({}, "lacks a trajectories list"),
+        (["ep0"], "lacks a trajectories list"),
+        ({"trajectories": "ep0"}, r"lists trajectories as 'ep0', not as a list of names"),
+        ({"trajectories": ["ep0", 1]}, r"lists trajectories as \['ep0', 1\], not as a list"),
+    ], ids=["missing", "not-an-object", "a-string", "a-number-among-names"])
+    def test_malformed_manifest_names_the_manifest(self, tmp_path, manifest, expected):
+        io.save_trajectory(simulate_scenario("mimo_10", 50, 0, 0.1, 0.1), tmp_path / "ep0")
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=rf"manifest\.json {expected}"):
+            io.load_training_set(tmp_path)
+        with pytest.raises(ValueError, match=rf"manifest\.json {expected}"):
+            main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
+
+    def test_trajectories_of_unequal_length_name_both_files(self, tmp_path, monkeypatch):
+        for name, T in (("ep0", 50), ("ep1", 50), ("ep2", 60)):
+            io.save_trajectory(simulate_scenario("mimo_10", T, 0, 0.1, 0.1), tmp_path / name)
+        (tmp_path / "manifest.json").write_text(json.dumps({"trajectories": ["ep0", "ep1", "ep2"]}))
+        expected = r"ep2\.csv has 60 steps, .*ep0\.csv has 50$"
+        with pytest.raises(ValueError, match=expected):
+            io.load_training_set(tmp_path)
+        monkeypatch.setattr(cli, "build_filter_bank", None)  # no bank is built first
+        with pytest.raises(ValueError, match=expected):
+            main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
+
 
 class TestCli:
     @pytest.mark.parametrize("flag, field", [("--process-std", "process_std"),
@@ -600,6 +608,15 @@ class TestCli:
                   "--out", str(tmp_path / "bank")])
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", ["[1, 2]", '"filters"', "null"])
+    def test_config_that_is_not_an_object_is_a_parser_error(self, tmp_path, capsys, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(payload)
+        with pytest.raises(SystemExit) as exc:
+            main(["filters", "--config", str(cfg), "--out", str(tmp_path / "bank")])
+        assert exc.value.code == 2
+        assert f"--config file {cfg} does not hold a JSON object" in capsys.readouterr().err
 
     def test_abbreviated_explicit_flag_wins_over_config(self, tmp_path, monkeypatch):
         configs = []

@@ -15,9 +15,9 @@ from wavefilter.lds import LdsParams, Trajectory, simulate
 from wavefilter.online import (
     OnlineConfig,
     _constrained_least_squares,
+    _ridge_gram_solve,
     _rolling_ridge,
     default_hyperparams,
-    ftl_update,
     init_state,
     online_features,
     predict,
@@ -493,51 +493,12 @@ class TestRunOnline:
 
 
 class TestFtl:
-    def test_single_sample_exact_fit(self):
-        feats = np.array([[1.0, 2.0]])
-        targets = np.array([[3.0]])
-        m = ftl_update(feats, targets, ridge=0.0, r_m=100.0)
-        assert feats @ m.T == pytest.approx(targets, abs=1e-10)
-
-    def test_matches_batch_fit(self):
-        rng = np.random.default_rng(7)
-        T, k, n = 100, 6, 2
-        bank = build_filter_bank(T, k)
-        params = LdsParams(
-            a=rng.uniform(0, 1, 3),
-            b=rng.standard_normal((3, n)),
-            c=rng.standard_normal((2, 3)),
-            d=rng.standard_normal((2, n)),
-            h0=np.zeros(3),
-        )
-        traj = simulate(params, rng.standard_normal((T, n)))
-        feats = featurize_batch(traj.inputs, bank)
-        targets = traj.output_differences()
-        ridge = 1e-8
-        direct = ftl_update(feats, targets, ridge=ridge, r_m=1e9)
-        model = fit_batch([BatchSample.from_trajectory(traj)], bank, ridge=ridge)
-        assert np.abs(direct - model.matrix).max() <= 1e-8
-
     def test_huge_ridge_shrinks_to_zero(self):
         rng = np.random.default_rng(8)
         feats = rng.standard_normal((50, 4))
         targets = rng.standard_normal((50, 2))
-        m = ftl_update(feats, targets, ridge=1e12, r_m=10.0)
+        m = _ridge_gram_solve(feats.T @ feats, feats.T @ targets, 1e12)
         assert np.abs(m).max() <= 1e-9
-
-    def test_information_free_without_ridge_raises(self):
-        feats = np.zeros((4, 3))
-        targets = np.ones((4, 1))
-        with pytest.raises(np.linalg.LinAlgError):
-            ftl_update(feats, targets, ridge=0.0, r_m=1.0)
-
-    def test_rank_deficient_but_consistent_fits_exactly(self):
-        rng = np.random.default_rng(15)
-        base = rng.standard_normal((6, 1))
-        feats = np.hstack([base, 2 * base, -base])  # rank one
-        targets = 3.0 * base
-        m = ftl_update(feats, targets, ridge=0.0, r_m=100.0)
-        assert np.abs(feats @ m.T - targets).max() <= 1e-10
 
     def test_ridge_solve_matches_augmented_lstsq(self):
         # the ridge minimizer is plain least squares on [F; sqrt(ridge) I], [Y; 0]
@@ -545,7 +506,7 @@ class TestFtl:
         feats = rng.standard_normal((60, 5))
         targets = rng.standard_normal((60, 2))
         ridge = 1e-3
-        direct = ftl_update(feats, targets, ridge=ridge, r_m=100.0)
+        direct = _ridge_gram_solve(feats.T @ feats, feats.T @ targets, ridge)
         aug_feats = np.vstack([feats, math.sqrt(ridge) * np.eye(5)])
         aug_targets = np.vstack([targets, np.zeros((5, 2))])
         expected, *_ = np.linalg.lstsq(aug_feats, aug_targets, rcond=None)
@@ -698,8 +659,8 @@ class TestRollingRidge:
         baseline_ar(traj, tau=3, ridge=1.0)
         assert scipy_calls == []
         assert solves and all(s[0] <= online._BLOCK for s in solves)
-        ftl_update(traj.inputs, traj.outputs, ridge=1.0, r_m=10.0)
-        assert scipy_calls == ["solve"]  # the counter sees the one batch solve
+        fit_batch([BatchSample.from_trajectory(traj)], bank, ridge=1.0)
+        assert scipy_calls == ["cho_factor", "cho_solve"]  # the counter sees the batch solve
 
     def test_run_ftl_without_ridge_raises(self):
         # an empty history has no fit without a ridge, so step 0 is singular
@@ -830,7 +791,7 @@ class TestIllConditionedBlocks:
 
 
 class TestNonFiniteLearnerInputs:
-    """``ftl_update`` and ``regret_vs_best_fixed`` name the first non-finite entry."""
+    """``regret_vs_best_fixed`` names the first non-finite entry."""
 
     @given(
         T=st.integers(1, 12),
@@ -839,10 +800,9 @@ class TestNonFiniteLearnerInputs:
         in_targets=st.booleans(),
         where=st.tuples(st.integers(0, 11), st.integers(0, 3)),
         value=st.sampled_from([math.nan, math.inf, -math.inf]),
-        ridge=st.sampled_from([0.0, 1e-6, 1.0]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_names_step_and_column(self, T, width, m, in_targets, where, value, ridge):
+    def test_names_step_and_column(self, T, width, m, in_targets, where, value):
         rng = np.random.default_rng(T * 100 + width * 10 + m)
         feats, targets = rng.standard_normal((T, width)), rng.standard_normal((T, m))
         bad = targets if in_targets else feats
@@ -850,8 +810,6 @@ class TestNonFiniteLearnerInputs:
         bad[t, i] = value
         name = "targets" if in_targets else "features"
         expected = rf"^{name} hold a non-finite value \({value}\) at step {t + 1}, column {i + 1}"
-        with pytest.raises(ValueError, match=expected):
-            ftl_update(feats, targets, ridge=ridge, r_m=10.0)
         with pytest.raises(ValueError, match=expected):
             regret_vs_best_fixed(feats, targets, r_m=10.0)
 

@@ -11,8 +11,17 @@ and workload, ``perfbench/run.py --workload W --seed S --seconds N
 --trace 0`` runs once per side, and the side that runs first alternates
 from pair to pair. Per workload and end-to-end metric the output gives
 each side's median and quartiles, the pairs the change won (lower is
-better; ties count for neither side), every raw value, and the run
-context.
+better; ties count for neither side), every raw value, the run context,
+and a verdict read by the simplicity-review rules against the metric's
+``BENCHMARK.json`` bound, a share of the parent's median:
+
+- ``gain``: the change wins at least 9 in 10 pairs, and the medians differ
+  by more than the parent's quartile spread;
+- ``regression``: the change's median is worse than the parent's by more
+  than the bound;
+- ``unresolved``: the parent's quartile spread is wider than the bound,
+  and not every change run beats every parent run;
+- ``unchanged``: any other case.
 """
 
 from __future__ import annotations
@@ -63,6 +72,20 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """``gain``, ``regression``, ``unresolved`` or ``unchanged`` (see the module doc)."""
+    base, new = _summary(parent), _summary(change)
+    spread, allowed = base["q3"] - base["q1"], bound * base["median"]
+    won = sum(c < p for p, c in zip(parent, change))
+    if 10 * won >= 9 * len(parent) and base["median"] - new["median"] > spread:
+        return "gain"
+    if new["median"] - base["median"] > allowed:
+        return "regression"
+    if spread > allowed and max(change) >= min(parent):
+        return "unresolved"
+    return "unchanged"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
@@ -78,6 +101,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         trees = {side: scratch / side for side in ("parent", "change")}
         commits = {side: _export(getattr(args, side), trees[side]) for side in trees}
+        benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
+        bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
         runs = {w: {"parent": [], "change": []} for w in args.workloads}
         load_before = os.getloadavg()
         started = time.time()
@@ -102,6 +127,7 @@ def main(argv: list[str] | None = None) -> int:
                     "change_won": sum(c < p for p, c in zip(parent, change)),
                     "ties": sum(c == p for p, c in zip(parent, change)),
                     "pairs": len(parent),
+                    "verdict": _verdict(parent, change, bounds[metric]),
                     "parent_runs": parent,
                     "change_runs": change,
                 }

@@ -385,17 +385,6 @@ def _ridge_gram_solve(gram: np.ndarray, cross: np.ndarray, ridge: float) -> np.n
     return scipy.linalg.cho_solve(factor, cross).T
 
 
-def _learner_inputs(
-    features: np.ndarray, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Feature and target rows as floats, rejected if any entry is not finite."""
-    features = np.asarray(features, dtype=float)
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    _check_finite(features, "features")
-    _check_finite(targets, "targets")
-    return features, targets
-
-
 def _rolling_ridge(
     features: np.ndarray,
     targets: np.ndarray,
@@ -578,5 +567,8 @@ def regret_vs_best_fixed(
     A non-finite feature or target raises ``ValueError`` naming its step
     and column.
     """
-    features, targets = _learner_inputs(features, targets)
+    features = np.asarray(features, dtype=float)
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    _check_finite(features, "features")
+    _check_finite(targets, "targets")
     return float(_best_fixed_losses(features, targets, r_m).sum())

@@ -10,7 +10,7 @@ from wavefilter import online
 from wavefilter.baselines import baseline_ar
 from wavefilter.batch import BatchSample, fit_batch
 from wavefilter.experiments import simulate_scenario
-from wavefilter.filters import FilterBank, build_filter_bank, featurize_batch
+from wavefilter.filters import FilterBank, build_filter_bank
 from wavefilter.lds import LdsParams, Trajectory, simulate
 from wavefilter.online import (
     OnlineConfig,

@@ -39,9 +39,12 @@ def _config_flags(argv: list[str]) -> list[str]:
     path = pre.parse_known_args(argv)[0].config
     if not path:
         return []
-    config = json.loads(Path(path).read_text())
-    if not isinstance(config, dict):
-        pre.error(f"--config file {path} does not hold a JSON object of flag values")
+    try:
+        config = io._read_json_object(Path(path))
+    except OSError as exc:
+        pre.error(f"--config file {path} cannot be read: {exc.strerror}")
+    except ValueError as exc:
+        pre.error(f"--config file {exc}")
     tokens = []
     for key, value in config.items():
         if value is not None:

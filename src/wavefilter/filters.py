@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hankel import NOISE_FLOOR, HankelMatrix, build_hankel, hilbert_matrix, top_eigenpairs
+from .hankel import NOISE_FLOOR, build_hankel, hilbert_matrix, top_eigenpairs
 from .lds import _check_finite, _previous
 
 __all__ = [
@@ -121,8 +121,7 @@ class FeatureLayout:
 
 
 def _eigen_bank(T: int, k: int, method: str) -> FilterBank:
-    matrix = build_hankel(T) if method == "eigen" else HankelMatrix(hilbert_matrix(T, -1))
-    spec = top_eigenpairs(matrix, k)
+    spec = top_eigenpairs((build_hankel if method == "eigen" else hilbert_matrix)(T), k)
     sig = np.clip(spec.sigmas, _SIGMA_MIN, None)
     return FilterBank(phis=spec.phis.T.copy(), sigmas=sig, method=method)
 

@@ -7,6 +7,9 @@ over ``alpha`` uniform on [0, 1], hence symmetric positive semidefinite
 with trace below 3/4 and exponentially decaying eigenvalues. Its top
 eigenvectors are the wave filters used throughout the package.
 
+``build_hankel`` and ``hilbert_matrix`` (entries 1/(i+j-1)) both return a
+``HankelMatrix``: the 2T-1 values along i+j, checked once when it is built.
+
 Eigenvalues below ``NOISE_FLOOR`` are at double-precision noise level:
 the corresponding eigenvectors form an orthonormal basis of the tail
 subspace but carry no individually meaningful shape (see the ode module
@@ -41,17 +44,32 @@ NOISE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class HankelMatrix:
-    """Moment Hankel matrix; its size is the row count of ``entries``.
+    """Symmetric T-by-T Hankel matrix fixed by its ``symbol``, the 2T-1 values along i+j.
 
-    ``entries`` is a T-by-T array and may be a read-only view of the
-    2T-1 values that fix a Hankel matrix (see ``build_hankel``).
+    Entry (i, j), 0-based, is ``symbol[i + j]``. The symbol must be 1-D, of odd length and
+    finite, else ``ValueError`` names the first bad index; it is kept as a read-only copy,
+    and ``entries`` is a read-only T-by-T view of it.
     """
 
-    entries: np.ndarray
+    symbol: np.ndarray
+
+    def __post_init__(self) -> None:
+        symbol = np.array(self.symbol, dtype=float)
+        if symbol.ndim != 1 or len(symbol) % 2 == 0:
+            raise ValueError(f"symbol must be 1-D of odd length 2T-1, got shape {symbol.shape}")
+        bad = np.flatnonzero(~np.isfinite(symbol))
+        if bad.size:
+            raise ValueError(f"symbol must be finite; index {bad[0]} is {symbol[bad[0]]}")
+        symbol.flags.writeable = False
+        object.__setattr__(self, "symbol", symbol)
 
     @property
     def size(self) -> int:
-        return self.entries.shape[0]
+        return (len(self.symbol) + 1) // 2
+
+    @property
+    def entries(self) -> np.ndarray:
+        return np.lib.stride_tricks.sliding_window_view(self.symbol, self.size)
 
 
 @dataclass(frozen=True)
@@ -77,35 +95,23 @@ class Spectrum:
         return len(self.sigmas) == self.source_size
 
 
-def _hankel_view(symbol: np.ndarray, T: int) -> np.ndarray:
-    """Read-only T-by-T view with entry (i, j) = symbol[i + j], 0-based."""
-    return np.lib.stride_tricks.sliding_window_view(symbol, T)
-
-
 def build_hankel(T: int) -> HankelMatrix:
-    """Construct the T-by-T matrix with entries 2/((i+j)^3 - (i+j)).
+    """The T-by-T matrix with entries 2/((i+j)^3 - (i+j)), 1-based indices.
 
-    Allocates O(T): the entries are a read-only view of the 2T-1 values
-    at i+j = 2..2T, each computed exactly (s^3 - s stays below 2^53).
+    Allocates O(T): the symbol holds the 2T-1 values at i+j = 2..2T, each
+    computed exactly (s^3 - s stays below 2^53).
     """
     if T < 1:
         raise ValueError(f"matrix size must be positive, got {T}")
     s = np.arange(2, 2 * T + 1)
-    return HankelMatrix(_hankel_view(2.0 / (s**3 - s), T))
+    return HankelMatrix(2.0 / (s**3 - s))
 
 
-def hilbert_matrix(T: int, theta: int = -1) -> np.ndarray:
-    """Hilbert-family matrix with entries 1/(i+j+theta), 1-based indices.
-
-    Allocates O(T): returns a read-only view of the 2T-1 values at
-    i+j = 2..2T.
-    """
+def hilbert_matrix(T: int) -> HankelMatrix:
+    """The T-by-T Hilbert matrix with entries 1/(i+j-1), 1-based indices; allocates O(T)."""
     if T < 1:
         raise ValueError(f"matrix size must be positive, got {T}")
-    if theta <= -2:
-        raise ValueError("theta must exceed -2 for positive definiteness")
-    s = np.arange(2, 2 * T + 1)
-    return _hankel_view(1.0 / (s + float(theta)), T)
+    return HankelMatrix(1.0 / np.arange(1.0, 2 * T))
 
 
 def mu_curve(alpha: float, T: int) -> np.ndarray:
@@ -142,22 +148,21 @@ def _drop_pages(a: np.ndarray, page: int = mmap.PAGESIZE) -> None:
         getattr(ctypes.CDLL(None), "malloc_trim", int)(0)  # glibc keeps freed heap resident
 
 
-def _lower_triangle(entries: np.ndarray) -> np.ndarray:
-    _drop_pages(out := np.empty(entries.shape, order="F"))
-    for j in range(len(out)):
-        out[j:, j] = entries[j:, j]  # LAPACK with UPLO='L' reads nothing above the diagonal
-        if not np.isfinite(out[j:, j]).all():
-            raise ValueError(f"matrix entries must be finite; column {j} is not")
+def _lower_triangle(H: HankelMatrix) -> np.ndarray:
+    T, symbol = H.size, H.symbol
+    _drop_pages(out := np.empty((T, T), order="F"))
+    for j in range(T):
+        out[j:, j] = symbol[2 * j : T + j]  # LAPACK with UPLO='L' reads nothing above the diagonal
     return out
 
 
 def top_eigenpairs(H: HankelMatrix, k: int) -> Spectrum:
-    """Top-k eigenpairs of a symmetric matrix, nonincreasing, sign-fixed.
+    """Top-k eigenpairs of a Hankel matrix, nonincreasing, sign-fixed.
 
     For k < T the solver gets only the lower triangle of a new T-by-T buffer whose pages are
     dropped before and after: about half its 8T^2 bytes never become resident (unless THP is
-    ``always``). Raises ``ValueError`` for k outside [1, T] or (k < T) a non-finite entry on
-    or below the diagonal; eigensolver failures propagate as ``numpy.linalg.LinAlgError``.
+    ``always``). Its entries were checked finite when ``H`` was built. Raises ``ValueError``
+    for k outside [1, T]; eigensolver failures propagate as ``numpy.linalg.LinAlgError``.
     """
     import scipy.linalg  # scipy loads on first use, not at package import
 
@@ -165,7 +170,7 @@ def top_eigenpairs(H: HankelMatrix, k: int) -> Spectrum:
     if not 1 <= k <= T:
         raise ValueError(f"need 1 <= k <= {T}, got k={k}")
     if k < T:
-        w, v = scipy.linalg.eigh(a := _lower_triangle(H.entries), subset_by_index=[T - k, T - 1],
+        w, v = scipy.linalg.eigh(a := _lower_triangle(H), subset_by_index=[T - k, T - 1],
                                  overwrite_a=True, check_finite=False)
         _drop_pages(a)
     else:

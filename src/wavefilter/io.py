@@ -7,7 +7,9 @@ as ``%d``, and every line ends in ``\\r\\n``. A saved artifact is a pair
 ragged row, a non-numeric cell or a non-finite value with a ``ValueError``
 naming the file, the 1-based line and the column; the loaders reject a
 payload or sidecar list that disagrees with the sidecar's counts, and a
-sidecar that lacks a key they read, naming both files.
+sidecar that lacks a key they read, naming both files. A sidecar or
+manifest that is not valid JSON, or holds no JSON object, is rejected
+naming the file.
 """
 
 from __future__ import annotations
@@ -100,11 +102,22 @@ def _save_pair(base: PathLike, meta: dict, header: Sequence[str], *blocks) -> tu
     return csv_path, json_path
 
 
+def _read_json_object(path: Path) -> dict:
+    """The JSON object in ``path``; ``ValueError`` naming it if malformed or not an object."""
+    try:
+        value = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return value
+
+
 def _load_pair(base: PathLike, skip_header: bool) -> tuple[np.ndarray, dict, tuple[Path, Path]]:
     """The ``<base>.csv`` payload, the ``<base>.json`` sidecar and both paths."""
     base = Path(base)
     paths = base.with_suffix(".csv"), base.with_suffix(".json")
-    meta = json.loads(paths[1].read_text())
+    meta = _read_json_object(paths[1])
     return _read_matrix_csv(paths[0], skip_header), meta, paths
 
 
@@ -246,13 +259,13 @@ def save_result_rows(
 def load_training_set(directory: PathLike) -> list[Trajectory]:
     """Load the trajectories listed in a directory's manifest.json, all equally long.
 
-    The manifest's ``trajectories`` must be a non-empty list of base names.
-    A manifest that breaks this, or trajectories that differ in length,
-    raise ``ValueError`` naming the files.
+    The manifest must be a JSON object whose ``trajectories`` is a non-empty
+    list of base names. A manifest that breaks this, or trajectories that
+    differ in length, raise ``ValueError`` naming the files.
     """
     manifest_path = Path(directory) / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    if not isinstance(manifest, dict) or "trajectories" not in manifest:
+    manifest = _read_json_object(manifest_path)
+    if "trajectories" not in manifest:
         raise ValueError(f"{manifest_path} lacks a trajectories list")
     names = manifest["trajectories"]
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):

@@ -11,7 +11,6 @@ from wavefilter.batch import (
     predict_pure_batch,
 )
 from wavefilter.filters import FilterBank, augment_hint, build_filter_bank, featurize_batch
-from wavefilter.hankel import hilbert_matrix
 from wavefilter.lds import LdsParams, simulate
 from wavefilter.online import _ridge_gram_solve
 
@@ -359,12 +358,6 @@ class TestPredictions:
 
 
 class TestHilbertFilters:
-    def test_base_matrix_displayed_values(self):
-        expected = np.array(
-            [[1, 1 / 2, 1 / 3], [1 / 2, 1 / 3, 1 / 4], [1 / 3, 1 / 4, 1 / 5]]
-        )
-        assert np.abs(hilbert_matrix(3, -1) - expected).max() == 0.0
-
     def test_two_by_two_eigenvalues(self):
         bank = build_filter_bank(2, 2, method="hilbert")
         assert bank.sigmas == pytest.approx([1.26760, 0.06573], abs=1e-4)

@@ -17,7 +17,8 @@ CASES = [
     (FilterBank, _BANK, "k", 2),
     (FilterBank, _BANK, "scaled_filters", np.eye(2, 4)),
     (FeatureLayout, dict(n=1, k=2, m=0), "include_y", False),
-    (HankelMatrix, dict(entries=np.eye(3)), "size", 3),
+    (HankelMatrix, dict(symbol=np.ones(5)), "size", 3),
+    (HankelMatrix, dict(symbol=np.ones(5)), "entries", np.ones((3, 3))),
     (Spectrum, dict(sigmas=np.ones(2), phis=np.eye(3, 2)), "source_size", 3),
     (Trajectory, _TRAJECTORY, "r_x", 1.0),
     (Trajectory, _TRAJECTORY, "l_y", 1.0),

@@ -40,23 +40,28 @@ def _hankel_reference(T):
     return 2.0 / (s**3 - s)
 
 
-def _hilbert_reference(T, theta):
+def _hilbert_reference(T):
     idx = np.arange(1, T + 1)
-    return 1.0 / (idx[:, None] + idx[None, :] + float(theta))
+    return 1.0 / (idx[:, None] + idx[None, :] - 1.0)
 
 
 class TestBuildHankel:
     @pytest.mark.parametrize("T", [1, 2, 3, 37, 1000])
     def test_matches_broadcast_reference(self, T):
         assert np.array_equal(build_hankel(T).entries, _hankel_reference(T))
-        for theta in (-1, 0, 2):
-            assert np.array_equal(hilbert_matrix(T, theta), _hilbert_reference(T, theta))
+        assert np.array_equal(hilbert_matrix(T).entries, _hilbert_reference(T))
 
     def test_entries_are_read_only(self):
         with pytest.raises(ValueError):
             build_hankel(4).entries[0, 0] = 1.0
         with pytest.raises(ValueError):
-            hilbert_matrix(4)[1, 2] = 1.0
+            hilbert_matrix(4).entries[1, 2] = 1.0
+        with pytest.raises(ValueError):
+            build_hankel(4).symbol[0] = 1.0
+
+    def test_hilbert_matrix_takes_only_the_size(self):
+        with pytest.raises(TypeError):
+            hilbert_matrix(3, -1)
 
     def test_allocates_linear_memory(self):
         # the dense 4000^2 matrix alone would be 122 MiB
@@ -94,6 +99,34 @@ class TestBuildHankel:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             build_hankel(0)
+        with pytest.raises(ValueError):
+            hilbert_matrix(0)
+
+
+class TestHankelMatrix:
+    def test_entries_are_a_view_of_the_symbol(self):
+        H = HankelMatrix(np.arange(7.0))
+        assert H.size == 4
+        assert np.array_equal(H.entries, np.add.outer(np.arange(4), np.arange(4)))
+        assert H.entries.base is not None and H.entries.nbytes == 8 * 4 * 4
+
+    def test_keeps_a_copy_of_the_symbol(self):
+        symbol = np.arange(5.0)
+        H = HankelMatrix(symbol)
+        symbol[0] = np.nan
+        assert H.symbol[0] == 0.0 and H.entries[0, 0] == 0.0
+
+    @pytest.mark.parametrize("symbol", [np.ones(4), np.ones((3, 3)), np.ones(0), np.float64(1.0)],
+                             ids=["even", "2-D", "empty", "scalar"])
+    def test_rejects_a_symbol_that_is_not_odd_and_1d(self, symbol):
+        with pytest.raises(ValueError, match="symbol must be 1-D of odd length"):
+            HankelMatrix(symbol)
+
+    def test_names_the_first_non_finite_index(self):
+        symbol = np.ones(9)
+        symbol[[3, 6]] = np.inf, np.nan
+        with pytest.raises(ValueError, match=r"symbol must be finite; index 3 is inf$"):
+            HankelMatrix(symbol)
 
 
 class TestMuCurve:
@@ -159,14 +192,6 @@ class TestTopEigenpairs:
         spec = top_eigenpairs(build_hankel(80), 80)
         assert np.all(np.diff(spec.sigmas) <= 1e-12)
 
-    @pytest.mark.parametrize("k", [25, 300])
-    def test_view_and_owned_copy_give_identical_eigenpairs(self, k):
-        H = build_hankel(300)
-        owned = HankelMatrix(np.array(H.entries))
-        a, b = top_eigenpairs(H, k), top_eigenpairs(owned, k)
-        assert np.array_equal(a.sigmas, b.sigmas)
-        assert np.array_equal(a.phis, b.phis)
-
     def test_deterministic(self):
         a = top_eigenpairs(build_hankel(60), 10)
         b = top_eigenpairs(build_hankel(60), 10)
@@ -218,7 +243,7 @@ def _skip_unless_pages_can_be_counted():
 class TestLowerTriangleSolve:
     """The k < T path copies only the lower triangle, the part LAPACK reads."""
 
-    @pytest.mark.parametrize("matrix", [build_hankel, lambda T: HankelMatrix(hilbert_matrix(T))],
+    @pytest.mark.parametrize("matrix", [build_hankel, hilbert_matrix],
                              ids=["eigen", "hilbert"])
     # (2000, 1999) would add 30 s for the same all-but-one solve checked at T = 1000
     @pytest.mark.parametrize("T, k", sorted(
@@ -232,21 +257,29 @@ class TestLowerTriangleSolve:
         assert np.array_equal(spec.sigmas, sigmas)
         assert np.array_equal(spec.phis, phis)
 
-    def test_upper_triangle_is_never_read(self):
+    def test_upper_triangle_is_never_read(self, monkeypatch):
         H = build_hankel(60)
-        owned = np.array(H.entries)
-        owned[np.triu_indices(60, 1)] = np.nan
-        a, b = top_eigenpairs(H, 10), top_eigenpairs(HankelMatrix(owned), 10)
+        a = top_eigenpairs(H, 10)
+        fill = hankel._lower_triangle
+
+        def poisoned(matrix):
+            out = fill(matrix)
+            out[np.triu_indices(len(out), 1)] = np.nan
+            return out
+
+        monkeypatch.setattr(hankel, "_lower_triangle", poisoned)
+        b = top_eigenpairs(H, 10)
         assert np.array_equal(a.sigmas, b.sigmas)
         assert np.array_equal(a.phis, b.phis)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("i, j", [(0, 0), (59, 59), (59, 0), (31, 30)])
     def test_rejects_non_finite_on_or_below_the_diagonal(self, value, i, j):
-        owned = np.array(build_hankel(60).entries)
-        owned[i, j] = value
-        with pytest.raises(ValueError, match=f"column {j} is not"):
-            top_eigenpairs(HankelMatrix(owned), 10)
+        # entry (i, j) is symbol[i + j]: the matrix is refused when it is built, for any k
+        symbol = np.array(build_hankel(60).symbol)
+        symbol[i + j] = value
+        with pytest.raises(ValueError, match=rf"symbol must be finite; index {i + j} is"):
+            HankelMatrix(symbol)
 
     def test_without_madvise_gives_the_same_eigenpairs(self, monkeypatch):
         H = build_hankel(300)
@@ -390,14 +423,3 @@ class TestQuarterPowerApply:
         with pytest.raises(ValueError):
             quarter_power_apply(spec, v)
 
-
-class TestHilbertMatrix:
-    def test_three_by_three(self):
-        expected = np.array(
-            [[1, 1 / 2, 1 / 3], [1 / 2, 1 / 3, 1 / 4], [1 / 3, 1 / 4, 1 / 5]]
-        )
-        assert np.abs(hilbert_matrix(3, -1) - expected).max() == 0.0
-
-    def test_rejects_bad_theta(self):
-        with pytest.raises(ValueError):
-            hilbert_matrix(3, -2)

@@ -461,7 +461,7 @@ class TestSidecarCrossChecks:
 
     @pytest.mark.parametrize("manifest, expected", [
         ({}, "lacks a trajectories list"),
-        (["ep0"], "lacks a trajectories list"),
+        (["ep0"], "does not hold a JSON object"),
         ({"trajectories": "ep0"}, r"lists trajectories as 'ep0', not as a list of names"),
         ({"trajectories": ["ep0", 1]}, r"lists trajectories as \['ep0', 1\], not as a list"),
     ], ids=["missing", "not-an-object", "a-string", "a-number-among-names"])
@@ -472,6 +472,28 @@ class TestSidecarCrossChecks:
             io.load_training_set(tmp_path)
         with pytest.raises(ValueError, match=rf"manifest\.json {expected}"):
             main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
+
+    def test_manifest_that_is_not_json_names_the_manifest(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"trajectories": ["ep0"]')
+        expected = r"manifest\.json is not valid JSON: Expecting ',' delimiter"
+        with pytest.raises(ValueError, match=expected):
+            io.load_training_set(tmp_path)
+        with pytest.raises(ValueError, match=expected):
+            main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
+
+    @pytest.mark.parametrize("sidecar, expected", [
+        ('{"n": 1', "is not valid JSON: Expecting"),
+        ("3", "does not hold a JSON object"),
+    ], ids=["malformed", "a-number"])
+    @pytest.mark.parametrize("load", [io.load_trajectory, io.load_filter_bank, io.load_predictor],
+                             ids=["trajectory", "bank", "predictor"])
+    def test_sidecar_that_is_not_a_json_object_names_it(self, tmp_path, small_trajectory, load,
+                                                        sidecar, expected):
+        base = tmp_path / "pair"
+        io.save_trajectory(small_trajectory, base)
+        base.with_suffix(".json").write_text(sidecar)
+        with pytest.raises(ValueError, match=rf"pair\.json {expected}"):
+            load(base)
 
     def test_trajectories_of_unequal_length_name_both_files(self, tmp_path, monkeypatch):
         for name, T in (("ep0", 50), ("ep1", 50), ("ep2", 60)):
@@ -617,6 +639,20 @@ class TestCli:
             main(["filters", "--config", str(cfg), "--out", str(tmp_path / "bank")])
         assert exc.value.code == 2
         assert f"--config file {cfg} does not hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, expected", [
+        (None, "cannot be read: No such file or directory"),
+        ('{"T": 5', "is not valid JSON: Expecting ',' delimiter"),
+    ], ids=["missing", "malformed"])
+    def test_config_that_cannot_be_read_is_a_parser_error(self, tmp_path, capsys, payload,
+                                                          expected):
+        cfg = tmp_path / "cfg.json"
+        if payload is not None:
+            cfg.write_text(payload)
+        with pytest.raises(SystemExit) as exc:
+            main(["filters", "--config", str(cfg), "--out", str(tmp_path / "bank")])
+        assert exc.value.code == 2
+        assert f"--config file {cfg} {expected}" in capsys.readouterr().err
 
     def test_abbreviated_explicit_flag_wins_over_config(self, tmp_path, monkeypatch):
         configs = []

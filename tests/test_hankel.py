@@ -422,4 +422,3 @@ class TestQuarterPowerApply:
         v[0] = 1.0
         with pytest.raises(ValueError):
             quarter_power_apply(spec, v)
-

@@ -35,7 +35,6 @@ from .lds import (
     InputGenerator,
     LdsParams,
     NoiseConfig,
-    PendulumConfig,
     Trajectory,
     block_impulse_inputs,
     derivative_predictions,

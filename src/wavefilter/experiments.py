@@ -24,7 +24,6 @@ from .filters import build_filter_bank
 from .io import save_result_rows
 from .lds import (
     NoiseConfig,
-    PendulumConfig,
     Trajectory,
     block_impulse_inputs,
     pendulum_simulate,
@@ -94,11 +93,7 @@ def simulate_scenario(
     rng = np.random.default_rng([seed, 1])
     if name == "pendulum":
         inputs = block_impulse_inputs(T, 1, rng, scale=PENDULUM_INPUT_SCALE)
-        pend = PendulumConfig(
-            accel_noise_std=process_std / 2.0,
-            obs_noise_std=observation_std / 100.0,
-        )
-        return pendulum_simulate(pend, inputs, seed=seed)
+        return pendulum_simulate(inputs, process_std / 2.0, observation_std / 100.0, seed=seed)
     params, gen = synthetic_system(name, seed=0)
     inputs = gen.generate(T, params.input_dim, rng)
     return simulate(params, inputs, noise)

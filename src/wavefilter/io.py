@@ -7,14 +7,15 @@ as ``%d``, and every line ends in ``\\r\\n``. A saved artifact is a pair
 ragged row, a non-numeric cell or a non-finite value with a ``ValueError``
 naming the file, the 1-based line and the column; the loaders reject a
 payload or sidecar list that disagrees with the sidecar's counts, and a
-sidecar that lacks a key they read, naming both files. A sidecar or
-manifest that is not valid JSON, or holds no JSON object, is rejected
-naming the file.
+sidecar value they read that is missing, of the wrong JSON type or not
+finite, naming both files. A sidecar or manifest that is not valid JSON,
+or holds no JSON object, is rejected naming the file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -125,13 +126,31 @@ def _disagree(paths: tuple[Path, Path], found: str, claim: str) -> ValueError:
     return ValueError(f"{paths[0]} {found}; sidecar {paths[1]} says {claim}")
 
 
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_NUMBERS = ("a list of finite numbers", lambda v: type(v) is list and all(
+    type(x) in (int, float) and math.isfinite(x) for x in v))
+# the JSON type of each sidecar value a loader reads, and the test for it
+_KIND_OF = {
+    "T": _INTEGER, "k": _INTEGER, "n": _INTEGER, "m": _INTEGER, "rows": _INTEGER,
+    "sigmas": _NUMBERS, "lambdas": _NUMBERS,
+    "sigma_extrapolated": ("a list of booleans",
+                           lambda v: type(v) is list and all(type(x) is bool for x in v)),
+    "method": ("a string", lambda v: type(v) is str),
+    "layout": ("an object", lambda v: type(v) is dict),
+}
+
+
 def _sidecar(meta: dict, paths: tuple[Path, Path], *keys: str, within: str = "") -> list:
-    """The sidecar values at ``keys`` (of its ``within`` entry); a missing one names both files."""
+    """The sidecar values at ``keys`` (of its ``within`` entry); a missing one, or one
+    not of its ``_KIND_OF`` type, names both files."""
+    described = f"{paths[0]} is described by sidecar {paths[1]}"
     missing = [within + key for key in keys if key not in meta]
     if missing:
-        raise ValueError(
-            f"{paths[0]} is described by sidecar {paths[1]}, which lacks {', '.join(missing)}"
-        )
+        raise ValueError(f"{described}, which lacks {', '.join(missing)}")
+    for key in keys:
+        kind, test = _KIND_OF[key]
+        if not test(meta[key]):
+            raise ValueError(f"{described}, whose {within + key} is {meta[key]!r}, not {kind}")
     return [meta[key] for key in keys]
 
 
@@ -154,20 +173,17 @@ def save_filter_bank(bank: FilterBank, base: PathLike) -> tuple[Path, Path]:
 def load_filter_bank(base: PathLike) -> FilterBank:
     """Read a bank; the payload must be T-by-k and each sidecar list k long."""
     data, meta, paths = _load_pair(base, skip_header=False)
-    T, k, sigmas, method = _sidecar(meta, paths, "T", "k", "sigmas", "method")
-    T, k = int(T), int(k)
+    T, k, method = _sidecar(meta, paths, "T", "k", "method")
     if data.shape != (T, k):
         raise _disagree(paths, f"has shape {data.shape}", f"T={T}, k={k}")
-    for key in ("sigmas", "lambdas", "sigma_extrapolated"):
-        if key in meta and len(meta[key]) != k:
-            raise _disagree(paths, f"comes with {len(meta[key])} {key}", f"k={k}")
-    optional = {
-        key: np.array(meta[key], dtype=dtype)
-        for key, dtype in (("lambdas", float), ("sigma_extrapolated", bool))
-        if key in meta
-    }
-    sigmas = np.array(sigmas, dtype=float)
-    return FilterBank(phis=data.T, sigmas=sigmas, method=method, **optional)
+    keys = ["sigmas"] + [key for key in ("lambdas", "sigma_extrapolated") if key in meta]
+    lists = dict(zip(keys, _sidecar(meta, paths, *keys)))
+    for key, values in lists.items():
+        if len(values) != k:
+            raise _disagree(paths, f"comes with {len(values)} {key}", f"k={k}")
+    arrays = {key: np.array(values, dtype=bool if key == "sigma_extrapolated" else float)
+              for key, values in lists.items()}
+    return FilterBank(phis=data.T, method=method, **arrays)
 
 
 def save_trajectory(
@@ -192,7 +208,7 @@ def save_trajectory(
 def load_trajectory(base: PathLike) -> Trajectory:
     """Read a trajectory; its payload shape must match the sidecar's T, n, m."""
     data, meta, paths = _load_pair(base, skip_header=True)
-    n, m, T = (int(v) for v in _sidecar(meta, paths, "n", "m", "T"))
+    n, m, T = _sidecar(meta, paths, "n", "m", "T")
     rows, cols = data.shape
     if cols != 1 + n + m:
         raise _disagree(paths, f"has {cols} columns", f"n={n}, m={m}")
@@ -224,7 +240,7 @@ def load_predictor(base: PathLike) -> tuple[np.ndarray, FeatureLayout, dict]:
     """Read a predictor; the sidecar's n, k, m fix its width, include_y and payload shape."""
     matrix, meta, paths = _load_pair(base, skip_header=False)
     lay, claimed_rows = _sidecar(meta, paths, "layout", "rows")
-    n, k, m = (int(v) for v in _sidecar(lay, paths, "n", "k", "m", within="layout."))
+    n, k, m = _sidecar(lay, paths, "n", "k", "m", within="layout.")
     layout = FeatureLayout(n=n, k=k, m=m)
     width, include_y = lay.get("width"), lay.get("include_y")
     if (width, include_y) != (layout.width, layout.include_y):
@@ -237,7 +253,7 @@ def load_predictor(base: PathLike) -> tuple[np.ndarray, FeatureLayout, dict]:
     rows, cols = matrix.shape
     if cols != layout.width:
         raise _disagree(paths, f"has {cols} columns", f"layout width {layout.width}")
-    if rows != int(claimed_rows):
+    if rows != claimed_rows:
         raise _disagree(paths, f"has {rows} rows", f"rows={claimed_rows}")
     return matrix, layout, meta
 
@@ -272,6 +288,9 @@ def load_training_set(directory: PathLike) -> list[Trajectory]:
         raise ValueError(f"{manifest_path} lists trajectories as {names!r}, not as a list of names")
     if not names:
         raise ValueError(f"{manifest_path} lists no trajectories")
+    for name in names:
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ValueError(f"{manifest_path} lists {name!r}, which is not a plain file name")
     bases = [manifest_path.parent / name for name in names]
     trajectories = [load_trajectory(base) for base in bases]
     for base, trajectory in zip(bases, trajectories):

@@ -43,7 +43,6 @@ __all__ = [
     "Trajectory",
     "NoiseConfig",
     "InputGenerator",
-    "PendulumConfig",
     "simulate",
     "impulse_response_output",
     "derivative_predictor",
@@ -369,35 +368,22 @@ class InputGenerator:
     """Seeded description of an input process for benchmark systems."""
 
     kind: str  # 'gaussian' | 'block_impulse'
-    scale: float = 1.0
-    block_len: int = field(default=20, init=False)
-    duty: float = field(default=0.25, init=False)
 
     def generate(self, T: int, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "gaussian":
-            return self.scale * rng.standard_normal((T, n))
+            return rng.standard_normal((T, n))
         if self.kind == "block_impulse":
-            return block_impulse_inputs(
-                T, n, rng, block_len=self.block_len, duty=self.duty, scale=self.scale
-            )
+            return block_impulse_inputs(T, n, rng)
         raise ValueError(f"unknown input generator '{self.kind}'")
 
 
 def block_impulse_inputs(
-    T: int,
-    n: int,
-    rng: np.random.Generator,
-    block_len: int = 20,
-    duty: float = 0.25,
-    scale: float = 1.0,
+    T: int, n: int, rng: np.random.Generator, scale: float = 1.0
 ) -> np.ndarray:
-    """Piecewise-constant impulses: on for block_len steps per duty cycle."""
+    """Piecewise-constant impulses, uniform in [-scale, scale]: on for 20 steps in every 80."""
     xs = np.zeros((T, n))
-    cycle = max(int(round(block_len / duty)), block_len)
-    t = 0
-    while t < T:
-        xs[t : t + block_len] = rng.uniform(-scale, scale, n)
-        t += cycle
+    for t in range(0, T, 80):
+        xs[t : t + 20] = rng.uniform(-scale, scale, n)
     return xs
 
 
@@ -417,7 +403,7 @@ def synthetic_system(name: str, seed: int = 0) -> tuple[LdsParams, InputGenerato
             d=np.zeros((1, 1)),
             h0=np.zeros(2),
         )
-        return params, InputGenerator(kind="gaussian", scale=1.0)
+        return params, InputGenerator(kind="gaussian")
     if name == "mimo_10":
         rng = np.random.default_rng([seed, 10])
         params = LdsParams(
@@ -427,51 +413,33 @@ def synthetic_system(name: str, seed: int = 0) -> tuple[LdsParams, InputGenerato
             d=np.zeros((10, 10)),
             h0=np.zeros(10),
         )
-        return params, InputGenerator(kind="block_impulse", scale=1.0)
+        return params, InputGenerator(kind="block_impulse")
     raise ValueError(f"unknown synthetic system '{name}'")
 
 
-@dataclass(frozen=True)
-class PendulumConfig:
-    """Forced damped pendulum with fixed-step RK4 integration."""
-
-    mass: float = 1.0
-    length: float = 1.0
-    gravity: float = 1.0
-    damping: float = 0.1
-    dt: float = 0.01
-    accel_noise_std: float = 0.05
-    obs_noise_std: float = 0.001
-    theta0: float = 0.0
-    omega0: float = 0.0
-
-
 def pendulum_simulate(
-    config: PendulumConfig, inputs: np.ndarray, seed: int = 0
+    inputs: np.ndarray, accel_noise_std: float, obs_noise_std: float, seed: int = 0
 ) -> Trajectory:
-    """Integrate theta'' = -(g/L) sin(theta) - damping*theta' + u/(m L^2).
+    """Forced damped pendulum theta'' = -sin(theta) - 0.1 theta' + u, by RK4 at step 0.01.
 
-    The per-step forcing includes a Gaussian acceleration disturbance held
-    constant within the step; outputs are the angle plus observation
-    noise. Raises ``FloatingPointError`` if the state diverges.
+    Unit mass, length and gravity, starting at rest at theta = 0. The torque
+    of each step plus a Gaussian acceleration disturbance (``accel_noise_std``)
+    is held constant within the step; outputs are the angle plus observation
+    noise (``obs_noise_std``). Raises ``FloatingPointError`` if it diverges.
     """
     xs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if xs.shape[1] != 1:
         raise ValueError("pendulum takes a single torque input channel")
     T = xs.shape[0]
     rng = np.random.default_rng(seed)
-    gl = config.gravity / config.length
-    inertia = config.mass * config.length**2
-    dt = config.dt
-    theta, omega = config.theta0, config.omega0
+    dt, damping = 0.01, 0.1
+    theta, omega = 0.0, 0.0
     ys = np.zeros((T, 1))
     for t in range(T):
-        u = xs[t, 0] / inertia + config.accel_noise_std * rng.standard_normal()
+        u = xs[t, 0] + accel_noise_std * rng.standard_normal()
 
         def rhs(state: np.ndarray) -> np.ndarray:
-            return np.array(
-                [state[1], -gl * np.sin(state[0]) - config.damping * state[1] + u]
-            )
+            return np.array([state[1], -np.sin(state[0]) - damping * state[1] + u])
 
         s = np.array([theta, omega])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -483,5 +451,5 @@ def pendulum_simulate(
         theta, omega = float(s[0]), float(s[1])
         if not (np.isfinite(theta) and np.isfinite(omega)):
             raise FloatingPointError(f"pendulum state diverged at step {t + 1}")
-        ys[t, 0] = theta + config.obs_noise_std * rng.standard_normal()
+        ys[t, 0] = theta + obs_noise_std * rng.standard_normal()
     return Trajectory(inputs=xs, outputs=ys)

@@ -94,21 +94,15 @@ class OnlineConfig:
         if not 0 < self.r_m < math.inf:
             raise ValueError(f"r_m must be finite and positive, got {self.r_m!r}")
 
-    @property
-    def k(self) -> int:
-        return self.bank.k
-
 
 @dataclass(frozen=True)
 class OnlineState:
-    """Prediction matrix and running diagnostics of one online run."""
+    """Prediction matrix of one online run, its layout, config and step size."""
 
     matrix: np.ndarray
     layout: FeatureLayout
     config: OnlineConfig
     eta: float
-    step: int = 0
-    cumulative_loss: float = 0.0
 
     def learned_norm(self) -> float:
         """Frobenius norm over the learned (non-frozen) part of the matrix."""
@@ -133,12 +127,20 @@ class RegretReport:
 
 @dataclass(frozen=True)
 class OnlineRunResult:
+    """Per-step record of one run; its ``report`` is derived from the two loss arrays."""
+
     predictions: np.ndarray
     losses: np.ndarray
-    report: RegretReport
     state: OnlineState
     matrix_norms: np.ndarray
-    comparator_losses: np.ndarray  # per step; sums to report.comparator_loss
+    comparator_losses: np.ndarray
+    comparator_kind: str
+    report: RegretReport = field(init=False)
+
+    def __post_init__(self) -> None:
+        learner, comparator = float(self.losses.sum()), float(self.comparator_losses.sum())
+        report = RegretReport(learner, comparator, self.comparator_kind, horizon=len(self.losses))
+        object.__setattr__(self, "report", report)
 
 
 def _online_layout(trajectory: Trajectory, bank: FilterBank) -> FeatureLayout:
@@ -184,8 +186,6 @@ def update(state: OnlineState, features: np.ndarray, y_true: np.ndarray) -> Onli
     return replace(
         state,
         matrix=_descend(state.matrix, features, resid, state.eta, state.config, state.layout),
-        step=state.step + 1,
-        cumulative_loss=state.cumulative_loss + float(resid @ resid),
     )
 
 
@@ -273,7 +273,7 @@ def run_online(
     # where that bound nears overflow checks the entries. A norm that
     # overflows is projected as _project_ball does it, by _project_huge.
     frozen, r_m = config.freeze_y_block, config.r_m
-    matrix, cumulative_loss = state.matrix, 0.0
+    matrix = state.matrix
     learned = state.layout.y_block.start if frozen else matrix.shape[1]
     head = matrix[:, :learned]
     block = head.copy() if frozen else matrix
@@ -288,9 +288,7 @@ def run_online(
         f, prediction = features[t], predictions[t]
         matrix.dot(f, out=prediction)
         np.subtract(outputs[t], prediction, out=resid)
-        loss = float(resid.dot(resid))
-        cumulative_loss += loss
-        if not 2.0 * math.sqrt(loss) * peaks[t] < 1e300:
+        if not 2.0 * math.sqrt(resid.dot(resid)) * peaks[t] < 1e300:
             if not np.isfinite(-2.0 * np.outer(resid, f)).all():
                 raise FloatingPointError(f"{_BLOWN_UP} (step {t + 1})")
         np.multiply(column, f[:learned], out=grad)  # np.outer
@@ -309,7 +307,6 @@ def run_online(
         if frozen:
             np.copyto(head, block)
         matrix_norms[t] = norm
-    state = replace(state, matrix=matrix, step=T, cumulative_loss=cumulative_loss)
     losses = ((trajectory.outputs - predictions) ** 2).sum(axis=1)
 
     if comparator_params is not None:
@@ -319,31 +316,7 @@ def run_online(
     else:
         comp_losses = _best_fixed_losses(eff_features, eff_targets, config.r_m)
         kind = "best-fixed-M"
-    return _run_result(predictions, losses, state, matrix_norms, comp_losses, kind)
-
-
-def _run_result(
-    predictions: np.ndarray,
-    losses: np.ndarray,
-    state: OnlineState,
-    matrix_norms: np.ndarray,
-    comparator_losses: np.ndarray,
-    comparator_kind: str,
-) -> OnlineRunResult:
-    report = RegretReport(
-        learner_loss=float(losses.sum()),
-        comparator_loss=float(comparator_losses.sum()),
-        comparator_kind=comparator_kind,
-        horizon=len(losses),
-    )
-    return OnlineRunResult(
-        predictions=predictions,
-        losses=losses,
-        report=report,
-        state=state,
-        matrix_norms=matrix_norms,
-        comparator_losses=comparator_losses,
-    )
+    return OnlineRunResult(predictions, losses, state, matrix_norms, comp_losses, kind)
 
 
 def _project_ball(matrix: np.ndarray, r_m: float) -> np.ndarray:
@@ -502,20 +475,16 @@ def run_ftl(
     ridge must be positive; ridge 0 raises ``LinAlgError`` before step 0.
     """
     features, eff_features, eff_targets = _effective_parts(trajectory, config)
-    T = trajectory.length
     state = init_state(config, trajectory.input_dim, trajectory.output_dim, eta=0.0)
     predictions, matrix, matrix_norms = _rolling_ridge(
-        eff_features, eff_targets, ridge, ftl_refit_every(T), config.r_m
+        eff_features, eff_targets, ridge, ftl_refit_every(trajectory.length), config.r_m
     )
     if config.freeze_y_block:
         predictions += features[:, state.layout.y_block]
     losses = ((trajectory.outputs - predictions) ** 2).sum(axis=1)
     state.matrix[:, : eff_features.shape[1]] = matrix
-    state = replace(state, step=T, cumulative_loss=float(losses.sum()))
     comp_losses = _best_fixed_losses(eff_features, eff_targets, config.r_m)
-    return _run_result(
-        predictions, losses, state, matrix_norms, comp_losses, "best-fixed-M"
-    )
+    return OnlineRunResult(predictions, losses, state, matrix_norms, comp_losses, "best-fixed-M")
 
 
 def _constrained_least_squares(

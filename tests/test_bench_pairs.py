@@ -24,4 +24,14 @@ NOISY = [10.0] * 5 + [12.0] * 5  # quartiles 10 and 12: a spread of 2, wider tha
     (NOISY, [12.0] * 10, "regression"),
 ])
 def test_verdict_follows_the_review_rules(parent, change, verdict):
-    assert bench_pairs._verdict(parent, change, 0.05) == verdict
+    assert bench_pairs._verdict(parent, change, 0.05, (0.0, 0.0)) == verdict
+
+
+@pytest.mark.parametrize("failed_shares, verdict", [
+    ((0.0, 0.1), "unchanged"),  # faster, but more operations fail
+    ((0.1, 0.1), "gain"),
+    ((0.2, 0.1), "gain"),
+])
+def test_gain_does_not_count_when_more_operations_fail(failed_shares, verdict):
+    faster = [v - 1.0 for v in STEADY]
+    assert bench_pairs._verdict(STEADY, faster, 0.05, failed_shares) == verdict

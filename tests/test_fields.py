@@ -5,12 +5,16 @@ import pytest
 
 from wavefilter.filters import FeatureLayout, FilterBank
 from wavefilter.hankel import HankelMatrix, Spectrum
-from wavefilter.lds import InputGenerator, Trajectory
-from wavefilter.online import default_hyperparams
+from wavefilter.lds import Trajectory
+from wavefilter.online import OnlineRunResult, RegretReport, default_hyperparams
 from wavefilter.verify import ToleranceProfile
 
 _BANK = dict(phis=np.eye(2, 4), sigmas=np.ones(2), method="eigen")
 _TRAJECTORY = dict(inputs=np.ones((2, 1)), outputs=np.ones((2, 1)))
+_RUN = dict(
+    predictions=np.zeros((2, 1)), losses=np.array([1.0, 2.0]), state=None, matrix_norms=np.zeros(2),
+    comparator_losses=np.array([0.5, 0.5]), comparator_kind="best-fixed-M",
+)
 
 CASES = [
     (FilterBank, _BANK, "horizon", 4),
@@ -24,8 +28,7 @@ CASES = [
     (Trajectory, _TRAJECTORY, "l_y", 1.0),
     (ToleranceProfile, {}, "alpha_step", 0.01),
     (ToleranceProfile, {}, "seed", 0),
-    (InputGenerator, dict(kind="gaussian"), "block_len", 20),
-    (InputGenerator, dict(kind="gaussian"), "duty", 0.25),
+    (OnlineRunResult, _RUN, "report", RegretReport(3.0, 1.0, "best-fixed-M", horizon=2)),
 ]
 
 

@@ -23,7 +23,6 @@ from wavefilter.lds import (
     LdsParams,
     Trajectory,
     NoiseConfig,
-    PendulumConfig,
     block_impulse_inputs,
     pendulum_simulate,
     simulate,
@@ -464,7 +463,12 @@ class TestSidecarCrossChecks:
         (["ep0"], "does not hold a JSON object"),
         ({"trajectories": "ep0"}, r"lists trajectories as 'ep0', not as a list of names"),
         ({"trajectories": ["ep0", 1]}, r"lists trajectories as \['ep0', 1\], not as a list"),
-    ], ids=["missing", "not-an-object", "a-string", "a-number-among-names"])
+        ({"trajectories": ["ep0", "../ep0"]}, r"lists '\.\./ep0', which is not a plain file name"),
+        ({"trajectories": ["/tmp/ep0"]}, r"lists '/tmp/ep0', which is not a plain file name"),
+        ({"trajectories": ["sub/ep0"]}, r"lists 'sub/ep0', which is not a plain file name"),
+        ({"trajectories": ["ep0", ""]}, r"lists '', which is not a plain file name"),
+    ], ids=["missing", "not-an-object", "a-string", "a-number-among-names", "parent", "absolute",
+            "subdirectory", "empty-name"])
     def test_malformed_manifest_names_the_manifest(self, tmp_path, manifest, expected):
         io.save_trajectory(simulate_scenario("mimo_10", 50, 0, 0.1, 0.1), tmp_path / "ep0")
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -493,6 +497,41 @@ class TestSidecarCrossChecks:
         io.save_trajectory(small_trajectory, base)
         base.with_suffix(".json").write_text(sidecar)
         with pytest.raises(ValueError, match=rf"pair\.json {expected}"):
+            load(base)
+
+    @pytest.mark.parametrize("artifact, key, value, shown", [
+        ("bank", "sigmas", 3, "3, not a list of finite numbers"),
+        ("bank", "sigmas", [float("nan")] * 6, f"{[float('nan')] * 6}, not a list of finite numbers"),
+        ("bank", "lambdas", [float("inf")] * 6, f"{[float('inf')] * 6}, not a list of finite numbers"),
+        ("bank", "sigma_extrapolated", [0] * 6, f"{[0] * 6}, not a list of booleans"),
+        ("bank", "method", 7, "7, not a string"),
+        ("bank", "T", "x", "'x', not an integer"),
+        ("traj", "T", "x", "'x', not an integer"),
+        ("traj", "n", 1.0, "1.0, not an integer"),
+        ("pred", "layout", 3, "3, not an object"),
+        ("pred", "rows", True, "True, not an integer"),
+        ("pred", "layout.n", "2", "'2', not an integer"),
+    ], ids=["bank-sigmas", "bank-sigmas-nan", "bank-lambdas-inf", "bank-extrapolated", "bank-method",
+            "bank-T", "traj-T", "traj-n", "pred-layout", "pred-rows", "pred-layout.n"])
+    def test_sidecar_value_of_the_wrong_type_names_both_files(self, tmp_path, small_trajectory,
+                                                              artifact, key, value, shown):
+        base = tmp_path / artifact
+        layout = FeatureLayout(n=2, k=3, m=2)
+        save, load = {
+            "bank": (lambda: io.save_filter_bank(build_filter_bank(40, 6, method="ode"), base),
+                     io.load_filter_bank),
+            "traj": (lambda: io.save_trajectory(small_trajectory, base), io.load_trajectory),
+            "pred": (lambda: io.save_predictor(np.ones((2, layout.width)), layout, base, "test"),
+                     io.load_predictor),
+        }[artifact]
+        save()
+        meta = json.loads(base.with_suffix(".json").read_text())
+        *within, name = key.split(".")
+        (meta[within[0]] if within else meta)[name] = value
+        base.with_suffix(".json").write_text(json.dumps(meta))
+        expected = (rf"{artifact}\.csv is described by sidecar .*{artifact}\.json, "
+                    rf"whose {re.escape(key)} is {re.escape(shown)}$")
+        with pytest.raises(ValueError, match=expected):
             load(base)
 
     def test_trajectories_of_unequal_length_name_both_files(self, tmp_path, monkeypatch):
@@ -760,8 +799,7 @@ class TestExperiments:
             if name == "pendulum":
                 r_m = 2.0 * np.sqrt(k)
                 inputs = block_impulse_inputs(T, 1, rng, scale=2.0)
-                pend = PendulumConfig(accel_noise_std=0.05, obs_noise_std=0.001)
-                traj = pendulum_simulate(pend, inputs, seed=seed)
+                traj = pendulum_simulate(inputs, 0.05, 0.001, seed=seed)
             else:
                 params, gen = synthetic_system(name, seed=0)
                 r_m = params.r_theta**2 * np.sqrt(k)

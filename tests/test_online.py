@@ -311,6 +311,9 @@ class TestRunOnline:
         ftl = run_ftl(traj, OnlineConfig(bank=bank, r_m=5.0))
         assert ftl.comparator_losses.sum() == ftl.report.comparator_loss
         assert ftl.report.comparator_loss == pytest.approx(rep.comparator_loss)
+        for run in (result, ftl):  # the report's totals are those of the loss arrays
+            assert run.report.learner_loss == float(run.losses.sum())
+            assert run.report.horizon == len(run.losses) == T
 
     def test_true_derivative_comparator(self):
         rng = np.random.default_rng(7)
@@ -362,8 +365,6 @@ class TestRunOnline:
         assert np.array_equal(result.losses, losses)
         assert np.array_equal(result.matrix_norms, norms)
         assert np.array_equal(result.state.matrix, state.matrix)
-        assert result.state.step == state.step == T
-        assert result.state.cumulative_loss == state.cumulative_loss
         if r_m < 1.0:
             assert norms.max() == pytest.approx(r_m)  # the ball binds
         else:

@@ -15,8 +15,9 @@ better; ties count for neither side), every raw value, the run context,
 and a verdict read by the simplicity-review rules against the metric's
 ``BENCHMARK.json`` bound, a share of the parent's median:
 
-- ``gain``: the change wins at least 9 in 10 pairs, and the medians differ
-  by more than the parent's quartile spread;
+- ``gain``: the change wins at least 9 in 10 pairs, the medians differ
+  by more than the parent's quartile spread, and the change's share of
+  failed operations on the workload is no larger than the parent's;
 - ``regression``: the change's median is worse than the parent's by more
   than the bound;
 - ``unresolved``: the parent's quartile spread is wider than the bound,
@@ -72,12 +73,18 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def _verdict(parent: list[float], change: list[float], bound: float) -> str:
-    """``gain``, ``regression``, ``unresolved`` or ``unchanged`` (see the module doc)."""
+def _verdict(
+    parent: list[float], change: list[float], bound: float, failed_shares: tuple[float, float]
+) -> str:
+    """``gain``, ``regression``, ``unresolved`` or ``unchanged`` (see the module doc).
+
+    ``failed_shares`` holds the parent's and the change's shares of failed operations.
+    """
     base, new = _summary(parent), _summary(change)
     spread, allowed = base["q3"] - base["q1"], bound * base["median"]
     won = sum(c < p for p, c in zip(parent, change))
-    if 10 * won >= 9 * len(parent) and base["median"] - new["median"] > spread:
+    no_more_failures = failed_shares[1] <= failed_shares[0]
+    if 10 * won >= 9 * len(parent) and base["median"] - new["median"] > spread and no_more_failures:
         return "gain"
     if new["median"] - base["median"] > allowed:
         return "regression"
@@ -117,6 +124,9 @@ def main(argv: list[str] | None = None) -> int:
                     flush=True)
         workloads = {}
         for workload, sides in runs.items():
+            failed = {s: sum(r["failed"] for r in rs) for s, rs in sides.items()}
+            attempted = {s: sum(r["attempted"] for r in rs) for s, rs in sides.items()}
+            shares = tuple(failed[s] / max(attempted[s], 1) for s in ("parent", "change"))
             metrics = {}
             for metric in METRICS:
                 parent = [r[metric] for r in sides["parent"]]
@@ -127,15 +137,13 @@ def main(argv: list[str] | None = None) -> int:
                     "change_won": sum(c < p for p, c in zip(parent, change)),
                     "ties": sum(c == p for p, c in zip(parent, change)),
                     "pairs": len(parent),
-                    "verdict": _verdict(parent, change, bounds[metric]),
+                    "verdict": _verdict(parent, change, bounds[metric], shares),
                     "parent_runs": parent,
                     "change_runs": change,
                 }
             metrics["all_correct"] = all(r["correct"] for s in sides.values() for r in s)
-            metrics["failed_operations"] = {s: sum(r["failed"] for r in rs)
-                                            for s, rs in sides.items()}
-            metrics["attempted_operations"] = {s: sum(r["attempted"] for r in rs)
-                                               for s, rs in sides.items()}
+            metrics["failed_operations"] = failed
+            metrics["attempted_operations"] = attempted
             workloads[workload] = metrics
         record = {
             "command": f"perfbench/run.py --workload W --seed {args.seed} "

@@ -85,7 +85,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
     header += [f"yhat_{i+1}" for i in range(traj.output_dim)]
     losses = result.losses
     steps = np.column_stack((losses, np.cumsum(losses), result.matrix_norms, result.predictions))
-    io._write_csv(out.with_suffix(".steps.csv"), header, io._numbered(steps))
+    io._write_csv(io._with_suffix(out, ".steps.csv"), header, io._numbered(steps))
     io.save_predictor(
         result.state.matrix,
         result.state.layout,

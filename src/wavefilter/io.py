@@ -2,8 +2,16 @@
 
 Every CSV goes through one writer and one reader. Floats are written as
 ``%.17e`` (full double precision, so round trips are exact), step counters
-as ``%d``, and every line ends in ``\\r\\n``. A saved artifact is a pair
-``<base>.csv`` plus ``<base>.json`` describing it. The reader rejects a
+as ``%d``, and every line ends in ``\\r\\n``. The writer formats whole
+blocks of cells in numpy and writes the same bytes as ``'%.17e' % x`` and
+``'%d' % x`` per cell. Zeros and magnitudes in [1e-99, 1e100) take the fast
+path: a double-double power of ten scales them exactly when the power is a
+double (10**0 to 10**22) and to within 1e-13 of a unit otherwise. Every
+other cell is printed by ``%`` itself: nan, infinities, subnormals,
+three-digit exponents, and inexactly scaled cells within 1e-9 of a rounding
+tie or of 1e17. A saved artifact is a pair ``<base>.csv`` plus
+``<base>.json`` describing it, each suffix appended to the base name or
+replacing a ``.csv`` or ``.json`` suffix it ends in. The reader rejects a
 ragged row, a non-numeric cell or a non-finite value with a ``ValueError``
 naming the file, the 1-based line and the column; the loaders reject a
 payload or sidecar list that disagrees with the sidecar's counts, and a
@@ -14,6 +22,7 @@ or holds no JSON object, is rejected naming the file.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -41,18 +50,201 @@ SIGN_CONVENTION = "first-significant-coordinate-positive"
 PathLike = Union[str, Path]
 
 
+_CHUNK_CELLS = 1 << 16  # cells formatted at a time, so the buffers stay a few MiB
+_WIDTH = 25  # bytes of the longest cell text, '-4.94065645841246544e-324'
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant for splitting a double in halves
+_E_LIMIT = 101  # the scaling table covers exponents -101..101: [-99, 99] and one more
+
+
 def _write_csv(path: Path, header: Sequence[str], *blocks: tuple) -> None:
     """The one CSV writer.
 
-    Writes the ``header`` line unless it is empty, then each ``(fmt, rows)``
-    block: one line per row, in ``np.savetxt``'s ``fmt`` (a format per cell,
-    or one for the whole line, which may hold literal text).
+    Writes the ``header`` line unless it is empty, then each ``(formats, rows)``
+    block: one line per row of ``rows``, its cells joined by commas. ``formats``
+    has one entry per cell, or is one format for every column of ``rows``:
+    ``FLOAT_FMT`` and ``"%d"`` take the row's next value, and any other entry
+    is literal text written on every line. Each value's bytes are exactly
+    those of ``fmt % value``, the fast path's or, for the cells it is not
+    sure of, ``%``'s own (see the module doc); ``_format_rows`` makes them
+    in row chunks of at most ``_CHUNK_CELLS`` cells.
     """
-    with path.open("w", newline="") as fh:
+    with path.open("wb") as fh:
         if header:
-            fh.write(",".join(header) + "\r\n")
-        for fmt, rows in blocks:
-            np.savetxt(fh, np.atleast_2d(rows), fmt=fmt, delimiter=",", newline="\r\n")
+            fh.write((",".join(header) + "\r\n").encode())
+        for formats, rows in blocks:
+            rows = np.atleast_2d(rows)
+            if isinstance(formats, str):
+                formats = [formats] * rows.shape[1]
+            step = max(1, _CHUNK_CELLS // max(1, len(formats)))
+            for start in range(0, len(rows), step):
+                fh.write(_format_rows(formats, rows[start : start + step]))
+
+
+def _format_rows(formats: Sequence[str], rows: np.ndarray) -> np.ndarray:
+    """The bytes of ``rows`` as CSV lines in ``formats`` (see ``_write_csv``).
+
+    Every cell gets a slot of NUL bytes, as wide as the widest cell, then its
+    separator; the cell's text fills the slot's front and the NULs are dropped.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if not formats:  # a table without columns: an empty line per row
+        return np.frombuffer(b"\r\n" * len(rows), np.uint8)
+    makers = {FLOAT_FMT: _float_cells, "%d": _int_cells}
+    takes = [fmt in makers for fmt in formats]
+    if rows.shape[1] != sum(takes):
+        raise ValueError(f"{rows.shape[1]} columns of values for {sum(takes)} formatted cells")
+    value_of = np.cumsum(takes) - 1  # the column of rows that each cell takes
+    parts = []  # (cells, their text as rows by cells by bytes)
+    for fmt, make in makers.items():
+        cells = [j for j, f in enumerate(formats) if f == fmt]
+        if cells:
+            text = make(rows[:, value_of[cells]].ravel())
+            parts.append((cells, text.reshape(len(rows), len(cells), -1)))
+    for j, fmt in enumerate(formats):
+        if not takes[j]:
+            text = np.frombuffer(fmt.encode(), np.uint8)
+            parts.append(([j], np.broadcast_to(text, (len(rows), 1, text.size))))
+    slot = max(text.shape[2] for _, text in parts) + 2
+    out = np.zeros((len(rows), len(formats), slot), np.uint8)
+    for cells, text in parts:
+        out[:, cells, : text.shape[2]] = text
+    out[:, :, -2] = ord(",")
+    out[:, -1, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    return out[out != 0]
+
+
+def _reference_cells(fmt: str, values: np.ndarray, width: int = _WIDTH) -> np.ndarray:
+    """``fmt % v`` per value, one Python call each, as NUL-padded rows of at least
+    ``width`` bytes."""
+    texts = [(fmt % v).encode() for v in values.tolist()]
+    width = max([width] + [len(text) for text in texts])
+    padded = b"".join(text.ljust(width, b"\0") for text in texts)
+    return np.frombuffer(padded, np.uint8).reshape(-1, width)
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``FLOAT_FMT % v`` for each double of ``x``, as NUL-padded rows of ``_WIDTH`` bytes.
+
+    Zeros and the magnitudes in [1e-99, 1e100) whose digits ``_decimal_digits``
+    is sure of are printed from their digits; any other value (nan, an
+    infinity, a subnormal, a three-digit exponent, a near tie) by ``%`` itself.
+    """
+    ax = np.abs(x)
+    zero = ax == 0
+    fast = (ax >= 1e-99) & (ax < 1e100)
+    n, e, sure = _decimal_digits(np.where(fast, ax, 1.0))
+    n[zero], e[zero] = 0, 0
+    cells = np.zeros((x.size, _WIDTH), np.uint8)
+    cells[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    digits = _digits(n, 18)
+    cells[:, 1] = digits[:, 0]
+    cells[:, 2] = ord(".")
+    cells[:, 3:20] = digits[:, 1:]
+    cells[:, 20] = ord("e")
+    cells[:, 21] = np.where(e < 0, ord("-"), ord("+"))
+    cells[:, 22:24] = _digits(np.abs(e), 2)
+    rest = np.flatnonzero(~(fast & sure | zero))
+    cells[rest] = _reference_cells(FLOAT_FMT, x[rest])
+    return cells
+
+
+def _int_cells(x: np.ndarray) -> np.ndarray:
+    """``"%d" % v`` for each double of ``x``, as NUL-padded rows of bytes.
+
+    The digits of values in [0, 1e16) sit at the end of the row behind NULs;
+    any other value is printed by ``%`` itself.
+    """
+    fast = (x >= 0) & (x < 1e16)
+    n = np.where(fast, x, 0).astype(np.int64)  # truncated toward zero, as int() does
+    digits = _digits(n, 16)
+    digits[:, :-1][n[:, None] < 10 ** np.arange(15, 0, -1)] = 0  # no leading zeros
+    rest = np.flatnonzero(~fast)
+    texts = _reference_cells("%d", x[rest], 16)
+    cells = np.zeros((x.size, texts.shape[1]), np.uint8)
+    cells[:, -16:] = digits
+    cells[rest] = texts
+    return cells
+
+
+def _decimal_digits(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(n, e, sure)`` for positive doubles ``ax`` in [1e-99, 1e100): the integer
+    ``n`` in [1e17, 1e18) nearest ``ax * 10**(17 - e)`` (ties to even) and the
+    exponent ``e``, so ``ax`` prints as the digits of ``n`` times ``10**(e - 17)``.
+
+    ``sure`` is false where that may be wrong. When ``10**(17 - e)`` is a
+    double the scaled value is exact; otherwise it is within 1e-13 of the true
+    one, so only a remainder within 1e-9 of one half, or a scaled value within
+    1e-9 of 1e17, is unsure. An exponent outside [-99, 99] is unsure too.
+    """
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    whole, frac, exact = _scaled(ax, e)
+    moved = (whole < 10**17) | (whole >= 10**18)  # log10 was one off
+    if moved.any():
+        e[moved] += np.where(whole[moved] < 10**17, -1, 1)
+        whole[moved], frac[moved], exact[moved] = _scaled(ax[moved], e[moved])
+    n = whole + ((frac > 0.5) | (frac == 0.5) & (whole & 1 == 1))
+    carry = n == 10**18
+    n[carry], e[carry] = 10**17, e[carry] + 1
+    unsure = (np.abs(frac - 0.5) < 1e-9) | (whole == 10**17) & (frac < 1e-9)
+    sure = ((whole >= 10**17) & (whole < 10**18) & (np.abs(e) <= 99)
+            & (exact | ~unsure))
+    return n, e, sure
+
+
+def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ax * 10**(17 - e)`` as an integer part, a remainder in [0, 1), and where it is exact.
+
+    The power is the double-double ``hi + lo``; Dekker's two-product gives
+    ``ax * hi`` exactly as a double plus its rounding error.
+    """
+    hi, hi_hi, hi_lo, lo = (table[_E_LIMIT - e] for table in _powers_of_ten())
+    product = ax * hi
+    split = ax * _SPLIT
+    ax_hi = split - (split - ax)
+    ax_lo = ax - ax_hi
+    error = ((ax_hi * hi_hi - product) + ax_hi * hi_lo + ax_lo * hi_hi) + ax_lo * hi_lo
+    rest = error + ax * lo
+    floor = np.floor(rest)
+    return product.astype(np.int64) + floor.astype(np.int64), rest - floor, lo == 0
+
+
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """``(hi, hi_hi, hi_lo, lo)`` for ``10**p``, p from ``17 - _E_LIMIT`` to ``17 + _E_LIMIT``.
+
+    ``hi`` is ``10**p`` rounded to a double and ``lo`` the rest, rounded, both
+    from exact integer quotients; ``hi_hi + hi_lo`` is ``hi`` split in halves.
+    """
+    pairs = []
+    for p in range(17 - _E_LIMIT, 18 + _E_LIMIT):
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        hi = num / den  # an integer quotient is correctly rounded
+        hi_num, hi_den = hi.as_integer_ratio()
+        pairs.append((hi, (num * hi_den - hi_num * den) / (den * hi_den)))
+    hi, lo = np.array(pairs).T
+    split = hi * _SPLIT
+    hi_hi = split - (split - hi)
+    return hi, hi_hi, hi - hi_hi, lo
+
+
+@functools.cache
+def _four_digits() -> np.ndarray:
+    """The four ASCII digits of each of 0..9999, as one 4-byte item each."""
+    two = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+    four = np.empty((100, 100, 2), np.uint16)
+    four[:, :, 0], four[:, :, 1] = two[:, None], two
+    return four.view(np.uint32).ravel()
+
+
+def _digits(n: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` ASCII decimal digits of each integer ``n`` below ``10**count``."""
+    quads = np.empty((n.size, -(-count // 4)), np.int64)
+    for i in range(quads.shape[1] - 1, 0, -1):
+        quotient = n // 10000
+        np.subtract(n, 10000 * quotient, out=quads[:, i])
+        n = quotient
+    quads[:, 0] = n
+    return _four_digits()[quads].view(np.uint8)[:, -count:]
 
 
 def _numbered(values: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -94,10 +286,18 @@ def _read_matrix_csv(path: Path, skip_header: bool) -> np.ndarray:
     return data
 
 
+def _with_suffix(base: PathLike, suffix: str) -> Path:
+    """``base`` with ``suffix`` appended to its full name, or replacing a ``.csv``
+    or ``.json`` suffix it ends in: ``ep.1`` gives ``ep.1.csv``, ``ep.csv`` gives ``ep.json``."""
+    base = Path(base)
+    if base.suffix in (".csv", ".json"):
+        base = base.with_suffix("")
+    return base.with_name(base.name + suffix)
+
+
 def _save_pair(base: PathLike, meta: dict, header: Sequence[str], *blocks) -> tuple[Path, Path]:
     """Write ``<base>.csv`` from ``header`` and ``blocks`` and ``<base>.json`` from ``meta``."""
-    base = Path(base)
-    csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
+    csv_path, json_path = _with_suffix(base, ".csv"), _with_suffix(base, ".json")
     _write_csv(csv_path, header, *blocks)
     json_path.write_text(json.dumps(meta, indent=2, allow_nan=False))
     return csv_path, json_path
@@ -116,8 +316,7 @@ def _read_json_object(path: Path) -> dict:
 
 def _load_pair(base: PathLike, skip_header: bool) -> tuple[np.ndarray, dict, tuple[Path, Path]]:
     """The ``<base>.csv`` payload, the ``<base>.json`` sidecar and both paths."""
-    base = Path(base)
-    paths = base.with_suffix(".csv"), base.with_suffix(".json")
+    paths = _with_suffix(base, ".csv"), _with_suffix(base, ".json")
     meta = _read_json_object(paths[1])
     return _read_matrix_csv(paths[0], skip_header), meta, paths
 
@@ -265,9 +464,9 @@ def save_result_rows(
     path = Path(path)
     blocks = []
     for learner, loss in losses.items():
-        fmt = f"{experiment},{seed},%d,{learner},{FLOAT_FMT},{FLOAT_FMT}"
+        formats = [experiment, str(seed), "%d", learner, FLOAT_FMT, FLOAT_FMT]
         steps = np.arange(1, len(loss) + 1)
-        blocks.append((fmt, np.column_stack((steps, loss, np.cumsum(loss) / steps))))
+        blocks.append((formats, np.column_stack((steps, loss, np.cumsum(loss) / steps))))
     _write_csv(path, ("experiment", "seed", "t", "learner", "loss", "cumulative_mse"), *blocks)
     return path
 
@@ -296,7 +495,7 @@ def load_training_set(directory: PathLike) -> list[Trajectory]:
     for base, trajectory in zip(bases, trajectories):
         if trajectory.length != trajectories[0].length:
             raise ValueError(
-                f"{base.with_suffix('.csv')} has {trajectory.length} steps, "
-                f"{bases[0].with_suffix('.csv')} has {trajectories[0].length}"
+                f"{_with_suffix(base, '.csv')} has {trajectory.length} steps, "
+                f"{_with_suffix(bases[0], '.csv')} has {trajectories[0].length}"
             )
     return trajectories

@@ -35,3 +35,12 @@ def test_verdict_follows_the_review_rules(parent, change, verdict):
 def test_gain_does_not_count_when_more_operations_fail(failed_shares, verdict):
     faster = [v - 1.0 for v in STEADY]
     assert bench_pairs._verdict(STEADY, faster, 0.05, failed_shares) == verdict
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_is_rejected_before_any_run(monkeypatch, capsys, pairs):
+    monkeypatch.setattr(bench_pairs, "_export", lambda *args: pytest.fail("a tree was exported"))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--pairs", pairs, "--out", "unused.json"])
+    assert exit_info.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err

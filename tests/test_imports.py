@@ -19,10 +19,13 @@ def test_package_import_loads_no_heavy_scipy_submodule():
     # no scipy module at all: scipy.linalg alone adds about 0.4 s, so the
     # package imports scipy inside the functions that call it. Nor does it
     # look up numpy's BLAS thread controls; the first decorated call does.
+    # Nor fractions or decimal (about 4 ms together): the CSV writer builds
+    # its power-of-ten table from integers, on its first call.
     code = (
         "import sys, wavefilter, wavefilter._blas; "
         "assert 'api' not in wavefilter._blas._scope; "
-        "print(','.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(','.join(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))"
     )
     src = str(Path(wavefilter.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])

@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 import re
 import warnings
 
@@ -45,8 +46,8 @@ def small_trajectory():
     return simulate(params, rng.standard_normal((40, 2)), NoiseConfig(0.05, 0.05, 3))
 
 
-# Reference writers: the csv-module loops the package used before it wrote
-# every table with np.savetxt. Every file must stay byte-identical to them.
+# Reference writers: the csv-module loops the package used before it had its
+# own vectorized writer. Every file must stay byte-identical to them.
 FMT = "%.17e"
 
 
@@ -134,6 +135,19 @@ class TestRoundTrips:
         assert lay == layout
         assert meta["source"] == "relaxation"
 
+    def test_dotted_base_names_stay_distinct(self, tmp_path, small_trajectory):
+        other = simulate_scenario("siso_hard", 30, 0, 0.1, 0.1)
+        pairs = [io.save_trajectory(small_trajectory, tmp_path / "ep.1"),
+                 io.save_trajectory(other, tmp_path / "ep.2")]
+        assert pairs == [(tmp_path / f"ep.{i}.csv", tmp_path / f"ep.{i}.json") for i in (1, 2)]
+        assert np.array_equal(io.load_trajectory(tmp_path / "ep.1").outputs,
+                              small_trajectory.outputs)
+        assert np.array_equal(io.load_trajectory(tmp_path / "ep.2").outputs, other.outputs)
+        # a name that already ends in .csv or .json has that suffix replaced
+        pair = io.save_trajectory(other, tmp_path / "run.csv")
+        assert pair == (tmp_path / "run.csv", tmp_path / "run.json")
+        assert np.array_equal(io.load_trajectory(tmp_path / "run.json").outputs, other.outputs)
+
     def test_training_set_manifest(self, tmp_path, small_trajectory):
         io.save_trajectory(small_trajectory, tmp_path / "ep0")
         io.save_trajectory(small_trajectory, tmp_path / "ep1")
@@ -189,6 +203,13 @@ class TestByteIdentity:
     @pytest.mark.parametrize("system", EXPERIMENT_NAMES)
     def test_trajectory(self, tmp_path, system):
         traj = simulate_scenario(system, 80, 1, 0.4, 0.3)
+        csv_path, _ = io.save_trajectory(traj, tmp_path / "traj")
+        _reference_trajectory_csv(tmp_path / "ref.csv", traj)
+        assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_trajectory_longer_than_one_chunk(self, tmp_path):
+        traj = simulate_scenario("mimo_10", 4000, 3, 0.1, 0.1)
+        assert traj.length * (1 + traj.input_dim + traj.output_dim) > 1.2 * io._CHUNK_CELLS
         csv_path, _ = io.save_trajectory(traj, tmp_path / "traj")
         _reference_trajectory_csv(tmp_path / "ref.csv", traj)
         assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -265,6 +286,72 @@ class TestByteIdentity:
         _reference_result_rows_csv(tmp_path / "ref.csv", "siso_hard", 2, outcome.losses)
         written = (tmp_path / "rows_siso_hard_seed2.csv").read_bytes()
         assert written == (tmp_path / "ref.csv").read_bytes()
+
+
+def _cells(values, fmt=io.FLOAT_FMT):
+    """The writer's cells for a column of ``values``, and ``fmt % v`` for each."""
+    values = np.asarray(values, dtype=float)
+    lines = io._format_rows([fmt], values[:, None]).tobytes().decode().split("\r\n")
+    assert lines[-1] == ""
+    return lines[:-1], [fmt % v for v in values.tolist()]
+
+
+def _neighbours(values, ulps):
+    """``values`` and the ``ulps`` doubles on either side of each."""
+    values = np.asarray(values, dtype=float)
+    near, up, down = [values], values, values
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        near += [up, down]
+    return np.concatenate(near)
+
+
+class TestCellFormat:
+    """Each cell the writer makes equals Python's ``'%.17e' % v`` (or ``'%d' % v``)."""
+
+    @given(values=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_double(self, values):
+        written, expected = _cells(values)
+        assert written == expected
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{p}") for p in range(-100, 101)])
+        values = _neighbours(powers, 20)
+        written, expected = _cells(np.concatenate((values, -values)))
+        assert written == expected
+
+    def test_exact_ties_round_half_to_even(self):
+        # m / 2**q with m odd has the decimal digits of m * 5**q, ending in 5;
+        # with 19 of them, printing 18 is an exact tie
+        rng = random.Random(0)
+        ties = []
+        for q in range(4, 27):
+            low, high = -(-10**18 // 5**q), min(10**19 // 5**q, 2**53)
+            for _ in range(200):
+                m = rng.randrange(low, high) | 1
+                if len(str(m * 5**q)) == 19:
+                    ties.append(m / 2**q)
+        assert len(ties) > 4000
+        written, expected = _cells(ties + [-t for t in ties])
+        assert written == expected
+        # m * 5**q ends in 25 or 75: a tie 2|5 rounds down to 2, a tie 7|5 up to 8
+        assert {cell[18] for cell in written[: len(ties)]} == {"2", "8"}
+
+    def test_zeros_integers_and_the_range_ends(self):
+        integers = [1.0, 2.0, 3.0, 10.0, 255.0, 1e15, 2.0**53, 1e22, 1e23]
+        ends = _neighbours([1e-99, 9.999e99, 1e100], 3)
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+                   np.finfo(float).max]
+        values = np.concatenate((integers, np.negative(integers), ends, special))
+        written, expected = _cells(values)
+        assert written == expected
+
+    def test_step_counters(self):
+        values = [0.0, -0.0, 1.0, 9.0, 10.0, 99.0, 100.0, 12345.0, 2.0**53, 1e16, 1e300,
+                  3.7, -1.0, -2.5]
+        written, expected = _cells(values, "%d")
+        assert written == expected
 
 
 # finite doubles, with signed zeros, subnormals and +-1e300 always in reach
@@ -577,6 +664,22 @@ class TestCli:
         with pytest.raises(ValueError, match=rf"^{field} must be finite and positive, got {value}"):
             main(argv + ["--out", str(tmp_path / "model")])
         assert not (tmp_path / "model.steps.csv").exists()
+
+    def test_dotted_out_names_stay_distinct(self, tmp_path, capsys):
+        for seed in (1, 2):
+            argv = ["simulate", "--system", "siso_hard", "--T", "60", "--seed", str(seed),
+                    "--out", str(tmp_path / f"ep.{seed}")]
+            assert main(argv) == 0
+        (tmp_path / "manifest.json").write_text(json.dumps({"trajectories": ["ep.1", "ep.2"]}))
+        for traj, seed in zip(io.load_training_set(tmp_path), (1, 2)):
+            expected = simulate_scenario("siso_hard", 60, seed, 0.1, 0.1)
+            assert np.array_equal(traj.outputs, expected.outputs)
+        argv = ["online", "--data", str(tmp_path / "ep.1"), "--k", "4",
+                "--out", str(tmp_path / "model.v1")]
+        assert main(argv) == 0
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == ["ep.1.csv", "ep.1.json", "ep.2.csv", "ep.2.json", "manifest.json",
+                           "model.v1.csv", "model.v1.json", "model.v1.steps.csv"]
 
     def test_simulate_online_batch_pipeline(self, tmp_path, capsys):
         traj_base = tmp_path / "traj"

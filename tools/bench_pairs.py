@@ -103,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2, for the quartiles of each side; not {args.pairs}")
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:

@@ -134,7 +134,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         learner=args.learner,
         out_dir=args.out,
     )
-    summary = run_experiment(config, threads=args.threads)
+    summary = run_experiment(config)
     print(json.dumps(summary["final_mse"], indent=2))
     return 0
 
@@ -203,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, nargs="*", default=None)
     p.add_argument("--k", type=int, default=25)
     p.add_argument("--learner", default="ftl", choices=["ftl", "ogd"])
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_experiment)
 

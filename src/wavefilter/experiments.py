@@ -11,7 +11,6 @@ streams are drawn from numpy's PCG64 generator keyed by
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -134,19 +133,17 @@ def _run_seed(config: ExperimentConfig, seed: int, bank) -> _SeedOutcome:
 
 @serial_blas
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
-    """Run all seeds, optionally in a thread pool; return the summary.
+    """Run the seeds in order on one shared bank; return the summary.
 
-    When ``config.out_dir`` is set, writes per-seed result CSVs and a
-    ``summary.json``. The reduction over seeds is single-threaded and
-    deterministic.
+    ``threads`` must be 1; any other value raises ``ValueError``. When
+    ``config.out_dir`` is set, writes per-seed result CSVs and a
+    ``summary.json``.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}: seeds run serially")
     bank = build_filter_bank(config.horizon, config.k)
     seeds = list(config.seeds)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda s: _run_seed(config, s, bank), seeds))
-    else:
-        outcomes = [_run_seed(config, s, bank) for s in seeds]
+    outcomes = [_run_seed(config, s, bank) for s in seeds]
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:

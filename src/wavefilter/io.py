@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import warnings
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -273,17 +274,23 @@ def _bad_cell(path: Path, lines: list[str], first: int) -> str:
 
 
 def _read_matrix_csv(path: Path, skip_header: bool) -> np.ndarray:
-    """The one CSV reader: a finite 2-D array, shaped (0, 0) when there are no rows."""
-    lines = path.read_text().splitlines()[int(skip_header):]
+    """The one CSV reader: a finite 2-D array, shaped (0, 0) when there are no rows.
+
+    numpy's C reader splits the file; its lines are split here only to name a bad cell.
+    """
+    skip = int(skip_header)
+    try:
+        with warnings.catch_warnings():  # no rows is an answer, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, comments=None)
+        if np.isfinite(data).all():
+            return data if len(data) else np.empty((0, 0))
+    except ValueError:
+        pass
+    lines = path.read_text().splitlines()[skip:]
     if not any(line.strip() for line in lines):
         return np.empty((0, 0))
-    try:
-        data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-    except ValueError:
-        data = None
-    if data is None or not np.isfinite(data).all():
-        raise ValueError(_bad_cell(path, lines, 1 + int(skip_header)))
-    return data
+    raise ValueError(_bad_cell(path, lines, 1 + skip))
 
 
 def _with_suffix(base: PathLike, suffix: str) -> Path:

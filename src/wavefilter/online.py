@@ -492,23 +492,25 @@ def _constrained_least_squares(
 ) -> np.ndarray:
     """Minimize total squared error subject to a Frobenius-ball constraint.
 
-    Unconstrained least squares first; if the minimizer leaves the ball,
-    bisect the ridge multiplier until the norm meets the radius (the
-    trust-region characterization of the constrained minimizer, Moré &
-    Sorensen 1983). One eigendecomposition ``F^T F = V diag(e) V^T`` turns
-    each bisection step into a diagonal scaling: with ``c = V^T F^T Y``
-    the ridge solution is ``V (c / (e + lam))`` and its norm is
-    ``||c / (e + lam)||``.
+    One eigendecomposition ``F^T F = V diag(e) V^T`` comes first: with
+    ``c = V^T F^T Y`` the ridge solution is ``V (c / (e + lam))``, and its norm
+    ``||c / (e + lam)||`` falls as ``lam`` grows. If that norm at the lowest
+    multiplier, without the null-space coordinates that hold only rounding,
+    exceeds the radius, the minimum-norm solution leaves the ball too;
+    otherwise ``lstsq`` decides. A binding ball is met by bisecting the
+    multiplier (the trust-region characterization, Moré & Sorensen 1983).
     """
     if r_m == 0.0:
         return np.zeros((targets.shape[1], features.shape[1]))
-    matrix, *_ = np.linalg.lstsq(features, targets, rcond=None)
-    if np.linalg.norm(matrix) <= r_m:
-        return matrix.T
     evals, evecs = np.linalg.eigh(features.T @ features)
     evals = np.maximum(evals, 0.0)  # the Gram is PSD; clip rounding below zero
     coords = evecs.T @ (features.T @ targets)
     lo, hi = 1e-14, 1e14
+    ranged = evals > evals.max(initial=0.0) * len(evals) * np.finfo(float).eps
+    if np.linalg.norm(coords[ranged] / (evals[ranged] + lo)[:, None]) <= r_m:
+        matrix, *_ = np.linalg.lstsq(features, targets, rcond=None)
+        if np.linalg.norm(matrix) <= r_m:
+            return matrix.T
     for _ in range(200):
         lam = math.sqrt(lo * hi)
         scaled = coords / (evals + lam)[:, None]

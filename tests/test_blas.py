@@ -67,7 +67,7 @@ def test_nested_calls_restore_only_at_the_outermost_exit(two_threads):
     assert seen == [1, 1] and get() == 2
 
 
-def test_threaded_experiment_runs_serial_blas_and_restores(two_threads, monkeypatch):
+def test_experiment_runs_serial_blas_and_restores(two_threads, monkeypatch):
     get, _ = two_threads
     seen = []
     run_seed = experiments._run_seed
@@ -79,7 +79,7 @@ def test_threaded_experiment_runs_serial_blas_and_restores(two_threads, monkeypa
     monkeypatch.setattr(experiments, "_run_seed", recording)
     config = experiments.default_experiment_config("siso_hard", horizon=40, seeds=(0, 1, 2, 3),
                                                    k=3)
-    experiments.run_experiment(config, threads=2)
+    experiments.run_experiment(config)
     assert seen == [1, 1, 1, 1] and get() == 2
 
 

@@ -20,12 +20,13 @@ def test_package_import_loads_no_heavy_scipy_submodule():
     # package imports scipy inside the functions that call it. Nor does it
     # look up numpy's BLAS thread controls; the first decorated call does.
     # Nor fractions or decimal (about 4 ms together): the CSV writer builds
-    # its power-of-ten table from integers, on its first call.
+    # its power-of-ten table from integers, on its first call. Nor
+    # concurrent.futures (about 6 ms): the seeds of an experiment run serially.
     code = (
         "import sys, wavefilter, wavefilter._blas; "
         "assert 'api' not in wavefilter._blas._scope; "
         "print(','.join(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))"
+        "if m.split('.')[0] in ('scipy', 'fractions', 'decimal', 'concurrent')))"
     )
     src = str(Path(wavefilter.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -56,7 +57,7 @@ def test_every_exported_name_exists():
 
 
 def test_names_the_benchmark_reaches_directly(tmp_path, monkeypatch):
-    # perfbench/ calls these by name: run_experiment with threads, the
+    # perfbench/ calls these by name: run_experiment with threads=1, the
     # config's refit cadence, and it traces _run_seed (reading the seed
     # from its second argument) and the comparator fit
     assert "threads" in inspect.signature(experiments.run_experiment).parameters

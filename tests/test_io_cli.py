@@ -3,6 +3,7 @@ import json
 import random
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +390,14 @@ class TestTableRoundTrip:
         assert _identical(loaded.inputs, traj.inputs)
         assert _identical(loaded.outputs, traj.outputs)
 
+    def test_good_payload_is_split_by_numpy_alone(self, tmp_path, monkeypatch):
+        io.save_trajectory(simulate_scenario("mimo_10", 20, 0, 0.1, 0.1), tmp_path / "traj")
+        read, read_text = [], Path.read_text
+        monkeypatch.setattr(Path, "read_text",
+                            lambda path, *a, **kw: read.append(path.name) or read_text(path, *a, **kw))
+        assert io.load_trajectory(tmp_path / "traj").length == 20
+        assert read == ["traj.json"]
+
 
 class TestReaderRejects:
     """Bad payloads fail at the reader, naming the file, line and column."""
@@ -437,6 +446,17 @@ class TestReaderRejects:
             with pytest.raises(ValueError, match=r"traj\.csv has 0 columns.*n=1, m=1"):
                 io.load_trajectory(tmp_path / "traj")
 
+    @pytest.mark.parametrize("payload, skip_header", [("", False), ("a,b\r\n\r\n", True),
+                                                      ("a,b\r\n  \r\n", True)],
+                             ids=["empty", "blank-line", "spaces"])
+    def test_no_rows_read_as_an_empty_table(self, tmp_path, payload, skip_header):
+        # numpy warns that such a payload holds no data, or fails on a blank
+        # cell; neither escapes the reader
+        path = tmp_path / "t.csv"
+        path.write_bytes(payload.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert io._read_matrix_csv(path, skip_header).shape == (0, 0)
 
 class TestSidecarCrossChecks:
     def _edit_sidecar(self, base, **changes):
@@ -799,7 +819,7 @@ class TestCli:
     def test_abbreviated_explicit_flag_wins_over_config(self, tmp_path, monkeypatch):
         configs = []
 
-        def recorded(config, threads=1):
+        def recorded(config):
             configs.append(config)
             return {"final_mse": {}}
 
@@ -841,11 +861,25 @@ class TestExperiments:
                 tmp_path / "b" / name
             ).read_bytes()
 
-    def test_threaded_matches_serial(self, tmp_path):
-        config = default_experiment_config("siso_hard", horizon=120, seeds=(0, 1, 2))
-        serial = run_experiment(config, threads=1)
-        threaded = run_experiment(config, threads=3)
-        assert serial == threaded
+    def test_seeds_run_serially(self):
+        config = default_experiment_config("siso_hard", horizon=40, seeds=(0, 1), k=3)
+        with pytest.raises(ValueError, match="threads must be 1, got 2: seeds run serially"):
+            run_experiment(config, threads=2)
+
+    def test_cli_has_no_threads_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--name", "siso_hard", "--T", "40", "--num-seeds", "1",
+                  "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_config_file_with_threads_is_a_parser_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 40, "num_seeds": 1, "threads": 2}))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", str(cfg), "--name", "siso_hard"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_summary_matches_row_recomputation(self, tmp_path):
         config = default_experiment_config(

@@ -824,6 +824,20 @@ class TestRegretVsBestFixed:
         loss = regret_vs_best_fixed(feats, targets, r_m=10.0)
         assert loss <= 1e-16
 
+    @pytest.mark.parametrize("seed", [17, 18, 19])
+    def test_rank_deficient_fit_inside_ball_is_the_least_squares_one(self, seed):
+        # repeated columns leave a null space whose coordinates of F^T Y hold
+        # only rounding; divided by the bisection's lower end 1e-14 they
+        # would read as a ridge norm far above the radius
+        rng = np.random.default_rng(seed)
+        base = 10.0 * rng.standard_normal((100, 6))
+        feats = np.column_stack([base, base[:, 0], base[:, 1] + base[:, 2]])
+        targets = feats @ (0.1 * rng.standard_normal((2, 8))).T
+        expected, *_ = np.linalg.lstsq(feats, targets, rcond=None)
+        assert np.linalg.norm(expected) < 1.0
+        np.testing.assert_array_equal(_constrained_least_squares(feats, targets, 1.0),
+                                      expected.T)
+
     def test_zero_radius_means_zero_matrix(self):
         rng = np.random.default_rng(12)
         feats = rng.standard_normal((30, 3))

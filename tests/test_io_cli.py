@@ -393,8 +393,12 @@ class TestTableRoundTrip:
     def test_good_payload_is_split_by_numpy_alone(self, tmp_path, monkeypatch):
         io.save_trajectory(simulate_scenario("mimo_10", 20, 0, 0.1, 0.1), tmp_path / "traj")
         read, read_text = [], Path.read_text
-        monkeypatch.setattr(Path, "read_text",
-                            lambda path, *a, **kw: read.append(path.name) or read_text(path, *a, **kw))
+
+        def recorded(path, *args, **kwargs):
+            read.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", recorded)
         assert io.load_trajectory(tmp_path / "traj").length == 20
         assert read == ["traj.json"]
 
@@ -457,6 +461,7 @@ class TestReaderRejects:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert io._read_matrix_csv(path, skip_header).shape == (0, 0)
+
 
 class TestSidecarCrossChecks:
     def _edit_sidecar(self, base, **changes):

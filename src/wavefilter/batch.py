@@ -10,7 +10,7 @@ the horizon, so this is only useful in low-noise regimes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -62,29 +62,40 @@ class BatchModel:
 
 @serial_blas
 def fit_batch(
-    samples: Sequence[BatchSample], bank: FilterBank, ridge: float = 1e-8
+    samples: Iterable[BatchSample], bank: FilterBank, ridge: float = 1e-8
 ) -> BatchModel:
     """Least-squares fit of the difference map over all episodes.
 
     Solves ``M = Y F^T (F F^T + ridge I)^{-1}`` where F stacks the batch
     features of every sample column-wise and Y the difference targets.
-    A positive ridge streams the episodes one at a time through a (T, width)
-    block, sums ``G = F_e^T F_e`` and ``B = F_e^T Y_e`` and solves
-    ``(G + ridge I) M^T = B``: O(T width + width^2) memory. Its SSE is
+    ``samples`` may be any iterable, a generator included. A positive ridge
+    makes one pass: it takes one episode at a time, streams its features
+    through a (T, width) block, sums ``G = F_e^T F_e``, ``B = F_e^T Y_e``,
+    ``||Y||^2`` and the target count, releases the block and solves
+    ``(G + ridge I) M^T = B``: O(T width + width^2) memory whatever the
+    episode count. Its SSE is
     ``||Y||^2 - <M, B^T> - ridge ||M||^2`` (clamped at 0), exact to about
     ``eps || |F| |M|^T ||^2``: ``eps ||Y||^2`` unless the fitted terms cancel.
-    Ridge 0 stacks the episodes for the minimum-norm ``lstsq``, as the
-    Gram would square cond(F) (about 1e14 on ode banks); all-zero features
-    then raise ``LinAlgError``. A negative ridge,
-    or episodes whose input or target widths differ, raise ``ValueError``
-    before any episode is featurized.
+    Ridge 0 first makes a list of the episodes and stacks them for the
+    minimum-norm ``lstsq``, as the Gram would square cond(F) (about 1e14 on
+    ode banks); all-zero features then raise ``LinAlgError``. A negative
+    ridge raises ``ValueError`` before any episode is taken, and an episode
+    whose input or target width differs from episode 0's raises it before
+    that episode is featurized.
     """
-    if len(samples) < 1:
-        raise ValueError("need at least one training sample")
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    n, m = samples[0].inputs.shape[1], samples[0].targets.shape[1]
+    if ridge == 0.0:  # the stacked lstsq takes every episode at once
+        samples = list(samples)
+    blocks = None
+    gram = cross = y_squares = 0.0
+    size = 0
     for i, s in enumerate(samples):
+        if blocks is None:
+            n, m = s.inputs.shape[1], s.targets.shape[1]
+            layout = FeatureLayout(n=n, k=bank.k, m=0)
+            spec_f = _filter_spectrum(bank)
+            blocks = np.empty((len(samples) if ridge == 0.0 else 1, bank.horizon, layout.width))
         if s.inputs.shape[1] != n:
             raise ValueError(
                 f"episode {i} has input width {s.inputs.shape[1]}, episode 0 has {n}"
@@ -93,16 +104,15 @@ def fit_batch(
             raise ValueError(
                 f"episode {i} has target width {s.targets.shape[1]}, episode 0 has {m}"
             )
-    layout = FeatureLayout(n=n, k=bank.k, m=0)
-    spec_f = _filter_spectrum(bank)
-    blocks = np.empty((len(samples) if ridge == 0.0 else 1, bank.horizon, layout.width))
-    gram = cross = 0.0
-    for i, s in enumerate(samples):
         block = blocks[i % len(blocks)]
         _streamed_rows(layout, _batch_inputs(s.inputs, bank), spec_f, block)
         if ridge != 0.0:
             gram += block.T @ block
             cross += block.T @ s.targets
+            y_squares += float((s.targets**2).sum())
+        size += s.targets.size
+    if blocks is None:
+        raise ValueError("need at least one training sample")
     if ridge == 0.0:  # residuals per sample: one product over the stacked F took ~18 MB more
         if not np.any(blocks):
             raise np.linalg.LinAlgError("all-zero feature matrix is singular without a ridge")
@@ -110,12 +120,11 @@ def fit_batch(
         matrix = np.linalg.lstsq(blocks.reshape(-1, layout.width), Y, rcond=None)[0].T
         sse = sum(float(((s.targets - f @ matrix.T) ** 2).sum()) for s, f in zip(samples, blocks))
     else:  # rounding can take the identity below zero on a near-perfect fit
+        del blocks, block
         matrix = _ridge_gram_solve(gram, cross, ridge)
-        sse = sum(float((s.targets**2).sum()) for s in samples)
-        sse = max(sse - float((matrix * (cross.T + ridge * matrix)).sum()), 0.0)
+        sse = max(y_squares - float((matrix * (cross.T + ridge * matrix)).sum()), 0.0)
     if not np.all(np.isfinite(matrix)):
         raise FloatingPointError("least-squares solution has non-finite entries")
-    size = sum(s.targets.size for s in samples)
     return BatchModel(matrix=matrix, bank=bank, ridge=ridge, training_mse=sse / size)
 
 

@@ -108,11 +108,10 @@ def _cmd_online(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     trajectories = io.load_training_set(Path(args.data))
-    T = trajectories[0].length
-    bank = build_filter_bank(T, args.k, method=args.method)
-    samples = [BatchSample.from_trajectory(t) for t in trajectories]
+    bank = build_filter_bank(trajectories.length, args.k, method=args.method)
+    samples = (BatchSample.from_trajectory(t) for t in trajectories)
     model = fit_batch(samples, bank, ridge=args.ridge)
-    layout = FeatureLayout(n=trajectories[0].input_dim, k=args.k, m=0)
+    layout = FeatureLayout(n=trajectories.input_dim, k=args.k, m=0)
     io.save_predictor(
         model.matrix,
         layout,
@@ -120,7 +119,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         source="batch",
         config_echo={"k": args.k, "ridge": args.ridge},
     )
-    print(f"training MSE {model.training_mse:.6e} over {len(samples)} samples")
+    print(f"training MSE {model.training_mse:.6e} over {len(trajectories)} samples")
     return 0
 
 

@@ -25,7 +25,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -43,6 +45,7 @@ __all__ = [
     "load_predictor",
     "save_result_rows",
     "load_training_set",
+    "TrainingSet",
 ]
 
 FLOAT_FMT = "%.17e"
@@ -478,12 +481,37 @@ def save_result_rows(
     return path
 
 
-def load_training_set(directory: PathLike) -> list[Trajectory]:
-    """Load the trajectories listed in a directory's manifest.json, all equally long.
+@dataclass(frozen=True)
+class TrainingSet(Sequence[Trajectory]):
+    """The trajectories of a training set, each read from its files when accessed.
+
+    ``length``, ``input_dim`` and ``output_dim`` are the ``T``, ``n`` and ``m``
+    that every sidecar gives. Indexing (by an integer) and iteration read a
+    trajectory through ``load_trajectory``, which checks its payload against
+    its sidecar; the set keeps none of them.
+    """
+
+    bases: tuple[Path, ...]
+    length: int
+    input_dim: int
+    output_dim: int
+
+    def __len__(self) -> int:
+        return len(self.bases)
+
+    def __getitem__(self, index: int) -> Trajectory:
+        return load_trajectory(self.bases[operator.index(index)])
+
+
+def load_training_set(directory: PathLike) -> TrainingSet:
+    """The trajectories listed in a directory's manifest.json, all of one shape.
 
     The manifest must be a JSON object whose ``trajectories`` is a non-empty
-    list of base names. A manifest that breaks this, or trajectories that
-    differ in length, raise ``ValueError`` naming the files.
+    list of plain base names. Every sidecar is read up front and must give
+    ``T``, ``n`` and ``m``, equal across the set; a payload is read and checked
+    only when its trajectory is accessed. A manifest that breaks this, a
+    sidecar that lacks a key or gives it the wrong type, or sidecars that
+    differ in ``T``, ``n`` or ``m`` raise ``ValueError`` naming the files.
     """
     manifest_path = Path(directory) / "manifest.json"
     manifest = _read_json_object(manifest_path)
@@ -497,12 +525,17 @@ def load_training_set(directory: PathLike) -> list[Trajectory]:
     for name in names:
         if name in ("", ".", "..") or Path(name).name != name:
             raise ValueError(f"{manifest_path} lists {name!r}, which is not a plain file name")
-    bases = [manifest_path.parent / name for name in names]
-    trajectories = [load_trajectory(base) for base in bases]
-    for base, trajectory in zip(bases, trajectories):
-        if trajectory.length != trajectories[0].length:
-            raise ValueError(
-                f"{_with_suffix(base, '.csv')} has {trajectory.length} steps, "
-                f"{_with_suffix(bases[0], '.csv')} has {trajectories[0].length}"
-            )
-    return trajectories
+    bases = tuple(manifest_path.parent / name for name in names)
+    shapes = []  # (n, m, T) of each sidecar
+    for base in bases:
+        paths = _with_suffix(base, ".csv"), _with_suffix(base, ".json")
+        shapes.append(_sidecar(_read_json_object(paths[1]), paths, "n", "m", "T"))
+    for base, shape in zip(bases, shapes):
+        for value, first, what in zip(shape, shapes[0], ("inputs", "outputs", "steps")):
+            if value != first:
+                raise ValueError(
+                    f"{_with_suffix(base, '.csv')} has {value} {what}, "
+                    f"{_with_suffix(bases[0], '.csv')} has {first}"
+                )
+    n, m, T = shapes[0]
+    return TrainingSet(bases, length=T, input_dim=n, output_dim=m)

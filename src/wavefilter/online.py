@@ -348,13 +348,16 @@ def _project_huge(matrix: np.ndarray, r_m: float, out: Optional[np.ndarray] = No
 def _ridge_gram_solve(gram: np.ndarray, cross: np.ndarray, ridge: float) -> np.ndarray:
     """M solving ``(gram + ridge I) M^T = cross`` by Cholesky, for ``F^T F`` and ``F^T Y``.
 
-    A ``gram + ridge I`` that is not positive definite raises ``LinAlgError``.
+    Uses up ``gram``: the ridge is added to its diagonal in place and the
+    factorization may overwrite it, so no identity or sum is allocated. A
+    ``gram + ridge I`` that is not positive definite raises ``LinAlgError``.
     """
     import scipy.linalg  # scipy loads on first use, not at package import
 
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    factor = scipy.linalg.cho_factor(gram + ridge * np.eye(len(gram)), overwrite_a=True)
+    gram.flat[:: len(gram) + 1] += ridge
+    factor = scipy.linalg.cho_factor(gram, overwrite_a=True)
     return scipy.linalg.cho_solve(factor, cross).T
 
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wavefilter import batch, filters
 from wavefilter.batch import (
@@ -236,22 +237,62 @@ class TestFitBatch:
         fit_batch(make_samples(rng, random_diagonal_system(rng), bank, 4), bank, ridge)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("field, widths, message", [
-        ("inputs", (2, 2, 3), "episode 2 has input width 3, episode 0 has 2"),
-        ("targets", (1, 2, 1), "episode 1 has target width 2, episode 0 has 1"),
+    @pytest.mark.parametrize("ridge", [1e-8, 0.0])
+    @pytest.mark.parametrize("field, widths, message, bad", [
+        ("inputs", (2, 2, 3), "episode 2 has input width 3, episode 0 has 2", 2),
+        ("targets", (1, 2, 1), "episode 1 has target width 2, episode 0 has 1", 1),
     ])
     def test_rejects_differing_widths_before_featurizing(self, monkeypatch, field, widths,
-                                                         message):
-        def unreachable(*args):
-            raise AssertionError("featurized before the widths were checked")
+                                                         message, bad, ridge):
+        # episodes are taken one at a time, so those before the mismatch are
+        # featurized; the mismatched one is not, and nothing is solved
+        featurized, rows = [], batch._streamed_rows
 
-        monkeypatch.setattr(filters, "_conv_blocks_fft", unreachable)
+        def recorded(layout, xs, spec_f, out):
+            featurized.append(xs)
+            return rows(layout, xs, spec_f, out)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved despite differing widths")
+
+        monkeypatch.setattr(batch, "_streamed_rows", recorded)
+        monkeypatch.setattr(batch, "_ridge_gram_solve", unreachable)
+        monkeypatch.setattr(np.linalg, "lstsq", unreachable)
         bank = build_filter_bank(20, 3)
         shapes = {"inputs": [2, 2, 2], "targets": [1, 1, 1], field: widths}
-        samples = [BatchSample(inputs=np.ones((20, a)), targets=np.ones((20, b)))
-                   for a, b in zip(shapes["inputs"], shapes["targets"])]
+        samples = [BatchSample(inputs=np.full((20, a), i + 1.0), targets=np.ones((20, b)))
+                   for i, (a, b) in enumerate(zip(shapes["inputs"], shapes["targets"]))]
         with pytest.raises(ValueError, match=message):
-            fit_batch(samples, bank)
+            fit_batch(samples, bank, ridge)
+        assert [xs[0, 0] for xs in featurized] == [i + 1.0 for i in range(bad)]
+
+    def test_takes_a_generator_in_one_pass(self):
+        rng = np.random.default_rng(15)
+        bank = build_filter_bank(60, 5)
+        samples = make_samples(rng, random_diagonal_system(rng), bank, 4)
+        taken = []
+
+        def stream():
+            for s in samples:
+                taken.append(s)
+                yield s
+
+        model = fit_batch(stream(), bank, ridge=1e-6)
+        assert taken == samples
+        listed = fit_batch(samples, bank, ridge=1e-6)
+        assert np.array_equal(model.matrix, listed.matrix)
+        assert model.training_mse == listed.training_mse
+        stacked = fit_batch(iter(samples), bank, ridge=0.0)
+        assert np.array_equal(stacked.matrix, fit_batch(samples, bank, ridge=0.0).matrix)
+
+    def test_ridge_added_in_place_equals_the_identity_sum(self):
+        rng = np.random.default_rng(16)
+        F, Y = rng.standard_normal((80, 12)), rng.standard_normal((80, 3))
+        gram = F.T @ F
+        ridge = 1e-3
+        expected = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(gram + ridge * np.eye(len(gram))), F.T @ Y).T
+        assert np.array_equal(_ridge_gram_solve(gram.copy(), F.T @ Y, ridge), expected)
 
 
 def _traced_peak(fn, *args):

@@ -44,3 +44,12 @@ def test_fewer_than_two_pairs_is_rejected_before_any_run(monkeypatch, capsys, pa
         bench_pairs.main(["--parent", "HEAD", "--pairs", pairs, "--out", "unused.json"])
     assert exit_info.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def test_unknown_workload_is_rejected_before_any_run(monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "_export", lambda *args: pytest.fail("a tree was exported"))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--workloads", "cli_batch_ode", "exp_siso",
+                          "--out", "unused.json"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'exp_siso'" in capsys.readouterr().err

@@ -159,6 +159,26 @@ class TestRoundTrips:
         assert len(loaded) == 2
         assert np.array_equal(loaded[0].outputs, small_trajectory.outputs)
 
+    def test_training_set_reads_each_trajectory_when_accessed(self, tmp_path, monkeypatch):
+        trajectories = [simulate_scenario("mimo_10", 40, seed, 0.1, 0.1) for seed in range(3)]
+        for i, traj in enumerate(trajectories):
+            io.save_trajectory(traj, tmp_path / f"ep{i}")
+        (tmp_path / "manifest.json").write_text(json.dumps({"trajectories": ["ep0", "ep1", "ep2"]}))
+        reads, load = [], io.load_trajectory
+        monkeypatch.setattr(io, "load_trajectory", lambda base: reads.append(base) or load(base))
+        loaded = io.load_training_set(tmp_path)
+        assert reads == []  # only the sidecars are read up front
+        assert (len(loaded), loaded.length, loaded.input_dim, loaded.output_dim) == (3, 40, 10, 10)
+        assert np.array_equal(loaded[-1].outputs, trajectories[2].outputs)
+        for got, expected in zip(loaded, trajectories):
+            assert np.array_equal(got.inputs, expected.inputs)
+        assert np.array_equal(loaded[1].outputs, trajectories[1].outputs)
+        assert [base.name for base in reads] == ["ep2", "ep0", "ep1", "ep2", "ep1"]  # none kept
+        with pytest.raises(IndexError):
+            loaded[3]
+        with pytest.raises(TypeError):
+            loaded[0:2]
+
 
 class TestTrajectorySidecar:
     def _saved(self, tmp_path, **sidecar):
@@ -656,6 +676,86 @@ class TestSidecarCrossChecks:
         monkeypatch.setattr(cli, "build_filter_bank", None)  # no bank is built first
         with pytest.raises(ValueError, match=expected):
             main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
+
+
+    @pytest.mark.parametrize("what, dims", [("inputs", (2, 1)), ("outputs", (1, 2))])
+    def test_trajectories_of_unequal_widths_name_both_files(self, tmp_path, monkeypatch, what,
+                                                            dims):
+        rng = np.random.default_rng(3)
+        for name, (n, m) in (("ep0", (1, 1)), ("ep1", (1, 1)), ("ep2", dims)):
+            traj = Trajectory(inputs=rng.standard_normal((50, n)),
+                              outputs=rng.standard_normal((50, m)))
+            io.save_trajectory(traj, tmp_path / name)
+        (tmp_path / "manifest.json").write_text(json.dumps({"trajectories": ["ep0", "ep1", "ep2"]}))
+        expected = rf"ep2\.csv has 2 {what}, .*ep0\.csv has 1$"
+        with pytest.raises(ValueError, match=expected):
+            io.load_training_set(tmp_path)
+        monkeypatch.setattr(cli, "build_filter_bank", None)  # no bank is built first
+        with pytest.raises(ValueError, match=expected):
+            main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
+
+    def test_training_set_sidecar_without_a_key_names_both_files(self, tmp_path, monkeypatch):
+        for name in ("ep0", "ep1"):
+            io.save_trajectory(simulate_scenario("mimo_10", 50, 0, 0.1, 0.1), tmp_path / name)
+        self._drop_from_sidecar(tmp_path / "ep1", "m")
+        (tmp_path / "manifest.json").write_text(json.dumps({"trajectories": ["ep0", "ep1"]}))
+        expected = r"ep1\.csv is described by sidecar .*ep1\.json, which lacks m$"
+        with pytest.raises(ValueError, match=expected):
+            io.load_training_set(tmp_path)
+        monkeypatch.setattr(cli, "build_filter_bank", None)
+        with pytest.raises(ValueError, match=expected):
+            main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
+
+
+class TestStreamedTrainingSet:
+    """``wavefilter batch`` reads, featurizes and folds in one episode at a time."""
+
+    @staticmethod
+    def _training_set(directory, episodes, T=200):
+        names = [f"ep{i}" for i in range(episodes)]
+        for seed, name in enumerate(names):
+            io.save_trajectory(simulate_scenario("mimo_10", T, seed, 0.1, 0.1), directory / name)
+        (directory / "manifest.json").write_text(json.dumps({"trajectories": names}))
+
+    def test_memory_does_not_grow_with_episodes(self, tmp_path):
+        import tracemalloc
+
+        peaks = {}
+        for episodes in (6, 24):
+            directory = tmp_path / str(episodes)
+            directory.mkdir()
+            self._training_set(directory, episodes)
+            argv = ["batch", "--data", str(directory), "--k", "8",
+                    "--out", str(directory / "model")]
+            assert main(argv) == 0  # scipy's first import would set the peak
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[episodes] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # holding every trajectory and its targets adds about 50 kB an episode
+        assert peaks[24] <= 1.1 * peaks[6], peaks
+
+    @pytest.mark.parametrize("fault, expected", [
+        ("nan", r"ep3\.csv, line 8, column 4: 'nan' is not finite"),
+        ("rows", r"ep3\.csv has 49 rows; sidecar .*ep3\.json says T=50"),
+    ])
+    def test_payload_error_in_a_streamed_episode_surfaces(self, tmp_path, fault, expected):
+        self._training_set(tmp_path, 5, T=50)
+        path = tmp_path / "ep3.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        if fault == "nan":
+            cells = lines[7].split(",")
+            cells[3] = "nan"
+            lines[7] = ",".join(cells)
+        else:
+            del lines[-1]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=expected):
+            main(["batch", "--data", str(tmp_path), "--k", "4", "--out", str(tmp_path / "model")])
+        assert not (tmp_path / "model.csv").exists()
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestCli:

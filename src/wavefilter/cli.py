@@ -53,6 +53,16 @@ def _config_flags(argv: list[str]) -> list[str]:
     return tokens
 
 
+def _eta(text: str) -> str | float:
+    """``--eta``'s value: ``"auto"`` or a float, which ``OnlineConfig`` checks."""
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}") from None
+
+
 def _cmd_filters(args: argparse.Namespace) -> int:
     bank = build_filter_bank(args.T, args.k, method=args.method)
     csv_path, json_path = io.save_filter_bank(bank, Path(args.out))
@@ -74,8 +84,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_online(args: argparse.Namespace) -> int:
     traj = io.load_trajectory(Path(args.data))
     bank = build_filter_bank(traj.length, args.k, method=args.method)
-    eta = args.eta if args.eta == "auto" else float(args.eta)
-    config = OnlineConfig(bank=bank, eta=eta, r_m=args.r_m)
+    config = OnlineConfig(bank=bank, eta=args.eta, r_m=args.r_m)
     if args.learner == "ftl":
         result = run_ftl(traj, config, ridge=args.ridge)
     else:
@@ -93,7 +102,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
         source=f"online-{args.learner}",
         config_echo={
             "k": args.k,
-            "eta": eta if isinstance(eta, str) else float(eta),
+            "eta": args.eta,
             "r_m": args.r_m,
             "learner": args.learner,
         },
@@ -180,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="trajectory file base path")
     p.add_argument("--k", type=int, default=25)
     p.add_argument("--method", default="eigen", choices=["eigen", "ode", "hilbert"])
-    p.add_argument("--eta", default="auto")
+    p.add_argument("--eta", type=_eta, default="auto")
     p.add_argument("--r-m", type=float, default=10.0)
     p.add_argument("--ridge", type=float, default=1.0)
     p.add_argument("--learner", default="ogd", choices=["ogd", "ftl"])

@@ -1,12 +1,14 @@
 """File formats: CSV payloads with JSON sidecars.
 
-Every CSV goes through one writer and one reader. Floats are written as
-``%.17e`` (full double precision, so round trips are exact), step counters
-as ``%d``, and every line ends in ``\\r\\n``. The writer formats whole
-blocks of cells in numpy and writes the same bytes as ``'%.17e' % x`` and
-``'%d' % x`` per cell. Zeros and magnitudes in [1e-99, 1e100) take the fast
-path: a double-double power of ten scales them exactly when the power is a
-double (10**0 to 10**22) and to within 1e-13 of a unit otherwise. Every
+Every CSV goes through one writer and one reader. Every line has one
+shape: an optional text label (a step counter written by ``str(t)``, the
+same bytes as ``'%d' % t``, or a result row's leading fields), then the
+row's floats as ``%.17e`` cells (full double precision, so round trips are
+exact), joined by commas and ended by ``\\r\\n``. The writer formats whole
+blocks of float cells in numpy and writes the same bytes as ``'%.17e' % x``
+per cell. Zeros and magnitudes in [1e-99, 1e100) take the fast path: a
+double-double power of ten scales them exactly when the power is a double
+(10**0 to 10**22) and to within 1e-13 of a unit otherwise. Every
 other cell is printed by ``%`` itself: nan, infinities, subnormals,
 three-digit exponents, and inexactly scaled cells within 1e-9 of a rounding
 tie or of 1e17. A saved artifact is a pair ``<base>.csv`` plus
@@ -63,67 +65,51 @@ _E_LIMIT = 101  # the scaling table covers exponents -101..101: [-99, 99] and on
 def _write_csv(path: Path, header: Sequence[str], *blocks: tuple) -> None:
     """The one CSV writer.
 
-    Writes the ``header`` line unless it is empty, then each ``(formats, rows)``
-    block: one line per row of ``rows``, its cells joined by commas. ``formats``
-    has one entry per cell, or is one format for every column of ``rows``:
-    ``FLOAT_FMT`` and ``"%d"`` take the row's next value, and any other entry
-    is literal text written on every line. Each value's bytes are exactly
-    those of ``fmt % value``, the fast path's or, for the cells it is not
-    sure of, ``%``'s own (see the module doc); ``_format_rows`` makes them
-    in row chunks of at most ``_CHUNK_CELLS`` cells.
+    Writes the ``header`` line unless it is empty, then each ``(labels, rows)``
+    block: one line per row of ``rows``. ``labels`` is ``None`` or one string
+    per row, written as-is and followed by a comma when the row has cells;
+    each value of ``rows`` is a ``FLOAT_FMT`` cell, and cells are joined by
+    commas. A cell's bytes are exactly those of ``FLOAT_FMT % value``, the
+    fast path's or, for the cells it is not sure of, ``%``'s own (see the
+    module doc); ``_format_rows`` makes them in row chunks of at most
+    ``_CHUNK_CELLS`` cells, a label counting as one.
     """
     with path.open("wb") as fh:
         if header:
             fh.write((",".join(header) + "\r\n").encode())
-        for formats, rows in blocks:
+        for labels, rows in blocks:
             rows = np.atleast_2d(rows)
-            if isinstance(formats, str):
-                formats = [formats] * rows.shape[1]
-            step = max(1, _CHUNK_CELLS // max(1, len(formats)))
+            step = max(1, _CHUNK_CELLS // max(1, rows.shape[1] + (labels is not None)))
             for start in range(0, len(rows), step):
-                fh.write(_format_rows(formats, rows[start : start + step]))
+                chunk = slice(start, start + step)
+                fh.write(_format_rows(rows[chunk], None if labels is None else labels[chunk]))
 
 
-def _format_rows(formats: Sequence[str], rows: np.ndarray) -> np.ndarray:
-    """The bytes of ``rows`` as CSV lines in ``formats`` (see ``_write_csv``).
+def _format_rows(rows: np.ndarray, labels: Optional[Sequence[str]] = None) -> np.ndarray:
+    """The bytes of ``rows`` as CSV lines, each led by its label (see ``_write_csv``).
 
-    Every cell gets a slot of NUL bytes, as wide as the widest cell, then its
-    separator; the cell's text fills the slot's front and the NULs are dropped.
+    Every cell, a label included, gets a slot of NUL bytes, as wide as the
+    widest cell, then its separator; the cell's text fills the slot's front
+    and the NULs are dropped.
     """
     rows = np.asarray(rows, dtype=float)
-    if not formats:  # a table without columns: an empty line per row
+    lead = int(labels is not None)
+    if not lead + rows.shape[1]:  # neither label nor cells: an empty line per row
         return np.frombuffer(b"\r\n" * len(rows), np.uint8)
-    makers = {FLOAT_FMT: _float_cells, "%d": _int_cells}
-    takes = [fmt in makers for fmt in formats]
-    if rows.shape[1] != sum(takes):
-        raise ValueError(f"{rows.shape[1]} columns of values for {sum(takes)} formatted cells")
-    value_of = np.cumsum(takes) - 1  # the column of rows that each cell takes
-    parts = []  # (cells, their text as rows by cells by bytes)
-    for fmt, make in makers.items():
-        cells = [j for j, f in enumerate(formats) if f == fmt]
-        if cells:
-            text = make(rows[:, value_of[cells]].ravel())
-            parts.append((cells, text.reshape(len(rows), len(cells), -1)))
-    for j, fmt in enumerate(formats):
-        if not takes[j]:
-            text = np.frombuffer(fmt.encode(), np.uint8)
-            parts.append(([j], np.broadcast_to(text, (len(rows), 1, text.size))))
-    slot = max(text.shape[2] for _, text in parts) + 2
-    out = np.zeros((len(rows), len(formats), slot), np.uint8)
-    for cells, text in parts:
-        out[:, cells, : text.shape[2]] = text
+    texts = _text_cells(labels, 0) if lead else np.empty((len(rows), 0), np.uint8)
+    out = np.zeros((len(rows), lead + rows.shape[1], max(texts.shape[1], _WIDTH) + 2), np.uint8)
+    out[:, 0, : texts.shape[1]] = texts  # no bytes when there are no labels
+    out[:, lead:, :_WIDTH] = _float_cells(rows.ravel()).reshape(*rows.shape, _WIDTH)
     out[:, :, -2] = ord(",")
     out[:, -1, -2:] = np.frombuffer(b"\r\n", np.uint8)
     return out[out != 0]
 
 
-def _reference_cells(fmt: str, values: np.ndarray, width: int = _WIDTH) -> np.ndarray:
-    """``fmt % v`` per value, one Python call each, as NUL-padded rows of at least
-    ``width`` bytes."""
-    texts = [(fmt % v).encode() for v in values.tolist()]
-    width = max([width] + [len(text) for text in texts])
-    padded = b"".join(text.ljust(width, b"\0") for text in texts)
-    return np.frombuffer(padded, np.uint8).reshape(-1, width)
+def _text_cells(texts: Sequence[str], width: int) -> np.ndarray:
+    """``texts`` as NUL-padded rows of at least ``width`` bytes."""
+    cells = np.array([text.encode() for text in texts], dtype=bytes)  # NUL-padded
+    width = max(width, cells.itemsize)
+    return cells.astype(f"S{width}").view(np.uint8).reshape(len(cells), width)
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
@@ -148,25 +134,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     cells[:, 21] = np.where(e < 0, ord("-"), ord("+"))
     cells[:, 22:24] = _digits(np.abs(e), 2)
     rest = np.flatnonzero(~(fast & sure | zero))
-    cells[rest] = _reference_cells(FLOAT_FMT, x[rest])
-    return cells
-
-
-def _int_cells(x: np.ndarray) -> np.ndarray:
-    """``"%d" % v`` for each double of ``x``, as NUL-padded rows of bytes.
-
-    The digits of values in [0, 1e16) sit at the end of the row behind NULs;
-    any other value is printed by ``%`` itself.
-    """
-    fast = (x >= 0) & (x < 1e16)
-    n = np.where(fast, x, 0).astype(np.int64)  # truncated toward zero, as int() does
-    digits = _digits(n, 16)
-    digits[:, :-1][n[:, None] < 10 ** np.arange(15, 0, -1)] = 0  # no leading zeros
-    rest = np.flatnonzero(~fast)
-    texts = _reference_cells("%d", x[rest], 16)
-    cells = np.zeros((x.size, texts.shape[1]), np.uint8)
-    cells[:, -16:] = digits
-    cells[rest] = texts
+    cells[rest] = _text_cells([FLOAT_FMT % v for v in x[rest].tolist()], _WIDTH)
     return cells
 
 
@@ -252,9 +220,8 @@ def _digits(n: np.ndarray, count: int) -> np.ndarray:
 
 
 def _numbered(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """A ``_write_csv`` block: a 1-based step counter, then the rows of ``values``."""
-    steps = np.arange(1, len(values) + 1)
-    return ["%d"] + [FLOAT_FMT] * values.shape[1], np.column_stack((steps, values))
+    """A ``_write_csv`` block: the rows of ``values``, each labelled by its 1-based step."""
+    return [str(t) for t in range(1, len(values) + 1)], values
 
 
 def _bad_cell(path: Path, lines: list[str], first: int) -> str:
@@ -376,7 +343,7 @@ def save_filter_bank(bank: FilterBank, base: PathLike) -> tuple[Path, Path]:
         meta["lambdas"] = list(bank.lambdas)
     if bank.sigma_extrapolated is not None:
         meta["sigma_extrapolated"] = [bool(v) for v in bank.sigma_extrapolated]
-    return _save_pair(base, meta, (), (FLOAT_FMT, bank.phis.T))  # T rows, k columns
+    return _save_pair(base, meta, (), (None, bank.phis.T))  # T rows, k columns
 
 
 def load_filter_bank(base: PathLike) -> FilterBank:
@@ -442,7 +409,7 @@ def save_predictor(
     }
     if config_echo:
         meta["config"] = config_echo
-    return _save_pair(base, meta, (), (FLOAT_FMT, matrix))
+    return _save_pair(base, meta, (), (None, matrix))
 
 
 def load_predictor(base: PathLike) -> tuple[np.ndarray, FeatureLayout, dict]:
@@ -474,9 +441,9 @@ def save_result_rows(
     path = Path(path)
     blocks = []
     for learner, loss in losses.items():
-        formats = [experiment, str(seed), "%d", learner, FLOAT_FMT, FLOAT_FMT]
-        steps = np.arange(1, len(loss) + 1)
-        blocks.append((formats, np.column_stack((steps, loss, np.cumsum(loss) / steps))))
+        labels = [f"{experiment},{seed},{t},{learner}" for t in range(1, len(loss) + 1)]
+        running_mean = np.cumsum(loss) / np.arange(1, len(loss) + 1)
+        blocks.append((labels, np.column_stack((loss, running_mean))))
     _write_csv(path, ("experiment", "seed", "t", "learner", "loss", "cumulative_mse"), *blocks)
     return path
 

@@ -348,8 +348,10 @@ def _project_huge(matrix: np.ndarray, r_m: float, out: Optional[np.ndarray] = No
 def _ridge_gram_solve(gram: np.ndarray, cross: np.ndarray, ridge: float) -> np.ndarray:
     """M solving ``(gram + ridge I) M^T = cross`` by Cholesky, for ``F^T F`` and ``F^T Y``.
 
-    Uses up ``gram``: the ridge is added to its diagonal in place and the
-    factorization may overwrite it, so no identity or sum is allocated. A
+    Uses up the symmetric ``gram``: the ridge is added to its diagonal in
+    place and the factorization overwrites it, so no identity or sum is
+    allocated. LAPACK is handed ``gram.T``, the same values in Fortran
+    order, which it would otherwise copy ``gram`` into. A
     ``gram + ridge I`` that is not positive definite raises ``LinAlgError``.
     """
     import scipy.linalg  # scipy loads on first use, not at package import
@@ -357,7 +359,7 @@ def _ridge_gram_solve(gram: np.ndarray, cross: np.ndarray, ridge: float) -> np.n
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     gram.flat[:: len(gram) + 1] += ridge
-    factor = scipy.linalg.cho_factor(gram, overwrite_a=True)
+    factor = scipy.linalg.cho_factor(gram.T, overwrite_a=True)
     return scipy.linalg.cho_solve(factor, cross).T
 
 

@@ -326,6 +326,14 @@ class TestFeaturizationMemory:
         _, stacked = _traced_peak(fit_batch, samples[:6], bank, 0.0)
         assert stacked < 1.25 * design_bytes  # a vstacked copy would make it over 2
 
+    def test_ridge_solve_factors_the_gram_in_place(self):
+        # LAPACK takes the Gram in Fortran order; a C-ordered one costs a width^2 copy
+        rng = np.random.default_rng(17)
+        width = 400
+        F, Y = rng.standard_normal((2 * width, width)), rng.standard_normal((2 * width, 3))
+        _, peak = _traced_peak(_ridge_gram_solve, F.T @ F, F.T @ Y, 1e-3)
+        assert peak < 4 * width**2
+
     def test_featurize_batch_transient_is_bounded(self):
         rng = np.random.default_rng(13)
         T, n, k = 4096, 10, 25

@@ -235,6 +235,22 @@ class TestByteIdentity:
         _reference_trajectory_csv(tmp_path / "ref.csv", traj)
         assert csv_path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_trajectory_without_inputs_or_outputs(self, tmp_path):
+        traj = Trajectory(inputs=np.empty((3, 0)), outputs=np.empty((3, 0)))
+        csv_path, _ = io.save_trajectory(traj, tmp_path / "traj")
+        assert csv_path.read_bytes() == b"t\r\n1\r\n2\r\n3\r\n"
+        loaded = io.load_trajectory(tmp_path / "traj")
+        assert loaded.inputs.shape == loaded.outputs.shape == (3, 0)
+
+    @pytest.mark.parametrize("labels", [None, ["1", "2", "3"]])
+    def test_rows_without_cells(self, tmp_path, labels):
+        rows = np.empty((3, 0))
+        io._write_csv(tmp_path / "rows.csv", (), (labels, rows))
+        heads = [[]] * 3 if labels is None else [[label] for label in labels]
+        expected = "".join(",".join(head + [FMT % v for v in row]) + "\r\n"
+                           for head, row in zip(heads, rows))
+        assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
+
     @pytest.mark.parametrize("method, k", [("eigen", 8), ("ode", 20)])
     def test_filter_bank(self, tmp_path, method, k):
         bank = build_filter_bank(60, k, method=method)
@@ -278,16 +294,18 @@ class TestByteIdentity:
         written = (tmp_path / "model.steps.csv").read_bytes()
         assert written == (tmp_path / "ref.csv").read_bytes()
 
-    def test_result_rows(self, tmp_path):
+    # 40000 steps take more than one chunk, with labels wider than a float cell
+    @pytest.mark.parametrize("experiment, seed, T", [("mimo_10", 3, 40), ("siso_hard", 0, 40000)])
+    def test_result_rows(self, tmp_path, experiment, seed, T):
         rng = np.random.default_rng(4)
         losses = {
-            "wave_filter": rng.exponential(size=40),
-            "last_value": rng.exponential(size=40) * 1e-300,
+            "wave_filter": rng.exponential(size=T),
+            "last_value": rng.exponential(size=T) * 1e-300,
             "ar": np.array([0.0, 5e-324, 1e300, 2.5]),
         }
-        path = io.save_result_rows("mimo_10", 3, losses, tmp_path / "rows.csv")
+        path = io.save_result_rows(experiment, seed, losses, tmp_path / "rows.csv")
         assert path == tmp_path / "rows.csv"
-        _reference_result_rows_csv(tmp_path / "ref.csv", "mimo_10", 3, losses)
+        _reference_result_rows_csv(tmp_path / "ref.csv", experiment, seed, losses)
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_experiment_rows_file(self, tmp_path, monkeypatch):
@@ -309,12 +327,12 @@ class TestByteIdentity:
         assert written == (tmp_path / "ref.csv").read_bytes()
 
 
-def _cells(values, fmt=io.FLOAT_FMT):
-    """The writer's cells for a column of ``values``, and ``fmt % v`` for each."""
+def _cells(values):
+    """The writer's cells for a column of ``values``, and ``FMT % v`` for each."""
     values = np.asarray(values, dtype=float)
-    lines = io._format_rows([fmt], values[:, None]).tobytes().decode().split("\r\n")
+    lines = io._format_rows(values[:, None]).tobytes().decode().split("\r\n")
     assert lines[-1] == ""
-    return lines[:-1], [fmt % v for v in values.tolist()]
+    return lines[:-1], [FMT % v for v in values.tolist()]
 
 
 def _neighbours(values, ulps):
@@ -328,7 +346,7 @@ def _neighbours(values, ulps):
 
 
 class TestCellFormat:
-    """Each cell the writer makes equals Python's ``'%.17e' % v`` (or ``'%d' % v``)."""
+    """Each cell the writer makes equals Python's ``'%.17e' % v``."""
 
     @given(values=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=40))
     @settings(max_examples=300, deadline=None)
@@ -368,12 +386,6 @@ class TestCellFormat:
         written, expected = _cells(values)
         assert written == expected
 
-    def test_step_counters(self):
-        values = [0.0, -0.0, 1.0, 9.0, 10.0, 99.0, 100.0, 12345.0, 2.0**53, 1e16, 1e300,
-                  3.7, -1.0, -2.5]
-        written, expected = _cells(values, "%d")
-        assert written == expected
-
 
 # finite doubles, with signed zeros, subnormals and +-1e300 always in reach
 _FINITE = st.one_of(
@@ -394,7 +406,7 @@ class TestTableRoundTrip:
     @settings(max_examples=60, deadline=None)
     def test_matrix(self, tmp_path_factory, matrix):
         path = tmp_path_factory.mktemp("table") / "m.csv"
-        io._write_csv(path, (), (io.FLOAT_FMT, matrix))
+        io._write_csv(path, (), (None, matrix))
         _reference_matrix_csv(path.with_name("ref.csv"), matrix)
         assert path.read_bytes() == path.with_name("ref.csv").read_bytes()
         assert _identical(io._read_matrix_csv(path, skip_header=False), matrix)
@@ -781,7 +793,7 @@ class TestCli:
             main(["filters", "--T", "100", "--k", "0", "--out", str(tmp_path / "b")])
 
     @pytest.mark.parametrize("flag, field", [("--r-m", "r_m"), ("--eta", "eta")])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_online_rejects_a_non_finite_setting_by_name(self, tmp_path, flag, field, value):
         traj_base = tmp_path / "traj"
         main(["simulate", "--system", "siso_hard", "--T", "60", "--out", str(traj_base)])
@@ -789,6 +801,13 @@ class TestCli:
         with pytest.raises(ValueError, match=rf"^{field} must be finite and positive, got {value}"):
             main(argv + ["--out", str(tmp_path / "model")])
         assert not (tmp_path / "model.steps.csv").exists()
+
+    def test_online_eta_that_is_not_a_number_is_a_parser_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["online", "--data", str(tmp_path / "traj"), "--eta", "abc",
+                  "--out", str(tmp_path / "model")])
+        assert exc.value.code == 2
+        assert "argument --eta: expected 'auto' or a number, got 'abc'" in capsys.readouterr().err
 
     def test_dotted_out_names_stay_distinct(self, tmp_path, capsys):
         for seed in (1, 2):

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from ._blas import serial_blas
-from .filters import FeatureLayout, FilterBank, _batch_inputs, _filter_spectrum, _streamed_rows
+from .filters import FeatureLayout, FilterBank, featurize_batch
 from .lds import Trajectory, _check_finite
 from .online import _ridge_gram_solve
 
@@ -80,8 +80,8 @@ def fit_batch(
     minimum-norm ``lstsq``, as the Gram would square cond(F) (about 1e14 on
     ode banks); all-zero features then raise ``LinAlgError``. A negative
     ridge raises ``ValueError`` before any episode is taken, and an episode
-    whose input or target width differs from episode 0's raises it before
-    that episode is featurized.
+    whose widths differ from episode 0's, or whose length from the bank
+    horizon, raises it before that episode is featurized.
     """
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
@@ -94,18 +94,16 @@ def fit_batch(
         if blocks is None:
             n, m = s.inputs.shape[1], s.targets.shape[1]
             layout = FeatureLayout(n=n, k=bank.k, m=0)
-            spec_f = _filter_spectrum(bank)
             blocks = np.empty((len(samples) if ridge == 0.0 else 1, bank.horizon, layout.width))
-        if s.inputs.shape[1] != n:
+        widths = (("input", s.inputs.shape[1], n), ("target", s.targets.shape[1], m))
+        for name, width, first in widths:
+            if width != first:
+                raise ValueError(f"episode {i} has {name} width {width}, episode 0 has {first}")
+        if len(s.inputs) != bank.horizon:
             raise ValueError(
-                f"episode {i} has input width {s.inputs.shape[1]}, episode 0 has {n}"
+                f"episode {i} has {len(s.inputs)} steps, the bank horizon is {bank.horizon}"
             )
-        if s.targets.shape[1] != m:
-            raise ValueError(
-                f"episode {i} has target width {s.targets.shape[1]}, episode 0 has {m}"
-            )
-        block = blocks[i % len(blocks)]
-        _streamed_rows(layout, _batch_inputs(s.inputs, bank), spec_f, block)
+        block = featurize_batch(s.inputs, bank, out=blocks[i % len(blocks)])
         if ridge != 0.0:
             gram += block.T @ block
             cross += block.T @ s.targets

@@ -63,6 +63,17 @@ def _eta(text: str) -> str | float:
         raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    """A whole number of at least 1, such as each of ``--sizes``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _cmd_filters(args: argparse.Namespace) -> int:
     bank = build_filter_bank(args.T, args.k, method=args.method)
     csv_path, json_path = io.save_filter_bank(bank, Path(args.out))
@@ -215,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--sizes", type=int, nargs="*", default=[64, 256, 1000])
+    p.add_argument("--sizes", type=_positive_int, nargs="+", default=[64, 256, 1000])
     p.add_argument("--bank", default=None, help="also validate an exported bank")
     p.add_argument("--out", default=None, help="write a JSON report")
     p.set_defaults(fn=_cmd_verify)

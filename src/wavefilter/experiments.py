@@ -86,8 +86,11 @@ def simulate_scenario(
 
     The pendulum's acceleration and observation noise are ``process_std / 2``
     and ``observation_std / 100``, scaled to its state. ``NoiseConfig``
-    checks both settings for every system, the pendulum included.
+    checks both settings for every system, the pendulum included. A
+    horizon ``T`` below 1 raises ``ValueError``.
     """
+    if T < 1:
+        raise ValueError(f"horizon T must be at least 1, got {T}")
     noise = NoiseConfig(process_std, observation_std, seed)
     rng = np.random.default_rng([seed, 1])
     if name == "pendulum":

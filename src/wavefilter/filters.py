@@ -15,6 +15,7 @@ n*k + 2n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -78,6 +79,13 @@ class FilterBank:
     @property
     def horizon(self) -> int:
         return self.phis.shape[1]
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """rfft of the scaled filters, zero-padded to the least power of two >= 2T-1; read-only."""
+        spec = np.fft.rfft(self.scaled_filters, 1 << max(2 * self.horizon - 2, 1).bit_length())
+        spec.flags.writeable = False
+        return spec
 
 
 @dataclass(frozen=True)
@@ -207,7 +215,7 @@ def _conv_blocks_fft(xs: np.ndarray, spec_f: np.ndarray, out: np.ndarray) -> Non
     """Write every step's convolution blocks into ``out`` (T, k*n), a group of filters at a time.
 
     The inputs are transformed once at the length of ``spec_f``, the bank's
-    ``_filter_spectrum``; each group of ``max(1, 8 // n)`` filters takes one
+    ``spectrum``; each group of ``max(1, 8 // n)`` filters takes one
     ``irfft`` of at most ``max(8, n)`` rows of N values, so the transient is a few such blocks.
     """
     T, n = xs.shape
@@ -231,35 +239,36 @@ def _batch_inputs(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
     return xs
 
 
-def _filter_spectrum(bank: FilterBank) -> np.ndarray:
-    """rfft of the scaled filters, zero-padded to the next power of two at or above 2T-1."""
-    return np.fft.rfft(bank.scaled_filters, 1 << max(2 * bank.horizon - 2, 1).bit_length())
-
-
-def _streamed_rows(
-    layout: FeatureLayout,
-    xs: np.ndarray,
-    spec_f: np.ndarray,
-    out: np.ndarray,
+def featurize_batch(
+    inputs: np.ndarray,
+    bank: FilterBank,
     y_prev: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``out`` (T, layout.width) filled with the rows of ``xs``, convolutions written in place."""
-    _conv_blocks_fft(xs, spec_f, out[:, layout.conv_blocks])
-    return _feature_rows(layout, None, _previous(xs), xs, y_prev, out)
-
-
-def featurize_batch(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
     """Features for all time steps in one pass (FFT convolutions).
 
-    Returns one row per step, laid out by ``FeatureLayout(n, bank.k, 0)``.
-    The convolutions stream into that array one filter at a time, so the
-    transient beyond the output is a few length-2T rows per input
-    coordinate. Raises ``ValueError`` naming the first step and column of
-    a non-finite input.
+    Returns one row per step, laid out by ``FeatureLayout(n, bank.k, m)``,
+    in ``out`` when it is given; ``y_prev``, the T previous outputs (row 0
+    for step 1), fills the trailing block, else m is 0. The convolutions
+    stream in a few filters at a time from ``bank.spectrum``, so the
+    transient is a few length-2T rows per input coordinate. A non-finite
+    input or ``y_prev`` raises ``ValueError`` naming its step and column; a
+    misshapen ``y_prev`` or ``out`` raises it by name.
     """
     xs = _batch_inputs(inputs, bank)
-    layout = FeatureLayout(n=xs.shape[1], k=bank.k, m=0)
-    return _streamed_rows(layout, xs, _filter_spectrum(bank), np.empty((len(xs), layout.width)))
+    T, n = xs.shape
+    if y_prev is not None:
+        y_prev = _as_2d(y_prev, "y_prev")
+        if len(y_prev) != T:
+            raise ValueError(f"y_prev has {len(y_prev)} rows, the inputs have {T}")
+        _check_finite(y_prev, "y_prev")
+    layout = FeatureLayout(n=n, k=bank.k, m=0 if y_prev is None else y_prev.shape[1])
+    if out is None:
+        out = np.empty((T, layout.width))
+    elif np.shape(out) != (T, layout.width):
+        raise ValueError(f"out has shape {np.shape(out)}, the features need {(T, layout.width)}")
+    _conv_blocks_fft(xs, bank.spectrum, out[:, layout.conv_blocks])
+    return _feature_rows(layout, None, _previous(xs), xs, y_prev, out)
 
 
 def featurize_batch_naive(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:

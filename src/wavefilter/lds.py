@@ -425,12 +425,15 @@ def pendulum_simulate(
     Unit mass, length and gravity, starting at rest at theta = 0. The torque
     of each step plus a Gaussian acceleration disturbance (``accel_noise_std``)
     is held constant within the step; outputs are the angle plus observation
-    noise (``obs_noise_std``). Raises ``FloatingPointError`` if it diverges.
+    noise (``obs_noise_std``). Raises ``FloatingPointError`` if it diverges, and
+    ``ValueError`` for inputs of no step.
     """
     xs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    T = xs.shape[0]
+    if T < 1:
+        raise ValueError("need at least one input step")
     if xs.shape[1] != 1:
         raise ValueError("pendulum takes a single torque input channel")
-    T = xs.shape[0]
     rng = np.random.default_rng(seed)
     dt, damping = 0.01, 0.1
     theta, omega = 0.0, 0.0

@@ -19,9 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ._blas import serial_blas
-from .filters import (
-    EIGEN_K_CAP, FeatureLayout, FilterBank, _batch_inputs, _filter_spectrum, _streamed_rows,
-)
+from .filters import EIGEN_K_CAP, FeatureLayout, FilterBank, featurize_batch
 from .lds import LdsParams, Trajectory, _check_finite, _previous, derivative_predictions
 
 __all__ = [
@@ -143,21 +141,9 @@ class OnlineRunResult:
         object.__setattr__(self, "report", report)
 
 
-def _online_layout(trajectory: Trajectory, bank: FilterBank) -> FeatureLayout:
-    return FeatureLayout(n=trajectory.input_dim, k=bank.k, m=trajectory.output_dim)
-
-
 def online_features(trajectory: Trajectory, bank: FilterBank) -> np.ndarray:
-    """Full online feature matrix: the batch convolutions, inputs and previous outputs.
-
-    The FFT convolutions stream into the one (T, width) matrix one filter
-    at a time, as in ``featurize_batch``; the rows equal its rows followed
-    by the previous output.
-    """
-    layout = _online_layout(trajectory, bank)
-    xs = _batch_inputs(trajectory.inputs, bank)
-    out = np.empty((len(xs), layout.width))
-    return _streamed_rows(layout, xs, _filter_spectrum(bank), out, _previous(trajectory.outputs))
+    """Full online feature matrix: the batch features followed by the previous output."""
+    return featurize_batch(trajectory.inputs, bank, _previous(trajectory.outputs))
 
 
 def init_state(config: OnlineConfig, n: int, m: int, eta: float) -> OnlineState:
@@ -214,11 +200,9 @@ def _effective_parts(
     trajectory: Trajectory, config: OnlineConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Online features, the learned columns and their targets (frozen: differences)."""
-    if trajectory.length != config.bank.horizon:
-        raise ValueError("trajectory length does not match the bank horizon")
     features = online_features(trajectory, config.bank)
     if config.freeze_y_block:
-        learned = _online_layout(trajectory, config.bank).y_block.start
+        learned = features.shape[1] - trajectory.output_dim
         return features, features[:, :learned], trajectory.output_differences()
     return features, features, trajectory.outputs
 

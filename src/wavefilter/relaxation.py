@@ -119,8 +119,6 @@ def relaxation_residual(
     """
     if trajectory.input_dim != params.input_dim or trajectory.output_dim != params.output_dim:
         raise ValueError("trajectory dimensions do not match system")
-    if trajectory.length != predictor.bank.horizon:
-        raise ValueError("trajectory length does not match the predictor's bank")
     relaxed = predictor.predict(online_features(trajectory, predictor.bank))
 
     comparator = derivative_predictions(params, trajectory)

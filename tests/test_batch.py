@@ -1,10 +1,11 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from wavefilter import batch, filters
+from wavefilter import batch
 from wavefilter.batch import (
     BatchSample,
     fit_batch,
@@ -12,8 +13,8 @@ from wavefilter.batch import (
     predict_pure_batch,
 )
 from wavefilter.filters import FilterBank, augment_hint, build_filter_bank, featurize_batch
-from wavefilter.lds import LdsParams, simulate
-from wavefilter.online import _ridge_gram_solve
+from wavefilter.lds import LdsParams, Trajectory, simulate
+from wavefilter.online import _ridge_gram_solve, online_features
 
 
 def random_diagonal_system(rng, d=5, n=2, m=2):
@@ -108,7 +109,7 @@ class TestFitBatch:
         def unreachable(*args):
             raise AssertionError("featurized before the ridge was checked")
 
-        monkeypatch.setattr(batch, "_streamed_rows", unreachable)
+        monkeypatch.setattr(batch, "featurize_batch", unreachable)
         bank = build_filter_bank(20, 3)
         samples = [BatchSample(inputs=np.ones((20, 2)), targets=np.ones((20, 1)))] * 3
         with pytest.raises(ValueError, match="ridge must be nonnegative"):
@@ -224,18 +225,24 @@ class TestFitBatch:
 
     @pytest.mark.parametrize("ridge", [1e-8, 0.0])
     def test_filters_are_transformed_once_per_fit(self, monkeypatch, ridge):
-        transform, calls = filters._filter_spectrum, []
-
-        def counted(bank):
-            calls.append(bank)
-            return transform(bank)
-
-        monkeypatch.setattr(batch, "_filter_spectrum", counted)
-        monkeypatch.setattr(filters, "_filter_spectrum", counted)
+        calls = _count_spectra(monkeypatch)
         rng = np.random.default_rng(14)
         bank = build_filter_bank(40, 4)
-        fit_batch(make_samples(rng, random_diagonal_system(rng), bank, 4), bank, ridge)
-        assert len(calls) == 1
+        model = fit_batch(make_samples(rng, random_diagonal_system(rng), bank, 4), bank, ridge)
+        assert calls == [bank]
+        assert np.isfinite(model.training_mse)
+
+    def test_one_bank_transforms_its_filters_once_across_featurizers(self, monkeypatch):
+        calls = _count_spectra(monkeypatch)
+        rng = np.random.default_rng(17)
+        bank = build_filter_bank(50, 5)
+        samples = make_samples(rng, random_diagonal_system(rng), bank, 3)
+        featurize_batch(samples[0].inputs, bank)
+        for s in samples[:2]:
+            online_features(Trajectory(inputs=s.inputs, outputs=s.targets), bank)
+        fit_batch(samples, bank)
+        assert calls == [bank]
+        assert not bank.spectrum.flags.writeable
 
     @pytest.mark.parametrize("ridge", [1e-8, 0.0])
     @pytest.mark.parametrize("field, widths, message, bad", [
@@ -246,16 +253,11 @@ class TestFitBatch:
                                                          message, bad, ridge):
         # episodes are taken one at a time, so those before the mismatch are
         # featurized; the mismatched one is not, and nothing is solved
-        featurized, rows = [], batch._streamed_rows
-
-        def recorded(layout, xs, spec_f, out):
-            featurized.append(xs)
-            return rows(layout, xs, spec_f, out)
+        featurized = _record_featurized(monkeypatch)
 
         def unreachable(*args, **kwargs):
             raise AssertionError("solved despite differing widths")
 
-        monkeypatch.setattr(batch, "_streamed_rows", recorded)
         monkeypatch.setattr(batch, "_ridge_gram_solve", unreachable)
         monkeypatch.setattr(np.linalg, "lstsq", unreachable)
         bank = build_filter_bank(20, 3)
@@ -265,6 +267,16 @@ class TestFitBatch:
         with pytest.raises(ValueError, match=message):
             fit_batch(samples, bank, ridge)
         assert [xs[0, 0] for xs in featurized] == [i + 1.0 for i in range(bad)]
+
+    @pytest.mark.parametrize("ridge", [1e-8, 0.0])
+    def test_names_the_episode_whose_length_differs_from_the_horizon(self, monkeypatch, ridge):
+        featurized = _record_featurized(monkeypatch)
+        bank = build_filter_bank(60, 3)
+        samples = [BatchSample(inputs=np.full((T, 2), i + 1.0), targets=np.ones((T, 1)))
+                   for i, T in enumerate((60, 60, 60, 50, 60))]
+        with pytest.raises(ValueError, match="^episode 3 has 50 steps, the bank horizon is 60$"):
+            fit_batch(samples, bank, ridge)
+        assert [xs[0, 0] for xs in featurized] == [1.0, 2.0, 3.0]
 
     def test_takes_a_generator_in_one_pass(self):
         rng = np.random.default_rng(15)
@@ -293,6 +305,32 @@ class TestFitBatch:
         expected = scipy.linalg.cho_solve(
             scipy.linalg.cho_factor(gram + ridge * np.eye(len(gram))), F.T @ Y).T
         assert np.array_equal(_ridge_gram_solve(gram.copy(), F.T @ Y, ridge), expected)
+
+
+def _count_spectra(monkeypatch) -> list:
+    """Banks whose filter spectrum is computed from now on, one entry per transform."""
+    transform, calls = FilterBank.spectrum.func, []
+
+    def counted(bank):
+        calls.append(bank)
+        return transform(bank)
+
+    spectrum = functools.cached_property(counted)
+    spectrum.__set_name__(FilterBank, "spectrum")
+    monkeypatch.setattr(FilterBank, "spectrum", spectrum)
+    return calls
+
+
+def _record_featurized(monkeypatch) -> list:
+    """Inputs of every episode ``fit_batch`` featurizes from now on, in order."""
+    featurized, featurize = [], batch.featurize_batch
+
+    def recorded(inputs, bank, y_prev=None, out=None):
+        featurized.append(inputs)
+        return featurize(inputs, bank, y_prev, out)
+
+    monkeypatch.setattr(batch, "featurize_batch", recorded)
+    return featurized
 
 
 def _traced_peak(fn, *args):

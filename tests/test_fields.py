@@ -20,6 +20,7 @@ CASES = [
     (FilterBank, _BANK, "horizon", 4),
     (FilterBank, _BANK, "k", 2),
     (FilterBank, _BANK, "scaled_filters", np.eye(2, 4)),
+    (FilterBank, _BANK, "spectrum", np.fft.rfft(np.eye(2, 4), 8)),
     (FeatureLayout, dict(n=1, k=2, m=0), "include_y", False),
     (HankelMatrix, dict(symbol=np.ones(5)), "size", 3),
     (HankelMatrix, dict(symbol=np.ones(5)), "entries", np.ones((3, 3))),

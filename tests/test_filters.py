@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,6 +258,39 @@ class TestFeaturizeBatch:
         with pytest.raises(ValueError):
             featurize_batch(np.zeros((32, 2)), bank)
 
+    def test_previous_outputs_fill_the_trailing_block(self):
+        bank = build_filter_bank(30, 4)
+        rng = np.random.default_rng(6)
+        xs, y_prev = rng.standard_normal((30, 2)), rng.standard_normal((30, 3))
+        layout = FeatureLayout(n=2, k=4, m=3)
+        out = np.empty((30, layout.width))
+        assert featurize_batch(xs, bank, y_prev, out) is out
+        assert np.array_equal(out[:, : layout.y_block.start], featurize_batch(xs, bank))
+        assert np.array_equal(out[:, layout.y_block], y_prev)
+
+    @pytest.mark.parametrize("y_prev, message", [
+        (np.zeros((31, 1)), "y_prev has 31 rows, the inputs have 32"),
+        (np.zeros(32), r"y_prev must be 2-D \(time, coordinates\), got shape \(32,\)"),
+        (np.zeros((32, 2, 1)), "y_prev must be 2-D"),
+    ])
+    def test_rejects_y_prev_of_the_wrong_shape(self, y_prev, message):
+        with pytest.raises(ValueError, match=message):
+            featurize_batch(np.zeros((32, 2)), build_filter_bank(32, 4), y_prev)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_y_prev_naming_step_and_column(self, bad):
+        y_prev = np.zeros((32, 2))
+        y_prev[6, 1] = bad
+        with pytest.raises(ValueError, match=r"^y_prev hold .* at step 7, column 2"):
+            featurize_batch(np.zeros((32, 2)), build_filter_bank(32, 4), y_prev)
+
+    @pytest.mark.parametrize("shape", [(32, 12), (31, 13), (32, 13, 1)])
+    def test_rejects_out_of_the_wrong_shape(self, shape):
+        message = f"out has shape {shape}, the features need (32, 13)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            featurize_batch(np.zeros((32, 2)), build_filter_bank(32, 4), np.zeros((32, 1)),
+                            np.empty(shape))
+
 
 # the ode fit needs a grid of at least two points
 @pytest.mark.parametrize(
@@ -285,15 +320,16 @@ class TestStreamedConvolutions:
         assert np.array_equal(online_features(Trajectory(inputs=xs, outputs=ys), bank), old)
 
     def test_one_filter_spectrum_serves_every_episode(self, T, method):
-        # fit_batch transforms the filters once and hands the spectrum to each episode
+        # fit_batch featurizes every episode into one block with the bank's one spectrum
         bank = self._bank(T, method)
-        spec_f = filters._filter_spectrum(bank)
-        layout = FeatureLayout(n=3, k=bank.k, m=0)
-        out = np.empty((T, layout.width))
+        spectrum = bank.spectrum
+        out = np.empty((T, FeatureLayout(n=3, k=bank.k, m=0).width))
         for seed in (T, T + 1):
             xs = np.random.default_rng(seed).standard_normal((T, 3))
-            filters._streamed_rows(layout, xs, spec_f, out)
-            assert np.array_equal(out, featurize_batch(xs, bank))
+            assert featurize_batch(xs, bank, out=out) is out
+            assert np.array_equal(out, featurize_batch(xs, replace(bank)))
+            assert np.array_equal(out, _batched_rows(xs, bank))
+        assert bank.spectrum is spectrum
 
 
 @pytest.mark.parametrize("T, k, method",
@@ -301,7 +337,7 @@ class TestStreamedConvolutions:
 @pytest.mark.parametrize("n", [1, 3, 10])
 def test_grouped_transforms_equal_one_per_filter(T, k, method, n):
     bank = build_filter_bank(T, k, method=method)
-    spec_f = filters._filter_spectrum(bank)
+    spec_f = bank.spectrum
     xs = np.random.default_rng(T + n).standard_normal((T, n))
     grouped, single = np.empty((T, k * n)), np.empty((T, k * n))
     filters._conv_blocks_fft(xs, spec_f, grouped)

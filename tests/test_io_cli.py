@@ -781,6 +781,14 @@ class TestCli:
             main(argv + ["--out", str(tmp_path / "traj")])
         assert not (tmp_path / "traj.csv").exists()
 
+    @pytest.mark.parametrize("system", ["mimo_10", "pendulum"])
+    @pytest.mark.parametrize("T", [0, -5])
+    def test_simulate_rejects_a_horizon_below_one(self, tmp_path, system, T):
+        argv = ["simulate", "--system", system, "--T", str(T), "--out", str(tmp_path / "p0")]
+        with pytest.raises(ValueError, match=rf"^horizon T must be at least 1, got {T}$"):
+            main(argv)
+        assert list(tmp_path.iterdir()) == []
+
     def test_filters_writes_bank(self, tmp_path, capsys):
         out = tmp_path / "bank"
         rc = main(["filters", "--T", "100", "--k", "8", "--out", str(out)])
@@ -966,6 +974,12 @@ class TestCli:
 
 
 class TestExperiments:
+    @pytest.mark.parametrize("system", ["mimo_10", "pendulum"])
+    @pytest.mark.parametrize("T", [0, -5])
+    def test_simulate_scenario_rejects_a_horizon_below_one(self, system, T):
+        with pytest.raises(ValueError, match=rf"^horizon T must be at least 1, got {T}$"):
+            simulate_scenario(system, T, 0, 0.1, 0.1)
+
     def test_simulate_scenario_names_a_non_finite_std(self):
         # was misreported as a non-finite output at step 2
         with pytest.raises(ValueError, match=r"^process_std must be finite and nonnegative"):

@@ -403,6 +403,13 @@ class TestPendulum:
         with pytest.raises(FloatingPointError):
             pendulum_simulate(1e308 * np.ones((400, 1)), 0.0, 0.0)
 
+    def test_rejects_zero_steps_as_simulate_does(self):
+        params = LdsParams(a=np.zeros(1), b=np.ones((1, 1)), c=np.ones((1, 1)),
+                           d=np.zeros((1, 1)), h0=np.zeros(1))
+        for run in (lambda xs: pendulum_simulate(xs, 0.0, 0.0), lambda xs: simulate(params, xs)):
+            with pytest.raises(ValueError, match="^need at least one input step$"):
+                run(np.zeros((0, 1)))
+
 
 class TestTrajectory:
     def test_recorded_bounds_cover_actuals(self):

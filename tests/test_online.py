@@ -493,6 +493,13 @@ class TestRunOnline:
         assert norms.max() == pytest.approx(0.5)  # the ball binds
 
 
+@pytest.mark.parametrize("run", [run_online, run_ftl])
+def test_trajectory_shorter_than_the_bank_names_both_lengths(run):
+    traj = simulate_scenario("siso_hard", 39, 0, 0.1, 0.1)
+    with pytest.raises(ValueError, match="^input length 39 does not match bank horizon 40$"):
+        run(traj, OnlineConfig(bank=build_filter_bank(40, 4)))
+
+
 class TestFtl:
     def test_huge_ridge_shrinks_to_zero(self):
         rng = np.random.default_rng(8)

@@ -184,3 +184,11 @@ class TestRelaxationResidual:
         )
         with pytest.raises(ValueError):
             relaxation_residual(params, pred, other)
+
+    def test_trajectory_shorter_than_the_bank_names_both_lengths(self):
+        rng = np.random.default_rng(10)
+        params = random_diagonal_system(rng)
+        pred = build_M_theta(params, build_filter_bank(16, 3))
+        traj = simulate(params, rng.standard_normal((15, 2)))
+        with pytest.raises(ValueError, match="^input length 15 does not match bank horizon 16$"):
+            relaxation_residual(params, pred, traj)

@@ -2,6 +2,7 @@ import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from wavefilter import io, verify
 from wavefilter.cli import main
@@ -62,6 +63,19 @@ class TestCliVerify:
         rows = json.loads(report.read_text())
         assert len(rows) == len(REGISTRY)
         assert all(r["passed"] for r in rows)
+
+    @pytest.mark.parametrize("sizes, message", [
+        ([], "argument --sizes: expected at least one argument"),
+        (["0"], "argument --sizes: expected a positive integer, got '0'"),
+        (["64", "-3"], "argument --sizes: expected a positive integer, got '-3'"),
+        (["6.5"], "argument --sizes: expected a positive integer, got '6.5'"),
+    ])
+    def test_sizes_must_be_positive_integers(self, tmp_path, capsys, sizes, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--sizes", *sizes, "--out", str(tmp_path / "report.json")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_corrupt_bank_flips_exit_status(self, tmp_path):
         base = tmp_path / "bank"

@@ -55,15 +55,9 @@ def fd_wave_operator(T: int) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
-def _apply_tridiagonal(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = diag * v
-    out[1:] += off * v[:-1]
-    out[:-1] += off * v[1:]
-    return out
-
-
-def _rayleigh(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> float:
-    return float(v @ (diag * v) + 2.0 * (v[:-1] * v[1:]) @ off)
+def _interleaved_sum(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Rows first[0], second[0], first[1], ... added in that order."""
+    return np.stack((first, second), axis=1).reshape(-1, first.shape[1]).sum(axis=0)
 
 
 def _fit_banded(
@@ -73,25 +67,21 @@ def _fit_banded(
     from scipy.linalg import solveh_banded  # scipy loads on first use, not at import
 
     # unknowns interleaved as (a_1, b_1, a_2, b_2, ..., a_T); the normal
-    # matrix of the per-row residuals then has bandwidth 2
+    # matrix of the per-row residuals then has bandwidth 2. One row per
+    # mode, C-contiguous, so each sum over modes adds whole rows in mode
+    # order: the same additions as accumulating one mode at a time.
+    p = np.ascontiguousarray(phis.T)
+    wp = weights[:, None] * p
+    y = theta[:, None] * p
     n_u = 2 * T - 1
     ab = np.zeros((3, n_u))
     rhs = np.zeros(n_u)
-    for j in range(phis.shape[1]):
-        phi = phis[:, j]
-        wt = weights[j]
-        pm = np.r_[0.0, phi[:-1]]
-        pp = np.r_[phi[1:], 0.0]
-        y = theta[j] * phi
-        rhs[0::2] += wt * phi * y
-        rhs[1::2] += wt * pm[1:] * y[1:]
-        rhs[1::2] += wt * pp[:-1] * y[:-1]
-        ab[0, 0::2] += wt * phi * phi
-        ab[0, 1::2] += wt * pm[1:] * pm[1:]
-        ab[0, 1::2] += wt * pp[:-1] * pp[:-1]
-        ab[1, 1::2] += wt * pm[1:] * phi[1:]
-        ab[1, 0:-1:2] += wt * phi[:-1] * pp[:-1]
-        ab[2, 1:-2:2] += wt * pm[1:-1] * pp[1:-1]
+    rhs[0::2] = (wp * y).sum(axis=0)
+    rhs[1::2] = _interleaved_sum(wp[:, :-1] * y[:, 1:], wp[:, 1:] * y[:, :-1])
+    ab[0, 0::2] = (wp * p).sum(axis=0)
+    ab[0, 1::2] = _interleaved_sum(wp[:, :-1] * p[:, :-1], wp[:, 1:] * p[:, 1:])
+    ab[1, 1::2] = ab[1, 0:-1:2] = (wp[:, :-1] * p[:, 1:]).sum(axis=0)
+    ab[2, 1:-2:2] = (wp[:, :-2] * p[:, 2:]).sum(axis=0)
     ab[0] += ridge
     rhs[0::2] += ridge * anchor_diag
     rhs[1::2] += ridge * anchor_off
@@ -124,30 +114,24 @@ def fitted_wave_operator(T: int) -> tuple[np.ndarray, np.ndarray]:
     a0, b0 = fd_wave_operator(T)
     scale = np.abs(a0).max()
     a0s, b0s = a0 / scale, b0 / scale
-    theta = np.array([_rayleigh(a0s, b0s, phis[:, j]) for j in range(J)])
+    p = np.ascontiguousarray(phis.T)
     weights = np.ones(J)
     a, b = a0s, b0s
-    for _ in range(_FIT_ITERS):
-        a, b = _fit_banded(T, phis, theta, weights, a0s, b0s, _FIT_RIDGE)
-        theta = np.array([_rayleigh(a, b, phis[:, j]) for j in range(J)])
-        if J > 1:
-            res = np.array(
-                [
-                    np.linalg.norm(
-                        _apply_tridiagonal(a, b, phis[:, j]) - theta[j] * phis[:, j]
-                    )
-                    for j in range(J)
-                ]
-            )
-            gaps = np.array(
-                [
-                    min(abs(theta[j] - theta[i]) for i in range(J) if i != j)
-                    for j in range(J)
-                ]
-            )
-            mix = res / np.maximum(gaps, 1e-12)
+    for step in range(_FIT_ITERS):
+        # Rayleigh quotients over the strided columns of phis: BLAS sums a
+        # strided vector in another order than a contiguous one
+        theta = np.array([v @ (a * v) + 2.0 * (v[:-1] * v[1:]) @ b for v in phis.T])
+        if step and J > 1:  # the first fit weighs every mode alike
+            res = a * p
+            res[:, 1:] += b * p[:, :-1]
+            res[:, :-1] += b * p[:, 1:]
+            res -= theta[:, None] * p
+            gaps = np.abs(theta[:, None] - theta)
+            np.fill_diagonal(gaps, np.inf)
+            mix = np.array([np.linalg.norm(r) for r in res]) / np.maximum(gaps.min(axis=1), 1e-12)
             weights = weights * np.clip(mix / mix.mean(), 0.1, None) ** 1.5
             weights /= weights.mean()
+        a, b = _fit_banded(T, phis, theta, weights, a0s, b0s, _FIT_RIDGE)
     return a * scale, b * scale
 
 
@@ -172,6 +156,8 @@ def ode_filter_bank(T: int, k: int) -> FilterBank:
     operator eigenvalue, with eigenvalues extrapolated geometrically from
     the reliable range and flagged as such.
     """
+    if T < 2:
+        raise ValueError(f"method 'ode' needs a horizon T of at least 2, got T={T}")
     if not 1 <= k <= T:
         raise ValueError(f"need 1 <= k <= {T}, got k={k}")
     spec = _moment_spectrum(T)
@@ -181,12 +167,11 @@ def ode_filter_bank(T: int, k: int) -> FilterBank:
     overlaps = np.abs(vecs.T @ spec.phis[:, :n_rel])  # (cand, n_rel)
     available = list(range(vecs.shape[1]))
     chosen: list[int] = []
-    matched_sigmas: list[float] = []
-    for j in range(min(n_rel, k)):
+    n_matched = min(n_rel, k)
+    for j in range(n_matched):
         pick = max(available, key=lambda c: overlaps[c, j])
         available.remove(pick)
         chosen.append(pick)
-        matched_sigmas.append(float(spec.sigmas[j]))
     for c in sorted(available, key=lambda c: -lam[c]):
         if len(chosen) == k:
             break
@@ -195,8 +180,7 @@ def ode_filter_bank(T: int, k: int) -> FilterBank:
     phis = _sign_normalize(vecs[:, chosen]).T.copy()
 
     sigmas = np.empty(k)
-    n_matched = len(matched_sigmas)
-    sigmas[:n_matched] = matched_sigmas
+    sigmas[:n_matched] = spec.sigmas[:n_matched]
     extrapolated = np.zeros(k, dtype=bool)
     if n_matched < k:
         # straight-line fit of log sigma over the reliable range

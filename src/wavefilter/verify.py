@@ -59,6 +59,20 @@ class ToleranceProfile:
     alpha_step: float = field(default=0.01, init=False)
     seed: int = field(default=0, init=False)
 
+    def __post_init__(self) -> None:
+        # the overlap check builds ode banks, which need a horizon of at least 2
+        for name, least in (("sizes", 1), ("overlap_sizes", 2)):
+            values = getattr(self, name)
+            if not values or any(T < least for T in values):
+                raise ValueError(
+                    f"{name} must be a non-empty tuple of sizes of at least {least}, "
+                    f"got {values!r}"
+                )
+
+
+def _no_size_reaches(name: str, least: int, p: ToleranceProfile) -> InvariantCheck:
+    return InvariantCheck(name, False, f"no size is at least {least}, got sizes {p.sizes}")
+
 
 def _alpha_grid(step: float) -> np.ndarray:
     return np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
@@ -104,6 +118,8 @@ def _check_moment_identity(p: ToleranceProfile) -> InvariantCheck:
 
 def _check_spectral_decay(p: ToleranceProfile) -> InvariantCheck:
     c = math.exp(math.pi**2 / 4)
+    if max(p.sizes) < 10:
+        return _no_size_reaches("spectral-decay", 10, p)
     margin = np.inf
     for T in p.sizes:
         if T < 10:
@@ -118,6 +134,8 @@ def _check_spectral_decay(p: ToleranceProfile) -> InvariantCheck:
 
 
 def _check_tail_dominance(p: ToleranceProfile) -> InvariantCheck:
+    if max(p.sizes) < 60:
+        return _no_size_reaches("tail-dominance", 60, p)
     worst_ratio = 0.0
     for T in p.sizes:
         if T < 60:

@@ -800,6 +800,13 @@ class TestCli:
         with pytest.raises(ValueError):
             main(["filters", "--T", "100", "--k", "0", "--out", str(tmp_path / "b")])
 
+    def test_ode_filters_reject_a_horizon_below_two(self, tmp_path):
+        argv = ["filters", "--T", "1", "--k", "1", "--method", "ode", "--out", str(tmp_path / "b")]
+        message = r"^method 'ode' needs a horizon T of at least 2, got T=1$"
+        with pytest.raises(ValueError, match=message):
+            main(argv)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag, field", [("--r-m", "r_m"), ("--eta", "eta")])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_online_rejects_a_non_finite_setting_by_name(self, tmp_path, flag, field, value):

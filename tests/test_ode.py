@@ -60,12 +60,56 @@ def _fit_banded_add_at(T, phis, theta, weights, anchor_diag, anchor_off, ridge):
     return u[0::2], u[1::2]
 
 
+def _fitted_wave_operator_per_mode(T):
+    """The operator fit one mode at a time, with the scatter-assembled banded fit: the reference."""
+    if T < 2:
+        raise ValueError("grid size must be at least 2")
+    spec = ode._moment_spectrum(T)
+    n_rel = int(np.sum(spec.sigmas > NOISE_FLOOR))
+    J = max(min(n_rel, ode._FIT_MODES), 1)
+    phis = spec.phis[:, :J]
+
+    def rayleigh(diag, off, v):
+        return float(v @ (diag * v) + 2.0 * (v[:-1] * v[1:]) @ off)
+
+    def apply_tridiagonal(diag, off, v):
+        out = diag * v
+        out[1:] += off * v[:-1]
+        out[:-1] += off * v[1:]
+        return out
+
+    a0, b0 = fd_wave_operator(T)
+    scale = np.abs(a0).max()
+    a0s, b0s = a0 / scale, b0 / scale
+    theta = np.array([rayleigh(a0s, b0s, phis[:, j]) for j in range(J)])
+    weights = np.ones(J)
+    a, b = a0s, b0s
+    for _ in range(ode._FIT_ITERS):
+        a, b = _fit_banded_add_at(T, phis, theta, weights, a0s, b0s, ode._FIT_RIDGE)
+        theta = np.array([rayleigh(a, b, phis[:, j]) for j in range(J)])
+        if J > 1:
+            res = np.array([
+                np.linalg.norm(apply_tridiagonal(a, b, phis[:, j]) - theta[j] * phis[:, j])
+                for j in range(J)
+            ])
+            gaps = np.array([
+                min(abs(theta[j] - theta[i]) for i in range(J) if i != j) for j in range(J)
+            ])
+            mix = res / np.maximum(gaps, 1e-12)
+            weights = weights * np.clip(mix / mix.mean(), 0.1, None) ** 1.5
+            weights /= weights.mean()
+    return a * scale, b * scale
+
+
 class TestFitBanded:
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("T", [2, 3, 50, 257, 1000])
-    def test_strided_assembly_equals_the_scatter_reference(self, T):
+    def test_strided_assembly_equals_the_scatter_reference(self, T, order):
+        # in either memory layout of phis the modes are summed in order
         rng = np.random.default_rng(T)
         J = min(T, 8)
-        phis = np.linalg.qr(rng.standard_normal((T, J)))[0]
+        phis = np.asarray(np.linalg.qr(rng.standard_normal((T, J)))[0], order=order)
+        assert phis.flags.c_contiguous == (order == "C")
         theta = -rng.uniform(0.1, 1.0, J)
         weights = rng.uniform(0.5, 2.0, J)
         diag, off = fd_wave_operator(T)
@@ -74,6 +118,20 @@ class TestFitBanded:
         a, b = ode._fit_banded(*args)
         a_ref, b_ref = _fit_banded_add_at(*args)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+
+
+@pytest.mark.parametrize("T", [2, 3, 17, 200, 1000])
+def test_operator_and_bank_equal_the_per_mode_reference_bit_for_bit(monkeypatch, T):
+    a, b = fitted_wave_operator(T)
+    bank = ode_filter_bank(T, min(T, 40))
+    a_ref, b_ref = _fitted_wave_operator_per_mode(T)
+    assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+    monkeypatch.setattr(ode, "fitted_wave_operator", _fitted_wave_operator_per_mode)
+    ref = ode_filter_bank(T, min(T, 40))
+    assert np.array_equal(bank.phis, ref.phis)
+    assert np.array_equal(bank.sigmas, ref.sigmas)
+    assert np.array_equal(bank.lambdas, ref.lambdas)
+    assert np.array_equal(bank.sigma_extrapolated, ref.sigma_extrapolated)
 
 
 class TestOdeFilterBank:
@@ -153,6 +211,16 @@ class TestOdeFilterBank:
         bank = ode_filter_bank(100, 8)
         assert bank.lambdas is not None and bank.lambdas.shape == (8,)
         assert np.all(np.isfinite(bank.lambdas))
+
+    @pytest.mark.parametrize("T", [1, 0, -4])
+    def test_rejects_a_horizon_below_two_before_any_eigendecomposition(self, monkeypatch, T):
+        monkeypatch.setattr(ode, "top_eigenpairs", lambda *args: pytest.fail("eigh ran"))
+        message = rf"^method 'ode' needs a horizon T of at least 2, got T={T}$"
+        with pytest.raises(ValueError, match=message):
+            ode_filter_bank(T, 1)
+        if T >= 1:
+            with pytest.raises(ValueError, match=message):
+                build_filter_bank(T, 1, method="ode")
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,81 @@
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "output_diff.py"
+_SPEC = importlib.util.spec_from_file_location("output_diff", _PATH)
+output_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(output_diff)
+
+VALUES = {
+    "exp_mimo_10[0] seed 0: per_seed_final_mse.wave_filter": 0.25,
+    "exp_mimo_10[0] seed 0: regret_curve[3]": -12.5,
+    "cli_batch_ode[0] batch: exit_status": 0,
+    "cli_batch_ode[0] batch: model.json.sha256": "ab12",
+    "verify hankel-psd": "PASS min eigenvalue #",
+    "verify hankel-psd #0": -2.1e-19,
+    "pendulum.final_mse.ar": 1.5,
+}
+
+
+def _run(monkeypatch, capsys, change_values):
+    monkeypatch.setattr(output_diff.bench_pairs, "_export", lambda rev, dest: rev)
+    monkeypatch.setattr(
+        output_diff, "_collect",
+        lambda tree, workloads, seeds: dict(VALUES if tree.name == "parent" else change_values),
+    )
+    status = output_diff.main(["--parent", "HEAD~1", "--change", "HEAD"])
+    return status, capsys.readouterr().out.splitlines()
+
+
+def test_identical_trees_print_nothing(monkeypatch, capsys):
+    assert _run(monkeypatch, capsys, VALUES) == (0, [])
+
+
+def test_the_largest_difference_comes_first(monkeypatch, capsys):
+    key = "exp_mimo_10[0] seed 0: per_seed_final_mse.wave_filter"
+    changed = dict(VALUES)
+    changed[key] = VALUES[key] * (1 + 1e-3)
+    changed["pendulum.final_mse.ar"] = 1.5 * (1 + 1e-15)  # a last-bit move
+    status, lines = _run(monkeypatch, capsys, changed)
+    assert status == 1
+    assert len(lines) == 2
+    assert lines[0].startswith(f"{key}: old 0.25 new {changed[key]!r} |delta| 996 tol")
+    assert lines[1].startswith("pendulum.final_mse.ar: old 1.5 new")
+
+
+@pytest.mark.parametrize("old, new, distance", [
+    (2.0, 2.0 + 2e-6, 0.99950025),  # 2e-6 / (1e-9 + 2e-6)
+    (0.0, 1e-9, 1.0),
+    (3, 4, 1 / (1e-9 + 3e-6)),
+    ("ab12", "cd34", math.inf),
+    (0.5, "(missing)", math.inf),
+    (float("nan"), 1.0, math.inf),
+])
+def test_distance_is_in_units_of_the_benchmark_tolerance(old, new, distance):
+    assert output_diff._distance(old, new) == pytest.approx(distance)
+
+
+def test_differences_count_type_changes_and_missing_values():
+    old = {"a": 1, "b": 2.0, "c": float("nan")}
+    new = {"a": 1.0, "c": float("nan"), "d": "x"}
+    found = output_diff.differences(old, new)
+    assert [key for _, key, _, _ in found] == ["b", "d", "a"]
+    assert found[0][3] == "(missing)" and found[1][2] == "(missing)"
+
+
+def test_verify_lines_split_into_text_and_numbers():
+    text = ("PASS  hankel-psd: min eigenvalue -2.148e-19\n"
+            "FAIL  filter-l1: worst l1-minus-bound 3.000e-01\n"
+            "PASS  hidden-state-decay: worst gap-minus-bound -1.7e-02, max closed-form diff 6.6e-16\n")
+    assert output_diff._verify_values(text) == {
+        "verify hankel-psd": "PASS min eigenvalue #",
+        "verify hankel-psd #0": -2.148e-19,
+        "verify filter-l1": "FAIL worst l1-minus-bound #",
+        "verify filter-l1 #0": 0.3,
+        "verify hidden-state-decay": "PASS worst gap-minus-bound #, max closed-form diff #",
+        "verify hidden-state-decay #0": -0.017,
+        "verify hidden-state-decay #1": 6.6e-16,
+    }

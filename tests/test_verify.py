@@ -27,6 +27,35 @@ class TestRunVerification:
         assert all(c.passed for c in checks)
 
 
+class TestToleranceProfile:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sizes": ()}, r"^sizes must be a non-empty tuple of sizes of at least 1, got \(\)$"),
+        ({"sizes": (0,)}, r"^sizes must be a non-empty tuple of sizes of at least 1, got \(0,\)$"),
+        ({"sizes": (64, -3)}, r"^sizes must be .* at least 1, got \(64, -3\)$"),
+        ({"overlap_sizes": ()}, r"^overlap_sizes must be .* at least 2, got \(\)$"),
+        ({"overlap_sizes": (200, 1)}, r"^overlap_sizes must be .* at least 2, got \(200, 1\)$"),
+    ])
+    def test_rejects_empty_or_too_small_sizes_by_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ToleranceProfile(**kwargs)
+
+    @pytest.mark.parametrize("sizes, failing", [
+        ((5,), {"spectral-decay": 10, "tail-dominance": 60}),
+        ((5, 20), {"tail-dominance": 60}),
+        ((5, 64), {}),
+    ])
+    def test_size_bound_checks_fail_when_no_size_reaches_their_minimum(self, sizes, failing):
+        profile = ToleranceProfile(sizes=sizes)
+        checks = {c.name: c for c in (verify._check_spectral_decay(profile),
+                                      verify._check_tail_dominance(profile))}
+        for name, check in checks.items():
+            if name in failing:
+                assert not check.passed
+                assert check.detail == f"no size is at least {failing[name]}, got sizes {sizes}"
+            else:
+                assert check.passed, check
+
+
 class TestHiddenStateDecay:
     def test_comparator_ignoring_h0_fails(self, monkeypatch):
         # the upper bound alone holds for a zero gap; the closed form does not
@@ -76,6 +105,15 @@ class TestCliVerify:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    def test_sizes_below_the_size_bound_minimums_fail_those_checks(self, tmp_path, capsys):
+        rc = main(["verify", "--sizes", "5", "--out", str(tmp_path / "report.json")])
+        assert rc == 1
+        failed = [r for r in json.loads((tmp_path / "report.json").read_text()) if not r["passed"]]
+        assert [r["name"] for r in failed] == ["spectral-decay", "tail-dominance"]
+        out = capsys.readouterr().out
+        assert "FAIL  spectral-decay: no size is at least 10, got sizes (5,)" in out
+        assert "FAIL  tail-dominance: no size is at least 60, got sizes (5,)" in out
 
     def test_corrupt_bank_flips_exit_status(self, tmp_path):
         base = tmp_path / "bank"

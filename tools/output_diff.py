@@ -52,7 +52,7 @@ def _flatten(key: str, value, out: dict) -> None:
     if isinstance(value, dict):
         for field, inner in value.items():
             _flatten(f"{key}.{field}", inner, out)
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, list):
         for i, inner in enumerate(value):
             _flatten(f"{key}[{i}]", inner, out)
     else:

@@ -6,7 +6,9 @@ Subcommands: ``filters`` (generate and export a filter bank),
 (named multi-seed benchmark), ``verify`` (invariant suite). A JSON config
 file can supply any flag's value; explicit flags win. Its keys are parsed
 as flags placed before the command line's own, so argparse checks their
-types, choices and required flags alike.
+types, choices and required flags alike. A command that fails on bad input
+or an unreadable file (``ValueError``, ``OSError``) prints
+``wavefilter <command>: error: <message>`` and exits 2, as a bad flag does.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from ._blas import serial_blas
 from .batch import BatchSample, fit_batch
 from .experiments import (
     EXPERIMENT_NAMES,
+    ExperimentConfig,
     default_experiment_config,
     run_experiment,
     simulate_scenario,
@@ -144,11 +147,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    seeds = tuple(range(args.num_seeds)) if args.seeds is None else tuple(args.seeds)
     config = default_experiment_config(
         args.name,
         horizon=args.T,
-        seeds=seeds,
+        seeds=tuple(args.seeds),
         k=args.k,
         learner=args.learner,
         out_dir=args.out,
@@ -218,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a named multi-seed benchmark")
     p.add_argument("--name", required=True, choices=list(EXPERIMENT_NAMES))
     p.add_argument("--T", type=int, default=None)
-    p.add_argument("--num-seeds", type=int, default=10)
-    p.add_argument("--seeds", type=int, nargs="*", default=None)
+    p.add_argument("--seeds", type=int, nargs="+", default=ExperimentConfig.seeds)
     p.add_argument("--k", type=int, default=25)
     p.add_argument("--learner", default="ftl", choices=["ftl", "ogd"])
     p.add_argument("--out", default=None)
@@ -242,7 +243,11 @@ def main(argv=None) -> int:
         # after the subcommand, before its flags: the last occurrence wins
         argv[1:1] = _config_flags(argv[1:])
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"wavefilter {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

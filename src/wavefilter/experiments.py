@@ -63,6 +63,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment '{self.name}'")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for i, seed in enumerate(self.seeds):
+            if seed in self.seeds[:i]:
+                raise ValueError(f"seed {seed} is listed more than once in seeds {self.seeds}")
         if self.learner not in ("ftl", "ogd"):
             raise ValueError(f"unknown learner '{self.learner}'")
 

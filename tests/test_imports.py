@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,25 @@ from wavefilter import batch, experiments, filters, io, lds, online, relaxation
 from wavefilter.filters import FeatureLayout, build_filter_bank
 from wavefilter.hankel import build_hankel
 from wavefilter.lds import Trajectory, synthetic_system
+
+
+def _fresh_import(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this checkout's package."""
+    src = str(Path(wavefilter.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    return out.stdout.strip()
+
+
+def _submodules() -> list:
+    return [importlib.import_module(f"wavefilter.{info.name}")
+            for info in pkgutil.iter_modules(wavefilter.__path__)]
 
 
 def test_package_import_loads_no_heavy_scipy_submodule():
@@ -28,32 +48,53 @@ def test_package_import_loads_no_heavy_scipy_submodule():
         "print(','.join(m for m in sys.modules "
         "if m.split('.')[0] in ('scipy', 'fractions', 'decimal', 'concurrent')))"
     )
-    src = str(Path(wavefilter.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert out.stdout.strip() == ""
+    assert _fresh_import(code) == ""
+
+
+def test_package_import_loads_every_module_but_the_cli():
+    # what a CLI call imports, and so what the benchmark's setup time covers
+    code = "import sys, wavefilter; print(' '.join(sorted(sys.modules)))"
+    loaded = {name for name in _fresh_import(code).split() if name.startswith("wavefilter.")}
+    assert loaded == {mod.__name__ for mod in _submodules()} - {"wavefilter.cli"}
+
+
+def test_package_root_binds_only_its_modules():
+    # each public name has one import path, wavefilter.<module>.<name>: a
+    # patch or trace of a root alias would miss every call made inside the
+    # package, so no alias, lazy __getattr__ or __all__ at the root
+    dunders = {"__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
+               "__package__", "__path__", "__spec__", "__version__"}
+    others = [
+        name
+        for name, value in vars(wavefilter).items()
+        if name not in dunders
+        and not (isinstance(value, types.ModuleType) and value.__name__ == f"wavefilter.{name}")
+    ]
+    assert others == []
 
 
 def test_every_exported_name_exists():
     # the benchmark's tracer wraps functions by their __all__ names, so a
     # stale name would silently drop a traced layer
-    modules = [wavefilter] + [
-        importlib.import_module(f"wavefilter.{info.name}")
-        for info in pkgutil.iter_modules(wavefilter.__path__)
-    ]
     missing = [
         f"{mod.__name__}.{name}"
-        for mod in modules
+        for mod in _submodules()
         for name in getattr(mod, "__all__", ())
         if not hasattr(mod, name)
     ]
     assert missing == []
+
+
+def test_exported_callables_belong_to_their_module():
+    # a re-export would give a function two import paths, and the tracer
+    # names each span after the module that defines the function
+    strays = [
+        f"{mod.__name__}.{name} is defined in {obj.__module__}"
+        for mod in _submodules()
+        for name in getattr(mod, "__all__", ())
+        if callable(obj := getattr(mod, name)) and obj.__module__ != mod.__name__
+    ]
+    assert strays == []
 
 
 def test_names_the_benchmark_reaches_directly(tmp_path, monkeypatch):

@@ -52,6 +52,15 @@ def small_trajectory():
 FMT = "%.17e"
 
 
+def cli_error(capsys, argv) -> str:
+    """The message of a CLI call that must fail on its input with exit status 2."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    prefix = f"wavefilter {argv[0]}: error: "
+    assert err.startswith(prefix) and "Traceback" not in err, err
+    return err[len(prefix):].rstrip("\n")
+
+
 def _reference_matrix_csv(path, matrix):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -595,12 +604,12 @@ class TestSidecarCrossChecks:
         with pytest.raises(ValueError, match=expected):
             io.load_predictor(base)
 
-    def test_empty_manifest(self, tmp_path):
+    def test_empty_manifest(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text(json.dumps({"trajectories": []}))
         with pytest.raises(ValueError, match=r"manifest\.json lists no trajectories"):
             io.load_training_set(tmp_path)
-        with pytest.raises(ValueError, match=r"manifest\.json lists no trajectories"):
-            main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
+        argv = ["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")]
+        assert re.search(r"manifest\.json lists no trajectories", cli_error(capsys, argv))
 
     @pytest.mark.parametrize("manifest, expected", [
         ({}, "lacks a trajectories list"),
@@ -613,21 +622,21 @@ class TestSidecarCrossChecks:
         ({"trajectories": ["ep0", ""]}, r"lists '', which is not a plain file name"),
     ], ids=["missing", "not-an-object", "a-string", "a-number-among-names", "parent", "absolute",
             "subdirectory", "empty-name"])
-    def test_malformed_manifest_names_the_manifest(self, tmp_path, manifest, expected):
+    def test_malformed_manifest_names_the_manifest(self, tmp_path, manifest, expected, capsys):
         io.save_trajectory(simulate_scenario("mimo_10", 50, 0, 0.1, 0.1), tmp_path / "ep0")
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=rf"manifest\.json {expected}"):
             io.load_training_set(tmp_path)
-        with pytest.raises(ValueError, match=rf"manifest\.json {expected}"):
-            main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
+        argv = ["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")]
+        assert re.search(rf"manifest\.json {expected}", cli_error(capsys, argv))
 
-    def test_manifest_that_is_not_json_names_the_manifest(self, tmp_path):
+    def test_manifest_that_is_not_json_names_the_manifest(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text('{"trajectories": ["ep0"]')
         expected = r"manifest\.json is not valid JSON: Expecting ',' delimiter"
         with pytest.raises(ValueError, match=expected):
             io.load_training_set(tmp_path)
-        with pytest.raises(ValueError, match=expected):
-            main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
+        argv = ["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")]
+        assert re.search(expected, cli_error(capsys, argv))
 
     @pytest.mark.parametrize("sidecar, expected", [
         ('{"n": 1', "is not valid JSON: Expecting"),
@@ -678,7 +687,7 @@ class TestSidecarCrossChecks:
         with pytest.raises(ValueError, match=expected):
             load(base)
 
-    def test_trajectories_of_unequal_length_name_both_files(self, tmp_path, monkeypatch):
+    def test_trajectories_of_unequal_length_name_both_files(self, tmp_path, monkeypatch, capsys):
         for name, T in (("ep0", 50), ("ep1", 50), ("ep2", 60)):
             io.save_trajectory(simulate_scenario("mimo_10", T, 0, 0.1, 0.1), tmp_path / name)
         (tmp_path / "manifest.json").write_text(json.dumps({"trajectories": ["ep0", "ep1", "ep2"]}))
@@ -686,13 +695,13 @@ class TestSidecarCrossChecks:
         with pytest.raises(ValueError, match=expected):
             io.load_training_set(tmp_path)
         monkeypatch.setattr(cli, "build_filter_bank", None)  # no bank is built first
-        with pytest.raises(ValueError, match=expected):
-            main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
+        argv = ["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")]
+        assert re.search(expected, cli_error(capsys, argv))
 
 
     @pytest.mark.parametrize("what, dims", [("inputs", (2, 1)), ("outputs", (1, 2))])
     def test_trajectories_of_unequal_widths_name_both_files(self, tmp_path, monkeypatch, what,
-                                                            dims):
+                                                            dims, capsys):
         rng = np.random.default_rng(3)
         for name, (n, m) in (("ep0", (1, 1)), ("ep1", (1, 1)), ("ep2", dims)):
             traj = Trajectory(inputs=rng.standard_normal((50, n)),
@@ -703,10 +712,11 @@ class TestSidecarCrossChecks:
         with pytest.raises(ValueError, match=expected):
             io.load_training_set(tmp_path)
         monkeypatch.setattr(cli, "build_filter_bank", None)  # no bank is built first
-        with pytest.raises(ValueError, match=expected):
-            main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
+        argv = ["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")]
+        assert re.search(expected, cli_error(capsys, argv))
 
-    def test_training_set_sidecar_without_a_key_names_both_files(self, tmp_path, monkeypatch):
+    def test_training_set_sidecar_without_a_key_names_both_files(self, tmp_path, monkeypatch,
+                                                                 capsys):
         for name in ("ep0", "ep1"):
             io.save_trajectory(simulate_scenario("mimo_10", 50, 0, 0.1, 0.1), tmp_path / name)
         self._drop_from_sidecar(tmp_path / "ep1", "m")
@@ -715,8 +725,8 @@ class TestSidecarCrossChecks:
         with pytest.raises(ValueError, match=expected):
             io.load_training_set(tmp_path)
         monkeypatch.setattr(cli, "build_filter_bank", None)
-        with pytest.raises(ValueError, match=expected):
-            main(["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")])
+        argv = ["batch", "--data", str(tmp_path), "--out", str(tmp_path / "model")]
+        assert re.search(expected, cli_error(capsys, argv))
 
 
 class TestStreamedTrainingSet:
@@ -753,7 +763,7 @@ class TestStreamedTrainingSet:
         ("nan", r"ep3\.csv, line 8, column 4: 'nan' is not finite"),
         ("rows", r"ep3\.csv has 49 rows; sidecar .*ep3\.json says T=50"),
     ])
-    def test_payload_error_in_a_streamed_episode_surfaces(self, tmp_path, fault, expected):
+    def test_payload_error_in_a_streamed_episode_surfaces(self, tmp_path, fault, expected, capsys):
         self._training_set(tmp_path, 5, T=50)
         path = tmp_path / "ep3.csv"
         lines = path.read_text().splitlines(keepends=True)
@@ -764,8 +774,8 @@ class TestStreamedTrainingSet:
         else:
             del lines[-1]
         path.write_text("".join(lines))
-        with pytest.raises(ValueError, match=expected):
-            main(["batch", "--data", str(tmp_path), "--k", "4", "--out", str(tmp_path / "model")])
+        argv = ["batch", "--data", str(tmp_path), "--k", "4", "--out", str(tmp_path / "model")]
+        assert re.search(expected, cli_error(capsys, argv))
         assert not (tmp_path / "model.csv").exists()
         assert not (tmp_path / "model.json").exists()
 
@@ -775,18 +785,19 @@ class TestCli:
                                              ("--observation-std", "observation_std")])
     @pytest.mark.parametrize("system", ["mimo_10", "pendulum"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_simulate_rejects_a_non_finite_std_by_name(self, tmp_path, flag, field, system, value):
-        argv = ["simulate", "--system", system, "--T", "5", flag, value]
-        with pytest.raises(ValueError, match=rf"^{field} must be finite and nonnegative, got {value}"):
-            main(argv + ["--out", str(tmp_path / "traj")])
+    def test_simulate_rejects_a_non_finite_std_by_name(self, tmp_path, capsys, flag, field, system,
+                                                       value):
+        argv = ["simulate", "--system", system, "--T", "5", flag, value,
+                "--out", str(tmp_path / "traj")]
+        message = cli_error(capsys, argv)
+        assert re.search(rf"^{field} must be finite and nonnegative, got {value}", message)
         assert not (tmp_path / "traj.csv").exists()
 
     @pytest.mark.parametrize("system", ["mimo_10", "pendulum"])
     @pytest.mark.parametrize("T", [0, -5])
-    def test_simulate_rejects_a_horizon_below_one(self, tmp_path, system, T):
+    def test_simulate_rejects_a_horizon_below_one(self, tmp_path, system, T, capsys):
         argv = ["simulate", "--system", system, "--T", str(T), "--out", str(tmp_path / "p0")]
-        with pytest.raises(ValueError, match=rf"^horizon T must be at least 1, got {T}$"):
-            main(argv)
+        assert re.search(rf"^horizon T must be at least 1, got {T}$", cli_error(capsys, argv))
         assert list(tmp_path.iterdir()) == []
 
     def test_filters_writes_bank(self, tmp_path, capsys):
@@ -796,26 +807,50 @@ class TestCli:
         loaded = io.load_filter_bank(out)
         assert loaded.phis.shape == (8, 100)
 
-    def test_filters_rejects_zero_k(self, tmp_path):
-        with pytest.raises(ValueError):
-            main(["filters", "--T", "100", "--k", "0", "--out", str(tmp_path / "b")])
+    def test_filters_rejects_zero_k(self, tmp_path, capsys):
+        cli_error(capsys, ["filters", "--T", "100", "--k", "0", "--out", str(tmp_path / "b")])
 
-    def test_ode_filters_reject_a_horizon_below_two(self, tmp_path):
+    def test_ode_filters_reject_a_horizon_below_two(self, tmp_path, capsys):
         argv = ["filters", "--T", "1", "--k", "1", "--method", "ode", "--out", str(tmp_path / "b")]
         message = r"^method 'ode' needs a horizon T of at least 2, got T=1$"
-        with pytest.raises(ValueError, match=message):
-            main(argv)
+        assert re.search(message, cli_error(capsys, argv))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, field", [("--r-m", "r_m"), ("--eta", "eta")])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    def test_online_rejects_a_non_finite_setting_by_name(self, tmp_path, flag, field, value):
+    def test_online_rejects_a_non_finite_setting_by_name(self, tmp_path, capsys, flag, field,
+                                                         value):
         traj_base = tmp_path / "traj"
         main(["simulate", "--system", "siso_hard", "--T", "60", "--out", str(traj_base)])
-        argv = ["online", "--data", str(traj_base), "--k", "4", flag, value]
-        with pytest.raises(ValueError, match=rf"^{field} must be finite and positive, got {value}"):
-            main(argv + ["--out", str(tmp_path / "model")])
+        argv = ["online", "--data", str(traj_base), "--k", "4", flag, value,
+                "--out", str(tmp_path / "model")]
+        message = cli_error(capsys, argv)
+        assert re.search(rf"^{field} must be finite and positive, got {value}", message)
         assert not (tmp_path / "model.steps.csv").exists()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["filters", "--T", "0", "--k", "3"], "horizon must be positive, got 0"),
+        (["experiment", "--name", "siso_hard", "--T", "0", "--seeds", "0"],
+         "horizon must be positive, got 0"),
+        (["experiment", "--name", "siso_hard", "--T", "20", "--seeds", "0", "--k", "0"],
+         "filter count must be positive, got 0"),
+        (["online", "--data", "missing"], "[Errno 2] No such file or directory: 'missing.json'"),
+        (["online", "--data", "traj", "--k", "4", "--learner", "ftl", "--ridge", "0"],
+         "ridge 0.0 is not positive: step 0 is singular"),
+    ], ids=["filters-horizon", "experiment-horizon", "experiment-k", "online-missing-data",
+            "ftl-ridge-0"])
+    def test_bad_input_exits_2_with_its_message(self, tmp_path, monkeypatch, capsys, argv,
+                                                expected):
+        monkeypatch.chdir(tmp_path)
+        main(["simulate", "--system", "siso_hard", "--T", "60", "--out", "traj"])
+        assert cli_error(capsys, argv + ["--out", "out"]) == expected
+
+    def test_blown_up_learning_rate_still_raises(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        main(["simulate", "--system", "siso_hard", "--T", "60", "--out", "traj"])
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="blown up"):
+            main(["online", "--data", "traj", "--k", "4", "--eta", "1e12", "--r-m", "1e300",
+                  "--out", "model"])
 
     def test_online_eta_that_is_not_a_number_is_a_parser_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -964,10 +999,10 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_experiment", recorded)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"num_seeds": 3}))
+        cfg.write_text(json.dumps({"seeds": [3, 4]}))
         assert main(["experiment", "--config", str(cfg), "--name", "siso_hard",
-                     "--num", "1"]) == 0
-        assert configs[0].seeds == (0,)
+                     "--see", "1"]) == 0
+        assert configs[0].seeds == (1,)
 
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1011,16 +1046,44 @@ class TestExperiments:
         with pytest.raises(ValueError, match="threads must be 1, got 2: seeds run serially"):
             run_experiment(config, threads=2)
 
+    def test_config_rejects_a_repeated_seed_by_name(self):
+        with pytest.raises(ValueError, match=r"^seed 1 is listed more than once in seeds \(0, 1, 1\)$"):
+            default_experiment_config("siso_hard", horizon=40, seeds=(0, 1, 1))
+
+    def test_cli_rejects_a_repeated_seed(self, tmp_path, capsys):
+        argv = ["experiment", "--name", "siso_hard", "--T", "40", "--seeds", "0", "0",
+                "--out", str(tmp_path)]
+        assert cli_error(capsys, argv) == "seed 0 is listed more than once in seeds (0, 0)"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, config", [(["--seeds"], None), ([], {"seeds": []})],
+                             ids=["flag", "config"])
+    def test_cli_rejects_an_empty_seed_list(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = ["--config", str(tmp_path / "cfg.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--name", "siso_hard", "--T", "40"] + argv)
+        assert exc.value.code == 2
+        assert "argument --seeds: expected at least one argument" in capsys.readouterr().err
+
+    def test_cli_defaults_to_the_config_seeds(self, monkeypatch):
+        configs = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config: configs.append(config) or {"final_mse": {}})
+        assert main(["experiment", "--name", "siso_hard"]) == 0
+        assert configs[0].seeds == experiments.ExperimentConfig.seeds == tuple(range(10))
+
     def test_cli_has_no_threads_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["experiment", "--name", "siso_hard", "--T", "40", "--num-seeds", "1",
+            main(["experiment", "--name", "siso_hard", "--T", "40", "--seeds", "0",
                   "--threads", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_config_file_with_threads_is_a_parser_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"T": 40, "num_seeds": 1, "threads": 2}))
+        cfg.write_text(json.dumps({"T": 40, "seeds": [0], "threads": 2}))
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--config", str(cfg), "--name", "siso_hard"])
         assert exc.value.code == 2

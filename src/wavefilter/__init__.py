@@ -10,7 +10,7 @@ verification suite, all behind a CLI. Each public name is imported from
 its module, as in ``from wavefilter.filters import build_filter_bank``.
 """
 
-from . import (_blas, baselines, batch, experiments, filters, hankel, io, lds, ode, online,
-               relaxation, verify)
+from . import (_blas, _lapack, baselines, batch, experiments, filters, hankel, io, lds, ode,
+               online, relaxation, verify)
 
 __version__ = "0.1.0"

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
+
 __all__ = [
     "NOISE_FLOOR",
     "HankelMatrix",
@@ -164,14 +166,11 @@ def top_eigenpairs(H: HankelMatrix, k: int) -> Spectrum:
     ``always``). Its entries were checked finite when ``H`` was built. Raises ``ValueError``
     for k outside [1, T]; eigensolver failures propagate as ``numpy.linalg.LinAlgError``.
     """
-    import scipy.linalg  # scipy loads on first use, not at package import
-
     T = H.size
     if not 1 <= k <= T:
         raise ValueError(f"need 1 <= k <= {T}, got k={k}")
     if k < T:
-        w, v = scipy.linalg.eigh(a := _lower_triangle(H), subset_by_index=[T - k, T - 1],
-                                 overwrite_a=True, check_finite=False)
+        w, v = _lapack.eigh(a := _lower_triangle(H), T - k, T - 1)
         _drop_pages(a)
     else:
         w, v = np.linalg.eigh(H.entries)

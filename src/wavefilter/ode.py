@@ -25,6 +25,7 @@ import functools
 
 import numpy as np
 
+from . import _lapack
 from .hankel import NOISE_FLOOR, Spectrum, _sign_normalize, build_hankel, top_eigenpairs
 from .filters import EIGEN_K_CAP, FilterBank
 
@@ -64,8 +65,6 @@ def _fit_banded(
     T: int, phis: np.ndarray, theta: np.ndarray, weights: np.ndarray,
     anchor_diag: np.ndarray, anchor_off: np.ndarray, ridge: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    from scipy.linalg import solveh_banded  # scipy loads on first use, not at import
-
     # unknowns interleaved as (a_1, b_1, a_2, b_2, ..., a_T); the normal
     # matrix of the per-row residuals then has bandwidth 2. One row per
     # mode, C-contiguous, so each sum over modes adds whole rows in mode
@@ -85,7 +84,7 @@ def _fit_banded(
     ab[0] += ridge
     rhs[0::2] += ridge * anchor_diag
     rhs[1::2] += ridge * anchor_off
-    u = solveh_banded(ab, rhs, lower=True)
+    u = _lapack.solveh_banded(ab, rhs)
     return u[0::2], u[1::2]
 
 
@@ -136,13 +135,9 @@ def fitted_wave_operator(T: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _operator_eigs(T: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    from scipy.linalg import eigh_tridiagonal
-
     diag, off = fitted_wave_operator(T)
     count = min(count, T)
-    lam, vecs = eigh_tridiagonal(
-        diag, off, select="i", select_range=(T - count, T - 1)
-    )
+    lam, vecs = _lapack.eigh_tridiagonal(diag, off, T - count, T - 1)
     order = np.argsort(lam)[::-1]  # algebraically largest first
     return lam[order], vecs[:, order]
 

@@ -18,6 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import _lapack
 from ._blas import serial_blas
 from .filters import EIGEN_K_CAP, FeatureLayout, FilterBank, featurize_batch
 from .lds import LdsParams, Trajectory, _check_finite, _previous, derivative_predictions
@@ -338,13 +339,10 @@ def _ridge_gram_solve(gram: np.ndarray, cross: np.ndarray, ridge: float) -> np.n
     order, which it would otherwise copy ``gram`` into. A
     ``gram + ridge I`` that is not positive definite raises ``LinAlgError``.
     """
-    import scipy.linalg  # scipy loads on first use, not at package import
-
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     gram.flat[:: len(gram) + 1] += ridge
-    factor = scipy.linalg.cho_factor(gram.T, overwrite_a=True)
-    return scipy.linalg.cho_solve(factor, cross).T
+    return _lapack.cho_solve(_lapack.cho_factor(gram.T), cross).T
 
 
 def _rolling_ridge(

@@ -36,8 +36,8 @@ def _submodules() -> list:
 
 
 def test_package_import_loads_no_heavy_scipy_submodule():
-    # no scipy module at all: scipy.linalg alone adds about 0.4 s, so the
-    # package imports scipy inside the functions that call it. Nor does it
+    # no scipy module at all: scipy loads on the first LAPACK call
+    # (wavefilter._lapack), not at package import. Nor does it
     # look up numpy's BLAS thread controls; the first decorated call does.
     # Nor fractions or decimal (about 4 ms together): the CSV writer builds
     # its power-of-ten table from integers, on its first call. Nor
@@ -56,6 +56,62 @@ def test_package_import_loads_every_module_but_the_cli():
     code = "import sys, wavefilter; print(' '.join(sorted(sys.modules)))"
     loaded = {name for name in _fresh_import(code).split() if name.startswith("wavefilter.")}
     assert loaded == {mod.__name__ for mod in _submodules()} - {"wavefilter.cli"}
+
+
+def test_cli_commands_load_no_scipy_linalg():
+    # the eigen and ode banks, the batch ridge solve and the rolling FTL fit reach LAPACK
+    # through wavefilter._lapack, which loads scipy's f2py module alone: scipy.linalg
+    # would bring scipy's array-API layer (scipy._lib._array_api) with it
+    code = (
+        "import json, sys, tempfile\n"
+        "from pathlib import Path\n"
+        "from wavefilter.cli import main\n"
+        "d = Path(tempfile.mkdtemp())\n"
+        "for name in ('ep0', 'ep1'):\n"
+        "    assert main(['simulate', '--system', 'mimo_10', '--T', '60',\n"
+        "                 '--seed', name[-1], '--out', str(d / name)]) == 0\n"
+        "(d / 'manifest.json').write_text(json.dumps({'trajectories': ['ep0', 'ep1']}))\n"
+        "for argv in (['filters', '--T', '60', '--k', '5', '--method', 'eigen'],\n"
+        "             ['filters', '--T', '60', '--k', '5', '--method', 'ode'],\n"
+        "             ['batch', '--data', str(d), '--k', '5'],\n"
+        "             ['online', '--data', str(d / 'ep0'), '--k', '5', '--learner', 'ftl']):\n"
+        "    assert main(argv + ['--out', str(d / argv[0])]) == 0\n"
+        "print(' '.join(m for m in ('scipy.linalg._flapack', 'scipy.linalg',\n"
+        "                           'scipy._lib._array_api') if m in sys.modules))"
+    )
+    assert _fresh_import(code).splitlines()[-1] == "scipy.linalg._flapack"
+
+
+def test_scipy_linalg_imported_after_the_package_reuses_its_lapack_module():
+    code = (
+        "from wavefilter import _lapack\n"
+        "from wavefilter.hankel import _sign_normalize, build_hankel, top_eigenpairs\n"
+        "spec = top_eigenpairs(build_hankel(50), 5)\n"
+        "used = _lapack._flapack().dsyevr\n"
+        "import numpy as np, scipy.linalg\n"
+        "w, v = scipy.linalg.eigh(build_hankel(50).entries, subset_by_index=[45, 49])\n"
+        "order = np.argsort(w)[::-1]\n"
+        "assert np.array_equal(w[order], spec.sigmas)\n"
+        "assert np.array_equal(_sign_normalize(v[:, order]), spec.phis)\n"
+        "lapack = scipy.linalg.lapack\n"
+        "print(lapack.dsyevr is used, lapack._flapack is _lapack._flapack())"
+    )
+    assert _fresh_import(code) == "True True"
+
+
+def test_lapack_module_reuses_a_loaded_scipy_linalg():
+    code = (
+        "import importlib.machinery, scipy.linalg\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('loaded again')\n"
+        "importlib.machinery.ExtensionFileLoader = refuse\n"
+        "from wavefilter import _lapack\n"
+        "from wavefilter.online import _ridge_gram_solve\n"
+        "import numpy as np\n"
+        "_ridge_gram_solve(np.eye(3), np.ones((3, 1)), 1.0)\n"
+        "print(_lapack._flapack() is scipy.linalg._flapack)"
+    )
+    assert _fresh_import(code) == "True"
 
 
 def test_package_root_binds_only_its_modules():

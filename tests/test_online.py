@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefilter import online
+from wavefilter import _lapack, online
 from wavefilter.baselines import baseline_ar
 from wavefilter.batch import BatchSample, fit_batch
 from wavefilter.experiments import simulate_scenario
@@ -646,15 +646,15 @@ class TestRollingRidge:
         )
         bank = build_filter_bank(T, k)
         assert k * n > online._BLOCK  # the learned width exceeds the block length
-        scipy_calls = []
-        for name in ("solve", "solve_triangular", "cholesky", "cho_factor", "cho_solve"):
-            original = getattr(scipy.linalg, name)
+        lapack_calls = []
+        for name in ("eigh", "eigh_tridiagonal", "solveh_banded", "cho_factor", "cho_solve"):
+            original = getattr(_lapack, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                scipy_calls.append(_name)
-                return _original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original):
+                lapack_calls.append(_name)
+                return _original(*args)
 
-            monkeypatch.setattr(scipy.linalg, name, counted)
+            monkeypatch.setattr(_lapack, name, counted)
         solves = []
         np_solve = np.linalg.solve
 
@@ -665,10 +665,10 @@ class TestRollingRidge:
         monkeypatch.setattr(np.linalg, "solve", counted_np)
         run_ftl(traj, OnlineConfig(bank=bank, r_m=10.0), ridge=1.0)
         baseline_ar(traj, tau=3, ridge=1.0)
-        assert scipy_calls == []
+        assert lapack_calls == []
         assert solves and all(s[0] <= online._BLOCK for s in solves)
         fit_batch([BatchSample.from_trajectory(traj)], bank, ridge=1.0)
-        assert scipy_calls == ["cho_factor", "cho_solve"]  # the counter sees the batch solve
+        assert lapack_calls == ["cho_factor", "cho_solve"]  # the counter sees the batch solve
 
     def test_run_ftl_without_ridge_raises(self):
         # an empty history has no fit without a ridge, so step 0 is singular

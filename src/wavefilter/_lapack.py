@@ -1,4 +1,4 @@
-"""scipy's LAPACK wrappers, called without importing ``scipy.linalg`` (README, Dependencies).
+"""scipy's LAPACK wrappers, called without importing ``scipy.linalg`` (see the README).
 
 ``import scipy.linalg`` loads scipy's array-API layer, which walks ``dir(numpy)`` and so
 imports numpy's lazy ``f2py`` and ``testing`` submodules: about 0.2 s and 17 MiB of peak

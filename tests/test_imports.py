@@ -36,8 +36,9 @@ def _submodules() -> list:
 
 
 def test_package_import_loads_no_heavy_scipy_submodule():
-    # no scipy module at all: scipy loads on the first LAPACK call
-    # (wavefilter._lapack), not at package import. Nor does it
+    # no scipy module at all: the top-level scipy package and its LAPACK
+    # extension load on the first LAPACK call (wavefilter._lapack), about
+    # 15 ms and 3 MiB, not at package import. Nor does it
     # look up numpy's BLAS thread controls; the first decorated call does.
     # Nor fractions or decimal (about 4 ms together): the CSV writer builds
     # its power-of-ten table from integers, on its first call. Nor

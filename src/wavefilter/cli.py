@@ -6,9 +6,10 @@ Subcommands: ``filters`` (generate and export a filter bank),
 (named multi-seed benchmark), ``verify`` (invariant suite). A JSON config
 file can supply any flag's value; explicit flags win. Its keys are parsed
 as flags placed before the command line's own, so argparse checks their
-types, choices and required flags alike. A command that fails on bad input
-or an unreadable file (``ValueError``, ``OSError``) prints
-``wavefilter <command>: error: <message>`` and exits 2, as a bad flag does.
+types, choices and required flags alike. A command that fails on bad input,
+an unreadable file or a run that diverges (``ValueError``, ``OSError``,
+``FloatingPointError``) prints ``wavefilter <command>: error: <message>``
+and exits 2, as a bad flag does.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"wavefilter {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

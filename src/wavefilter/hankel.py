@@ -141,18 +141,18 @@ def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _drop_pages(a: np.ndarray, page: int = mmap.PAGESIZE) -> None:
-    """Drop the pages wholly inside ``a`` (no huge pages) and the heap's free pages; Linux only."""
-    lo, hi = -(-a.ctypes.data // page) * page, (a.ctypes.data + a.nbytes) // page * page
-    if hi > lo and hasattr(mmap, "MADV_NOHUGEPAGE"):
-        for advice in (mmap.MADV_NOHUGEPAGE, mmap.MADV_DONTNEED):
-            ctypes.CDLL(None).madvise(ctypes.c_void_p(lo), ctypes.c_size_t(hi - lo), advice)
-        getattr(ctypes.CDLL(None), "malloc_trim", int)(0)  # glibc keeps freed heap resident
-
-
 def _lower_triangle(H: HankelMatrix) -> np.ndarray:
+    """A new Fortran-order T-by-T array that holds H's lower triangle, on its own mapping.
+
+    The fresh anonymous pages read zero until written, so only the lower triangle becomes
+    resident, and they are unmapped when the array is released.
+    """
     T, symbol = H.size, H.symbol
-    _drop_pages(out := np.empty((T, T), order="F"))
+    buffer = mmap.mmap(-1, 8 * T * T)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)  # one huge page would span dozens of columns
+    getattr(ctypes.CDLL(None), "malloc_trim", int)(0)  # glibc keeps freed heap resident
+    out = np.ndarray((T, T), order="F", buffer=buffer)
     for j in range(T):
         out[j:, j] = symbol[2 * j : T + j]  # LAPACK with UPLO='L' reads nothing above the diagonal
     return out
@@ -161,19 +161,15 @@ def _lower_triangle(H: HankelMatrix) -> np.ndarray:
 def top_eigenpairs(H: HankelMatrix, k: int) -> Spectrum:
     """Top-k eigenpairs of a Hankel matrix, nonincreasing, sign-fixed.
 
-    For k < T the solver gets only the lower triangle of a new T-by-T buffer whose pages are
-    dropped before and after: about half its 8T^2 bytes never become resident (unless THP is
-    ``always``). Its entries were checked finite when ``H`` was built. Raises ``ValueError``
-    for k outside [1, T]; eigensolver failures propagate as ``numpy.linalg.LinAlgError``.
+    The solver gets only the lower triangle of a new T-by-T buffer, for every k: about half
+    its 8T^2 bytes never become resident. Its entries were checked finite when ``H`` was
+    built. Raises ``ValueError`` for k outside [1, T]; eigensolver failures propagate as
+    ``numpy.linalg.LinAlgError``.
     """
     T = H.size
     if not 1 <= k <= T:
         raise ValueError(f"need 1 <= k <= {T}, got k={k}")
-    if k < T:
-        w, v = _lapack.eigh(a := _lower_triangle(H), T - k, T - 1)
-        _drop_pages(a)
-    else:
-        w, v = np.linalg.eigh(H.entries)
+    w, v = _lapack.eigh(_lower_triangle(H), T - k, T - 1)
     order = np.argsort(w)[::-1]
     return Spectrum(sigmas=w[order].copy(), phis=_sign_normalize(v[:, order]))
 

@@ -256,7 +256,8 @@ def run_online(
     # as in np.linalg.norm; a frozen run copies it into the full matrix for
     # the next gemv. No gradient entry exceeds 2 ||r|| max|f|, so only a step
     # where that bound nears overflow checks the entries. A norm that
-    # overflows is projected as _project_ball does it, by _project_huge.
+    # overflows is projected as _project_ball does it, by _project_huge, so the
+    # loop does not warn of it.
     frozen, r_m = config.freeze_y_block, config.r_m
     matrix = state.matrix
     learned = state.layout.y_block.start if frozen else matrix.shape[1]
@@ -269,29 +270,30 @@ def run_online(
     outputs = trajectory.outputs
     predictions = np.zeros((T, m))
     matrix_norms = np.zeros(T)
-    for t in range(T):
-        f, prediction = features[t], predictions[t]
-        matrix.dot(f, out=prediction)
-        np.subtract(outputs[t], prediction, out=resid)
-        if not 2.0 * math.sqrt(resid.dot(resid)) * peaks[t] < 1e300:
-            if not np.isfinite(-2.0 * np.outer(resid, f)).all():
-                raise FloatingPointError(f"{_BLOWN_UP} (step {t + 1})")
-        np.multiply(column, f[:learned], out=grad)  # np.outer
-        np.multiply(-2.0, grad, out=grad)
-        np.multiply(eta, grad, out=grad)
-        np.subtract(block, grad, out=block)
-        norm = math.sqrt(flat.dot(flat))
-        if norm > r_m:
-            if math.isfinite(norm):
-                np.multiply(block, r_m / norm, out=block)
-            elif np.isfinite(block).all():
-                _project_huge(block, r_m, out=block)
-            else:
-                raise FloatingPointError(f"{_OVERFLOWED} (step {t + 1})")
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            f, prediction = features[t], predictions[t]
+            matrix.dot(f, out=prediction)
+            np.subtract(outputs[t], prediction, out=resid)
+            if not 2.0 * math.sqrt(resid.dot(resid)) * peaks[t] < 1e300:
+                if not np.isfinite(-2.0 * np.outer(resid, f)).all():
+                    raise FloatingPointError(f"{_BLOWN_UP} (step {t + 1})")
+            np.multiply(column, f[:learned], out=grad)  # np.outer
+            np.multiply(-2.0, grad, out=grad)
+            np.multiply(eta, grad, out=grad)
+            np.subtract(block, grad, out=block)
             norm = math.sqrt(flat.dot(flat))
-        if frozen:
-            np.copyto(head, block)
-        matrix_norms[t] = norm
+            if norm > r_m:
+                if math.isfinite(norm):
+                    np.multiply(block, r_m / norm, out=block)
+                elif np.isfinite(block).all():
+                    _project_huge(block, r_m, out=block)
+                else:
+                    raise FloatingPointError(f"{_OVERFLOWED} (step {t + 1})")
+                norm = math.sqrt(flat.dot(flat))
+            if frozen:
+                np.copyto(head, block)
+            matrix_norms[t] = norm
     losses = ((trajectory.outputs - predictions) ** 2).sum(axis=1)
 
     if comparator_params is not None:

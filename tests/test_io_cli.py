@@ -849,12 +849,29 @@ class TestCli:
         main(["simulate", "--system", "siso_hard", "--T", "60", "--out", "traj"])
         assert cli_error(capsys, argv + ["--out", "out"]) == expected
 
-    def test_blown_up_learning_rate_still_raises(self, tmp_path, monkeypatch):
+    def test_blown_up_learning_rate_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         main(["simulate", "--system", "siso_hard", "--T", "60", "--out", "traj"])
-        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="blown up"):
-            main(["online", "--data", "traj", "--k", "4", "--eta", "1e12", "--r-m", "1e300",
-                  "--out", "model"])
+        argv = ["online", "--data", "traj", "--k", "4", "--eta", "1e12", "--r-m", "1e300",
+                "--out", "model"]
+        assert re.search(r"the learning rate has blown up \(step \d+\)$", cli_error(capsys, argv))
+        assert not list(tmp_path.glob("model*"))
+
+    def test_diverging_pendulum_exits_2(self, tmp_path, capsys):
+        argv = ["simulate", "--system", "pendulum", "--T", "3", "--process-std", "1e308",
+                "--out", str(tmp_path / "X")]
+        assert cli_error(capsys, argv) == "pendulum state diverged at step 2"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_projected_overflow_prints_no_warning(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        main(["simulate", "--system", "siso_hard", "--T", "200", "--out", "traj"])
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["online", "--data", "traj", "--k", "5", "--eta", "1e300",
+                         "--out", "model"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_online_eta_that_is_not_a_number_is_a_parser_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -142,11 +142,7 @@ def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
 
 
 def _lower_triangle(H: HankelMatrix) -> np.ndarray:
-    """A new Fortran-order T-by-T array that holds H's lower triangle, on its own mapping.
-
-    The fresh anonymous pages read zero until written, so only the lower triangle becomes
-    resident, and they are unmapped when the array is released.
-    """
+    """A new Fortran-order T-by-T array on its own anonymous mapping, H's lower triangle set."""
     T, symbol = H.size, H.symbol
     buffer = mmap.mmap(-1, 8 * T * T)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
@@ -161,10 +157,11 @@ def _lower_triangle(H: HankelMatrix) -> np.ndarray:
 def top_eigenpairs(H: HankelMatrix, k: int) -> Spectrum:
     """Top-k eigenpairs of a Hankel matrix, nonincreasing, sign-fixed.
 
-    The solver gets only the lower triangle of a new T-by-T buffer, for every k: about half
-    its 8T^2 bytes never become resident. Its entries were checked finite when ``H`` was
-    built. Raises ``ValueError`` for k outside [1, T]; eigensolver failures propagate as
-    ``numpy.linalg.LinAlgError``.
+    For every k the solver gets only the lower triangle of a new T-by-T mapping, whose zero
+    pages above the diagonal are never written: about half its 8T^2 bytes never become
+    resident, and all are unmapped when it is released. Its entries were checked finite when
+    ``H`` was built. Raises ``ValueError`` for k outside [1, T]; eigensolver failures
+    propagate as ``numpy.linalg.LinAlgError``.
     """
     T = H.size
     if not 1 <= k <= T:

@@ -256,8 +256,7 @@ def run_online(
     # as in np.linalg.norm; a frozen run copies it into the full matrix for
     # the next gemv. No gradient entry exceeds 2 ||r|| max|f|, so only a step
     # where that bound nears overflow checks the entries. A norm that
-    # overflows is projected as _project_ball does it, by _project_huge, so the
-    # loop does not warn of it.
+    # overflows is projected as _project_ball does it, by _project_huge.
     frozen, r_m = config.freeze_y_block, config.r_m
     matrix = state.matrix
     learned = state.layout.y_block.start if frozen else matrix.shape[1]
@@ -270,7 +269,7 @@ def run_online(
     outputs = trajectory.outputs
     predictions = np.zeros((T, m))
     matrix_norms = np.zeros(T)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # such a norm is projected, not a warning
         for t in range(T):
             f, prediction = features[t], predictions[t]
             matrix.dot(f, out=prediction)

@@ -94,26 +94,18 @@ def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def cho_factor(a: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.cho_factor(a, overwrite_a=True)[0]``: the upper Cholesky factor of the
-    symmetric ``a``, in place when ``a`` is Fortran-ordered; below the diagonal is left as is.
+def posv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, overwrite_a=True), b)`` in one
+    ``dposv`` call, which is ``dpotrf`` then ``dpotrs``: ``x`` solving ``A x = b`` for the
+    symmetric positive definite ``A``, of which LAPACK reads the upper triangle and
+    overwrites it with the factor when ``a`` is Fortran-ordered.
     """
-    c, info = _flapack().dpotrf(np.asarray_chkfinite(a), lower=0, clean=0, overwrite_a=1)
+    a, b = np.asarray_chkfinite(a), np.asarray_chkfinite(b)
+    _, x, info = _flapack().dposv(a, b, lower=0, overwrite_a=1, overwrite_b=0)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
         raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument "
-                         'on entry to "POTRF".')
-    return c
-
-
-def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.cho_solve((c, False), b)``: ``x`` solving ``A x = b`` from the upper
-    factor ``c`` of ``A``.
-    """
-    c, b = np.asarray_chkfinite(c), np.asarray_chkfinite(b)
-    x, info = _flapack().dpotrs(c, b, lower=0, overwrite_b=0)
-    if info:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+                         'on entry to "POSV".')
     return x

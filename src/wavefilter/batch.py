@@ -14,10 +14,10 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _lapack
 from ._blas import serial_blas
 from .filters import FeatureLayout, FilterBank, featurize_batch
 from .lds import Trajectory, _check_finite
-from .online import _ridge_gram_solve
 
 __all__ = [
     "BatchSample",
@@ -119,7 +119,8 @@ def fit_batch(
         sse = sum(float(((s.targets - f @ matrix.T) ** 2).sum()) for s, f in zip(samples, blocks))
     else:  # rounding can take the identity below zero on a near-perfect fit
         del blocks, block
-        matrix = _ridge_gram_solve(gram, cross, ridge)
+        gram.flat[:: len(gram) + 1] += ridge  # LAPACK factors gram.T, its Fortran-order view
+        matrix = _lapack.posv(gram.T, cross).T
         sse = max(y_squares - float((matrix * (cross.T + ridge * matrix)).sum()), 0.0)
     if not np.all(np.isfinite(matrix)):
         raise FloatingPointError("least-squares solution has non-finite entries")

@@ -18,7 +18,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import _lapack
 from ._blas import serial_blas
 from .filters import EIGEN_K_CAP, FeatureLayout, FilterBank, featurize_batch
 from .lds import LdsParams, Trajectory, _check_finite, _previous, derivative_predictions
@@ -185,10 +184,11 @@ def _descend(
     layout: FeatureLayout,
 ) -> np.ndarray:
     """``matrix`` after one gradient step on the loss of residual ``resid``, projected."""
-    grad = -2.0 * np.outer(resid, features)
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError(_BLOWN_UP)
-    matrix = matrix - eta * grad
+    with np.errstate(over="ignore"):  # an overflow raises FloatingPointError, not a warning
+        grad = -2.0 * np.outer(resid, features)
+        if not np.all(np.isfinite(grad)):
+            raise FloatingPointError(_BLOWN_UP)
+        matrix = matrix - eta * grad
     if config.freeze_y_block:
         yb = layout.y_block
         matrix[:, yb] = np.eye(len(resid))
@@ -311,7 +311,8 @@ def _project_ball(matrix: np.ndarray, r_m: float) -> np.ndarray:
     A norm that overflows is taken scaled by the largest magnitude (see
     ``_project_huge``), so a huge finite matrix lands on the ball, not at 0.
     """
-    norm = np.linalg.norm(matrix)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(matrix)
     if not math.isfinite(norm):
         return _project_huge(matrix, r_m)
     return matrix * (r_m / norm) if norm > r_m else matrix
@@ -329,21 +330,6 @@ def _project_huge(matrix: np.ndarray, r_m: float, out: Optional[np.ndarray] = No
         raise FloatingPointError(_OVERFLOWED)
     unit = np.divide(matrix, peak, out=out)
     return np.multiply(unit, r_m / np.linalg.norm(unit), out=out)
-
-
-def _ridge_gram_solve(gram: np.ndarray, cross: np.ndarray, ridge: float) -> np.ndarray:
-    """M solving ``(gram + ridge I) M^T = cross`` by Cholesky, for ``F^T F`` and ``F^T Y``.
-
-    Uses up the symmetric ``gram``: the ridge is added to its diagonal in
-    place and the factorization overwrites it, so no identity or sum is
-    allocated. LAPACK is handed ``gram.T``, the same values in Fortran
-    order, which it would otherwise copy ``gram`` into. A
-    ``gram + ridge I`` that is not positive definite raises ``LinAlgError``.
-    """
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
-    gram.flat[:: len(gram) + 1] += ridge
-    return _lapack.cho_solve(_lapack.cho_factor(gram.T), cross).T
 
 
 def _rolling_ridge(

@@ -1,11 +1,12 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from wavefilter import batch
+from wavefilter import _lapack, batch
 from wavefilter.batch import (
     BatchSample,
     fit_batch,
@@ -14,7 +15,7 @@ from wavefilter.batch import (
 )
 from wavefilter.filters import FilterBank, augment_hint, build_filter_bank, featurize_batch
 from wavefilter.lds import LdsParams, Trajectory, simulate
-from wavefilter.online import _ridge_gram_solve, online_features
+from wavefilter.online import online_features
 
 
 def random_diagonal_system(rng, d=5, n=2, m=2):
@@ -149,7 +150,7 @@ class TestFitBatch:
         if ridge == 0.0:
             matrix = np.linalg.lstsq(F, Y, rcond=None)[0].T
         else:
-            matrix = _ridge_gram_solve(F.T @ F, F.T @ Y, ridge)
+            matrix = _cholesky_reference(F, Y, ridge)
         sse = sum(float(((s.targets - f @ matrix.T) ** 2).sum()) for s, f in zip(samples, feats))
         return matrix, sse, F, Y
 
@@ -258,7 +259,7 @@ class TestFitBatch:
         def unreachable(*args, **kwargs):
             raise AssertionError("solved despite differing widths")
 
-        monkeypatch.setattr(batch, "_ridge_gram_solve", unreachable)
+        monkeypatch.setattr(_lapack, "posv", unreachable)
         monkeypatch.setattr(np.linalg, "lstsq", unreachable)
         bank = build_filter_bank(20, 3)
         shapes = {"inputs": [2, 2, 2], "targets": [1, 1, 1], field: widths}
@@ -299,12 +300,39 @@ class TestFitBatch:
 
     def test_ridge_added_in_place_equals_the_identity_sum(self):
         rng = np.random.default_rng(16)
-        F, Y = rng.standard_normal((80, 12)), rng.standard_normal((80, 3))
-        gram = F.T @ F
+        bank = build_filter_bank(80, 5)
+        sample = BatchSample(inputs=rng.standard_normal((80, 2)),
+                             targets=rng.standard_normal((80, 3)))
+        F = featurize_batch(sample.inputs, bank)
+        expected = _cholesky_reference(F, sample.targets, 1e-3)
+        assert np.array_equal(fit_batch([sample], bank, 1e-3).matrix, expected)
+
+    def test_huge_ridge_shrinks_to_zero(self):
+        rng = np.random.default_rng(8)
+        sample = BatchSample(inputs=rng.standard_normal((50, 1)),
+                             targets=rng.standard_normal((50, 2)))
+        model = fit_batch([sample], build_filter_bank(50, 2), ridge=1e12)
+        assert np.abs(model.matrix).max() <= 1e-9
+
+    def test_ridge_solve_matches_augmented_lstsq(self):
+        # the ridge minimizer is plain least squares on [F; sqrt(ridge) I], [Y; 0]
+        rng = np.random.default_rng(9)
+        bank = build_filter_bank(60, 3)
+        sample = BatchSample(inputs=rng.standard_normal((60, 1)),
+                             targets=rng.standard_normal((60, 2)))
         ridge = 1e-3
-        expected = scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(gram + ridge * np.eye(len(gram))), F.T @ Y).T
-        assert np.array_equal(_ridge_gram_solve(gram.copy(), F.T @ Y, ridge), expected)
+        direct = fit_batch([sample], bank, ridge).matrix
+        feats = featurize_batch(sample.inputs, bank)
+        aug_feats = np.vstack([feats, math.sqrt(ridge) * np.eye(5)])
+        aug_targets = np.vstack([sample.targets, np.zeros((5, 2))])
+        expected, *_ = np.linalg.lstsq(aug_feats, aug_targets, rcond=None)
+        assert np.abs(direct - expected.T).max() <= 1e-8
+
+
+def _cholesky_reference(F, Y, ridge):
+    """scipy's Cholesky solve of ``(F^T F + ridge I) M^T = F^T Y``, as M."""
+    shifted = F.T @ F + ridge * np.eye(F.shape[1])
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted), F.T @ Y).T
 
 
 def _count_spectra(monkeypatch) -> list:
@@ -369,7 +397,7 @@ class TestFeaturizationMemory:
         rng = np.random.default_rng(17)
         width = 400
         F, Y = rng.standard_normal((2 * width, width)), rng.standard_normal((2 * width, 3))
-        _, peak = _traced_peak(_ridge_gram_solve, F.T @ F, F.T @ Y, 1e-3)
+        _, peak = _traced_peak(lambda gram, cross: _lapack.posv(gram.T, cross), F.T @ F, F.T @ Y)
         assert peak < 4 * width**2
 
     def test_featurize_batch_transient_is_bounded(self):

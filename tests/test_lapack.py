@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wavefilter import _lapack, hankel, ode, online
+from wavefilter import _lapack, hankel, ode
 from wavefilter.hankel import build_hankel, hilbert_matrix, top_eigenpairs
 
 
@@ -61,15 +61,13 @@ def test_ode_operator_fit_and_eigenpairs_match_scipy(T, monkeypatch):
                                                         select_range=(first, last)))
 
 
-@pytest.mark.parametrize("rhs", [1, 20])
-def test_ridge_solve_matches_scipy_cholesky(rhs):
-    rng = np.random.default_rng(rhs)
-    F = rng.standard_normal((200, 30))
-    gram, cross, ridge = F.T @ F, F.T @ rng.standard_normal((200, rhs)), 0.5
-    shifted = gram + ridge * np.eye(len(gram))
-    expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted.T, overwrite_a=True),
-                                      cross).T
-    _assert_equal((online._ridge_gram_solve(gram, cross, ridge),), (expected,))
+@pytest.mark.parametrize("width", [27, 270, 420])
+def test_posv_matches_scipy_cholesky(width):
+    rng = np.random.default_rng(width)
+    F = rng.standard_normal((2 * width, width))
+    shifted, cross = F.T @ F + 0.5 * np.eye(width), F.T @ rng.standard_normal((2 * width, 10))
+    expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(shifted), cross)
+    _assert_equal((_lapack.posv(shifted.T, cross),), (expected,))
 
 
 _SMALL = np.random.default_rng(0).standard_normal((20, 4))
@@ -86,22 +84,17 @@ _CALLS = {
         _lapack.solveh_banded,
         lambda ab, b: scipy.linalg.solveh_banded(ab, b, lower=True),
     ),
-    "cho_factor": (
-        (_GRAM,),
-        _lapack.cho_factor,
-        lambda a: scipy.linalg.cho_factor(a, overwrite_a=True),
-    ),
-    "cho_solve": (
-        (np.linalg.cholesky(_GRAM).T, np.ones((4, 2))),
-        _lapack.cho_solve,
-        lambda c, b: scipy.linalg.cho_solve((c, False), b),
+    "posv": (
+        (_GRAM, np.ones((4, 2))),
+        _lapack.posv,
+        lambda a, b: scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, overwrite_a=True), b),
     ),
 }
 
 
 @pytest.mark.parametrize("name, index", [("eigh_tridiagonal", 0), ("eigh_tridiagonal", 1),
                                          ("solveh_banded", 0), ("solveh_banded", 1),
-                                         ("cho_factor", 0), ("cho_solve", 0), ("cho_solve", 1)])
+                                         ("posv", 0), ("posv", 1)])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_nonfinite_input_raises_as_scipy_does(name, index, value):
     inputs, ours, reference = _CALLS[name]
@@ -123,7 +116,7 @@ def test_gram_that_is_not_positive_definite_raises_linalg_error():
     with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor") as expected:
         scipy.linalg.cho_factor(gram.copy(), overwrite_a=True)
     with pytest.raises(np.linalg.LinAlgError) as raised:
-        online._ridge_gram_solve(gram.copy(), np.ones((3, 1)), 0.0)
+        _lapack.posv(gram.copy(), np.ones((3, 1)))
     assert str(raised.value) == str(expected.value)
 
 

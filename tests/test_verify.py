@@ -23,7 +23,7 @@ class TestRunVerification:
         assert len(checks) == len(REGISTRY)
 
     def test_small_profile_passes(self):
-        checks = run_verification(ToleranceProfile(sizes=(64, 128), overlap_sizes=(200,)))
+        checks = run_verification(ToleranceProfile(sizes=(64, 128)))
         assert all(c.passed for c in checks)
 
 
@@ -32,8 +32,6 @@ class TestToleranceProfile:
         ({"sizes": ()}, r"^sizes must be a non-empty tuple of sizes of at least 1, got \(\)$"),
         ({"sizes": (0,)}, r"^sizes must be a non-empty tuple of sizes of at least 1, got \(0,\)$"),
         ({"sizes": (64, -3)}, r"^sizes must be .* at least 1, got \(64, -3\)$"),
-        ({"overlap_sizes": ()}, r"^overlap_sizes must be .* at least 2, got \(\)$"),
-        ({"overlap_sizes": (200, 1)}, r"^overlap_sizes must be .* at least 2, got \(200, 1\)$"),
     ])
     def test_rejects_empty_or_too_small_sizes_by_field(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -70,6 +70,33 @@ def test_posv_matches_scipy_cholesky(width):
     _assert_equal((_lapack.posv(shifted.T, cross),), (expected,))
 
 
+def _spd(width):
+    rng = np.random.default_rng(width)
+    F = rng.standard_normal((2 * width, width))
+    return F.T @ F + 0.5 * np.eye(width), rng.standard_normal((width, 3))
+
+
+def test_posv_reads_only_the_upper_triangle():
+    a, b = _spd(30)
+    spoiled = np.asfortranarray(a)
+    spoiled[np.tril_indices(30, -1)] = 1e3  # an indefinite matrix if LAPACK read it
+    _assert_equal((_lapack.posv(spoiled, b),), (_lapack.posv(np.asfortranarray(a), b),))
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_posv_overwrites_only_a_fortran_order_a_and_never_b(order):
+    # f2py hands a Fortran-order array to LAPACK as it is, which overwrites its upper
+    # triangle with cho_factor's factor; a C-order one goes through a copy
+    a, b = _spd(30)
+    given, rhs = np.array(a, order=order), b.copy()
+    _lapack.posv(given, rhs)
+    assert np.array_equal(rhs, b)
+    if order == "F":
+        assert np.array_equal(given, scipy.linalg.cho_factor(a)[0])
+    else:
+        assert np.array_equal(given, a)
+
+
 _SMALL = np.random.default_rng(0).standard_normal((20, 4))
 _GRAM = _SMALL.T @ _SMALL
 # name: (finite inputs, the package's call, scipy's call)

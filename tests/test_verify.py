@@ -37,6 +37,11 @@ class TestToleranceProfile:
         with pytest.raises(ValueError, match=message):
             ToleranceProfile(**kwargs)
 
+    def test_overlap_horizons_are_fixed_not_a_field(self):
+        with pytest.raises(TypeError, match="overlap_sizes"):
+            ToleranceProfile(overlap_sizes=(200,))
+        assert verify._OVERLAP_SIZES == (200, 1000)
+
     @pytest.mark.parametrize("sizes, failing", [
         ((5,), {"spectral-decay": 10, "tail-dominance": 60}),
         ((5, 20), {"tail-dominance": 60}),

@@ -165,7 +165,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = []
     if args.bank:
         checks += check_filter_bank(io.load_filter_bank(Path(args.bank)))
-    profile = ToleranceProfile(sizes=tuple(args.sizes))
+    profile = ToleranceProfile(sizes=args.sizes)
     checks += run_verification(profile)
     rows = [
         {"name": c.name, "passed": bool(c.passed), "detail": c.detail} for c in checks

@@ -10,7 +10,7 @@ check and any failure flips the exit status.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,25 +52,48 @@ class InvariantCheck:
 
 @dataclass(frozen=True)
 class ToleranceProfile:
-    """Sizes used by the verification suite; its alpha grid step and seed are fixed."""
+    """Sizes used by the verification suite; its alpha grid and seed are fixed."""
 
     sizes: tuple[int, ...] = (64, 256, 1000)
-    alpha_step: float = field(default=0.01, init=False)
-    seed: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        if not self.sizes or any(T < 1 for T in self.sizes):
+        sizes = tuple(self.sizes)
+        bad = next((T for T in sizes if type(T) is not int), None)
+        if bad is not None:
+            raise ValueError(f"sizes must be integers, got {bad!r} in {sizes!r}")
+        if not sizes or any(T < 1 for T in sizes):
             raise ValueError(
-                f"sizes must be a non-empty tuple of sizes of at least 1, got {self.sizes!r}"
+                f"sizes must be a non-empty tuple of sizes of at least 1, got {sizes!r}"
             )
+        object.__setattr__(self, "sizes", sizes)
+
+
+_ALPHA_STEP = 0.002  # step of every alpha grid on [0, 1]
+_SEED = 0  # seed of every random draw
 
 
 def _no_size_reaches(name: str, least: int, p: ToleranceProfile) -> InvariantCheck:
     return InvariantCheck(name, False, f"no size is at least {least}, got sizes {p.sizes}")
 
 
-def _alpha_grid(step: float) -> np.ndarray:
-    return np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
+def _alpha_grid() -> np.ndarray:
+    return np.round(np.arange(0.0, 1.0 + _ALPHA_STEP / 2, _ALPHA_STEP), 12)
+
+
+def _gram_deviation(phis: np.ndarray) -> float:
+    """Largest entry of |phis phis^T - I| over the rows of phis."""
+    return float(np.abs(phis @ phis.T - np.eye(len(phis))).max())
+
+
+def _l1_excess(sigmas: np.ndarray, filters: np.ndarray, T: int) -> float:
+    """Largest l1 norm minus 2 + 2 log2 T over the filters above the noise floor."""
+    bound = 2.0 + 2.0 * math.log2(T)
+    worst = -np.inf
+    for sigma, f in zip(sigmas, filters):
+        if sigma <= NOISE_FLOOR:
+            break
+        worst = max(worst, float(np.abs(f).sum()) - bound)
+    return worst
 
 
 def _check_hankel_entries(p: ToleranceProfile) -> InvariantCheck:
@@ -85,16 +108,12 @@ def _check_hankel_entries(p: ToleranceProfile) -> InvariantCheck:
 
 
 def _check_hankel_psd(p: ToleranceProfile) -> InvariantCheck:
-    worst = np.inf
-    for T in p.sizes:
-        worst = min(worst, float(full_spectrum(T).sigmas.min()))
+    worst = min(float(full_spectrum(T).sigmas.min()) for T in p.sizes)
     return InvariantCheck("hankel-psd", worst >= -1e-10, f"min eigenvalue {worst:.3e}")
 
 
 def _check_hankel_trace(p: ToleranceProfile) -> InvariantCheck:
-    worst = 0.0
-    for T in (1, 10) + p.sizes:
-        worst = max(worst, float(np.trace(build_hankel(T).entries)))
+    worst = max(float(np.trace(build_hankel(T).entries)) for T in (1, 10) + p.sizes)
     return InvariantCheck("hankel-trace", worst < 0.75, f"max trace {worst:.6f}")
 
 
@@ -153,7 +172,7 @@ def _check_projection_residual(p: ToleranceProfile) -> InvariantCheck:
     for k in (5, 10, 25):
         basis = spec.phis[:, :k]
         bound = math.sqrt(6.0 * spectral_tail_sum(spec, k))
-        for a in _alpha_grid(p.alpha_step):
+        for a in _alpha_grid():
             v = mu_curve(a, T)
             resid = v - basis @ (basis.T @ v)
             worst = max(worst, float(resid @ resid) - bound)
@@ -168,7 +187,7 @@ def _check_reconstruction_coefficients(p: ToleranceProfile) -> InvariantCheck:
     reliable = int(np.sum(spec.sigmas > NOISE_FLOOR))
     bound = 6.0**0.25 * spec.sigmas[:reliable] ** 0.25
     worst = -np.inf
-    for a in _alpha_grid(p.alpha_step):
+    for a in _alpha_grid():
         coef = np.abs(spec.phis[:, :reliable].T @ mu_curve(a, T))
         worst = max(worst, float((coef - bound).max()))
     return InvariantCheck(
@@ -180,12 +199,8 @@ def _check_filter_l1(p: ToleranceProfile) -> InvariantCheck:
     worst = -np.inf
     for T in p.sizes:
         spec = full_spectrum(T)
-        bound = 2.0 + 2.0 * math.log2(T)
-        for j in range(min(20, T)):
-            if spec.sigmas[j] <= NOISE_FLOOR:
-                break
-            l1 = float(np.abs(spec.sigmas[j] ** 0.25 * spec.phis[:, j]).sum())
-            worst = max(worst, l1 - bound)
+        sigmas = spec.sigmas[:20]
+        worst = max(worst, _l1_excess(sigmas, sigmas[:, None] ** 0.25 * spec.phis[:, :20].T, T))
     return InvariantCheck("filter-l1", worst <= 0, f"worst l1-minus-bound {worst:.3e}")
 
 
@@ -193,7 +208,7 @@ def _check_quarter_power_l1(p: ToleranceProfile) -> InvariantCheck:
     T = 256
     spec = full_spectrum(T)
     bound = 2.0 + 2.0 * math.log2(T)
-    rng = np.random.default_rng(p.seed)
+    rng = np.random.default_rng(_SEED)
     worst = -np.inf
     for _ in range(100):
         v = rng.standard_normal(T)
@@ -203,30 +218,30 @@ def _check_quarter_power_l1(p: ToleranceProfile) -> InvariantCheck:
 
 
 def _check_mu_envelope(p: ToleranceProfile) -> InvariantCheck:
-    T = 400
+    T = 500
     worst = -np.inf
     envelope = 1.0 / np.arange(1, T + 1)
-    for a in _alpha_grid(p.alpha_step):
+    for a in _alpha_grid():
         worst = max(worst, float((np.abs(mu_curve(a, T)) - envelope).max()))
     return InvariantCheck("mu-envelope", worst <= 0, f"worst excess {worst:.3e}")
 
 
 def _check_mu_l1(p: ToleranceProfile) -> InvariantCheck:
-    T = 400
-    worst = max(float(np.abs(mu_curve(a, T)).sum()) for a in _alpha_grid(p.alpha_step))
+    T = 500
+    worst = max(float(np.abs(mu_curve(a, T)).sum()) for a in _alpha_grid())
     return InvariantCheck("mu-l1", worst <= 1.0 + 1e-12, f"max l1 norm {worst:.6f}")
 
 
 def _check_mu_l2(p: ToleranceProfile) -> InvariantCheck:
-    T = 400
-    worst = max(float(mu_curve(a, T) @ mu_curve(a, T)) for a in _alpha_grid(p.alpha_step))
+    T = 500
+    worst = max(float(mu_curve(a, T) @ mu_curve(a, T)) for a in _alpha_grid())
     return InvariantCheck("mu-l2", worst <= 1.0 + 1e-12, f"max squared l2 norm {worst:.6f}")
 
 
 def _check_mu_derivative(p: ToleranceProfile) -> InvariantCheck:
-    T, h = 400, 1e-5
+    T, h = 500, 1e-5
     worst = 0.0
-    for a in np.arange(0.005, 0.996, 0.005):
+    for a in np.arange(0.001, 0.9995, 0.001):
         lo = mu_curve(a - h, T)
         hi = mu_curve(a + h, T)
         deriv = (hi @ hi - lo @ lo) / (2 * h)
@@ -248,7 +263,7 @@ def _random_system(rng: np.random.Generator, d: int, n: int, m: int) -> LdsParam
 def _check_predictor_frobenius(p: ToleranceProfile) -> InvariantCheck:
     T, k = 128, 12
     bank = build_filter_bank(T, k)
-    rng = np.random.default_rng(p.seed)
+    rng = np.random.default_rng(_SEED)
     worst = -np.inf
     for _ in range(50):
         params = _random_system(rng, d=6, n=3, m=2)
@@ -262,7 +277,7 @@ def _check_predictor_frobenius(p: ToleranceProfile) -> InvariantCheck:
 
 
 def _check_feature_entry_bound(p: ToleranceProfile) -> InvariantCheck:
-    rng = np.random.default_rng(p.seed)
+    rng = np.random.default_rng(_SEED)
     worst = -np.inf
     for T in p.sizes:
         bank = build_filter_bank(T, min(25, T, 40))
@@ -277,7 +292,7 @@ def _check_feature_entry_bound(p: ToleranceProfile) -> InvariantCheck:
 
 
 def _check_feature_norm_bound(p: ToleranceProfile) -> InvariantCheck:
-    rng = np.random.default_rng(p.seed)
+    rng = np.random.default_rng(_SEED)
     T = 256
     n, m, k = 3, 2, 20
     bank = build_filter_bank(T, k)
@@ -301,7 +316,7 @@ def _check_feature_norm_bound(p: ToleranceProfile) -> InvariantCheck:
 
 
 def _check_fft_equivalence(p: ToleranceProfile) -> InvariantCheck:
-    rng = np.random.default_rng(p.seed)
+    rng = np.random.default_rng(_SEED)
     worst = 0.0
     for T, n, k in ((64, 1, 5), (200, 3, 10), (256, 2, 25), (1024, 10, 25)):
         bank = build_filter_bank(T, k)
@@ -313,7 +328,7 @@ def _check_fft_equivalence(p: ToleranceProfile) -> InvariantCheck:
 
 
 def _check_derivative_equivalence(p: ToleranceProfile) -> InvariantCheck:
-    rng = np.random.default_rng(p.seed)
+    rng = np.random.default_rng(_SEED)
     worst = 0.0
     for T, dense in ((1, False), (300, False), (1, True), (300, True)):
         base = _random_system(rng, d=4, n=2, m=3)
@@ -329,7 +344,7 @@ def _check_derivative_equivalence(p: ToleranceProfile) -> InvariantCheck:
 
 
 def _check_output_lipschitz(p: ToleranceProfile) -> InvariantCheck:
-    rng = np.random.default_rng(p.seed)
+    rng = np.random.default_rng(_SEED)
     worst = -np.inf
     for trial in range(20):
         d = int(rng.integers(2, 6))
@@ -347,7 +362,7 @@ def _check_output_lipschitz(p: ToleranceProfile) -> InvariantCheck:
 
 
 def _check_hidden_state_decay(p: ToleranceProfile) -> InvariantCheck:
-    rng = np.random.default_rng(p.seed)
+    rng = np.random.default_rng(_SEED)
     worst = -np.inf
     worst_exact = 0.0
     for trial in range(10):
@@ -384,17 +399,15 @@ def _check_ode_overlap(p: ToleranceProfile) -> InvariantCheck:
         spec = full_spectrum(T)
         bank = build_filter_bank(T, min(12, T), method="ode")
         for j in range(min(10, bank.k)):
-            cos = float(np.abs(bank.phis[j] @ spec.phis[:, j]))
-            worst = min(worst, cos)
+            worst = min(worst, float(np.abs(bank.phis[j] @ spec.phis[:, j])))
     return InvariantCheck("ode-filter-overlap", worst >= 0.95, f"min cosine {worst:.4f}")
 
 
 def _check_bank_orthonormality(p: ToleranceProfile) -> InvariantCheck:
-    worst = 0.0
-    for method in ("eigen", "hilbert", "ode"):
-        bank = build_filter_bank(128, 12, method=method)
-        gram = bank.phis @ bank.phis.T
-        worst = max(worst, float(np.abs(gram - np.eye(bank.k)).max()))
+    worst = max(
+        _gram_deviation(build_filter_bank(128, 12, method=method).phis)
+        for method in ("eigen", "hilbert", "ode")
+    )
     return InvariantCheck(
         "bank-orthonormality", worst <= 1e-8, f"max gram deviation {worst:.3e}"
     )
@@ -436,30 +449,17 @@ def run_verification(profile: Optional[ToleranceProfile] = None) -> list[Invaria
 
 def check_filter_bank(bank: FilterBank) -> list[InvariantCheck]:
     """Validate a (possibly externally loaded) filter bank."""
-    checks = []
-    gram = bank.phis @ bank.phis.T
-    dev = float(np.abs(gram - np.eye(bank.k)).max())
-    checks.append(
-        InvariantCheck("bank-orthonormality", dev <= 1e-6, f"max gram deviation {dev:.3e}")
-    )
-    scale_dev = float(
-        np.abs(bank.scaled_filters - bank.sigmas[:, None] ** 0.25 * bank.phis).max()
-    )
-    checks.append(
-        InvariantCheck("bank-scaling", scale_dev <= 1e-12, f"max deviation {scale_dev:.3e}")
-    )
+    dev = _gram_deviation(bank.phis)
+    scale_dev = float(np.abs(bank.scaled_filters - bank.sigmas[:, None] ** 0.25 * bank.phis).max())
     order_ok = bool(np.all(np.diff(bank.sigmas) <= 1e-12))
-    checks.append(InvariantCheck("bank-sigma-order", order_ok, "eigenvalues nonincreasing"))
-    if bank.method in ("eigen",):
-        bound = 2.0 + 2.0 * math.log2(bank.horizon)
-        worst = -np.inf
-        for j in range(bank.k):
-            if bank.sigmas[j] <= NOISE_FLOOR:
-                break
-            worst = max(worst, float(np.abs(bank.scaled_filters[j]).sum()) - bound)
+    checks = [
+        InvariantCheck("bank-orthonormality", dev <= 1e-6, f"max gram deviation {dev:.3e}"),
+        InvariantCheck("bank-scaling", scale_dev <= 1e-12, f"max deviation {scale_dev:.3e}"),
+        InvariantCheck("bank-sigma-order", order_ok, "eigenvalues nonincreasing"),
+    ]
+    if bank.method == "eigen":
+        worst = _l1_excess(bank.sigmas, bank.scaled_filters, bank.horizon)
         checks.append(
-            InvariantCheck(
-                "bank-filter-l1", worst <= 0, f"worst l1-minus-bound {worst:.3e}"
-            )
+            InvariantCheck("bank-filter-l1", worst <= 0, f"worst l1-minus-bound {worst:.3e}")
         )
     return checks

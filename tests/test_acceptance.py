@@ -2,7 +2,8 @@
 
 One test per criterion; each prints a single PASS/FAIL line (run with
 ``pytest -s tests/test_acceptance.py`` to see them) and asserts the
-stated runtime budget where one exists.
+stated runtime budget where one exists. Criteria 1-8 and the overlap part
+of 18 run the ``verify`` checks that state their bounds.
 """
 
 import math
@@ -10,8 +11,8 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
+from wavefilter import verify
 from wavefilter.batch import BatchSample, fit_batch
 from wavefilter.baselines import baseline_last_value
 from wavefilter.experiments import default_experiment_config, run_experiment
@@ -21,14 +22,7 @@ from wavefilter.filters import (
     featurize_batch,
     featurize_batch_naive,
 )
-from wavefilter.hankel import (
-    NOISE_FLOOR,
-    build_hankel,
-    full_spectrum,
-    mu_curve,
-    quarter_power_apply,
-    spectral_tail_sum,
-)
+from wavefilter.hankel import NOISE_FLOOR, full_spectrum
 from wavefilter.lds import LdsParams, NoiseConfig, simulate, synthetic_system
 from wavefilter.online import (
     OnlineConfig,
@@ -38,6 +32,7 @@ from wavefilter.online import (
     update,
 )
 from wavefilter.relaxation import build_M_theta, relaxation_residual
+from wavefilter.verify import ToleranceProfile
 
 
 @contextmanager
@@ -56,6 +51,13 @@ def criterion(num, description, budget=None):
     print(f"PASS criterion {num:2d} [{elapsed:7.2f}s]: {description}")
 
 
+def assert_checks_pass(*checks, profile=ToleranceProfile()):
+    """Run ``verify`` checks, each the one home of a bound, failing with its detail."""
+    for check in checks:
+        result = check(profile)
+        assert result.passed, f"{result.name}: {result.detail}"
+
+
 def scaled_diagonal_system(rng, d, n, m, b_norm, c_norm, d_norm=0.0, h0=None):
     b = rng.standard_normal((d, n))
     b *= b_norm / np.linalg.norm(b)
@@ -71,109 +73,49 @@ def scaled_diagonal_system(rng, d, n, m, b_norm, c_norm, d_norm=0.0, h0=None):
 
 def test_criterion_01_hankel_formula_and_trace():
     with criterion(1, "Hankel entries exact; trace(Z_1000) < 3/4", budget=5.0):
-        for T in (1, 3, 64, 1000):
-            Z = build_hankel(T).entries
-            idx = np.arange(1, T + 1)
-            s = idx[:, None] + idx[None, :]
-            assert np.array_equal(Z, 2.0 / (s**3 - s))
-        assert np.trace(build_hankel(1000).entries) < 0.75
+        assert_checks_pass(verify._check_hankel_entries, verify._check_hankel_trace)
 
 
 def test_criterion_02_spectral_decay():
     with criterion(2, "spectral decay envelope at T=1000", budget=30.0):
-        T = 1000
-        c = math.exp(math.pi**2 / 4)
-        sig = full_spectrum(T).sigmas
-        checked = 0
-        for j in range(1, T + 1):
-            if sig[j - 1] <= NOISE_FLOOR:
-                break
-            assert sig[j - 1] <= min(0.75, 1e6 * c ** (-j / math.log(T)))
-            checked += 1
-        assert checked >= 15
+        assert_checks_pass(verify._check_spectral_decay)
+        assert np.sum(full_spectrum(1000).sigmas > NOISE_FLOOR) >= 15
 
 
 def test_criterion_03_tail_dominance():
     with criterion(3, "tail sums dominated by 400 ln(T) sigma_j", budget=10.0):
-        for T in (100, 256):
-            spec = full_spectrum(T)
-            for j in range(1, T + 1):
-                if spec.sigmas[j - 1] <= NOISE_FLOOR:
-                    break
-                assert (
-                    spectral_tail_sum(spec, j)
-                    < 400 * math.log(T) * spec.sigmas[j - 1]
-                )
+        assert_checks_pass(verify._check_tail_dominance, profile=ToleranceProfile(sizes=(100, 256)))
 
 
 def test_criterion_04_moment_identity():
     with criterion(4, "quadrature of the curve outer product matches Z_50"):
-        T = 50
-        nodes, weights = np.polynomial.legendre.leggauss(200)
-        acc = np.zeros((T, T))
-        for a, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
-            v = mu_curve(a, T)
-            acc += w * np.outer(v, v)
-        assert np.abs(acc - build_hankel(T).entries).max() <= 1e-10
+        assert_checks_pass(verify._check_moment_identity)
 
 
 def test_criterion_05_reconstruction_bound():
     with criterion(5, "projection residual within sqrt(6 tail) at T=200"):
-        T = 200
-        spec = full_spectrum(T)
-        grid = np.round(np.arange(0.0, 1.0001, 0.01), 10)
-        for k in (5, 10, 25):
-            basis = spec.phis[:, :k]
-            bound = math.sqrt(6.0 * spectral_tail_sum(spec, k))
-            for alpha in grid:
-                v = mu_curve(alpha, T)
-                resid = v - basis @ (basis.T @ v)
-                assert resid @ resid <= bound
+        assert_checks_pass(verify._check_projection_residual)
 
 
 def test_criterion_06_coefficient_bound():
     with criterion(6, "curve coefficients within 6^(1/4) sigma^(1/4) at T=200"):
-        T = 200
-        spec = full_spectrum(T)
-        reliable = int(np.sum(spec.sigmas > NOISE_FLOOR))
-        bound = 6.0**0.25 * spec.sigmas[:reliable] ** 0.25
-        for alpha in np.round(np.arange(0.0, 1.0001, 0.01), 10):
-            coef = np.abs(spec.phis[:, :reliable].T @ mu_curve(alpha, T))
-            assert np.all(coef <= bound)
+        assert_checks_pass(verify._check_reconstruction_coefficients)
 
 
 def test_criterion_07_filter_l1_bounds():
     with criterion(7, "scaled-filter and quarter-power l1 bounds"):
-        for T in (64, 256, 1024):
-            spec = full_spectrum(T)
-            bound = 2.0 + 2.0 * math.log2(T)
-            for j in range(min(20, T)):
-                if spec.sigmas[j] <= NOISE_FLOOR:
-                    break
-                assert np.abs(spec.sigmas[j] ** 0.25 * spec.phis[:, j]).sum() <= bound
-        T = 256
-        spec = full_spectrum(T)
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            v = rng.standard_normal(T)
-            v /= np.linalg.norm(v)
-            assert np.abs(quarter_power_apply(spec, v)).sum() <= 2.0 + 2.0 * 8.0
+        assert_checks_pass(verify._check_filter_l1, profile=ToleranceProfile(sizes=(64, 256, 1024)))
+        assert_checks_pass(verify._check_quarter_power_l1)
 
 
 def test_criterion_08_mu_lemmas():
     with criterion(8, "decay-curve envelope, l1, l2, derivative bounds"):
-        T = 500
-        envelope = 1.0 / np.arange(1, T + 1)
-        for alpha in np.round(np.arange(0.0, 1.0001, 0.002), 10):
-            entries = mu_curve(alpha, T)
-            assert np.all(np.abs(entries) <= envelope + 1e-15)
-            assert np.abs(entries).sum() <= 1.0 + 1e-12
-            assert entries @ entries <= 1.0 + 1e-12
-        h = 1e-5
-        for alpha in np.arange(0.001, 0.9995, 0.002):
-            lo = mu_curve(alpha - h, T)
-            hi = mu_curve(alpha + h, T)
-            assert abs((hi @ hi - lo @ lo) / (2 * h)) <= 3.0 + 1e-3
+        assert_checks_pass(
+            verify._check_mu_envelope,
+            verify._check_mu_l1,
+            verify._check_mu_l2,
+            verify._check_mu_derivative,
+        )
 
 
 def test_criterion_09_relaxation_oracle():
@@ -391,11 +333,8 @@ def test_criterion_17_pendulum():
 
 def test_criterion_18_ode_filters():
     with criterion(18, "operator filters track reliable eigenvectors; deep banks build"):
+        assert_checks_pass(verify._check_ode_overlap)
         T = 1000
-        spec = full_spectrum(T)
-        bank = build_filter_bank(T, 12, method="ode")
-        for j in range(10):
-            assert abs(bank.phis[j] @ spec.phis[:, j]) >= 0.95
         deep = build_filter_bank(T, 40, method="ode")
         feats = featurize_batch(np.random.default_rng(18).standard_normal((T, 1)), deep)
         assert feats.shape == (T, 42)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wavefilter import verify
 from wavefilter.filters import FeatureLayout, FilterBank
 from wavefilter.hankel import HankelMatrix, Spectrum
 from wavefilter.lds import Trajectory
@@ -27,8 +28,6 @@ CASES = [
     (Spectrum, dict(sigmas=np.ones(2), phis=np.eye(3, 2)), "source_size", 3),
     (Trajectory, _TRAJECTORY, "r_x", 1.0),
     (Trajectory, _TRAJECTORY, "l_y", 1.0),
-    (ToleranceProfile, {}, "alpha_step", 0.01),
-    (ToleranceProfile, {}, "seed", 0),
     (OnlineRunResult, _RUN, "report", RegretReport(3.0, 1.0, "best-fixed-M", horizon=2)),
 ]
 
@@ -40,6 +39,16 @@ def test_is_read_but_not_a_keyword(make, kwargs, name, value):
     assert np.array_equal(getattr(make(**kwargs), name), value)
     with pytest.raises(TypeError):
         make(**kwargs, **{name: value})
+
+
+@pytest.mark.parametrize("name, constant, value", [
+    ("alpha_step", "_ALPHA_STEP", 0.002),
+    ("seed", "_SEED", 0),
+])
+def test_verify_grid_and_seed_are_fixed_not_fields(name, constant, value):
+    with pytest.raises(TypeError, match=name):
+        ToleranceProfile(**{name: value})
+    assert getattr(verify, constant) == value
 
 
 @pytest.mark.parametrize("name", ["c_k", "c_r", "c_eta"])

@@ -32,10 +32,16 @@ class TestToleranceProfile:
         ({"sizes": ()}, r"^sizes must be a non-empty tuple of sizes of at least 1, got \(\)$"),
         ({"sizes": (0,)}, r"^sizes must be a non-empty tuple of sizes of at least 1, got \(0,\)$"),
         ({"sizes": (64, -3)}, r"^sizes must be .* at least 1, got \(64, -3\)$"),
+        ({"sizes": (64.5,)}, r"^sizes must be integers, got 64\.5 in \(64\.5,\)$"),
+        ({"sizes": (64, True)}, r"^sizes must be integers, got True in \(64, True\)$"),
+        ({"sizes": ("64",)}, r"^sizes must be integers, got '64' in \('64',\)$"),
     ])
     def test_rejects_empty_or_too_small_sizes_by_field(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ToleranceProfile(**kwargs)
+
+    def test_sizes_are_stored_as_a_tuple(self):
+        assert ToleranceProfile(sizes=[64, 128]).sizes == (64, 128)
 
     def test_overlap_horizons_are_fixed_not_a_field(self):
         with pytest.raises(TypeError, match="overlap_sizes"):
@@ -69,6 +75,22 @@ class TestHiddenStateDecay:
             lambda params, traj: real(replace(params, h0=np.zeros_like(params.h0)), traj),
         )
         assert not verify._check_hidden_state_decay(ToleranceProfile()).passed
+
+
+class TestChecksCanFail:
+    @pytest.mark.parametrize("name, scale, checks", [
+        ("mu_curve", 1.01, [verify._check_mu_envelope, verify._check_mu_l1,
+                            verify._check_mu_l2, verify._check_moment_identity]),
+        ("spectral_tail_sum", 1e6, [verify._check_tail_dominance]),
+        # a smaller tail shrinks the residual bound sqrt(6 tail)
+        ("spectral_tail_sum", 1e-6, [verify._check_projection_residual]),
+    ])
+    def test_scaled_quantity_fails_the_checks_that_bound_it(self, monkeypatch, name, scale, checks):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args: scale * real(*args))
+        for check in checks:
+            result = check(ToleranceProfile())
+            assert not result.passed, result
 
 
 class TestBankValidation:

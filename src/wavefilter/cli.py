@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -167,11 +168,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         checks += check_filter_bank(io.load_filter_bank(Path(args.bank)))
     profile = ToleranceProfile(sizes=args.sizes)
     checks += run_verification(profile)
-    rows = [
-        {"name": c.name, "passed": bool(c.passed), "detail": c.detail} for c in checks
-    ]
     if args.out:
-        Path(args.out).write_text(json.dumps(rows, indent=2))
+        Path(args.out).write_text(json.dumps([asdict(c) for c in checks], indent=2))
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}")
     return 0 if all(c.passed for c in checks) else 1

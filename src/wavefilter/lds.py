@@ -1,6 +1,8 @@
 """Linear dynamical system simulation and reference predictors.
 
-State-space model with symmetric PSD transition:
+State-space model with symmetric PSD transition A, stored as its diagonal
+``a`` (a symmetric matrix is first rotated to its eigenbasis by
+``diagonalize``):
 
     h_{t+1} = A (h_t + B x_t + eta_t),    y_t = C h_t + D x_t + xi_t,
 
@@ -25,8 +27,11 @@ step follows from one recursion over a state-like sum:
     yhat_t = y_{t-1} + (CB + D) x_t - D x_{t-1} + C (A - I) s_t,
     s_1 = h_0,    s_{t+1} = A s_t + B x_t,
 
-which ``derivative_predictions`` evaluates in O(T d^2) for all t at once;
-``derivative_predictor`` re-sums the past per step and is the reference.
+which ``derivative_predictions`` evaluates for all t in one pass.
+The reference ``derivative_predictor`` takes the same map as a difference
+of two closed-form outputs r_t (``impulse_response_output``, r_0 = C h_0):
+
+    yhat_t = y_{t-1} + CB (x_t - x_{t-1}) + r_t - r_{t-1}.
 """
 
 from __future__ import annotations
@@ -59,10 +64,10 @@ _EIG_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LdsParams:
-    """System matrices (A, B, C, D) and initial hidden state.
+    """System matrices (A, B, C, D) and initial hidden state, all finite.
 
-    ``a`` is either a dense symmetric matrix or a 1-D vector of diagonal
-    entries; its eigenvalues must lie in [0, 1] (PSD and Lyapunov-stable).
+    ``a`` is the diagonal of A, non-empty with entries in [0, 1] (PSD and
+    Lyapunov-stable); ``diagonalize`` takes a symmetric matrix instead.
     """
 
     a: np.ndarray
@@ -72,23 +77,25 @@ class LdsParams:
     h0: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "a", a)
-        for name in ("b", "c", "d", "h0"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("a", "b", "c", "d", "h0"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(value).all():
+                bad = value[~np.isfinite(value)][0]
+                raise ValueError(f"{name} holds a non-finite value ({bad})")
+            object.__setattr__(self, name, value)
+        a = self.a
+        if a.ndim != 1:
+            raise ValueError(
+                f"a must be the 1-D diagonal of the transition matrix, got shape {a.shape}; "
+                "rotate a symmetric matrix with diagonalize(a, b, c, d, h0)"
+            )
         dim = a.shape[0]
-        if a.ndim == 2:
-            if a.shape != (dim, dim) or not np.allclose(a, a.T, atol=1e-12):
-                raise ValueError("transition matrix must be square and symmetric")
-            eigs = np.linalg.eigvalsh(a)
-        elif a.ndim == 1:
-            eigs = a
-        else:
-            raise ValueError("transition matrix must be 1-D (diagonal) or 2-D")
-        if eigs.min() < -_EIG_TOL or eigs.max() > 1.0 + _EIG_TOL:
+        if dim == 0:
+            raise ValueError("a must hold at least one state, got length 0")
+        if a.min() < -_EIG_TOL or a.max() > 1.0 + _EIG_TOL:
             raise ValueError(
                 f"transition eigenvalues must lie in [0, 1], got range "
-                f"[{eigs.min():.3e}, {eigs.max():.3e}]"
+                f"[{a.min():.3e}, {a.max():.3e}]"
             )
         if self.b.shape[0] != dim or self.c.shape[1] != dim or len(self.h0) != dim:
             raise ValueError("state dimension mismatch among A, B, C, h0")
@@ -106,13 +113,6 @@ class LdsParams:
     @property
     def output_dim(self) -> int:
         return self.c.shape[0]
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.a.ndim == 1
-
-    def dense_a(self) -> np.ndarray:
-        return np.diag(self.a) if self.is_diagonal else self.a
 
     @property
     def r_theta(self) -> float:
@@ -215,10 +215,6 @@ class Trajectory:
         return self.outputs - _previous(self.outputs)
 
 
-def _apply_a(params: LdsParams, v: np.ndarray) -> np.ndarray:
-    return params.a * v if params.is_diagonal else params.a @ v
-
-
 @serial_blas
 def simulate(
     params: LdsParams, inputs: np.ndarray, noise: Optional[NoiseConfig] = None
@@ -257,14 +253,14 @@ def simulate(
         return np.matmul(matrix, rows[:, :, None])[:, :, 0]
 
     states = stacked(params.b, xs)  # row t holds B x_t until h_t replaces it
-    a, diagonal = params.a, params.is_diagonal
-    h = _apply_a(params, params.h0)
+    a = params.a
+    h = a * params.h0
     for t in range(T):
         drive = h + states[t]
         states[t] = h
         if pstd:
             drive += process[t]
-        h = a * drive if diagonal else a @ drive
+        h = a * drive
     ys = stacked(params.c, states)
     ys += stacked(params.d, xs)
     if ostd:
@@ -281,38 +277,28 @@ def impulse_response_output(params: LdsParams, inputs: np.ndarray, t: int) -> np
     if xs.shape[1] != params.input_dim:
         raise ValueError("input width does not match system")
     acc = params.d @ xs[t - 1]
-    # powers of a diagonal A are kept as vectors
-    mul = np.multiply if params.is_diagonal else np.matmul
-    apow = params.a.copy()
+    apow = params.a  # the diagonal of A^i
     for i in range(1, t):
-        acc = acc + params.c @ mul(apow, params.b @ xs[t - 1 - i])
-        apow = mul(apow, params.a)
-    # apow is now A^t
-    return acc + params.c @ mul(apow, params.h0)
+        acc = acc + params.c @ (apow * (params.b @ xs[t - 1 - i]))
+        apow = apow * params.a
+    return acc + params.c @ (apow * params.h0)
 
 
 def derivative_predictor(params: LdsParams, trajectory: Trajectory, t: int) -> np.ndarray:
-    """Comparator prediction: previous output plus the derivative map at t."""
+    """Comparator prediction at t: y_{t-1} + CB (x_t - x_{t-1}) + r_t - r_{t-1}."""
     if not 1 <= t <= trajectory.length:
         raise ValueError(f"need 1 <= t <= {trajectory.length}, got {t}")
     if trajectory.input_dim != params.input_dim or trajectory.output_dim != params.output_dim:
         raise ValueError("trajectory dimensions do not match system")
-    xs = trajectory.inputs
-    m = params.output_dim
-    y_prev = trajectory.outputs[t - 2] if t >= 2 else np.zeros(m)
-    x_prev = xs[t - 2] if t >= 2 else np.zeros(params.input_dim)
-    acc = (params.c @ (params.b @ xs[t - 1])) + params.d @ xs[t - 1] - params.d @ x_prev
-    # powers of a diagonal A are kept as vectors
-    mul = np.multiply if params.is_diagonal else np.matmul
-    apow_prev = np.ones(params.state_dim) if params.is_diagonal else np.eye(params.state_dim)
-    apow = params.a.copy()
-    for i in range(1, t):
-        acc = acc + params.c @ mul(apow - apow_prev, params.b @ xs[t - 1 - i])
-        apow_prev = apow
-        apow = mul(apow, params.a)
-    # loop leaves apow = A^t, apow_prev = A^{t-1}
-    acc = acc + params.c @ mul(apow - apow_prev, params.h0)
-    return y_prev + acc
+    xs, ys = trajectory.inputs, trajectory.outputs
+    if t >= 2:
+        y_prev, x_prev = ys[t - 2], xs[t - 2]
+        r_prev = impulse_response_output(params, xs, t - 1)
+    else:
+        y_prev, x_prev = np.zeros(params.output_dim), np.zeros(params.input_dim)
+        r_prev = params.c @ params.h0
+    step = params.c @ (params.b @ (xs[t - 1] - x_prev))
+    return y_prev + step + (impulse_response_output(params, xs, t) - r_prev)
 
 
 @serial_blas
@@ -331,8 +317,8 @@ def derivative_predictions(params: LdsParams, trajectory: Trajectory) -> np.ndar
     s = params.h0
     for t in range(T):
         states[t] = s
-        s = _apply_a(params, s) + bx[t]
-    c_decay = params.c @ (params.dense_a() - np.eye(params.state_dim))
+        s = params.a * s + bx[t]
+    c_decay = params.c * (params.a - 1.0)  # C (A - I)
     return (
         _previous(trajectory.outputs)
         + xs @ (params.c @ params.b + params.d).T
@@ -341,18 +327,20 @@ def derivative_predictions(params: LdsParams, trajectory: Trajectory) -> np.ndar
     )
 
 
-def diagonalize(params: LdsParams) -> LdsParams:
-    """Rotate to an equivalent system with diagonal transition matrix."""
-    if params.is_diagonal:
-        return params
-    eigs, u = np.linalg.eigh(params.a)
-    return LdsParams(
-        a=eigs,
-        b=u.T @ params.b,
-        c=params.c @ u,
-        d=params.d,
-        h0=u.T @ params.h0,
-    )
+def diagonalize(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, h0: np.ndarray
+) -> LdsParams:
+    """The system with symmetric transition matrix ``a``, rotated to A's eigenbasis.
+
+    With A = U diag(eigs) U^T the state becomes U^T h: B, C and h0 turn
+    into U^T B, C U and U^T h0, and the outputs stay the same.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-12):
+        raise ValueError(f"a must be a finite, square, symmetric matrix, got shape {a.shape}")
+    eigs, u = np.linalg.eigh(a)
+    return LdsParams(a=eigs, b=u.T @ np.asarray(b, dtype=float), c=np.asarray(c, dtype=float) @ u,
+                     d=d, h0=u.T @ np.asarray(h0, dtype=float))
 
 
 def lipschitz_bound(params: LdsParams, r_x: float) -> float:

@@ -1,6 +1,6 @@
 """Exact construction of the relaxed predictor for a known system.
 
-Maps diagonal-transition system parameters to the block matrix
+Maps system parameters (A stored as its diagonal) to the block matrix
 
     M = [M^(1) ... M^(k) | M^(x') | M^(x) | M^(y)]
 
@@ -65,7 +65,7 @@ class RelaxedPredictor:
 def build_M_theta(
     params: LdsParams, bank: FilterBank, noise_floor: float = NOISE_FLOOR
 ) -> RelaxedPredictor:
-    """Construct the relaxed predictor for a diagonal-transition system.
+    """Construct the relaxed predictor for a system (the α_l are the entries of ``a``).
 
     Filters whose bank eigenvalue is at or below ``noise_floor`` are
     dropped (their inverse quarter-power scaling amplifies eigenvector
@@ -73,8 +73,6 @@ def build_M_theta(
     Pass ``noise_floor=0.0`` to keep the full bank, e.g. for the exact
     full-basis reconstruction check at small sizes.
     """
-    if not params.is_diagonal:
-        raise ValueError("transition matrix must be diagonal; call diagonalize first")
     if bank.method != "eigen":
         raise ValueError(
             "the exact construction needs an eigen-method bank; "

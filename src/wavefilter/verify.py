@@ -35,6 +35,7 @@ from .lds import (
     LdsParams,
     derivative_predictions,
     derivative_predictor,
+    diagonalize,
     lipschitz_bound,
     simulate,
 )
@@ -46,8 +47,11 @@ __all__ = ["InvariantCheck", "ToleranceProfile", "REGISTRY", "run_verification",
 @dataclass(frozen=True)
 class InvariantCheck:
     name: str
-    passed: bool
+    passed: bool  # stored as a plain bool, so a row goes through json.dumps
     detail: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", bool(self.passed))
 
 
 @dataclass(frozen=True)
@@ -57,13 +61,14 @@ class ToleranceProfile:
     sizes: tuple[int, ...] = (64, 256, 1000)
 
     def __post_init__(self) -> None:
-        sizes = tuple(self.sizes)
+        sizes = tuple(self.sizes) if np.iterable(self.sizes) else ()  # () for 64 or None
         bad = next((T for T in sizes if type(T) is not int), None)
         if bad is not None:
             raise ValueError(f"sizes must be integers, got {bad!r} in {sizes!r}")
         if not sizes or any(T < 1 for T in sizes):
             raise ValueError(
-                f"sizes must be a non-empty tuple of sizes of at least 1, got {sizes!r}"
+                "sizes must be a non-empty tuple of sizes of at least 1, "
+                f"got {sizes or self.sizes!r}"
             )
         object.__setattr__(self, "sizes", sizes)
 
@@ -333,8 +338,11 @@ def _check_derivative_equivalence(p: ToleranceProfile) -> InvariantCheck:
     for T, dense in ((1, False), (300, False), (1, True), (300, True)):
         base = _random_system(rng, d=4, n=2, m=3)
         q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        a = q @ np.diag(base.a) @ q.T if dense else base.a
-        params = LdsParams(a=a, b=base.b, c=base.c, d=base.d, h0=rng.standard_normal(4))
+        h0 = rng.standard_normal(4)
+        if dense:
+            params = diagonalize(q @ np.diag(base.a) @ q.T, base.b, base.c, base.d, h0)
+        else:
+            params = LdsParams(a=base.a, b=base.b, c=base.c, d=base.d, h0=h0)
         traj = simulate(params, rng.standard_normal((T, 2)))
         slow = np.stack([derivative_predictor(params, traj, t) for t in range(1, T + 1)])
         worst = max(worst, float(np.abs(derivative_predictions(params, traj) - slow).max()))

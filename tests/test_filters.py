@@ -19,7 +19,7 @@ from wavefilter.filters import (
     featurize_online,
 )
 from wavefilter.hankel import build_hankel, top_eigenpairs
-from wavefilter.lds import LdsParams, Trajectory, simulate
+from wavefilter.lds import LdsParams, Trajectory, diagonalize, simulate
 from wavefilter.online import online_features
 
 
@@ -419,12 +419,12 @@ class TestAugmentAlternating:
 
         pos = q @ np.diag(np.maximum(eigs, 0.0)) @ q.T
         neg = q @ np.diag(np.maximum(-eigs, 0.0)) @ q.T
-        split = LdsParams(
-            a=np.block([[pos, np.zeros((2, 2))], [np.zeros((2, 2)), neg]]),
-            b=np.block([[B, np.zeros((2, n))], [np.zeros((2, n)), B]]),
-            c=np.block([[C, np.zeros((m, 2))], [np.zeros((m, 2)), C]]),
-            d=np.block([[D, np.zeros((m, n))], [np.zeros((m, n)), np.zeros((m, n))]]),
-            h0=np.zeros(4),
+        split = diagonalize(
+            np.block([[pos, np.zeros((2, 2))], [np.zeros((2, 2)), neg]]),
+            np.block([[B, np.zeros((2, n))], [np.zeros((2, n)), B]]),
+            np.block([[C, np.zeros((m, 2))], [np.zeros((m, 2)), C]]),
+            np.block([[D, np.zeros((m, n))], [np.zeros((m, n)), np.zeros((m, n))]]),
+            np.zeros(4),
         )
         traj = simulate(split, augment_alternating(xs))
         signs = np.where(np.arange(1, T + 1) % 2 == 1, -1.0, 1.0)

@@ -26,10 +26,7 @@ def _simulate_by_steps(params, inputs, noise=None):
     pstd = noise.process_std if noise else 0.0
     ostd = noise.observation_std if noise else 0.0
 
-    def apply_a(v):
-        return params.a * v if params.is_diagonal else params.a @ v
-
-    h = apply_a(params.h0)
+    h = params.a * params.h0
     ys = np.zeros((T, m))
     for t in range(T):
         ys[t] = params.c @ h + params.d @ xs[t]
@@ -38,7 +35,7 @@ def _simulate_by_steps(params, inputs, noise=None):
         drive = h + params.b @ xs[t]
         if pstd:
             drive = drive + pstd * rng.standard_normal(d)
-        h = apply_a(drive)
+        h = params.a * drive
     return ys
 
 
@@ -58,27 +55,36 @@ def random_system(rng, d=4, n=2, m=2, with_h0=False, scale=1.0):
     )
 
 
+SCALAR = dict(a=np.array([0.5]), b=np.ones((1, 1)), c=np.ones((1, 1)),
+              d=np.zeros((1, 1)), h0=np.zeros(1))
+
+
 class TestLdsParams:
     def test_rejects_unstable_eigenvalues(self):
-        with pytest.raises(ValueError):
-            LdsParams(
-                a=np.array([1.2]), b=np.ones((1, 1)), c=np.ones((1, 1)),
-                d=np.zeros((1, 1)), h0=np.zeros(1),
-            )
+        with pytest.raises(ValueError, match=r"eigenvalues must lie in \[0, 1\]"):
+            LdsParams(**dict(SCALAR, a=np.array([1.2])))
 
     def test_rejects_negative_eigenvalues(self):
-        with pytest.raises(ValueError):
-            LdsParams(
-                a=np.array([[0.5, 0.6], [0.6, 0.5]]), b=np.ones((2, 1)),
-                c=np.ones((1, 2)), d=np.zeros((1, 1)), h0=np.zeros(2),
-            )
+        with pytest.raises(ValueError, match=r"eigenvalues must lie in \[0, 1\]"):
+            diagonalize(np.array([[0.5, 0.6], [0.6, 0.5]]), np.ones((2, 1)),
+                        np.ones((1, 2)), np.zeros((1, 1)), np.zeros(2))
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            LdsParams(
-                a=np.array([[0.5, 0.1], [0.0, 0.5]]), b=np.ones((2, 1)),
-                c=np.ones((1, 2)), d=np.zeros((1, 1)), h0=np.zeros(2),
-            )
+    def test_rejects_a_matrix_naming_diagonalize(self):
+        with pytest.raises(ValueError, match=r"^a must be the 1-D diagonal .*diagonalize"):
+            LdsParams(**dict(SCALAR, a=0.5 * np.eye(1)))
+
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d", "h0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_entry_by_field(self, name, value):
+        fields = {key: array.copy() for key, array in SCALAR.items()}
+        fields[name].flat[0] = value
+        with pytest.raises(ValueError, match=rf"^{name} holds a non-finite value \({value}\)$"):
+            LdsParams(**fields)
+
+    def test_rejects_an_empty_state_by_name(self):
+        with pytest.raises(ValueError, match=r"^a must hold at least one state, got length 0$"):
+            LdsParams(a=np.zeros(0), b=np.zeros((0, 1)), c=np.zeros((1, 0)),
+                      d=np.zeros((1, 1)), h0=np.zeros(0))
 
     def test_r_theta(self):
         params = LdsParams(
@@ -108,18 +114,12 @@ class TestSimulate:
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(0)
-        for dense in (False, True):
-            params = random_system(rng, with_h0=True)
-            if dense:
-                params = LdsParams(
-                    a=np.diag(params.a), b=params.b, c=params.c,
-                    d=params.d, h0=params.h0,
-                )
-            xs = rng.standard_normal((25, 2))
-            traj = simulate(params, xs)
-            for t in (1, 2, 13, 25):
-                expect = impulse_response_output(params, xs, t)
-                assert np.abs(traj.outputs[t - 1] - expect).max() <= 1e-10
+        params = random_system(rng, with_h0=True)
+        xs = rng.standard_normal((25, 2))
+        traj = simulate(params, xs)
+        for t in (1, 2, 13, 25):
+            expect = impulse_response_output(params, xs, t)
+            assert np.abs(traj.outputs[t - 1] - expect).max() <= 1e-10
 
     def test_noise_deterministic_per_seed(self):
         rng = np.random.default_rng(1)
@@ -148,16 +148,11 @@ NOISE_MODES = {
 
 
 class TestSimulateMatchesPerStepLoop:
-    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
     @pytest.mark.parametrize("noise", list(NOISE_MODES))
     @pytest.mark.parametrize("T", [1, 2, 57])
-    def test_random_systems(self, dense, noise, T):
+    def test_random_systems(self, noise, T):
         rng = np.random.default_rng(T)
         params = random_system(rng, d=5, n=3, m=2, with_h0=True)
-        if dense:
-            q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-            a = (q * params.a) @ q.T
-            params = LdsParams(a=(a + a.T) / 2, b=params.b, c=params.c, d=params.d, h0=params.h0)
         xs = rng.standard_normal((T, 3))
         expect = _simulate_by_steps(params, xs, NOISE_MODES[noise])
         assert _same_bits(simulate(params, xs, NOISE_MODES[noise]).outputs, expect)
@@ -239,21 +234,10 @@ class TestDerivativePredictions:
     # roundoff, not bit for bit; 1e-10 leaves a wide margin over ~1e-14
     TOL = 1e-10
 
-    @staticmethod
-    def dense_system(rng, d=4, n=2, m=3):
-        params = random_system(rng, d=d, n=n, m=m, with_h0=True)
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        a = q @ np.diag(params.a) @ q.T
-        return LdsParams(a=a, b=params.b, c=params.c, d=params.d, h0=params.h0)
-
-    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
     @pytest.mark.parametrize("T", [1, 2, 300])
-    def test_matches_per_step_reference(self, dense, T):
+    def test_matches_per_step_reference(self, T):
         rng = np.random.default_rng(T)
-        if dense:
-            params = self.dense_system(rng)
-        else:
-            params = random_system(rng, d=4, n=2, m=3, with_h0=True)
+        params = random_system(rng, d=4, n=2, m=3, with_h0=True)
         assert np.abs(params.d).max() > 0 and np.abs(params.h0).max() > 0
         traj = simulate(params, rng.standard_normal((T, 2)), NoiseConfig(0.1, 0.1, seed=T))
         reference = np.stack(
@@ -272,39 +256,38 @@ class TestDerivativePredictions:
 
 
 class TestDiagonalize:
-    def test_diagonal_passthrough(self):
-        rng = np.random.default_rng(5)
-        params = random_system(rng)
-        assert diagonalize(params) is params
-
     def test_preserves_outputs(self):
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         a = q @ np.diag(rng.uniform(0, 1, 5)) @ q.T
-        params = LdsParams(
-            a=a,
-            b=rng.standard_normal((5, 2)),
-            c=rng.standard_normal((2, 5)),
-            d=rng.standard_normal((2, 2)),
-            h0=rng.standard_normal(5),
-        )
-        rotated = diagonalize(params)
-        assert rotated.is_diagonal
+        b, c, d = (rng.standard_normal(shape) for shape in ((5, 2), (2, 5), (2, 2)))
+        h0 = rng.standard_normal(5)
         xs = rng.standard_normal((30, 2))
-        ya = simulate(params, xs).outputs
-        yb = simulate(rotated, xs).outputs
-        assert np.abs(ya - yb).max() <= 1e-8
+        # the dense recurrence: h_1 = A h0, y_t = C h_t + D x_t, h_{t+1} = A (h_t + B x_t)
+        h, dense = a @ h0, []
+        for x in xs:
+            dense.append(c @ h + d @ x)
+            h = a @ (h + b @ x)
+        rotated = diagonalize(a, b, c, d, h0)
+        assert rotated.a.shape == (5,)
+        assert np.abs(simulate(rotated, xs).outputs - np.array(dense)).max() <= 1e-8
 
     def test_preserves_eigenvalues(self):
         rng = np.random.default_rng(7)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         eigs = np.sort(rng.uniform(0, 1, 4))
-        a = q @ np.diag(eigs) @ q.T
-        params = LdsParams(
-            a=a, b=np.zeros((4, 1)), c=np.zeros((1, 4)),
-            d=np.zeros((1, 1)), h0=np.zeros(4),
-        )
-        assert np.sort(diagonalize(params).a) == pytest.approx(eigs, abs=1e-10)
+        rotated = diagonalize(q @ np.diag(eigs) @ q.T, np.zeros((4, 1)), np.zeros((1, 4)),
+                              np.zeros((1, 1)), np.zeros(4))
+        assert np.sort(rotated.a) == pytest.approx(eigs, abs=1e-10)
+
+    @pytest.mark.parametrize("a", [
+        np.array([[0.5, 0.1], [0.0, 0.5]]),  # asymmetric
+        np.array([0.5, 0.5]),  # already a diagonal
+        np.full((2, 2), np.nan),
+    ], ids=["asymmetric", "vector", "nan"])
+    def test_rejects_a_non_symmetric_matrix(self, a):
+        with pytest.raises(ValueError, match=r"^a must be a finite, square, symmetric matrix"):
+            diagonalize(a, np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)), np.zeros(2))
 
 
 class TestLipschitzBound:

@@ -79,3 +79,34 @@ def test_verify_lines_split_into_text_and_numbers():
         "verify hidden-state-decay #0": -0.017,
         "verify hidden-state-decay #1": 6.6e-16,
     }
+
+
+def test_a_failing_verify_reports_its_exit_status_and_error(monkeypatch):
+    # cli.main turns a ValueError into exit status 2 and a line on stderr;
+    # the report shows both rather than only every verify line missing
+    from wavefilter import cli
+
+    def broken(profile):
+        raise ValueError("a check could not run")
+
+    monkeypatch.setattr(cli, "run_verification", broken)
+    assert output_diff._verify_run(cli.main) == {
+        "verify exit": 2,
+        "verify error": "wavefilter verify: error: a check could not run",
+    }
+
+
+def test_a_passing_verify_exits_0_with_no_error():
+    lines = "PASS  hankel-psd: min eigenvalue -2.148e-19\n"
+
+    def main(argv):
+        assert argv == ["verify"]
+        print(lines, end="")
+        return 0
+
+    assert output_diff._verify_run(main) == {
+        "verify hankel-psd": "PASS min eigenvalue #",
+        "verify hankel-psd #0": -2.148e-19,
+        "verify exit": 0,
+        "verify error": "",
+    }

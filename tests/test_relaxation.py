@@ -55,14 +55,6 @@ class TestBuildMTheta:
             expect = -bank.sigmas[j] ** -0.25 * bank.phis[j, 0]
             assert pred.conv_blocks[j][0, 0] == pytest.approx(expect, rel=1e-12)
 
-    def test_rejects_dense_transition(self):
-        params = LdsParams(
-            a=np.eye(2) * 0.5, b=np.ones((2, 1)), c=np.ones((1, 2)),
-            d=np.zeros((1, 1)), h0=np.zeros(2),
-        )
-        with pytest.raises(ValueError):
-            build_M_theta(params, build_filter_bank(16, 3))
-
     def test_rejects_non_eigen_bank(self):
         params = LdsParams(
             a=np.array([0.5]), b=np.ones((1, 1)), c=np.ones((1, 1)),

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,9 @@ class TestRunVerification:
         checks = run_verification()
         failures = [c for c in checks if not c.passed]
         assert not failures, failures
+        # every row is plain JSON: passed is a bool, not a numpy.bool_
+        for check in checks:
+            assert json.loads(json.dumps(asdict(check)))["passed"] is True, check
 
     def test_row_count_matches_registry(self):
         checks = run_verification(ToleranceProfile(sizes=(64,)))
@@ -35,6 +38,8 @@ class TestToleranceProfile:
         ({"sizes": (64.5,)}, r"^sizes must be integers, got 64\.5 in \(64\.5,\)$"),
         ({"sizes": (64, True)}, r"^sizes must be integers, got True in \(64, True\)$"),
         ({"sizes": ("64",)}, r"^sizes must be integers, got '64' in \('64',\)$"),
+        ({"sizes": 64}, r"^sizes must be a non-empty tuple of sizes of at least 1, got 64$"),
+        ({"sizes": None}, r"^sizes must be a non-empty tuple of sizes of at least 1, got None$"),
     ])
     def test_rejects_empty_or_too_small_sizes_by_field(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

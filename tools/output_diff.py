@@ -12,7 +12,8 @@ with that tree's package:
 - the checked values of every benchmark workload and seed, as
   ``perfbench/make_references.py`` computes them (one untraced job);
 - the lines of ``wavefilter verify`` at its default sizes, split into
-  their numbers and the text around them;
+  their numbers and the text around them, plus its exit status and the
+  text it wrote to stderr (``verify exit``, ``verify error``);
 - the pendulum experiment summary at its default horizon, seeds 0-3.
 
 Every value that differs, bit for bit, is printed with its old and new
@@ -78,6 +79,16 @@ def _verify_values(text: str) -> dict:
     return values
 
 
+def _verify_run(main) -> dict:
+    """Values of ``main(["verify"])``: its lines, its exit status and its stderr text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["verify"])
+    values = _verify_values(out.getvalue())
+    values.update({"verify exit": status, "verify error": err.getvalue().strip()})
+    return values
+
+
 def _child(spec: str) -> None:
     """Compute the values of a tree's package and write them as JSON.
 
@@ -103,10 +114,7 @@ def _child(spec: str) -> None:
             for op_id, op_values in job.first.items():
                 for key, value in op_values.items():
                     _flatten(f"{name}[{seed}] {op_id}: {key}", value, values)
-    text = io.StringIO()
-    with contextlib.redirect_stdout(text):
-        cli.main(["verify"])
-    values.update(_verify_values(text.getvalue()))
+    values.update(_verify_run(cli.main))
     config = experiments.default_experiment_config("pendulum", seeds=PENDULUM_SEEDS)
     _flatten("pendulum", experiments.run_experiment(config), values)
     Path(spec["out"]).write_text(json.dumps(values))

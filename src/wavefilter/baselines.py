@@ -23,7 +23,8 @@ def baseline_ar(trajectory: Trajectory, tau: int, ridge: float = 1e-8) -> np.nda
     At each step the model is refit on all previous (window, output)
     pairs, then predicts from the current window; windows reaching before
     time 1 are zero-padded. The fit starts from an empty history, so a
-    ridge of 0 or less raises ``LinAlgError`` before the first step.
+    ridge of 0 or less, or a non-finite one, raises ``LinAlgError`` before
+    the first step.
     """
     if tau < 0:
         raise ValueError("window length must be nonnegative")

@@ -9,6 +9,7 @@ the horizon, so this is only useful in low-noise regimes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import _lapack
 from ._blas import serial_blas
 from .filters import FeatureLayout, FilterBank, featurize_batch
-from .lds import Trajectory, _check_finite
+from .lds import Trajectory, _rows
 
 __all__ = [
     "BatchSample",
@@ -36,12 +37,9 @@ class BatchSample:
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
+        inputs, targets = _rows(self.inputs, "inputs"), _rows(self.targets, "targets")
         if inputs.shape[0] != targets.shape[0]:
             raise ValueError("inputs and difference targets must have equal length")
-        _check_finite(inputs, "inputs")
-        _check_finite(targets, "targets")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 
@@ -79,12 +77,12 @@ def fit_batch(
     Ridge 0 first makes a list of the episodes and stacks them for the
     minimum-norm ``lstsq``, as the Gram would square cond(F) (about 1e14 on
     ode banks); all-zero features then raise ``LinAlgError``. A negative
-    ridge raises ``ValueError`` before any episode is taken, and an episode
-    whose widths differ from episode 0's, or whose length from the bank
-    horizon, raises it before that episode is featurized.
+    or non-finite ridge raises ``ValueError`` before any episode is taken,
+    and an episode whose widths differ from episode 0's, or whose length
+    from the bank horizon, raises it before that episode is featurized.
     """
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    if not 0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be nonnegative and finite, got {ridge!r}")
     if ridge == 0.0:  # the stacked lstsq takes every episode at once
         samples = list(samples)
     blocks = None
@@ -140,5 +138,5 @@ def predict_derivative(model: BatchModel, features: np.ndarray) -> np.ndarray:
 
 def predict_pure_batch(model: BatchModel, features: np.ndarray) -> np.ndarray:
     """Outputs as running sums of predicted differences over a full episode."""
-    return np.cumsum(predict_derivative(model, np.atleast_2d(features)), axis=0)
+    return np.cumsum(predict_derivative(model, _rows(features, "features")), axis=0)
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .hankel import NOISE_FLOOR, build_hankel, hilbert_matrix, top_eigenpairs
-from .lds import _check_finite, _previous
+from .lds import _previous, _rows
 
 __all__ = [
     "EIGEN_K_CAP",
@@ -142,6 +142,9 @@ def build_filter_bank(T: int, k: int, method: str = "eigen") -> FilterBank:
     entries 1/(i+j-1), same cap), ``ode`` (stable tridiagonal-operator
     filters, any k up to T).
     """
+    for name, value in (("T", T), ("k", k)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if T < 1:
         raise ValueError(f"horizon must be positive, got {T}")
     if k < 1:
@@ -161,21 +164,14 @@ def build_filter_bank(T: int, k: int, method: str = "eigen") -> FilterBank:
     raise ValueError(f"unknown filter method '{method}'")
 
 
-def _as_2d(x: np.ndarray, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"{name} must be 2-D (time, coordinates), got shape {x.shape}")
-    return x
-
-
 def _feature_rows(layout: FeatureLayout, conv, x_prev, x, y_prev=None, out=None) -> np.ndarray:
-    """Rows ``[conv | x_{t-1} | x_t | y_{t-1}]``, each block one row per step or one row.
+    """Rows ``[conv | x_{t-1} | x_t | y_{t-1}]``, one per row of ``x``; other blocks may be 1-D.
 
     Written into ``out`` when it is given, else into a new array. With
     ``conv`` None the convolution blocks are left as the caller wrote them.
     """
     if out is None:
-        out = np.empty((len(np.atleast_2d(x)), layout.width))
+        out = np.empty((len(x), layout.width))
     if conv is not None:
         out[:, layout.conv_blocks] = conv
     out[:, layout.x_prev_block] = x_prev
@@ -196,19 +192,19 @@ def featurize_online(x_history: np.ndarray, y_prev: np.ndarray, bank: FilterBank
     """Features at the current step from inputs x_1..x_t and the last output.
 
     ``x_history`` is (t, n) with the current input last; inputs before
-    time 1 are treated as zero. Returns a row laid out by
-    ``FeatureLayout(n, bank.k, len(y_prev))``.
+    time 1 are treated as zero. ``y_prev`` is 1-D (a scalar is one
+    coordinate). Returns a row laid out by ``FeatureLayout(n, bank.k, len(y_prev))``.
     """
-    xs = _as_2d(x_history, "x_history")
+    xs = _rows(x_history, "inputs")
     t, n = xs.shape
     if t < 1:
         raise ValueError("x_history must contain at least the current input")
-    y_prev = np.atleast_1d(np.asarray(y_prev, dtype=float))
-    _check_finite(xs, "inputs")
-    _check_finite(y_prev[None], "outputs", first_step=t - 1)
-    layout = FeatureLayout(n=n, k=bank.k, m=len(y_prev))
+    if np.ndim(y_prev) > 1:
+        raise ValueError(f"y_prev must be 1-D (coordinates), got shape {np.shape(y_prev)}")
+    y_prev = _rows(np.reshape(y_prev, (1, -1)), "outputs", first_step=t - 1)
+    layout = FeatureLayout(n=n, k=bank.k, m=y_prev.shape[1])
     x_prev = xs[-2] if t >= 2 else 0.0
-    return _feature_rows(layout, _direct_conv(xs, bank, t), x_prev, xs[-1], y_prev)[0]
+    return _feature_rows(layout, _direct_conv(xs, bank, t), x_prev, xs[-1:], y_prev)[0]
 
 
 def _conv_blocks_fft(xs: np.ndarray, spec_f: np.ndarray, out: np.ndarray) -> None:
@@ -230,12 +226,11 @@ def _conv_blocks_fft(xs: np.ndarray, spec_f: np.ndarray, out: np.ndarray) -> Non
 
 
 def _batch_inputs(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
-    xs = _as_2d(inputs, "inputs")
+    xs = _rows(inputs, "inputs")  # an FFT would smear a non-finite one over every step
     if xs.shape[0] != bank.horizon:
         raise ValueError(
             f"input length {xs.shape[0]} does not match bank horizon {bank.horizon}"
         )
-    _check_finite(xs, "inputs")  # an FFT would smear it over every step, earlier ones too
     return xs
 
 
@@ -258,10 +253,9 @@ def featurize_batch(
     xs = _batch_inputs(inputs, bank)
     T, n = xs.shape
     if y_prev is not None:
-        y_prev = _as_2d(y_prev, "y_prev")
+        y_prev = _rows(y_prev, "y_prev")
         if len(y_prev) != T:
             raise ValueError(f"y_prev has {len(y_prev)} rows, the inputs have {T}")
-        _check_finite(y_prev, "y_prev")
     layout = FeatureLayout(n=n, k=bank.k, m=0 if y_prev is None else y_prev.shape[1])
     if out is None:
         out = np.empty((T, layout.width))
@@ -280,7 +274,7 @@ def featurize_batch_naive(inputs: np.ndarray, bank: FilterBank) -> np.ndarray:
 
 def augment_alternating(inputs: np.ndarray) -> np.ndarray:
     """Append sign-alternating copies: x'_t = [x_t, (-1)^t x_t], t from 1."""
-    xs = _as_2d(inputs, "inputs")
+    xs = _rows(inputs, "inputs")
     signs = np.where(np.arange(1, xs.shape[0] + 1) % 2 == 1, -1.0, 1.0)
     return np.hstack([xs, signs[:, None] * xs])
 
@@ -288,11 +282,14 @@ def augment_alternating(inputs: np.ndarray) -> np.ndarray:
 def augment_hint(inputs: np.ndarray, hint: np.ndarray) -> np.ndarray:
     """Prepend a time-0 impulse carrying a hidden-state hint.
 
-    Output has width n + d' and length T + 1: the first row is
-    (0_n, hint) and the hint coordinates are zero afterwards.
+    ``hint`` is 1-D (a scalar is one coordinate). Output has width n + d'
+    and length T + 1: the first row is (0_n, hint) and the hint
+    coordinates are zero afterwards.
     """
-    xs = _as_2d(inputs, "inputs")
-    hint = np.atleast_1d(np.asarray(hint, dtype=float))
+    xs = _rows(inputs, "inputs")
+    if np.ndim(hint) > 1:
+        raise ValueError(f"hint must be 1-D (coordinates), got shape {np.shape(hint)}")
+    hint = _rows(np.reshape(hint, (1, -1)), "hint", first_step=0)[0]
     T, n = xs.shape
     out = np.zeros((T + 1, n + len(hint)))
     out[0, n:] = hint

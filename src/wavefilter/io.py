@@ -66,7 +66,7 @@ def _write_csv(path: Path, header: Sequence[str], *blocks: tuple) -> None:
     """The one CSV writer.
 
     Writes the ``header`` line unless it is empty, then each ``(labels, rows)``
-    block: one line per row of ``rows``. ``labels`` is ``None`` or one string
+    block: one line per row of the 2-D array ``rows``. ``labels`` is ``None`` or one string
     per row, written as-is and followed by a comma when the row has cells;
     each value of ``rows`` is a ``FLOAT_FMT`` cell, and cells are joined by
     commas. A cell's bytes are exactly those of ``FLOAT_FMT % value``, the
@@ -78,7 +78,6 @@ def _write_csv(path: Path, header: Sequence[str], *blocks: tuple) -> None:
         if header:
             fh.write((",".join(header) + "\r\n").encode())
         for labels, rows in blocks:
-            rows = np.atleast_2d(rows)
             step = max(1, _CHUNK_CELLS // max(1, rows.shape[1] + (labels is not None)))
             for start in range(0, len(rows), step):
                 chunk = slice(start, start + step)
@@ -400,10 +399,12 @@ def save_predictor(
     source: str,
     config_echo: Optional[dict] = None,
 ) -> tuple[Path, Path]:
-    """Write a prediction matrix with its block layout and provenance."""
+    """Write a prediction matrix, 2-D (output, feature), with its block layout and provenance."""
+    if np.ndim(matrix) != 2:
+        raise ValueError(f"matrix must be 2-D (output, feature), got shape {np.shape(matrix)}")
     meta = {
         "source": source,
-        "rows": int(np.atleast_2d(matrix).shape[0]),
+        "rows": len(matrix),
         "layout": {"n": layout.n, "k": layout.k, "m": layout.m,
                    "include_y": layout.include_y, "width": layout.width},
     }

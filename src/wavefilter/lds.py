@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 _EIG_TOL = 1e-10
+_FIELD_AXES = {"a": ("state",), "b": ("state", "input"), "c": ("output", "state"),
+               "d": ("output", "input"), "h0": ("state",)}
 
 
 @dataclass(frozen=True)
@@ -77,18 +79,22 @@ class LdsParams:
     h0: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d", "h0"):
+        for name, axes in _FIELD_AXES.items():
             value = np.asarray(getattr(self, name), dtype=float)
             if not np.isfinite(value).all():
                 bad = value[~np.isfinite(value)][0]
                 raise ValueError(f"{name} holds a non-finite value ({bad})")
+            if value.ndim != len(axes):
+                if name == "a":
+                    raise ValueError(
+                        f"a must be the 1-D diagonal of the transition matrix, got shape "
+                        f"{value.shape}; rotate a symmetric matrix with diagonalize(a, b, c, d, h0)"
+                    )
+                raise ValueError(
+                    f"{name} must be {len(axes)}-D ({', '.join(axes)}), got shape {value.shape}"
+                )
             object.__setattr__(self, name, value)
         a = self.a
-        if a.ndim != 1:
-            raise ValueError(
-                f"a must be the 1-D diagonal of the transition matrix, got shape {a.shape}; "
-                "rotate a symmetric matrix with diagonalize(a, b, c, d, h0)"
-            )
         dim = a.shape[0]
         if dim == 0:
             raise ValueError("a must hold at least one state, got length 0")
@@ -147,8 +153,16 @@ def _previous(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_finite(rows: np.ndarray, name: str, first_step: int = 1) -> None:
-    """Raise ``ValueError`` naming the first non-finite entry; row 0 is ``first_step``."""
+def _rows(values, name: str, first_step: int = 1) -> np.ndarray:
+    """``values`` as a finite float (time, coordinates) array, row 0 being step ``first_step``.
+
+    The one gate for time series: any other dimension count, or a
+    non-finite entry, raises ``ValueError`` naming ``name`` (and the entry's
+    step and column). A 1-D array is rejected, not read as one step.
+    """
+    rows = np.asarray(values, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"{name} must be 2-D (time, coordinates), got shape {rows.shape}")
     finite = np.isfinite(rows)
     if not finite.all():
         t, i = np.argwhere(~finite)[0]
@@ -156,6 +170,7 @@ def _check_finite(rows: np.ndarray, name: str, first_step: int = 1) -> None:
             f"{name} hold a non-finite value ({rows[t, i]}) at step {t + first_step}, "
             f"column {i + 1} (both 1-based)"
         )
+    return rows
 
 
 def _max_row_norm(rows: np.ndarray, steps: bool = False) -> float:
@@ -187,12 +202,9 @@ class Trajectory:
     l_y: float = field(init=False)
 
     def __post_init__(self) -> None:
-        inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        outputs = np.atleast_2d(np.asarray(self.outputs, dtype=float))
+        inputs, outputs = _rows(self.inputs, "inputs"), _rows(self.outputs, "outputs")
         if inputs.shape[0] != outputs.shape[0]:
             raise ValueError("inputs and outputs must have equal length")
-        _check_finite(inputs, "inputs")
-        _check_finite(outputs, "outputs")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "r_x", _max_row_norm(inputs))
@@ -231,7 +243,7 @@ def simulate(
     gemm instead, which sums in another order and moves the outputs in
     their last bits.
     """
-    xs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    xs = _rows(inputs, "inputs")
     T, n = xs.shape
     if T < 1:
         raise ValueError("need at least one input step")
@@ -270,7 +282,7 @@ def simulate(
 
 def impulse_response_output(params: LdsParams, inputs: np.ndarray, t: int) -> np.ndarray:
     """Closed-form noiseless output at step t (1-based); recurrence oracle."""
-    xs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    xs = _rows(inputs, "inputs")
     T = xs.shape[0]
     if not 1 <= t <= T:
         raise ValueError(f"need 1 <= t <= {T}, got {t}")
@@ -338,9 +350,12 @@ def diagonalize(
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-12):
         raise ValueError(f"a must be a finite, square, symmetric matrix, got shape {a.shape}")
+    b, c, h0 = (np.asarray(value, dtype=float) for value in (b, c, h0))
+    for name, value, axis in (("b", b, 0), ("c", c, -1), ("h0", h0, 0)):
+        if value.ndim == 0 or value.shape[axis] != len(a):
+            raise ValueError(f"{name} has shape {value.shape}, but a has {len(a)} states")
     eigs, u = np.linalg.eigh(a)
-    return LdsParams(a=eigs, b=u.T @ np.asarray(b, dtype=float), c=np.asarray(c, dtype=float) @ u,
-                     d=d, h0=u.T @ np.asarray(h0, dtype=float))
+    return LdsParams(a=eigs, b=u.T @ b, c=c @ u, d=d, h0=u.T @ h0)
 
 
 def lipschitz_bound(params: LdsParams, r_x: float) -> float:
@@ -416,7 +431,7 @@ def pendulum_simulate(
     noise (``obs_noise_std``). Raises ``FloatingPointError`` if it diverges, and
     ``ValueError`` for inputs of no step.
     """
-    xs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    xs = _rows(inputs, "inputs")
     T = xs.shape[0]
     if T < 1:
         raise ValueError("need at least one input step")

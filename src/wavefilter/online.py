@@ -20,7 +20,7 @@ import numpy as np
 
 from ._blas import serial_blas
 from .filters import EIGEN_K_CAP, FeatureLayout, FilterBank, featurize_batch
-from .lds import LdsParams, Trajectory, _check_finite, _previous, derivative_predictions
+from .lds import LdsParams, Trajectory, _previous, _rows, derivative_predictions
 
 __all__ = [
     "OnlineConfig",
@@ -346,7 +346,7 @@ def _rolling_ridge(
     last step make the ridge minimizer ``W`` the current matrix; given
     ``r_m`` it is projected onto its Frobenius ball and its norm fills the
     per-step norms. The ridge must be positive, since the fit starts from
-    an empty history.
+    an empty history, and finite, or the fit would stay at zero.
 
     The fit is block recursive least squares over the inverse regularized
     Gram ``P = (ridge I + sum f f^T)^-1``. Step 0 is one block, and the
@@ -365,8 +365,9 @@ def _rolling_ridge(
     runs every product and solve, on one thread inside the entry points
     (``_blas.serial_blas``): scipy ships its own OpenBLAS and thread pool.
     """
-    if not ridge > 0:
-        raise np.linalg.LinAlgError(f"ridge {ridge!r} is not positive: step 0 is singular")
+    if not 0 < ridge < math.inf:
+        reason = "is not positive: step 0 is singular" if ridge <= 0 else "is not finite"
+        raise np.linalg.LinAlgError(f"ridge {ridge!r} {reason}")
     (T, width), m = features.shape, targets.shape[1]
     inverse = np.eye(width) / ridge
     fit = np.zeros((m, width))
@@ -446,7 +447,7 @@ def run_ftl(
     Refits happen every ``ftl_refit_every(T)`` steps and at the last step.
     The output block follows the freeze convention of the config (frozen:
     fit output differences). The comparator is the best fixed matrix. The
-    ridge must be positive; ridge 0 raises ``LinAlgError`` before step 0.
+    ridge must be positive and finite; any other raises ``LinAlgError`` before step 0.
     """
     features, eff_features, eff_targets = _effective_parts(trajectory, config)
     state = init_state(config, trajectory.input_dim, trajectory.output_dim, eta=0.0)
@@ -512,8 +513,5 @@ def regret_vs_best_fixed(
     A non-finite feature or target raises ``ValueError`` naming its step
     and column.
     """
-    features = np.asarray(features, dtype=float)
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    _check_finite(features, "features")
-    _check_finite(targets, "targets")
+    features, targets = _rows(features, "features"), _rows(targets, "targets")
     return float(_best_fixed_losses(features, targets, r_m).sum())

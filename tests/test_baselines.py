@@ -53,6 +53,9 @@ class TestAutoregressive:
         traj = Trajectory(inputs=xs, outputs=np.ones((20, 1)))
         with pytest.raises(np.linalg.LinAlgError):
             baseline_ar(traj, tau=1, ridge=0.0)
+        for ridge in (np.inf, np.nan):  # an infinite ridge would keep every prediction at zero
+            with pytest.raises(np.linalg.LinAlgError, match=f"^ridge {ridge} is not finite$"):
+                baseline_ar(traj, tau=1, ridge=ridge)
 
     def test_rejects_negative_window(self):
         traj = Trajectory(inputs=np.zeros((5, 1)), outputs=np.zeros((5, 1)))

@@ -115,6 +115,9 @@ class TestFitBatch:
         samples = [BatchSample(inputs=np.ones((20, 2)), targets=np.ones((20, 1)))] * 3
         with pytest.raises(ValueError, match="ridge must be nonnegative"):
             fit_batch(samples, bank, -1.0)
+        for ridge in (np.nan, np.inf):  # inf would fit zero, nan would fail as the data's fault
+            with pytest.raises(ValueError, match=f"^ridge must be .* finite, got {ridge}$"):
+                fit_batch(samples, bank, ridge)
 
     def test_ridge_monotonicity(self):
         rng = np.random.default_rng(3)

@@ -124,6 +124,23 @@ class TestBuildFilterBank:
         with pytest.raises(ValueError):
             build_filter_bank(64, 5, method="mystery")
 
+    @pytest.mark.parametrize("T, k, method, name", [
+        (10, 2.5, "eigen", "k"),
+        (10.5, 3, "eigen", "T"),
+        (10, 2.5, "ode", "k"),
+        (10.0, 3, "hilbert", "T"),
+        (10, "3", "eigen", "k"),
+    ])
+    def test_rejects_a_horizon_or_count_that_is_not_an_integer(self, T, k, method, name):
+        value = T if name == "T" else k
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            build_filter_bank(T, k, method=method)
+
+    def test_takes_numpy_integers(self):
+        bank = build_filter_bank(np.int64(10), np.int32(3))
+        assert bank.phis.shape == (3, 10)
+        assert np.array_equal(bank.phis, build_filter_bank(10, 3).phis)
+
 
 class TestDerivedBankFields:
     """k, horizon and the scaled filters come from phis and sigmas alone."""

@@ -115,6 +115,18 @@ def test_lapack_module_reuses_a_loaded_scipy_linalg():
     assert _fresh_import(code) == "True"
 
 
+def test_time_series_enter_through_one_check():
+    # lds._rows is the one place a time series is coerced and checked finite:
+    # np.atleast_2d read a 1-D array as one step, and the helpers it replaced
+    # stay gone
+    users = [mod.__name__ for mod in _submodules()
+             if "atleast_2d" in Path(mod.__file__).read_text()]
+    assert users == []
+    assert not hasattr(filters, "_as_2d")
+    assert not hasattr(lds, "_check_finite")
+    assert callable(lds._rows)
+
+
 def test_package_root_binds_only_its_modules():
     # each public name has one import path, wavefilter.<module>.<name>: a
     # patch or trace of a root alias would miss every call made inside the

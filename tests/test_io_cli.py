@@ -820,6 +820,20 @@ class TestCli:
         assert re.search(message, cli_error(capsys, argv))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["batch", "online"])
+    def test_a_non_finite_ridge_exits_2_naming_it(self, tmp_path, capsys, command, value):
+        TestStreamedTrainingSet._training_set(tmp_path, 2, T=30)
+        data = tmp_path if command == "batch" else tmp_path / "ep0"
+        argv = [command, "--data", str(data), "--k", "4", "--ridge", value,
+                "--out", str(tmp_path / "model")]
+        if command == "online":
+            argv += ["--learner", "ftl"]
+        expected = {"batch": f"ridge must be nonnegative and finite, got {value}",
+                    "online": f"ridge {value} is not finite"}[command]
+        assert cli_error(capsys, argv) == expected
+        assert not (tmp_path / "model.json").exists()
+
     @pytest.mark.parametrize("flag, field", [("--r-m", "r_m"), ("--eta", "eta")])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_online_rejects_a_non_finite_setting_by_name(self, tmp_path, capsys, flag, field,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,17 @@ class TestLdsParams:
         fields[name].flat[0] = value
         with pytest.raises(ValueError, match=rf"^{name} holds a non-finite value \({value}\)$"):
             LdsParams(**fields)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("b", np.ones(1), r"b must be 2-D \(state, input\), got shape \(1,\)"),
+        ("c", np.ones(1), r"c must be 2-D \(output, state\), got shape \(1,\)"),
+        ("d", np.zeros((1, 1, 1)), r"d must be 2-D \(output, input\), got shape \(1, 1, 1\)"),
+        ("h0", np.zeros((1, 1)), r"h0 must be 1-D \(state\), got shape \(1, 1\)"),
+        ("a", np.array(0.5), r"a must be the 1-D diagonal .*got shape \(\)"),
+    ], ids=["b", "c", "d", "h0", "a"])
+    def test_rejects_a_field_of_the_wrong_dimension_count_by_name(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            LdsParams(**dict(SCALAR, **{name: value}))
 
     def test_rejects_an_empty_state_by_name(self):
         with pytest.raises(ValueError, match=r"^a must hold at least one state, got length 0$"):
@@ -288,6 +301,17 @@ class TestDiagonalize:
     def test_rejects_a_non_symmetric_matrix(self, a):
         with pytest.raises(ValueError, match=r"^a must be a finite, square, symmetric matrix"):
             diagonalize(a, np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)), np.zeros(2))
+
+
+    @pytest.mark.parametrize("name, value", [
+        ("b", np.ones((3, 1))), ("c", np.ones((1, 3))), ("h0", np.zeros(3)), ("h0", np.zeros(())),
+    ], ids=["b", "c", "h0", "h0-scalar"])
+    def test_rejects_a_state_dimension_mismatch_by_field(self, name, value):
+        fields = dict(b=np.ones((2, 1)), c=np.ones((1, 2)), d=np.zeros((1, 1)), h0=np.zeros(2))
+        fields[name] = value
+        shape = re.escape(str(value.shape))
+        with pytest.raises(ValueError, match=rf"^{name} has shape {shape}, but a has 2 states$"):
+            diagonalize(0.5 * np.eye(2), **fields)
 
 
 class TestLipschitzBound:

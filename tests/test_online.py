@@ -659,6 +659,9 @@ class TestRollingRidge:
         config = OnlineConfig(bank=build_filter_bank(T, 3), r_m=10.0)
         with pytest.raises(np.linalg.LinAlgError, match="ridge 0.0"):
             run_ftl(traj, config, ridge=0.0)
+        for ridge in (np.inf, np.nan):  # an infinite ridge would keep the fit at zero
+            with pytest.raises(np.linalg.LinAlgError, match=f"^ridge {ridge} is not finite$"):
+                run_ftl(traj, config, ridge=ridge)
 
 
 # horizons around the block edges (128 steps after step 0), with the final

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _lapack
 from ._blas import serial_blas
-from .filters import FeatureLayout, FilterBank, featurize_batch
+from .filters import FeatureLayout, FilterBank, _apply, featurize_batch
 from .lds import Trajectory, _rows
 
 __all__ = [
@@ -52,10 +52,14 @@ class BatchSample:
 class BatchModel:
     """Learned difference predictor over batch features."""
 
-    matrix: np.ndarray  # (m, n*k + 2n)
+    matrix: np.ndarray  # (m, n*k + 2n), laid out by ``layout``
     bank: FilterBank
     ridge: float
     training_mse: float  # mean squared residual over every target entry
+
+    @property
+    def layout(self) -> FeatureLayout:
+        return FeatureLayout(n=self.matrix.shape[1] // (self.bank.k + 2), k=self.bank.k, m=0)
 
 
 @serial_blas
@@ -126,14 +130,8 @@ def fit_batch(
 
 
 def predict_derivative(model: BatchModel, features: np.ndarray) -> np.ndarray:
-    """Predicted output difference(s) for one feature vector or a stack."""
-    features = np.asarray(features, dtype=float)
-    if features.shape[-1] != model.matrix.shape[1]:
-        raise ValueError(
-            f"feature width {features.shape[-1]} does not match model "
-            f"({model.matrix.shape[1]})"
-        )
-    return features @ model.matrix.T
+    """Predicted output difference(s) for one feature row or a (T, width) stack."""
+    return _apply(model.matrix, features)
 
 
 def predict_pure_batch(model: BatchModel, features: np.ndarray) -> np.ndarray:

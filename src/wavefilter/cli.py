@@ -32,7 +32,7 @@ from .experiments import (
     run_experiment,
     simulate_scenario,
 )
-from .filters import FeatureLayout, build_filter_bank
+from .filters import build_filter_bank
 from .online import OnlineConfig, run_ftl, run_online
 from .verify import ToleranceProfile, check_filter_bank, run_verification
 
@@ -136,10 +136,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     bank = build_filter_bank(trajectories.length, args.k, method=args.method)
     samples = (BatchSample.from_trajectory(t) for t in trajectories)
     model = fit_batch(samples, bank, ridge=args.ridge)
-    layout = FeatureLayout(n=trajectories.input_dim, k=args.k, m=0)
     io.save_predictor(
         model.matrix,
-        layout,
+        model.layout,
         Path(args.out),
         source="batch",
         config_echo={"k": args.k, "ridge": args.ridge},

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hankel import NOISE_FLOOR, build_hankel, hilbert_matrix, top_eigenpairs
+from .hankel import NOISE_FLOOR, _check_integer, build_hankel, hilbert_matrix, top_eigenpairs
 from .lds import _previous, _rows
 
 __all__ = [
@@ -128,6 +128,20 @@ class FeatureLayout:
         return slice(self.n * self.k + 2 * self.n, self.width)
 
 
+def _apply(matrix: np.ndarray, features) -> np.ndarray:
+    """An (m, width) prediction matrix applied to one feature row or a (T, width) stack.
+
+    The one product of every predictor: a 1-D row gives ``matrix @ row``,
+    a stack ``stack @ matrix.T``. A wrong width or dimension count, or a
+    non-finite entry, raises ``ValueError`` naming ``features``.
+    """
+    row = np.ndim(features) == 1
+    rows = _rows(np.reshape(features, (1, -1)) if row else features, "features")
+    if rows.shape[1] != matrix.shape[1]:
+        raise ValueError(f"features have width {rows.shape[1]}, the matrix takes {matrix.shape[1]}")
+    return matrix @ rows[0] if row else rows @ matrix.T
+
+
 def _eigen_bank(T: int, k: int, method: str) -> FilterBank:
     spec = top_eigenpairs((build_hankel if method == "eigen" else hilbert_matrix)(T), k)
     sig = np.clip(spec.sigmas, _SIGMA_MIN, None)
@@ -142,9 +156,8 @@ def build_filter_bank(T: int, k: int, method: str = "eigen") -> FilterBank:
     entries 1/(i+j-1), same cap), ``ode`` (stable tridiagonal-operator
     filters, any k up to T).
     """
-    for name, value in (("T", T), ("k", k)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _check_integer("T", T)
+    _check_integer("k", k)
     if T < 1:
         raise ValueError(f"horizon must be positive, got {T}")
     if k < 1:

@@ -97,12 +97,19 @@ class Spectrum:
         return len(self.sigmas) == self.source_size
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a count or horizon that is not a Python or numpy integer, naming it."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def build_hankel(T: int) -> HankelMatrix:
     """The T-by-T matrix with entries 2/((i+j)^3 - (i+j)), 1-based indices.
 
     Allocates O(T): the symbol holds the 2T-1 values at i+j = 2..2T, each
     computed exactly (s^3 - s stays below 2^53).
     """
+    _check_integer("T", T)
     if T < 1:
         raise ValueError(f"matrix size must be positive, got {T}")
     s = np.arange(2, 2 * T + 1)
@@ -111,6 +118,7 @@ def build_hankel(T: int) -> HankelMatrix:
 
 def hilbert_matrix(T: int) -> HankelMatrix:
     """The T-by-T Hilbert matrix with entries 1/(i+j-1), 1-based indices; allocates O(T)."""
+    _check_integer("T", T)
     if T < 1:
         raise ValueError(f"matrix size must be positive, got {T}")
     return HankelMatrix(1.0 / np.arange(1.0, 2 * T))

@@ -37,7 +37,7 @@ of two closed-form outputs r_t (``impulse_response_output``, r_0 = C h_0):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -173,23 +173,27 @@ def _rows(values, name: str, first_step: int = 1) -> np.ndarray:
     return rows
 
 
-def _max_row_norm(rows: np.ndarray, steps: bool = False) -> float:
-    """Largest Euclidean norm of ``rows`` (with ``steps``, of ``rows - _previous(rows)``).
+def _overflow_safe(norm: Callable[[np.ndarray], float], rows: np.ndarray) -> float:
+    """``norm(rows)``, redone on ``rows`` over their largest magnitude if it overflows.
 
-    If the plain sum of squares overflows, it is redone on ``rows`` scaled
-    by their largest entry, so the result is finite whenever the norm is.
+    ``norm`` must scale with its argument: the result is finite whenever the norm is.
     """
+    with np.errstate(over="ignore"):
+        value = norm(rows)
+    if np.isfinite(value):
+        return value
+    peak = float(np.abs(rows).max())
+    return peak * norm(rows / peak)
+
+
+def _max_row_norm(rows: np.ndarray, steps: bool = False) -> float:
+    """Largest Euclidean norm of ``rows`` (with ``steps``, of ``rows - _previous(rows)``)."""
 
     def largest(r: np.ndarray) -> float:
         r = r - _previous(r) if steps else r
         return float(np.linalg.norm(r, axis=1).max(initial=0.0))
 
-    with np.errstate(over="ignore"):
-        norm = largest(rows)
-        if np.isinf(norm):
-            scale = np.abs(rows).max()
-            norm = largest(rows / scale) * scale
-    return norm
+    return _overflow_safe(largest, rows)
 
 
 @dataclass(frozen=True)

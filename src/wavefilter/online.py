@@ -19,8 +19,8 @@ from typing import Optional, Union
 import numpy as np
 
 from ._blas import serial_blas
-from .filters import EIGEN_K_CAP, FeatureLayout, FilterBank, featurize_batch
-from .lds import LdsParams, Trajectory, _previous, _rows, derivative_predictions
+from .filters import EIGEN_K_CAP, FeatureLayout, FilterBank, _apply, featurize_batch
+from .lds import LdsParams, Trajectory, _overflow_safe, _previous, _rows, derivative_predictions
 
 __all__ = [
     "OnlineConfig",
@@ -155,13 +155,8 @@ def init_state(config: OnlineConfig, n: int, m: int, eta: float) -> OnlineState:
 
 
 def predict(state: OnlineState, features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=float)
-    if features.shape[-1] != state.layout.width:
-        raise ValueError(
-            f"feature width {features.shape[-1]} does not match layout "
-            f"{state.layout.width}"
-        )
-    return state.matrix @ features
+    """The state's matrix applied to one feature row or a (T, width) stack."""
+    return _apply(state.matrix, features)
 
 
 def update(state: OnlineState, features: np.ndarray, y_true: np.ndarray) -> OnlineState:
@@ -220,13 +215,8 @@ def _auto_eta(eff_features: np.ndarray, eff_targets: np.ndarray, r_m: float, T: 
 
 
 def _rms_norm(rows: np.ndarray) -> float:
-    """Root-mean-square row norm; scaled by the largest magnitude if the squares overflow."""
-    with np.errstate(over="ignore"):
-        rms = float(np.sqrt((rows**2).sum(axis=1).mean()))
-    if math.isfinite(rms):
-        return rms
-    peak = float(np.abs(rows).max())
-    return peak * float(np.sqrt(((rows / peak) ** 2).sum(axis=1).mean()))
+    """Root-mean-square row norm, finite whenever it is."""
+    return _overflow_safe(lambda r: float(np.sqrt((r**2).sum(axis=1).mean())), rows)
 
 
 @serial_blas
@@ -511,7 +501,9 @@ def regret_vs_best_fixed(
     """Loss of the best fixed matrix in the Frobenius ball, in hindsight.
 
     A non-finite feature or target raises ``ValueError`` naming its step
-    and column.
+    and column; a length mismatch raises it naming both lengths.
     """
     features, targets = _rows(features, "features"), _rows(targets, "targets")
+    if len(features) != len(targets):
+        raise ValueError(f"features have {len(features)} steps, the targets {len(targets)}")
     return float(_best_fixed_losses(features, targets, r_m).sum())

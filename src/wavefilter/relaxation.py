@@ -1,10 +1,11 @@
 """Exact construction of the relaxed predictor for a known system.
 
-Maps system parameters (A stored as its diagonal) to the block matrix
+Maps system parameters (A stored as its diagonal) to the prediction matrix
 
     M = [M^(1) ... M^(k) | M^(x') | M^(x) | M^(y)]
 
-with ``M^(j) = sum_l sigma_j^(-1/4) <phi_j, mu(alpha_l)> (c_l b_l^T)``,
+over the columns of ``FeatureLayout``, with
+``M^(j) = sum_l sigma_j^(-1/4) <phi_j, mu(alpha_l)> (c_l b_l^T)``,
 ``M^(x') = -D``, ``M^(x) = CB + D``, ``M^(y) = I``. Applied to the online
 features, M reproduces the derivative-comparator predictions up to a
 residual that shrinks geometrically with the number of filters. Serves as
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import serial_blas
-from .filters import FeatureLayout, FilterBank
+from .filters import FeatureLayout, FilterBank, _apply
 from .hankel import NOISE_FLOOR, mu_curve
 from .lds import LdsParams, Trajectory, derivative_predictions
 from .online import online_features
@@ -28,37 +29,28 @@ __all__ = ["RelaxedPredictor", "build_M_theta", "relaxation_residual"]
 
 @dataclass(frozen=True)
 class RelaxedPredictor:
-    """Block predictor over online features, plus its provenance.
+    """Prediction matrix over online features, plus its provenance.
 
     ``usable_k`` counts the leading filters whose eigenvalues sit above
-    the noise floor passed to the builder; blocks beyond it are zero.
+    the noise floor passed to the builder; their blocks beyond it are zero.
     """
 
-    conv_blocks: np.ndarray  # (k, m, n)
-    m_x_prev: np.ndarray
-    m_x: np.ndarray
-    m_y: np.ndarray
+    matrix: np.ndarray  # (m, n*k + 2n + m), laid out by ``layout``
     bank: FilterBank
     usable_k: int
 
     @property
     def layout(self) -> FeatureLayout:
-        m, n = self.m_x.shape
-        return FeatureLayout(n=n, k=self.bank.k, m=m)
-
-    def as_matrix(self) -> np.ndarray:
-        """Flatten the blocks into the m-by-k' prediction matrix."""
-        return np.hstack([*self.conv_blocks, self.m_x_prev, self.m_x, self.m_y])
+        m, width = self.matrix.shape
+        return FeatureLayout(n=(width - m) // (self.bank.k + 2), k=self.bank.k, m=m)
 
     def frobenius_norm_active(self) -> float:
-        """Frobenius norm over every block except the identity output block."""
-        total = float((self.conv_blocks**2).sum())
-        total += float((self.m_x_prev**2).sum() + (self.m_x**2).sum())
-        return np.sqrt(total)
+        """Frobenius norm over every column before the identity output block."""
+        return float(np.linalg.norm(self.matrix[:, : self.layout.y_block.start]))
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Apply the block matrix to one feature vector or a stack of them."""
-        return np.asarray(features) @ self.as_matrix().T
+        """Apply the matrix to one feature row or a (T, width) stack of them."""
+        return _apply(self.matrix, features)
 
 
 @serial_blas
@@ -78,30 +70,23 @@ def build_M_theta(
             "the exact construction needs an eigen-method bank; "
             f"got method '{bank.method}'"
         )
-    T = bank.horizon
-    d = params.state_dim
-    m, n = params.output_dim, params.input_dim
-    alphas = params.a
-
-    mu_mat = np.stack([mu_curve(a, T) for a in alphas])  # (d, T)
+    m = params.output_dim
+    layout = FeatureLayout(n=params.input_dim, k=bank.k, m=m)
+    matrix = np.zeros((m, layout.width))
+    mu_mat = np.stack([mu_curve(a, bank.horizon) for a in params.a])  # (d, T)
     outer = np.einsum("ml,ln->lmn", params.c, params.b)  # (d, m, n): c_l b_l^T
-    conv_blocks = np.zeros((bank.k, m, n))
     usable = 0
     for j in range(bank.k):
         sigma = bank.sigmas[j]
         if sigma <= noise_floor:
             continue
         coeffs = sigma**-0.25 * (mu_mat @ bank.phis[j])  # (d,)
-        conv_blocks[j] = np.tensordot(coeffs, outer, axes=1)
+        matrix[:, layout.conv_block(j)] = np.tensordot(coeffs, outer, axes=1)
         usable = j + 1
-    return RelaxedPredictor(
-        conv_blocks=conv_blocks,
-        m_x_prev=-params.d.copy(),
-        m_x=params.c @ params.b + params.d,
-        m_y=np.eye(m),
-        bank=bank,
-        usable_k=usable,
-    )
+    matrix[:, layout.x_prev_block] = -params.d
+    matrix[:, layout.x_block] = params.c @ params.b + params.d
+    matrix[:, layout.y_block] = np.eye(m)
+    return RelaxedPredictor(matrix=matrix, bank=bank, usable_k=usable)
 
 
 @serial_blas

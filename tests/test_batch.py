@@ -13,7 +13,13 @@ from wavefilter.batch import (
     predict_derivative,
     predict_pure_batch,
 )
-from wavefilter.filters import FilterBank, augment_hint, build_filter_bank, featurize_batch
+from wavefilter.filters import (
+    FeatureLayout,
+    FilterBank,
+    augment_hint,
+    build_filter_bank,
+    featurize_batch,
+)
 from wavefilter.lds import LdsParams, Trajectory, simulate
 from wavefilter.online import online_features
 
@@ -422,6 +428,23 @@ class TestPredictions:
         assert predict_derivative(model, np.zeros(width)) == pytest.approx(
             np.zeros(2)
         )
+
+    @pytest.mark.parametrize("ridge", [1e-8, 0.0])
+    def test_model_layout_is_the_one_it_featurized_with(self, monkeypatch, ridge):
+        rng = np.random.default_rng(9)
+        bank = build_filter_bank(30, 4)
+        widths, featurize = [], batch.featurize_batch
+
+        def recorded(inputs, bank, y_prev=None, out=None):
+            widths.append(featurize(inputs, bank, y_prev, out).shape[1])
+            return out
+
+        monkeypatch.setattr(batch, "featurize_batch", recorded)
+        samples = [BatchSample(rng.standard_normal((30, 3)), rng.standard_normal((30, 2)))
+                   for _ in range(2)]
+        model = fit_batch(samples, bank, ridge)
+        assert model.layout == FeatureLayout(n=3, k=4, m=0)
+        assert widths == [model.layout.width] * 2 == [model.matrix.shape[1]] * 2
 
     def test_linearity(self):
         rng = np.random.default_rng(5)

@@ -3,7 +3,9 @@
 Each entry below rejects a 0-D, 1-D or 3-D array and a non-finite entry
 with a ``ValueError`` that names the argument; none reads a 1-D array as
 one step. ``featurize_online`` names its history ``inputs`` and its last
-output ``outputs``, as in its non-finite message.
+output ``outputs``, as in its non-finite message. Every predictor applies
+its (m, width) matrix to one 1-D feature row or a (T, width) stack, and
+rejects a wrong width or a non-finite feature by the name ``features``.
 """
 
 import re
@@ -11,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from wavefilter.batch import BatchSample, fit_batch, predict_pure_batch
+from wavefilter.batch import BatchSample, fit_batch, predict_derivative, predict_pure_batch
 from wavefilter.filters import (
     augment_alternating,
     augment_hint,
@@ -27,7 +29,8 @@ from wavefilter.lds import (
     pendulum_simulate,
     simulate,
 )
-from wavefilter.online import regret_vs_best_fixed
+from wavefilter.online import OnlineConfig, init_state, predict, regret_vs_best_fixed
+from wavefilter.relaxation import build_M_theta
 
 T = 8
 BANK = build_filter_bank(T, 2)
@@ -110,3 +113,44 @@ def test_vector_entry_is_one_step_of_coordinates(entry, case, value):
     message = f"^{finite_name} hold a non-finite" if case == "nan" else f"^{name} must be 1-D"
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+def test_regret_vs_best_fixed_names_both_lengths():
+    with pytest.raises(ValueError, match="^features have 5 steps, the targets 4$"):
+        regret_vs_best_fixed(np.ones((5, 2)), np.ones((4, 1)), 1.0)
+
+
+PREDICTORS = ["online.predict", "batch.predict_derivative", "RelaxedPredictor.predict"]
+
+
+def _predictor(name):
+    """The matrix of one predictor over BANK and its product on features."""
+    if name == "online.predict":
+        state = init_state(OnlineConfig(bank=BANK, eta=0.1), n=1, m=1, eta=0.1)
+        state.matrix[:] = np.linspace(-1.0, 1.0, state.layout.width)
+        return state.matrix, lambda f: predict(state, f)
+    if name == "batch.predict_derivative":
+        return MODEL.matrix, lambda f: predict_derivative(MODEL, f)
+    relaxed = build_M_theta(PARAMS, BANK)
+    return relaxed.matrix, relaxed.predict
+
+
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_predictor_applies_its_matrix_to_a_row_or_a_stack(predictor):
+    matrix, apply = _predictor(predictor)
+    stack = np.random.default_rng(0).standard_normal((T, matrix.shape[1]))
+    assert np.array_equal(apply(stack[3]), matrix @ stack[3])
+    assert np.array_equal(apply(stack), stack @ matrix.T)
+    square = stack[: matrix.shape[1]]  # (width, width): still rows, not columns
+    assert np.array_equal(apply(square), square @ matrix.T)
+
+
+@pytest.mark.parametrize("shape", [(), (T,)], ids=["row", "stack"])
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_predictor_rejects_a_wrong_width_or_a_nan_by_name(predictor, shape):
+    matrix, apply = _predictor(predictor)
+    width = matrix.shape[1]
+    with pytest.raises(ValueError, match=rf"^features have width {width + 1}, the matrix takes"):
+        apply(np.ones((*shape, width + 1)))
+    with pytest.raises(ValueError, match=r"^features hold a non-finite value \(nan\)"):
+        apply(_with_nan(np.ones((*shape, width))))

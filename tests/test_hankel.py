@@ -103,6 +103,16 @@ class TestBuildHankel:
         with pytest.raises(ValueError):
             hilbert_matrix(0)
 
+    @pytest.mark.parametrize("builder", [build_hankel, hilbert_matrix])
+    @pytest.mark.parametrize("T", [10.5, 10.0, "10"])
+    def test_names_a_horizon_that_is_not_an_integer(self, builder, T):
+        with pytest.raises(ValueError, match=rf"^T must be an integer, got {T!r}$"):
+            builder(T)
+
+    @pytest.mark.parametrize("builder", [build_hankel, hilbert_matrix])
+    def test_takes_a_numpy_integer_horizon(self, builder):
+        assert np.array_equal(builder(np.int32(5)).symbol, builder(5).symbol)
+
 
 class TestHankelMatrix:
     def test_entries_are_a_view_of_the_symbol(self):

@@ -912,7 +912,8 @@ class TestCli:
              str(tmp_path / "model")]
         )
         assert rc == 0
-        steps = list(csv.DictReader((tmp_path / "model.steps.csv").open()))
+        with (tmp_path / "model.steps.csv").open() as f:
+            steps = list(csv.DictReader(f))
         assert len(steps) == 120
         cum = 0.0
         for row in steps:
@@ -1121,9 +1122,8 @@ class TestExperiments:
         summary = run_experiment(config)
         per_learner = {}
         for seed in (0, 1):
-            rows = list(
-                csv.DictReader((tmp_path / f"rows_siso_hard_seed{seed}.csv").open())
-            )
+            with (tmp_path / f"rows_siso_hard_seed{seed}.csv").open() as f:
+                rows = list(csv.DictReader(f))
             assert rows, "rows csv should not be empty"
             by_learner = {}
             for row in rows:
@@ -1213,10 +1213,8 @@ class TestRelaxationExport:
             h0=np.zeros(3),
         )
         pred = build_M_theta(params, bank)
-        io.save_predictor(
-            pred.as_matrix(), pred.layout, tmp_path / "mtheta", source="relaxation"
-        )
+        io.save_predictor(pred.matrix, pred.layout, tmp_path / "mtheta", source="relaxation")
         matrix, layout, meta = io.load_predictor(tmp_path / "mtheta")
         assert meta["source"] == "relaxation"
-        assert np.array_equal(matrix, pred.as_matrix())
+        assert np.array_equal(matrix, pred.matrix)
         assert layout == pred.layout

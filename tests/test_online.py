@@ -173,7 +173,7 @@ class TestPredictUpdate:
         feats = online_features(traj, bank)
         config = OnlineConfig(bank=bank, eta=0.01, r_m=1e9)
         state = init_state(config, 2, 2, eta=0.01)
-        object.__setattr__(state, "matrix", pred.as_matrix())
+        object.__setattr__(state, "matrix", pred.matrix)
         from wavefilter.lds import derivative_predictor
 
         for t in (5, 17, 30):

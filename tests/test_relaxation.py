@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wavefilter.filters import build_filter_bank
-from wavefilter.hankel import NOISE_FLOOR
+from wavefilter.filters import FeatureLayout, build_filter_bank
+from wavefilter.hankel import NOISE_FLOOR, mu_curve
 from wavefilter.lds import LdsParams, simulate
 from wavefilter.online import online_features
 from wavefilter.relaxation import build_M_theta, relaxation_residual
@@ -32,15 +32,16 @@ class TestBuildMTheta:
             h0=np.zeros(3),
         )
         pred = build_M_theta(params, build_filter_bank(32, 4))
-        assert np.abs(pred.conv_blocks).max() == 0.0
-        assert np.array_equal(pred.m_x, params.d)
-        assert np.array_equal(pred.m_x_prev, -params.d)
+        layout = pred.layout
+        assert np.abs(pred.matrix[:, layout.conv_blocks]).max() == 0.0
+        assert np.array_equal(pred.matrix[:, layout.x_block], params.d)
+        assert np.array_equal(pred.matrix[:, layout.x_prev_block], -params.d)
 
     def test_output_block_is_identity(self):
         rng = np.random.default_rng(1)
         params = random_diagonal_system(rng)
         pred = build_M_theta(params, build_filter_bank(32, 4))
-        assert np.array_equal(pred.m_y, np.eye(2))
+        assert np.array_equal(pred.matrix[:, pred.layout.y_block], np.eye(2))
 
     def test_single_zero_mode_uses_first_curve_coordinate(self):
         # with alpha = 0 the decay curve is -e_1, so each filter block is
@@ -53,7 +54,9 @@ class TestBuildMTheta:
         pred = build_M_theta(params, bank)
         for j in range(3):
             expect = -bank.sigmas[j] ** -0.25 * bank.phis[j, 0]
-            assert pred.conv_blocks[j][0, 0] == pytest.approx(expect, rel=1e-12)
+            assert pred.matrix[:, pred.layout.conv_block(j)].item() == pytest.approx(
+                expect, rel=1e-12
+            )
 
     def test_rejects_non_eigen_bank(self):
         params = LdsParams(
@@ -63,24 +66,29 @@ class TestBuildMTheta:
         with pytest.raises(ValueError):
             build_M_theta(params, build_filter_bank(16, 3, method="hilbert"))
 
-    def test_block_product_matches_flat_matrix(self):
+    def test_matrix_holds_each_block_at_its_layout_columns(self):
         rng = np.random.default_rng(2)
         bank = build_filter_bank(64, 6)
         params = random_diagonal_system(rng)
         pred = build_M_theta(params, bank)
-        flat = pred.as_matrix()
         layout = pred.layout
-        feats = rng.standard_normal(layout.width)
-        blockwise = (
-            sum(
-                pred.conv_blocks[j] @ feats[layout.conv_block(j)]
-                for j in range(bank.k)
-            )
-            + pred.m_x_prev @ feats[layout.x_prev_block]
-            + pred.m_x @ feats[layout.x_block]
-            + pred.m_y @ feats[layout.y_block]
-        )
-        assert flat @ feats == pytest.approx(blockwise, rel=1e-12)
+        assert layout == FeatureLayout(n=2, k=6, m=2)
+        assert pred.matrix.shape == (2, layout.width)
+        assert np.array_equal(pred.matrix[:, layout.x_prev_block], -params.d)
+        assert np.array_equal(pred.matrix[:, layout.x_block], params.c @ params.b + params.d)
+        assert np.array_equal(pred.matrix[:, layout.y_block], np.eye(2))
+        mu = np.stack([mu_curve(a, bank.horizon) for a in params.a])
+        for j in range(bank.k):
+            coeffs = bank.sigmas[j] ** -0.25 * (mu @ bank.phis[j])
+            block = sum(w * np.outer(params.c[:, l], params.b[l]) for l, w in enumerate(coeffs))
+            assert pred.matrix[:, layout.conv_block(j)] == pytest.approx(block, rel=1e-12)
+
+    def test_frobenius_norm_active_is_a_float_over_the_columns_before_the_y_block(self):
+        pred = build_M_theta(random_diagonal_system(np.random.default_rng(11)),
+                             build_filter_bank(64, 6))
+        norm = pred.frobenius_norm_active()
+        assert type(norm) is float
+        assert norm == pytest.approx(np.linalg.norm(pred.matrix[:, :-2]), rel=1e-15)
 
     def test_coefficient_bound(self):
         # every reconstruction coefficient is at most 6^(1/4) sigma^(1/4)
@@ -93,7 +101,7 @@ class TestBuildMTheta:
             )
             pred = build_M_theta(params, bank)
             for j in range(pred.usable_k):
-                assert abs(pred.conv_blocks[j][0, 0]) <= 6**0.25 + 1e-9
+                assert abs(pred.matrix[:, pred.layout.conv_block(j)].item()) <= 6**0.25 + 1e-9
 
     def test_frobenius_bound(self):
         rng = np.random.default_rng(3)
@@ -111,7 +119,8 @@ class TestBuildMTheta:
         pred = build_M_theta(params, bank)
         reliable = int(np.sum(bank.sigmas > NOISE_FLOOR))
         assert pred.usable_k == reliable < 25
-        assert np.abs(pred.conv_blocks[reliable:]).max() == 0.0
+        unused = slice(pred.layout.conv_block(reliable).start, pred.layout.conv_blocks.stop)
+        assert np.abs(pred.matrix[:, unused]).max() == 0.0
 
 
 class TestRelaxationResidual:

@@ -32,7 +32,7 @@ class RelaxedPredictor:
     """Prediction matrix over online features, plus its provenance.
 
     ``usable_k`` counts the leading filters whose eigenvalues sit above
-    the noise floor passed to the builder; their blocks beyond it are zero.
+    the noise floor passed to the builder; the filter blocks beyond it are zero.
     """
 
     matrix: np.ndarray  # (m, n*k + 2n + m), laid out by ``layout``

@@ -936,6 +936,7 @@ class TestCli:
         assert rc == 0
         matrix, layout, meta = io.load_predictor(tmp_path / "bmodel")
         assert meta["source"] == "batch"
+        assert layout == FeatureLayout(n=1, k=8, m=0)
         assert matrix.shape == (1, layout.width)
 
     @pytest.mark.parametrize(

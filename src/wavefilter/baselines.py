@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._blas import serial_blas
-from .lds import Trajectory, _previous
+from .lds import Trajectory, _count, _previous
 from .online import _rolling_ridge
 
 __all__ = ["baseline_last_value", "baseline_ar"]
@@ -26,8 +26,7 @@ def baseline_ar(trajectory: Trajectory, tau: int, ridge: float = 1e-8) -> np.nda
     ridge of 0 or less, or a non-finite one, raises ``LinAlgError`` before
     the first step.
     """
-    if tau < 0:
-        raise ValueError("window length must be nonnegative")
+    tau = _count("tau", tau)
     xs = trajectory.inputs
     T, n = xs.shape
     padded = np.vstack([np.zeros((tau, n)), xs])

@@ -136,5 +136,7 @@ def predict_derivative(model: BatchModel, features: np.ndarray) -> np.ndarray:
 
 def predict_pure_batch(model: BatchModel, features: np.ndarray) -> np.ndarray:
     """Outputs as running sums of predicted differences over a full episode."""
-    return np.cumsum(predict_derivative(model, _rows(features, "features")), axis=0)
+    if len(shape := np.shape(features)) != 2:  # a row is no episode; _apply checks the rest
+        raise ValueError(f"features must be 2-D (time, coordinates), got shape {shape}")
+    return np.cumsum(predict_derivative(model, features), axis=0)
 

@@ -33,6 +33,7 @@ from .experiments import (
     simulate_scenario,
 )
 from .filters import build_filter_bank
+from .lds import _count
 from .online import OnlineConfig, run_ftl, run_online
 from .verify import ToleranceProfile, check_filter_bank, run_verification
 
@@ -71,12 +72,9 @@ def _eta(text: str) -> str | float:
 def _positive_int(text: str) -> int:
     """A whole number of at least 1, such as each of ``--sizes``."""
     try:
-        value = int(text)
+        return _count("size", int(text), least=1)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
 
 
 def _cmd_filters(args: argparse.Namespace) -> int:

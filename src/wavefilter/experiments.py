@@ -24,6 +24,7 @@ from .io import save_result_rows
 from .lds import (
     NoiseConfig,
     Trajectory,
+    _count,
     block_impulse_inputs,
     pendulum_simulate,
     simulate,
@@ -49,7 +50,7 @@ PENDULUM_INPUT_SCALE = 2.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings for one named experiment run."""
+    """Settings for one named experiment run: integers horizon, k >= 1 and seeds >= 0."""
 
     name: str
     horizon: int
@@ -61,6 +62,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.name not in EXPERIMENT_NAMES:
             raise ValueError(f"unknown experiment '{self.name}'")
+        for name in ("horizon", "k"):
+            object.__setattr__(self, name, _count(name, getattr(self, name), least=1))
+        seeds = tuple(_count(f"seeds[{i}]", seed) for i, seed in enumerate(self.seeds))
+        object.__setattr__(self, "seeds", seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
         for i, seed in enumerate(self.seeds):
@@ -89,11 +94,10 @@ def simulate_scenario(
 
     The pendulum's acceleration and observation noise are ``process_std / 2``
     and ``observation_std / 100``, scaled to its state. ``NoiseConfig``
-    checks both settings for every system, the pendulum included. A
-    horizon ``T`` below 1 raises ``ValueError``.
+    checks both settings and the seed for every system, the pendulum
+    included; ``T`` is an integer of at least 1.
     """
-    if T < 1:
-        raise ValueError(f"horizon T must be at least 1, got {T}")
+    T = _count("T", T, least=1)
     noise = NoiseConfig(process_std, observation_std, seed)
     rng = np.random.default_rng([seed, 1])
     if name == "pendulum":
@@ -148,8 +152,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}: seeds run serially")
     bank = build_filter_bank(config.horizon, config.k)
-    seeds = list(config.seeds)
-    outcomes = [_run_seed(config, s, bank) for s in seeds]
+    outcomes = [_run_seed(config, s, bank) for s in config.seeds]
 
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
@@ -187,7 +190,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     summary = {
         "experiment": config.name,
         "horizon": config.horizon,
-        "seeds": [int(s) for s in seeds],
+        "seeds": list(config.seeds),
         "k": config.k,
         "learner": config.learner,
         "ftl_refit_every": config.ftl_refit_every() if config.learner == "ftl" else None,

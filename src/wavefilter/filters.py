@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .hankel import NOISE_FLOOR, _check_integer, build_hankel, hilbert_matrix, top_eigenpairs
-from .lds import _previous, _rows
+from .hankel import NOISE_FLOOR, build_hankel, hilbert_matrix, top_eigenpairs
+from .lds import _count, _previous, _rows
 
 __all__ = [
     "EIGEN_K_CAP",
@@ -47,6 +47,7 @@ _SIGMA_MIN = np.finfo(float).tiny
 class FilterBank:
     """k filters of length `horizon`, the rows of ``phis``, with their eigenvalue scalings.
 
+    ``phis`` is 2-D, non-empty and finite, ``sigmas`` 1-D, finite and nonnegative.
     ``scaled_filters[j] = sigmas[j]**0.25 * phis[j]`` is derived. Eigenvalues
     are clamped to the smallest positive normal float so quarter powers
     stay finite; values at or below ``NOISE_FLOOR`` mark filters whose
@@ -66,8 +67,11 @@ class FilterBank:
 
     def __post_init__(self) -> None:
         phis, sigmas = self.phis, self.sigmas
-        if np.ndim(phis) != 2:
-            raise ValueError(f"phis must be 2-D (filter, time), got shape {np.shape(phis)}")
+        if np.ndim(phis) != 2 or not np.size(phis) or not np.isfinite(phis).all():
+            raise ValueError(f"phis must be 2-D and finite, not empty, got shape {np.shape(phis)}")
+        if np.ndim(sigmas) != 1 or not np.all(np.isfinite(sigmas) & (sigmas >= 0)):
+            raise ValueError(f"sigmas must be 1-D, finite and nonnegative, got shape "
+                             f"{np.shape(sigmas)}, least {np.min(sigmas, initial=np.inf)}")
         if len(sigmas) != len(phis):
             raise ValueError(f"{len(sigmas)} sigmas for {len(phis)} filters")
         object.__setattr__(self, "scaled_filters", sigmas[:, None] ** 0.25 * phis)
@@ -90,11 +94,15 @@ class FilterBank:
 
 @dataclass(frozen=True)
 class FeatureLayout:
-    """Block structure of a feature vector; the one place its columns are fixed."""
+    """The one place a feature vector's columns are fixed, by integers n >= 0, k >= 1, m >= 0."""
 
     n: int
     k: int
     m: int
+
+    def __post_init__(self) -> None:
+        for name, least in (("n", 0), ("k", 1), ("m", 0)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
 
     @property
     def include_y(self) -> bool:
@@ -156,19 +164,12 @@ def build_filter_bank(T: int, k: int, method: str = "eigen") -> FilterBank:
     entries 1/(i+j-1), same cap), ``ode`` (stable tridiagonal-operator
     filters, any k up to T).
     """
-    _check_integer("T", T)
-    _check_integer("k", k)
-    if T < 1:
-        raise ValueError(f"horizon must be positive, got {T}")
-    if k < 1:
-        raise ValueError(f"filter count must be positive, got {k}")
+    T, k = _count("T", T, least=1), _count("k", k, least=1)
     if method in ("eigen", "hilbert"):
         cap = min(T, EIGEN_K_CAP)
         if k > cap:
-            raise ValueError(
-                f"method '{method}' supports at most {cap} filters at T={T} "
-                f"(requested {k}); use method 'ode' for deeper banks"
-            )
+            raise ValueError(f"method '{method}' supports at most {cap} filters at T={T} "
+                             f"(requested {k}); use method 'ode' for deeper banks")
         return _eigen_bank(T, k, method)
     if method == "ode":
         from . import ode

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
+from .lds import _count
 
 __all__ = [
     "NOISE_FLOOR",
@@ -97,31 +98,19 @@ class Spectrum:
         return len(self.sigmas) == self.source_size
 
 
-def _check_integer(name: str, value) -> None:
-    """Reject a count or horizon that is not a Python or numpy integer, naming it."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def build_hankel(T: int) -> HankelMatrix:
     """The T-by-T matrix with entries 2/((i+j)^3 - (i+j)), 1-based indices.
 
     Allocates O(T): the symbol holds the 2T-1 values at i+j = 2..2T, each
     computed exactly (s^3 - s stays below 2^53).
     """
-    _check_integer("T", T)
-    if T < 1:
-        raise ValueError(f"matrix size must be positive, got {T}")
-    s = np.arange(2, 2 * T + 1)
+    s = np.arange(2, 2 * _count("T", T, least=1) + 1)
     return HankelMatrix(2.0 / (s**3 - s))
 
 
 def hilbert_matrix(T: int) -> HankelMatrix:
     """The T-by-T Hilbert matrix with entries 1/(i+j-1), 1-based indices; allocates O(T)."""
-    _check_integer("T", T)
-    if T < 1:
-        raise ValueError(f"matrix size must be positive, got {T}")
-    return HankelMatrix(1.0 / np.arange(1.0, 2 * T))
+    return HankelMatrix(1.0 / np.arange(1.0, 2 * _count("T", T, least=1)))
 
 
 def mu_curve(alpha: float, T: int) -> np.ndarray:
@@ -131,11 +120,9 @@ def mu_curve(alpha: float, T: int) -> np.ndarray:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if T < 1:
-        raise ValueError(f"length must be positive, got {T}")
+    T = _count("T", T, least=1)
     powers = np.ones(T)
-    if T > 1:
-        powers[1:] = np.cumprod(np.full(T - 1, alpha))
+    powers[1:] = np.cumprod(np.full(T - 1, alpha))
     return (alpha - 1.0) * powers
 
 
@@ -171,15 +158,13 @@ def top_eigenpairs(H: HankelMatrix, k: int) -> Spectrum:
     ``H`` was built. Raises ``ValueError`` for k outside [1, T]; eigensolver failures
     propagate as ``numpy.linalg.LinAlgError``.
     """
-    T = H.size
-    if not 1 <= k <= T:
-        raise ValueError(f"need 1 <= k <= {T}, got k={k}")
+    T, k = H.size, _count("k", k, least=1, most=H.size)
     w, v = _lapack.eigh(_lower_triangle(H), T - k, T - 1)
     order = np.argsort(w)[::-1]
     return Spectrum(sigmas=w[order].copy(), phis=_sign_normalize(v[:, order]))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)  # typed: 8.0 is no cached 8, it is rejected
 def full_spectrum(T: int) -> Spectrum:
     """All eigenpairs of the size-T moment Hankel matrix (cached)."""
     return top_eigenpairs(build_hankel(T), T)
@@ -189,9 +174,7 @@ def spectral_tail_sum(full: Spectrum, k: int) -> float:
     """Sum of eigenvalues beyond index k, negatives clamped to zero."""
     if not full.is_full:
         raise ValueError("tail sums need the complete spectrum")
-    if not 0 <= k <= full.source_size:
-        raise ValueError(f"need 0 <= k <= {full.source_size}, got k={k}")
-    return float(np.clip(full.sigmas[k:], 0.0, None).sum())
+    return float(np.clip(full.sigmas[_count("k", k, most=full.source_size):], 0.0, None).sum())
 
 
 def quarter_power_apply(spec: Spectrum, v: np.ndarray) -> np.ndarray:

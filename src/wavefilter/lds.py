@@ -144,6 +144,7 @@ class NoiseConfig:
             value = getattr(self, name)
             if not 0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        object.__setattr__(self, "seed", _count("seed", self.seed))
 
 
 def _previous(rows: np.ndarray) -> np.ndarray:
@@ -151,6 +152,20 @@ def _previous(rows: np.ndarray) -> np.ndarray:
     out = np.zeros_like(rows)
     out[1:] = rows[:-1]
     return out
+
+
+def _count(name: str, value, least: float = 0, most: Optional[int] = None) -> int:
+    """``value`` as an int in ``[least, most]``: the one gate for counts, horizons and steps.
+
+    A ``bool`` or other non-integer (numpy integers pass), or a value out of range, raises
+    ``ValueError`` naming ``name``; a caller that words its own bound passes ``least=-inf``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least or most is not None and value > most:
+        bound = f"at least {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 def _rows(values, name: str, first_step: int = 1) -> np.ndarray:
@@ -287,9 +302,7 @@ def simulate(
 def impulse_response_output(params: LdsParams, inputs: np.ndarray, t: int) -> np.ndarray:
     """Closed-form noiseless output at step t (1-based); recurrence oracle."""
     xs = _rows(inputs, "inputs")
-    T = xs.shape[0]
-    if not 1 <= t <= T:
-        raise ValueError(f"need 1 <= t <= {T}, got {t}")
+    t = _count("t", t, least=1, most=xs.shape[0])
     if xs.shape[1] != params.input_dim:
         raise ValueError("input width does not match system")
     acc = params.d @ xs[t - 1]
@@ -302,8 +315,7 @@ def impulse_response_output(params: LdsParams, inputs: np.ndarray, t: int) -> np
 
 def derivative_predictor(params: LdsParams, trajectory: Trajectory, t: int) -> np.ndarray:
     """Comparator prediction at t: y_{t-1} + CB (x_t - x_{t-1}) + r_t - r_{t-1}."""
-    if not 1 <= t <= trajectory.length:
-        raise ValueError(f"need 1 <= t <= {trajectory.length}, got {t}")
+    t = _count("t", t, least=1, most=trajectory.length)
     if trajectory.input_dim != params.input_dim or trajectory.output_dim != params.output_dim:
         raise ValueError("trajectory dimensions do not match system")
     xs, ys = trajectory.inputs, trajectory.outputs
@@ -388,7 +400,7 @@ def block_impulse_inputs(
     T: int, n: int, rng: np.random.Generator, scale: float = 1.0
 ) -> np.ndarray:
     """Piecewise-constant impulses, uniform in [-scale, scale]: on for 20 steps in every 80."""
-    xs = np.zeros((T, n))
+    xs = np.zeros((_count("T", T), _count("n", n)))
     for t in range(0, T, 80):
         xs[t : t + 20] = rng.uniform(-scale, scale, n)
     return xs

@@ -28,6 +28,7 @@ import numpy as np
 from . import _lapack
 from .hankel import NOISE_FLOOR, Spectrum, _sign_normalize, build_hankel, top_eigenpairs
 from .filters import EIGEN_K_CAP, FilterBank
+from .lds import _count
 
 __all__ = ["fd_wave_operator", "fitted_wave_operator", "ode_filter_bank"]
 
@@ -94,18 +95,16 @@ def _moment_spectrum(T: int) -> Spectrum:
     return top_eigenpairs(build_hankel(T), min(T, EIGEN_K_CAP))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)  # typed: 8.0 is no cached 8, it is rejected
 def fitted_wave_operator(T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Corrected tridiagonal wave operator for grid size T (cached).
+    """Corrected tridiagonal wave operator for grid size T >= 2 (cached).
 
     Alternates between solving for tridiagonal coefficients (banded
     least squares) and updating Rayleigh-quotient eigenvalue targets,
     reweighting each fitted mode by its residual-to-gap ratio so
     eigenvector rotations are equalized. Deterministic.
     """
-    if T < 2:
-        raise ValueError("grid size must be at least 2")
-    spec = _moment_spectrum(T)
+    spec = _moment_spectrum(_count("T", T, least=2))
     n_rel = int(np.sum(spec.sigmas > NOISE_FLOOR))
     J = max(min(n_rel, _FIT_MODES), 1)
     phis = spec.phis[:, :J]
@@ -136,7 +135,6 @@ def fitted_wave_operator(T: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _operator_eigs(T: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     diag, off = fitted_wave_operator(T)
-    count = min(count, T)
     lam, vecs = _lapack.eigh_tridiagonal(diag, off, T - count, T - 1)
     order = np.argsort(lam)[::-1]  # algebraically largest first
     return lam[order], vecs[:, order]
@@ -151,10 +149,9 @@ def ode_filter_bank(T: int, k: int) -> FilterBank:
     operator eigenvalue, with eigenvalues extrapolated geometrically from
     the reliable range and flagged as such.
     """
-    if T < 2:
+    if _count("T", T, least=-np.inf) < 2:
         raise ValueError(f"method 'ode' needs a horizon T of at least 2, got T={T}")
-    if not 1 <= k <= T:
-        raise ValueError(f"need 1 <= k <= {T}, got k={k}")
+    k = _count("k", k, least=1, most=T)
     spec = _moment_spectrum(T)
     n_rel = int(np.sum(spec.sigmas > NOISE_FLOOR))
     lam, vecs = _operator_eigs(T, min(T, max(k + 10, 2 * k, 40)))

@@ -20,7 +20,8 @@ import numpy as np
 
 from ._blas import serial_blas
 from .filters import EIGEN_K_CAP, FeatureLayout, FilterBank, _apply, featurize_batch
-from .lds import LdsParams, Trajectory, _overflow_safe, _previous, _rows, derivative_predictions
+from .lds import (LdsParams, Trajectory, _count, _overflow_safe, _previous, _rows,
+                  derivative_predictions)
 
 __all__ = [
     "OnlineConfig",
@@ -60,10 +61,11 @@ def default_hyperparams(
     Natural logarithms throughout; T must be at least 2 (ln T divides eta)
     and the scale product must exceed 1.
     """
-    if T < 2:
+    if _count("T", T, least=-math.inf) < 2:
         raise ValueError(f"horizon T={T} is too short: eta divides by ln T, so T >= 2 is needed")
-    if min(r_theta, r_x, l_y, n) <= 0:
-        raise ValueError("all scale arguments must be positive")
+    n = _count("n", n, least=1)
+    if min(r_theta, r_x, l_y) <= 0:
+        raise ValueError("r_theta, r_x and l_y must be greater than 0")
     product = r_theta * r_x * l_y * n
     if product <= 1.0:
         raise ValueError("scale product r_theta*r_x*l_y*n must exceed 1")
@@ -160,9 +162,12 @@ def predict(state: OnlineState, features: np.ndarray) -> np.ndarray:
 
 
 def update(state: OnlineState, features: np.ndarray, y_true: np.ndarray) -> OnlineState:
-    """One descent step with Frobenius projection; returns the new state."""
-    features = np.asarray(features, dtype=float)
-    y_true = np.atleast_1d(np.asarray(y_true, dtype=float))
+    """The state after one projected descent step on one feature row and its m-value target."""
+    m, width = state.matrix.shape
+    if np.ndim(features) != 1 or np.ndim(y_true) > 1 or np.size(y_true) != m:
+        raise ValueError(f"features must be a row of width {width} and y_true a target of width "
+                         f"{m}, got shapes {np.shape(features)} and {np.shape(y_true)}")
+    y_true = _rows(np.reshape(y_true, (1, m)), "y_true")[0]
     resid = y_true - predict(state, features)
     return replace(
         state,
@@ -335,7 +340,7 @@ def _rolling_ridge(
     then joins the fit. Refits at steps 0, ``refit_every``, ... and the
     last step make the ridge minimizer ``W`` the current matrix; given
     ``r_m`` it is projected onto its Frobenius ball and its norm fills the
-    per-step norms. The ridge must be positive, since the fit starts from
+    per-step norms. The ridge must be above 0, since the fit starts from
     an empty history, and finite, or the fit would stay at zero.
 
     The fit is block recursive least squares over the inverse regularized
@@ -437,7 +442,7 @@ def run_ftl(
     Refits happen every ``ftl_refit_every(T)`` steps and at the last step.
     The output block follows the freeze convention of the config (frozen:
     fit output differences). The comparator is the best fixed matrix. The
-    ridge must be positive and finite; any other raises ``LinAlgError`` before step 0.
+    ridge must be finite and above 0; any other raises ``LinAlgError`` before step 0.
     """
     features, eff_features, eff_targets = _effective_parts(trajectory, config)
     state = init_state(config, trajectory.input_dim, trajectory.output_dim, eta=0.0)
@@ -500,9 +505,11 @@ def regret_vs_best_fixed(
 ) -> float:
     """Loss of the best fixed matrix in the Frobenius ball, in hindsight.
 
-    A non-finite feature or target raises ``ValueError`` naming its step
-    and column; a length mismatch raises it naming both lengths.
+    A non-finite feature or target, a length mismatch or an ``r_m`` below 0 or NaN
+    raises ``ValueError`` naming it; ``r_m = inf`` leaves no ball.
     """
+    if not r_m >= 0:
+        raise ValueError(f"r_m must be nonnegative, got {r_m!r}")
     features, targets = _rows(features, "features"), _rows(targets, "targets")
     if len(features) != len(targets):
         raise ValueError(f"features have {len(features)} steps, the targets {len(targets)}")

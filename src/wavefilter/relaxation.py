@@ -62,9 +62,11 @@ def build_M_theta(
     Filters whose bank eigenvalue is at or below ``noise_floor`` are
     dropped (their inverse quarter-power scaling amplifies eigenvector
     noise); the count of retained filters is reported as ``usable_k``.
-    Pass ``noise_floor=0.0`` to keep the full bank, e.g. for the exact
-    full-basis reconstruction check at small sizes.
+    Pass ``noise_floor=0.0`` to keep the full bank, e.g. for the exact full-basis
+    reconstruction check at small sizes; a negative or NaN floor raises ``ValueError``.
     """
+    if not noise_floor >= 0:
+        raise ValueError(f"noise_floor must be nonnegative, got {noise_floor!r}")
     if bank.method != "eigen":
         raise ValueError(
             "the exact construction needs an eigen-method bank; "

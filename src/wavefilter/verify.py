@@ -33,6 +33,7 @@ from .hankel import (
 )
 from .lds import (
     LdsParams,
+    _count,
     derivative_predictions,
     derivative_predictor,
     diagonalize,
@@ -62,14 +63,9 @@ class ToleranceProfile:
 
     def __post_init__(self) -> None:
         sizes = tuple(self.sizes) if np.iterable(self.sizes) else ()  # () for 64 or None
-        bad = next((T for T in sizes if type(T) is not int), None)
-        if bad is not None:
-            raise ValueError(f"sizes must be integers, got {bad!r} in {sizes!r}")
-        if not sizes or any(T < 1 for T in sizes):
-            raise ValueError(
-                "sizes must be a non-empty tuple of sizes of at least 1, "
-                f"got {sizes or self.sizes!r}"
-            )
+        if not sizes:
+            raise ValueError(f"sizes must be a non-empty tuple, got {self.sizes!r}")
+        sizes = tuple(_count(f"sizes[{i}]", T, least=1) for i, T in enumerate(sizes))
         object.__setattr__(self, "sizes", sizes)
 
 

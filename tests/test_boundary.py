@@ -6,6 +6,12 @@ one step. ``featurize_online`` names its history ``inputs`` and its last
 output ``outputs``, as in its non-finite message. Every predictor applies
 its (m, width) matrix to one 1-D feature row or a (T, width) stack, and
 rejects a wrong width or a non-finite feature by the name ``features``.
+
+Every count, horizon and step index enters through ``lds._count``: the
+count table runs a float, a whole float, ``True`` and out-of-range values
+through each entry, which rejects them naming the argument and its bound.
+The tables at the end cover what a ``FilterBank`` is built from, the one
+row and one target of ``online.update``, and the radius and noise floor.
 """
 
 import re
@@ -13,8 +19,13 @@ import re
 import numpy as np
 import pytest
 
+from wavefilter import lds
+from wavefilter.baselines import baseline_ar
 from wavefilter.batch import BatchSample, fit_batch, predict_derivative, predict_pure_batch
+from wavefilter.experiments import ExperimentConfig, simulate_scenario
 from wavefilter.filters import (
+    FeatureLayout,
+    FilterBank,
     augment_alternating,
     augment_hint,
     build_filter_bank,
@@ -22,15 +33,35 @@ from wavefilter.filters import (
     featurize_batch_naive,
     featurize_online,
 )
+from wavefilter.hankel import (
+    build_hankel,
+    full_spectrum,
+    hilbert_matrix,
+    mu_curve,
+    spectral_tail_sum,
+    top_eigenpairs,
+)
 from wavefilter.lds import (
     LdsParams,
+    NoiseConfig,
     Trajectory,
+    block_impulse_inputs,
+    derivative_predictor,
     impulse_response_output,
     pendulum_simulate,
     simulate,
 )
-from wavefilter.online import OnlineConfig, init_state, predict, regret_vs_best_fixed
+from wavefilter.ode import fitted_wave_operator, ode_filter_bank
+from wavefilter.online import (
+    OnlineConfig,
+    default_hyperparams,
+    init_state,
+    predict,
+    regret_vs_best_fixed,
+    update,
+)
 from wavefilter.relaxation import build_M_theta
+from wavefilter.verify import ToleranceProfile
 
 T = 8
 BANK = build_filter_bank(T, 2)
@@ -154,3 +185,149 @@ def test_predictor_rejects_a_wrong_width_or_a_nan_by_name(predictor, shape):
         apply(np.ones((*shape, width + 1)))
     with pytest.raises(ValueError, match=r"^features hold a non-finite value \(nan\)"):
         apply(_with_nan(np.ones((*shape, width))))
+
+
+# Every count, horizon and step index enters through lds._count: an integer
+# (numpy integers included) in [least, most], else a ValueError naming it.
+TRAJ = Trajectory(SERIES, SERIES)
+RNG = np.random.default_rng(0)
+
+# entry: (call on the count under test, its name, least, most or None, a valid value)
+COUNTS = {
+    "build_hankel": (build_hankel, "T", 1, None, T),
+    "hilbert_matrix": (hilbert_matrix, "T", 1, None, T),
+    "full_spectrum": (full_spectrum, "T", 1, None, T),
+    "mu_curve": (lambda v: mu_curve(0.5, v), "T", 1, None, T),
+    "top_eigenpairs": (lambda v: top_eigenpairs(build_hankel(T), v), "k", 1, T, 2),
+    "spectral_tail_sum": (lambda v: spectral_tail_sum(full_spectrum(T), v), "k", 0, T, 2),
+    "build_filter_bank.T": (lambda v: build_filter_bank(v, 2), "T", 1, None, T),
+    "build_filter_bank.k": (lambda v: build_filter_bank(T, v), "k", 1, None, 2),
+    "fitted_wave_operator": (fitted_wave_operator, "T", 2, None, T),
+    "ode_filter_bank.k": (lambda v: ode_filter_bank(T, v), "k", 1, T, 2),
+    "impulse_response_output": (lambda v: impulse_response_output(PARAMS, SERIES, v), "t", 1,
+                                T, 2),
+    "derivative_predictor": (lambda v: derivative_predictor(PARAMS, TRAJ, v), "t", 1, T, 2),
+    "baseline_ar": (lambda v: baseline_ar(TRAJ, v), "tau", 0, None, 2),
+    "simulate_scenario": (lambda v: simulate_scenario("mimo_10", v, 0, 0.1, 0.1), "T", 1, None,
+                          T),
+    "ToleranceProfile": (lambda v: ToleranceProfile(sizes=(T, v)), "sizes[1]", 1, None, T),
+    "FeatureLayout.n": (lambda v: FeatureLayout(v, 2, 1), "n", 0, None, 1),
+    "FeatureLayout.k": (lambda v: FeatureLayout(1, v, 1), "k", 1, None, 2),
+    "FeatureLayout.m": (lambda v: FeatureLayout(1, 2, v), "m", 0, None, 1),
+    "NoiseConfig.seed": (lambda v: NoiseConfig(seed=v), "seed", 0, None, 1),
+    "ExperimentConfig.horizon": (lambda v: ExperimentConfig("siso_hard", v), "horizon", 1, None,
+                                 T),
+    "ExperimentConfig.k": (lambda v: ExperimentConfig("siso_hard", T, k=v), "k", 1, None, 2),
+    "ExperimentConfig.seeds": (lambda v: ExperimentConfig("siso_hard", T, seeds=(0, v)),
+                               "seeds[1]", 0, None, 1),
+    "block_impulse_inputs.T": (lambda v: block_impulse_inputs(v, 1, RNG), "T", 0, None, T),
+    "block_impulse_inputs.n": (lambda v: block_impulse_inputs(T, v, RNG), "n", 0, None, 1),
+    "default_hyperparams.n": (lambda v: default_hyperparams(100, 2.0, 1.0, 1.0, v), "n", 1, None,
+                              1),
+}
+
+
+def _count_cases(entry):
+    """(case, value, expected message) for one entry: the ones every gated count rejects."""
+    _, name, least, most, good = COUNTS[entry]
+    bound = f"at least {least}" if most is None else rf"in \[{least}, {most}\]"
+    cases = [("float", good + 0.5, f"an integer, got {good + 0.5}"),
+             ("whole-float", float(good), f"an integer, got {float(good)}"),
+             ("bool", True, "an integer, got True"),
+             ("below", least - 1, f"{bound}, got {least - 1}")]
+    if most is not None:
+        cases.append(("above", most + 1, f"{bound}, got {most + 1}"))
+    return [(entry, case, value, rf"^{re.escape(name)} must be {message}$")
+            for case, value, message in cases]
+
+
+@pytest.mark.parametrize("entry, case, value, message",
+                         [c for entry in COUNTS for c in _count_cases(entry)],
+                         ids=lambda v: v if isinstance(v, str) and not v.startswith("^") else "")
+def test_count_entry_rejects_by_name(entry, case, value, message):
+    call, _, _, _, good = COUNTS[entry]
+    call(np.int64(good))  # numpy integers pass
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    # a bound that comes with its reason keeps it; the gate checks only that it is an integer
+    (lambda v: ode_filter_bank(v, 1), r"^method 'ode' needs a horizon T of at least 2, got T=1$"),
+    (lambda v: default_hyperparams(v, 2.0, 1.0, 1.0, 1), r"^horizon T=1 is too short: eta"),
+], ids=["ode_filter_bank", "default_hyperparams"])
+def test_count_with_a_reason_keeps_it(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(1)
+    for value in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^T must be an integer, got {value!r}$"):
+            call(value)
+
+
+def test_count_gate_returns_a_python_int():
+    assert type(lds._count("k", np.int32(3), least=1, most=5)) is int
+    assert ToleranceProfile(sizes=(np.int64(64),)).sizes == (64,)
+    layout = FeatureLayout(np.int64(2), np.int64(3), np.int64(1))
+    assert [type(v) for v in (layout.n, layout.k, layout.m)] == [int, int, int]
+
+
+@pytest.mark.parametrize("field, phis, sigmas", [
+    ("sigmas", np.eye(2, T), np.array([1.0, -1.0])),  # gave NaN scaled filters
+    ("sigmas", np.eye(2, T), np.array([1.0, np.nan])),
+    ("sigmas", np.eye(2, T), np.ones((2, 1))),
+    ("phis", np.array([[1.0, np.nan]]), np.ones(1)),
+    ("phis", np.empty((0, 0)), np.empty(0)),
+    ("phis", np.empty((1, 0)), np.ones(1)),
+], ids=["negative-sigma", "nan-sigma", "2-D-sigmas", "nan-phi", "no-filter", "no-step"])
+def test_filter_bank_rejects_what_it_is_built_from_by_field(field, phis, sigmas):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        FilterBank(phis=phis, sigmas=sigmas, method="eigen")
+
+
+def _update_state(freeze):
+    config = OnlineConfig(bank=BANK, eta=0.1, freeze_y_block=freeze)
+    return init_state(config, n=1, m=1, eta=0.1)
+
+
+@pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "free"])
+@pytest.mark.parametrize("case", ["stack", "nan-target", "wide-target", "2-D-target"])
+def test_update_takes_one_row_and_one_target(case, freeze):
+    state = _update_state(freeze)
+    width = state.layout.width
+    features, target = np.ones(width), np.ones(1)
+    update(state, features, target)
+    update(state, features, 0.5)  # a scalar is one output
+    if case == "nan-target":
+        with pytest.raises(ValueError, match=r"^y_true hold a non-finite value \(nan\)"):
+            update(state, features, np.array([np.nan]))
+        return
+    if case == "stack":
+        features = np.ones((3, width))
+    else:
+        target = np.ones(3) if case == "wide-target" else np.ones((1, 1))
+    message = (rf"^features must be a row of width {width} and y_true a target of width 1, "
+               rf"got shapes {re.escape(str(features.shape))} and {re.escape(str(target.shape))}$")
+    with pytest.raises(ValueError, match=message):
+        update(state, features, target)
+
+
+def test_update_names_a_wrong_feature_width_or_a_nan_feature():
+    state = _update_state(True)
+    width = state.layout.width
+    with pytest.raises(ValueError, match=rf"^features have width {width + 1}, the matrix takes"):
+        update(state, np.ones(width + 1), 1.0)
+    with pytest.raises(ValueError, match=r"^features hold a non-finite value \(nan\)"):
+        update(state, _with_nan(np.ones(width)), 1.0)
+
+
+@pytest.mark.parametrize("value", [-1.0, np.nan])
+def test_a_negative_or_nan_radius_or_floor_is_rejected_by_name(value):
+    with pytest.raises(ValueError, match=rf"^r_m must be nonnegative, got {value!r}$"):
+        regret_vs_best_fixed(SERIES, SERIES, value)
+    with pytest.raises(ValueError, match=rf"^noise_floor must be nonnegative, got {value!r}$"):
+        build_M_theta(PARAMS, BANK, noise_floor=value)
+
+
+def test_a_zero_or_infinite_radius_stays_valid():
+    assert regret_vs_best_fixed(SERIES, SERIES, 0.0) == pytest.approx(float((SERIES**2).sum()))
+    assert regret_vs_best_fixed(SERIES, SERIES, np.inf) == pytest.approx(0.0, abs=1e-20)

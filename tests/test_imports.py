@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import wavefilter
-from wavefilter import batch, cli, experiments, filters, io, lds, online, relaxation
+from wavefilter import batch, cli, experiments, filters, hankel, io, lds, online, relaxation
 from wavefilter.filters import FeatureLayout, build_filter_bank
 from wavefilter.hankel import build_hankel
 from wavefilter.lds import Trajectory, synthetic_system
@@ -125,6 +125,18 @@ def test_time_series_enter_through_one_check():
     assert not hasattr(filters, "_as_2d")
     assert not hasattr(lds, "_check_finite")
     assert callable(lds._rows)
+
+
+def test_counts_enter_through_one_check():
+    # lds._count is the one place a count, horizon or step index is checked to be
+    # an integer in range; the hand-written checks it replaced stay gone
+    gate = inspect.getsource(lds._count)
+    for mod in _submodules():
+        text = Path(mod.__file__).read_text().replace(gate, "")
+        for spelling in ("np.integer", "need 1 <=", "must be positive"):
+            assert spelling not in text, (mod.__name__, spelling)
+    assert not hasattr(hankel, "_check_integer")
+    assert "np.integer" in gate
 
 
 def test_package_root_binds_only_its_modules():

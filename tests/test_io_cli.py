@@ -559,6 +559,15 @@ class TestSidecarCrossChecks:
         with pytest.raises(ValueError, match=expected):
             io.load_predictor(base)
 
+    def test_predictor_layout_of_negative_counts_is_rejected_by_name(self, tmp_path):
+        # n=-2, k=-4 gives width 4 like n=1, k=2, m=0, and once loaded a conv block of 8 columns
+        base = tmp_path / "pred"
+        layout = FeatureLayout(n=1, k=2, m=0)
+        io.save_predictor(np.ones((1, layout.width)), layout, base, source="test")
+        self._edit_sidecar(base, layout=lambda lay: {**lay, "n": -2, "k": -4})
+        with pytest.raises(ValueError, match="^n must be at least 0, got -2$"):
+            io.load_predictor(base)
+
     def test_predictor_rows(self, tmp_path):
         base = tmp_path / "pred"
         layout = FeatureLayout(n=1, k=2, m=0)
@@ -801,7 +810,7 @@ class TestCli:
     @pytest.mark.parametrize("T", [0, -5])
     def test_simulate_rejects_a_horizon_below_one(self, tmp_path, system, T, capsys):
         argv = ["simulate", "--system", system, "--T", str(T), "--out", str(tmp_path / "p0")]
-        assert re.search(rf"^horizon T must be at least 1, got {T}$", cli_error(capsys, argv))
+        assert re.search(rf"^T must be at least 1, got {T}$", cli_error(capsys, argv))
         assert list(tmp_path.iterdir()) == []
 
     def test_filters_writes_bank(self, tmp_path, capsys):
@@ -847,11 +856,11 @@ class TestCli:
         assert not (tmp_path / "model.steps.csv").exists()
 
     @pytest.mark.parametrize("argv, expected", [
-        (["filters", "--T", "0", "--k", "3"], "horizon must be positive, got 0"),
+        (["filters", "--T", "0", "--k", "3"], "T must be at least 1, got 0"),
         (["experiment", "--name", "siso_hard", "--T", "0", "--seeds", "0"],
-         "horizon must be positive, got 0"),
+         "horizon must be at least 1, got 0"),
         (["experiment", "--name", "siso_hard", "--T", "20", "--seeds", "0", "--k", "0"],
-         "filter count must be positive, got 0"),
+         "k must be at least 1, got 0"),
         (["online", "--data", "missing"], "[Errno 2] No such file or directory: 'missing.json'"),
         (["online", "--data", "traj", "--k", "4", "--learner", "ftl", "--ridge", "0"],
          "ridge 0.0 is not positive: step 0 is singular"),
@@ -1046,7 +1055,7 @@ class TestExperiments:
     @pytest.mark.parametrize("system", ["mimo_10", "pendulum"])
     @pytest.mark.parametrize("T", [0, -5])
     def test_simulate_scenario_rejects_a_horizon_below_one(self, system, T):
-        with pytest.raises(ValueError, match=rf"^horizon T must be at least 1, got {T}$"):
+        with pytest.raises(ValueError, match=rf"^T must be at least 1, got {T}$"):
             simulate_scenario(system, T, 0, 0.1, 0.1)
 
     def test_simulate_scenario_names_a_non_finite_std(self):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -32,14 +33,14 @@ class TestRunVerification:
 
 class TestToleranceProfile:
     @pytest.mark.parametrize("kwargs, message", [
-        ({"sizes": ()}, r"^sizes must be a non-empty tuple of sizes of at least 1, got \(\)$"),
-        ({"sizes": (0,)}, r"^sizes must be a non-empty tuple of sizes of at least 1, got \(0,\)$"),
-        ({"sizes": (64, -3)}, r"^sizes must be .* at least 1, got \(64, -3\)$"),
-        ({"sizes": (64.5,)}, r"^sizes must be integers, got 64\.5 in \(64\.5,\)$"),
-        ({"sizes": (64, True)}, r"^sizes must be integers, got True in \(64, True\)$"),
-        ({"sizes": ("64",)}, r"^sizes must be integers, got '64' in \('64',\)$"),
-        ({"sizes": 64}, r"^sizes must be a non-empty tuple of sizes of at least 1, got 64$"),
-        ({"sizes": None}, r"^sizes must be a non-empty tuple of sizes of at least 1, got None$"),
+        ({"sizes": ()}, r"^sizes must be a non-empty tuple, got \(\)$"),
+        ({"sizes": (0,)}, r"^sizes\[0\] must be at least 1, got 0$"),
+        ({"sizes": (64, -3)}, r"^sizes\[1\] must be at least 1, got -3$"),
+        ({"sizes": (64.5,)}, r"^sizes\[0\] must be an integer, got 64\.5$"),
+        ({"sizes": (64, True)}, r"^sizes\[1\] must be an integer, got True$"),
+        ({"sizes": ("64",)}, r"^sizes\[0\] must be an integer, got '64'$"),
+        ({"sizes": 64}, r"^sizes must be a non-empty tuple, got 64$"),
+        ({"sizes": None}, r"^sizes must be a non-empty tuple, got None$"),
     ])
     def test_rejects_empty_or_too_small_sizes_by_field(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -144,6 +145,19 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert "FAIL  spectral-decay: no size is at least 10, got sizes (5,)" in out
         assert "FAIL  tail-dominance: no size is at least 60, got sizes (5,)" in out
+
+    @pytest.mark.parametrize("T, k, sigmas, message", [
+        (0, 0, [], r"^phis must be 2-D and finite, not empty, got shape \(0, 0\)$"),
+        (4, 1, [-1.0], r"^sigmas must be 1-D, finite and nonnegative, got shape \(1,\), least -1"),
+    ], ids=["empty-bank", "negative-sigma"])
+    def test_a_bank_file_that_is_no_bank_exits_2_naming_the_field(self, tmp_path, capsys, T, k,
+                                                                 sigmas, message):
+        base = tmp_path / "bank"
+        base.with_suffix(".csv").write_text("".join("1.0\n" * k for _ in range(T)))
+        base.with_suffix(".json").write_text(
+            json.dumps({"T": T, "k": k, "sigmas": sigmas, "method": "eigen"}))
+        assert main(["verify", "--sizes", "5", "--bank", str(base)]) == 2
+        assert re.search(message, capsys.readouterr().err.split("error: ", 1)[1])
 
     def test_corrupt_bank_flips_exit_status(self, tmp_path):
         base = tmp_path / "bank"

@@ -241,9 +241,11 @@ def _count_cases(entry):
             for case, value, message in cases]
 
 
-@pytest.mark.parametrize("entry, case, value, message",
-                         [c for entry in COUNTS for c in _count_cases(entry)],
-                         ids=lambda v: v if isinstance(v, str) and not v.startswith("^") else "")
+COUNT_CASES = [c for entry in COUNTS for c in _count_cases(entry)]
+
+
+@pytest.mark.parametrize("entry, case, value, message", COUNT_CASES,
+                         ids=[f"{entry}-{case}" for entry, case, _, _ in COUNT_CASES])
 def test_count_entry_rejects_by_name(entry, case, value, message):
     call, _, _, _, good = COUNTS[entry]
     call(np.int64(good))  # numpy integers pass

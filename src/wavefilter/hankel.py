@@ -90,9 +90,6 @@ class Spectrum:
     def source_size(self) -> int:
         return self.phis.shape[0]
 
-    def __len__(self) -> int:
-        return len(self.sigmas)
-
     @property
     def is_full(self) -> bool:
         return len(self.sigmas) == self.source_size

@@ -36,7 +36,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .filters import FeatureLayout, FilterBank
-from .lds import Trajectory
+from .lds import Trajectory, _count
 
 __all__ = [
     "save_filter_bank",
@@ -313,11 +313,13 @@ _KIND_OF = {
     "method": ("a string", lambda v: type(v) is str),
     "layout": ("an object", lambda v: type(v) is dict),
 }
+# the least value of each sidecar count
+_LEAST = {"T": 1, "k": 1, "n": 0, "m": 0, "rows": 0}
 
 
 def _sidecar(meta: dict, paths: tuple[Path, Path], *keys: str, within: str = "") -> list:
-    """The sidecar values at ``keys`` (of its ``within`` entry); a missing one, or one
-    not of its ``_KIND_OF`` type, names both files."""
+    """The sidecar values at ``keys`` (of its ``within`` entry); a missing one, one not of
+    its ``_KIND_OF`` type, or a count below its ``_LEAST``, names both files."""
     described = f"{paths[0]} is described by sidecar {paths[1]}"
     missing = [within + key for key in keys if key not in meta]
     if missing:
@@ -326,6 +328,8 @@ def _sidecar(meta: dict, paths: tuple[Path, Path], *keys: str, within: str = "")
         kind, test = _KIND_OF[key]
         if not test(meta[key]):
             raise ValueError(f"{described}, whose {within + key} is {meta[key]!r}, not {kind}")
+        if key in _LEAST:
+            _count(f"{described}, whose {within + key}", meta[key], least=_LEAST[key])
     return [meta[key] for key in keys]
 
 

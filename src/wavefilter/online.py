@@ -19,8 +19,8 @@ from typing import Optional, Union
 import numpy as np
 
 from ._blas import serial_blas
-from .filters import EIGEN_K_CAP, FeatureLayout, FilterBank, _apply, featurize_batch
-from .lds import (LdsParams, Trajectory, _count, _overflow_safe, _previous, _rows,
+from .filters import FeatureLayout, FilterBank, _apply, featurize_batch
+from .lds import (LdsParams, Trajectory, _overflow_safe, _previous, _rows,
                   derivative_predictions)
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "OnlineState",
     "RegretReport",
     "OnlineRunResult",
-    "default_hyperparams",
     "online_features",
     "init_state",
     "predict",
@@ -43,37 +42,6 @@ _BLOCK = 128  # steps per block of the rolling fit (see _rolling_ridge)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _BLOWN_UP = "non-finite gradient; the learning rate has blown up"
 _OVERFLOWED = "the step overflowed the matrix; the learning rate has blown up"
-
-
-def default_hyperparams(
-    T: int,
-    r_theta: float,
-    r_x: float,
-    l_y: float,
-    n: int,
-) -> tuple[int, float, float]:
-    """Theory-shaped hyperparameters (k, R_M, eta).
-
-    k = round(ln(T)^2 * ln(r_theta r_x l_y n)) clamped to [1, 40],
-    R_M = r_theta^2 * sqrt(k),
-    eta = 1 / (r_x^2 l_y ln(r_theta r_x l_y n) n sqrt(T) ln(T)^4).
-
-    Natural logarithms throughout; T must be at least 2 (ln T divides eta)
-    and the scale product must exceed 1.
-    """
-    if _count("T", T, least=-math.inf) < 2:
-        raise ValueError(f"horizon T={T} is too short: eta divides by ln T, so T >= 2 is needed")
-    n = _count("n", n, least=1)
-    if min(r_theta, r_x, l_y) <= 0:
-        raise ValueError("r_theta, r_x and l_y must be greater than 0")
-    product = r_theta * r_x * l_y * n
-    if product <= 1.0:
-        raise ValueError("scale product r_theta*r_x*l_y*n must exceed 1")
-    log_scale = math.log(product)
-    k = min(max(int(round(math.log(T) ** 2 * log_scale)), 1), EIGEN_K_CAP)
-    r_m = r_theta**2 * math.sqrt(k)
-    eta = 1.0 / (r_x**2 * l_y * log_scale * n * math.sqrt(T) * math.log(T) ** 4)
-    return k, r_m, eta
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .hankel import (
     NOISE_FLOOR,
     build_hankel,
     full_spectrum,
+    hilbert_matrix,
     mu_curve,
     quarter_power_apply,
     spectral_tail_sum,
@@ -104,7 +105,6 @@ def _check_hankel_entries(p: ToleranceProfile) -> InvariantCheck:
         idx = np.arange(1, T + 1)
         s = idx[:, None] + idx[None, :]
         worst = max(worst, float(np.abs(Z - 2.0 / (s**3 - s)).max()))
-        worst = max(worst, float(np.abs(Z - Z.T).max()))
     return InvariantCheck("hankel-entry-formula", worst == 0.0, f"max deviation {worst:.1e}")
 
 
@@ -454,13 +454,19 @@ def run_verification(profile: Optional[ToleranceProfile] = None) -> list[Invaria
 def check_filter_bank(bank: FilterBank) -> list[InvariantCheck]:
     """Validate a (possibly externally loaded) filter bank."""
     dev = _gram_deviation(bank.phis)
-    scale_dev = float(np.abs(bank.scaled_filters - bank.sigmas[:, None] ** 0.25 * bank.phis).max())
     order_ok = bool(np.all(np.diff(bank.sigmas) <= 1e-12))
     checks = [
         InvariantCheck("bank-orthonormality", dev <= 1e-6, f"max gram deviation {dev:.3e}"),
-        InvariantCheck("bank-scaling", scale_dev <= 1e-12, f"max deviation {scale_dev:.3e}"),
         InvariantCheck("bank-sigma-order", order_ok, "eigenvalues nonincreasing"),
     ]
+    if bank.method in ("eigen", "hilbert"):
+        symbol = (build_hankel if bank.method == "eigen" else hilbert_matrix)(bank.horizon).symbol
+        # (Z phi)[i] = sum_j symbol[i + j] phi[j], a correlation with the symbol
+        worst = max(abs(sigma - phi @ np.correlate(symbol, phi, "valid"))
+                    for sigma, phi in zip(bank.sigmas, bank.phis))
+        checks.append(InvariantCheck(
+            "bank-rayleigh", worst <= NOISE_FLOOR, f"max Rayleigh quotient deviation {worst:.3e}"
+        ))
     if bank.method == "eigen":
         worst = _l1_excess(bank.sigmas, bank.scaled_filters, bank.horizon)
         checks.append(

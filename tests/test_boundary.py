@@ -54,7 +54,6 @@ from wavefilter.lds import (
 from wavefilter.ode import fitted_wave_operator, ode_filter_bank
 from wavefilter.online import (
     OnlineConfig,
-    default_hyperparams,
     init_state,
     predict,
     regret_vs_best_fixed,
@@ -222,8 +221,6 @@ COUNTS = {
                                "seeds[1]", 0, None, 1),
     "block_impulse_inputs.T": (lambda v: block_impulse_inputs(v, 1, RNG), "T", 0, None, T),
     "block_impulse_inputs.n": (lambda v: block_impulse_inputs(T, v, RNG), "n", 0, None, 1),
-    "default_hyperparams.n": (lambda v: default_hyperparams(100, 2.0, 1.0, 1.0, v), "n", 1, None,
-                              1),
 }
 
 
@@ -256,8 +253,7 @@ def test_count_entry_rejects_by_name(entry, case, value, message):
 @pytest.mark.parametrize("call, message", [
     # a bound that comes with its reason keeps it; the gate checks only that it is an integer
     (lambda v: ode_filter_bank(v, 1), r"^method 'ode' needs a horizon T of at least 2, got T=1$"),
-    (lambda v: default_hyperparams(v, 2.0, 1.0, 1.0, 1), r"^horizon T=1 is too short: eta"),
-], ids=["ode_filter_bank", "default_hyperparams"])
+], ids=["ode_filter_bank"])
 def test_count_with_a_reason_keeps_it(call, message):
     with pytest.raises(ValueError, match=message):
         call(1)

@@ -7,7 +7,7 @@ from wavefilter import verify
 from wavefilter.filters import FeatureLayout, FilterBank
 from wavefilter.hankel import HankelMatrix, Spectrum
 from wavefilter.lds import Trajectory
-from wavefilter.online import OnlineRunResult, RegretReport, default_hyperparams
+from wavefilter.online import OnlineRunResult, RegretReport
 from wavefilter.verify import ToleranceProfile
 
 _BANK = dict(phis=np.eye(2, 4), sigmas=np.ones(2), method="eigen")
@@ -49,10 +49,3 @@ def test_verify_grid_and_seed_are_fixed_not_fields(name, constant, value):
     with pytest.raises(TypeError, match=name):
         ToleranceProfile(**{name: value})
     assert getattr(verify, constant) == value
-
-
-@pytest.mark.parametrize("name", ["c_k", "c_r", "c_eta"])
-def test_default_hyperparams_takes_no_tuning_constant(name):
-    assert default_hyperparams(100, 2.0, 1.0, 1.0, 1)[0] == round(np.log(100) ** 2 * np.log(2))
-    with pytest.raises(TypeError):
-        default_hyperparams(100, 2.0, 1.0, 1.0, 1, **{name: 1.0})

@@ -565,7 +565,8 @@ class TestSidecarCrossChecks:
         layout = FeatureLayout(n=1, k=2, m=0)
         io.save_predictor(np.ones((1, layout.width)), layout, base, source="test")
         self._edit_sidecar(base, layout=lambda lay: {**lay, "n": -2, "k": -4})
-        with pytest.raises(ValueError, match="^n must be at least 0, got -2$"):
+        expected = r"pred\.csv is described by sidecar .*pred\.json, whose layout\.n must be at least 0"
+        with pytest.raises(ValueError, match=expected):
             io.load_predictor(base)
 
     def test_predictor_rows(self, tmp_path):
@@ -677,12 +678,56 @@ class TestSidecarCrossChecks:
             "bank-T", "traj-T", "traj-n", "pred-layout", "pred-rows", "pred-layout.n"])
     def test_sidecar_value_of_the_wrong_type_names_both_files(self, tmp_path, small_trajectory,
                                                               artifact, key, value, shown):
-        base = tmp_path / artifact
+        load = self._saved_with(tmp_path / artifact, artifact, small_trajectory, key, value)
+        expected = (rf"{artifact}\.csv is described by sidecar .*{artifact}\.json, "
+                    rf"whose {re.escape(key)} is {re.escape(shown)}$")
+        with pytest.raises(ValueError, match=expected):
+            load()
+
+    @pytest.mark.parametrize("artifact, key, value, least", [
+        ("bank", "T", 0, 1),
+        ("bank", "k", 0, 1),
+        ("traj", "T", 0, 1),
+        ("traj", "n", -1, 0),
+        ("traj", "m", -1, 0),
+        ("pred", "rows", -1, 0),
+        ("pred", "layout.n", -1, 0),
+        ("pred", "layout.k", 0, 1),
+        ("pred", "layout.m", -1, 0),
+    ], ids=["bank-T", "bank-k", "traj-T", "traj-n", "traj-m", "pred-rows", "pred-layout.n",
+            "pred-layout.k", "pred-layout.m"])
+    def test_sidecar_count_below_its_least_names_both_files(self, tmp_path, small_trajectory,
+                                                            artifact, key, value, least):
+        load = self._saved_with(tmp_path / artifact, artifact, small_trajectory, key, value)
+        expected = (rf"{artifact}\.csv is described by sidecar .*{artifact}\.json, "
+                    rf"whose {re.escape(key)} must be at least {least}, got {value}$")
+        with pytest.raises(ValueError, match=expected):
+            load()
+
+    def test_a_negative_input_count_cannot_move_the_step_counter_into_the_outputs(
+            self, tmp_path, capsys):
+        # n = -1, m = 3 fits a 3-column (t, x_1, y_1) file: 1 + n + m = 3
+        traj = Trajectory(inputs=np.ones((20, 1)), outputs=np.zeros((20, 1)))
+        io.save_trajectory(traj, tmp_path / "ep0")
+        self._edit_sidecar(tmp_path / "ep0", n=lambda v: -1, m=lambda v: 3)
+        (tmp_path / "manifest.json").write_text(json.dumps({"trajectories": ["ep0"]}))
+        expected = r"ep0\.csv is described by sidecar .*ep0\.json, whose n must be at least 0, got -1$"
+        with pytest.raises(ValueError, match=expected):
+            io.load_trajectory(tmp_path / "ep0")
+        with pytest.raises(ValueError, match=expected):
+            io.load_training_set(tmp_path)
+        for argv in (["online", "--data", str(tmp_path / "ep0")], ["batch", "--data", str(tmp_path)]):
+            assert re.search(expected, cli_error(capsys, argv + ["--out", str(tmp_path / "out")]))
+
+    @staticmethod
+    def _saved_with(base, artifact, trajectory, key, value):
+        """Save an ``artifact`` at ``base``, set its sidecar's ``key`` (``layout.n`` for a
+        nested one) to ``value``, and return the call that loads it."""
         layout = FeatureLayout(n=2, k=3, m=2)
         save, load = {
             "bank": (lambda: io.save_filter_bank(build_filter_bank(40, 6, method="ode"), base),
                      io.load_filter_bank),
-            "traj": (lambda: io.save_trajectory(small_trajectory, base), io.load_trajectory),
+            "traj": (lambda: io.save_trajectory(trajectory, base), io.load_trajectory),
             "pred": (lambda: io.save_predictor(np.ones((2, layout.width)), layout, base, "test"),
                      io.load_predictor),
         }[artifact]
@@ -691,10 +736,7 @@ class TestSidecarCrossChecks:
         *within, name = key.split(".")
         (meta[within[0]] if within else meta)[name] = value
         base.with_suffix(".json").write_text(json.dumps(meta))
-        expected = (rf"{artifact}\.csv is described by sidecar .*{artifact}\.json, "
-                    rf"whose {re.escape(key)} is {re.escape(shown)}$")
-        with pytest.raises(ValueError, match=expected):
-            load(base)
+        return lambda: load(base)
 
     def test_trajectories_of_unequal_length_name_both_files(self, tmp_path, monkeypatch, capsys):
         for name, T in (("ep0", 50), ("ep1", 50), ("ep2", 60)):

@@ -16,7 +16,6 @@ from wavefilter.online import (
     OnlineConfig,
     _constrained_least_squares,
     _rolling_ridge,
-    default_hyperparams,
     init_state,
     online_features,
     predict,
@@ -99,35 +98,6 @@ def _rolling_ridge_by_rank_one_steps(features, targets, ridge, refit_every=1, r_
 def _assert_close(actual, expected, rtol):
     """Largest entry error at most ``rtol`` times the largest expected entry."""
     assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
-
-
-class TestDefaultHyperparams:
-    def test_radius_scale_quadruples_with_doubled_system_norm(self):
-        k1, rm1, _ = default_hyperparams(1000, 2.0, 1.0, 1.0, 1)
-        k2, rm2, _ = default_hyperparams(1000, 4.0, 1.0, 1.0, 1)
-        assert rm2 / math.sqrt(k2) == pytest.approx(4 * rm1 / math.sqrt(k1))
-
-    def test_eta_decreases_with_horizon(self):
-        etas = [default_hyperparams(T, 2.0, 1.0, 1.0, 1)[2] for T in (100, 400, 1600)]
-        assert etas[0] > etas[1] > etas[2]
-
-    def test_documented_evaluation(self):
-        k, rm, eta = default_hyperparams(4000, 2.0, 1.0, 1.0, 1)
-        raw = round(math.log(4000) ** 2 * math.log(2.0))
-        assert raw == 48
-        assert k == min(raw, 40)
-        assert rm == pytest.approx(4.0 * math.sqrt(k))
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            default_hyperparams(0, 2.0, 1.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            default_hyperparams(100, 0.5, 1.0, 1.0, 1)  # product below 1
-
-    def test_rejects_a_one_step_horizon_by_name(self):
-        # ln 1 = 0 divides eta
-        with pytest.raises(ValueError, match="T=1 .*T >= 2 is needed"):
-            default_hyperparams(1, 2.0, 1.0, 1.0, 1)
 
 
 class TestOnlineConfig:

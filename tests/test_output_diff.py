@@ -110,3 +110,34 @@ def test_a_passing_verify_exits_0_with_no_error():
         "verify exit": 0,
         "verify error": "",
     }
+
+
+def test_bank_runs_record_each_banks_rows_under_its_own_keys():
+    from wavefilter import cli
+
+    values = output_diff._bank_runs(cli)
+    rows = {"eigen": ["bank-orthonormality", "bank-sigma-order", "bank-rayleigh", "bank-filter-l1"],
+            "ode": ["bank-orthonormality", "bank-sigma-order"]}
+    for method, names in rows.items():
+        label = f"verify --bank {method}"
+        assert values[f"{label} exit"] == 0 and values[f"{label} error"] == ""
+        assert sorted(key for key in values if key.startswith(label) and "#" not in key) == sorted(
+            [f"{label} {name}" for name in names] + [f"{label} exit", f"{label} error"])
+        assert all(values[f"{label} {name}"].startswith("PASS ") for name in names)
+    assert values["verify --bank eigen bank-rayleigh"] == "PASS max Rayleigh quotient deviation #"
+    # the invariant suite is not run again: the plain verify run reports it
+    assert "verify --bank eigen hankel-psd" not in values
+
+
+def test_a_bank_run_passes_its_flags_and_labels_its_keys():
+    def main(argv):
+        assert argv == ["verify", "--bank", "b"]
+        print("FAIL  bank-rayleigh: max Rayleigh quotient deviation 6.0e-03")
+        return 1
+
+    assert output_diff._verify_run(main, "--bank", "b", label="verify --bank eigen") == {
+        "verify --bank eigen bank-rayleigh": "FAIL max Rayleigh quotient deviation #",
+        "verify --bank eigen bank-rayleigh #0": 6.0e-03,
+        "verify --bank eigen exit": 1,
+        "verify --bank eigen error": "",
+    }

@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from wavefilter import io, verify
+from wavefilter import cli, io, verify
 from wavefilter.cli import main
 from wavefilter.filters import build_filter_bank
 from wavefilter.verify import REGISTRY, ToleranceProfile, check_filter_bank, run_verification
@@ -104,6 +104,21 @@ class TestBankValidation:
         checks = check_filter_bank(build_filter_bank(80, 8))
         assert all(c.passed for c in checks)
 
+    @pytest.mark.parametrize("method, rows", [
+        ("eigen", ["bank-orthonormality", "bank-sigma-order", "bank-rayleigh", "bank-filter-l1"]),
+        ("hilbert", ["bank-orthonormality", "bank-sigma-order", "bank-rayleigh"]),
+        ("ode", ["bank-orthonormality", "bank-sigma-order"]),
+    ], ids=["eigen", "hilbert", "ode"])
+    def test_each_method_gets_its_rows_and_an_edited_sigma_fails_the_rayleigh_row(self, method,
+                                                                                rows):
+        bank = build_filter_bank(80, 8, method=method)
+        checks = check_filter_bank(bank)
+        assert [c.name for c in checks] == rows and all(c.passed for c in checks), checks
+        sigmas = bank.sigmas.copy()
+        sigmas[0] *= 1 + 1e-9
+        failed = [c.name for c in check_filter_bank(replace(bank, sigmas=sigmas)) if not c.passed]
+        assert failed == (["bank-rayleigh"] if "bank-rayleigh" in rows else [])
+
     def test_corrupt_bank_fails(self):
         bank = build_filter_bank(80, 8)
         phis = bank.phis.copy()
@@ -113,6 +128,22 @@ class TestBankValidation:
         corrupt = replace(bank, phis=phis)
         checks = check_filter_bank(corrupt)
         assert any(not c.passed for c in checks)
+
+
+def _perturb_one_phi_entry(phis, sigmas):
+    phis[1, 10] += 1e-3
+
+
+def _swap_two_sigmas(phis, sigmas):
+    sigmas[[1, 2]] = sigmas[[2, 1]]
+
+
+def _scale_the_sigmas(phis, sigmas):
+    sigmas *= 1e8
+
+
+def _edit_one_sigma(phis, sigmas):
+    sigmas[3] *= 1.01
 
 
 class TestCliVerify:
@@ -147,7 +178,7 @@ class TestCliVerify:
         assert "FAIL  tail-dominance: no size is at least 60, got sizes (5,)" in out
 
     @pytest.mark.parametrize("T, k, sigmas, message", [
-        (0, 0, [], r"^phis must be 2-D and finite, not empty, got shape \(0, 0\)$"),
+        (0, 0, [], r"bank\.json, whose T must be at least 1, got 0$"),
         (4, 1, [-1.0], r"^sigmas must be 1-D, finite and nonnegative, got shape \(1,\), least -1"),
     ], ids=["empty-bank", "negative-sigma"])
     def test_a_bank_file_that_is_no_bank_exits_2_naming_the_field(self, tmp_path, capsys, T, k,
@@ -158,6 +189,28 @@ class TestCliVerify:
             json.dumps({"T": T, "k": k, "sigmas": sigmas, "method": "eigen"}))
         assert main(["verify", "--sizes", "5", "--bank", str(base)]) == 2
         assert re.search(message, capsys.readouterr().err.split("error: ", 1)[1])
+
+    @pytest.mark.parametrize("row, edit", [
+        ("bank-orthonormality", _perturb_one_phi_entry),
+        ("bank-sigma-order", _swap_two_sigmas),
+        ("bank-filter-l1", _scale_the_sigmas),
+        ("bank-rayleigh", _edit_one_sigma),
+    ], ids=["phi-entry", "swapped-sigmas", "scaled-sigmas", "one-sigma"])
+    def test_each_bank_row_fails_on_its_corrupted_file(self, tmp_path, monkeypatch, row, edit):
+        base = tmp_path / "bank"
+        io.save_filter_bank(build_filter_bank(64, 5), base)
+        monkeypatch.setattr(cli, "run_verification", lambda profile: [])  # the bank rows alone
+        report = tmp_path / "report.json"
+        argv = ["verify", "--bank", str(base), "--out", str(report)]
+        assert main(argv) == 0
+        assert [r["name"] for r in json.loads(report.read_text())] == [
+            "bank-orthonormality", "bank-sigma-order", "bank-rayleigh", "bank-filter-l1"]
+        bank = io.load_filter_bank(base)
+        phis, sigmas = bank.phis.copy(), bank.sigmas.copy()
+        edit(phis, sigmas)
+        io.save_filter_bank(replace(bank, phis=phis, sigmas=sigmas), base)
+        assert main(argv) == 1
+        assert row in [r["name"] for r in json.loads(report.read_text()) if not r["passed"]]
 
     def test_corrupt_bank_flips_exit_status(self, tmp_path):
         base = tmp_path / "bank"

@@ -14,6 +14,10 @@ with that tree's package:
 - the lines of ``wavefilter verify`` at its default sizes, split into
   their numbers and the text around them, plus its exit status and the
   text it wrote to stderr (``verify exit``, ``verify error``);
+- the rows of ``wavefilter verify --bank`` for two exported banks, an
+  ``eigen`` bank (T=256, k=20) and an ``ode`` bank (T=256, k=30), under
+  ``verify --bank eigen ...`` and ``verify --bank ode ...`` (the invariant
+  suite is left out of these runs, as the plain run reports it);
 - the pendulum experiment summary at its default horizon, seeds 0-3.
 
 Every value that differs, bit for bit, is printed with its old and new
@@ -35,6 +39,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import unittest.mock
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
@@ -60,8 +65,8 @@ def _flatten(key: str, value, out: dict) -> None:
         out[key] = value
 
 
-def _verify_values(text: str) -> dict:
-    """``verify NAME`` -> the line with each number as ``#``; ``verify NAME #i`` -> number i."""
+def _verify_values(text: str, label: str = "verify") -> dict:
+    """``LABEL NAME`` -> the line with each number as ``#``; ``LABEL NAME #i`` -> number i."""
     values = {}
     for line in text.splitlines():
         status, _, rest = line.partition("  ")
@@ -74,18 +79,33 @@ def _verify_values(text: str) -> dict:
                 words.append("#" + token[len(number):])
             except ValueError:
                 words.append(token)
-        values[f"verify {name}"] = " ".join([status] + words)
-        values.update({f"verify {name} #{i}": x for i, x in enumerate(numbers)})
+        values[f"{label} {name}"] = " ".join([status] + words)
+        values.update({f"{label} {name} #{i}": x for i, x in enumerate(numbers)})
     return values
 
 
-def _verify_run(main) -> dict:
-    """Values of ``main(["verify"])``: its lines, its exit status and its stderr text."""
+def _verify_run(main, *flags: str, label: str = "verify") -> dict:
+    """Values of ``main(["verify", *flags])``: its lines, its exit status and its stderr text."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(["verify"])
-    values = _verify_values(out.getvalue())
-    values.update({"verify exit": status, "verify error": err.getvalue().strip()})
+        status = main(["verify", *flags])
+    values = _verify_values(out.getvalue(), label)
+    values.update({f"{label} exit": status, f"{label} error": err.getvalue().strip()})
+    return values
+
+
+BANKS = {"eigen": ("--T", "256", "--k", "20"), "ode": ("--T", "256", "--k", "30")}
+
+
+def _bank_runs(cli) -> dict:
+    """Values of ``verify --bank`` for each of ``BANKS``, exported by ``filters``."""
+    values = {}
+    with tempfile.TemporaryDirectory(prefix="output_diff_banks_") as scratch, \
+            unittest.mock.patch.object(cli, "run_verification", lambda profile: []):
+        for method, flags in BANKS.items():
+            base = str(Path(scratch) / method)
+            cli.main(["filters", *flags, "--method", method, "--out", base])
+            values.update(_verify_run(cli.main, "--bank", base, label=f"verify --bank {method}"))
     return values
 
 
@@ -115,6 +135,7 @@ def _child(spec: str) -> None:
                 for key, value in op_values.items():
                     _flatten(f"{name}[{seed}] {op_id}: {key}", value, values)
     values.update(_verify_run(cli.main))
+    values.update(_bank_runs(cli))
     config = experiments.default_experiment_config("pendulum", seeds=PENDULUM_SEEDS)
     _flatten("pendulum", experiments.run_experiment(config), values)
     Path(spec["out"]).write_text(json.dumps(values))

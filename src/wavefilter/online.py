@@ -39,7 +39,9 @@ __all__ = [
 ]
 
 _BLOCK = 128  # steps per block of the rolling fit (see _rolling_ridge)
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_OGD_BLOCK = 64  # steps per block of run_online (see _unprojected_steps)
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
 _BLOWN_UP = "non-finite gradient; the learning rate has blown up"
 _OVERFLOWED = "the step overflowed the matrix; the learning rate has blown up"
 
@@ -200,10 +202,21 @@ def run_online(
 ) -> OnlineRunResult:
     """Sequential predict/observe/update over a whole trajectory.
 
-    Features are precomputed in one batch pass (the update sequence is
-    unchanged). The regret comparator is the best fixed matrix over the
-    same decision set, or the derivative predictor of
-    ``comparator_params`` when given.
+    Features are precomputed in one batch pass, and the steps advance in
+    blocks of ``_OGD_BLOCK`` (64). A block is solved at once, by one
+    unit lower-triangular solve over its rows (``_unprojected_steps``),
+    when three guards hold: the solve needs no pivoting, every residual is
+    finite with its gradient entries below overflow, and every step's norm
+    stays inside the ball, so no step projects. Any other block runs step
+    by step, with the arithmetic of ``predict``/``update`` in the same
+    order: the projection, the overflow handling and the
+    ``FloatingPointError`` that names its step are theirs, bit for bit.
+    After a block that fell back, the next blocks also run step by step
+    until the norm is at most half the radius. A solved block's
+    predictions, losses, norms and matrix match the step-by-step loop to
+    rounding (within 1e-12 of the largest value). The regret comparator is
+    the best fixed matrix over the same decision set, or the derivative
+    predictor of ``comparator_params`` when given.
     """
     features, eff_features, eff_targets = _effective_parts(trajectory, config)
     T, m = trajectory.length, trajectory.output_dim
@@ -213,13 +226,14 @@ def run_online(
         eta = float(config.eta)
 
     state = init_state(config, trajectory.input_dim, m, eta)
-    # The arithmetic of predict/update, in the same order, in place on arrays
-    # allocated once. The learned block is its own contiguous array (the
-    # whole matrix when nothing is frozen), so its norm is sqrt(flat . flat),
-    # as in np.linalg.norm; a frozen run copies it into the full matrix for
-    # the next gemv. No gradient entry exceeds 2 ||r|| max|f|, so only a step
-    # where that bound nears overflow checks the entries. A norm that
-    # overflows is projected as _project_ball does it, by _project_huge.
+    # The step-by-step path does the arithmetic of predict/update, in the
+    # same order, in place on arrays allocated once. The learned block is its
+    # own contiguous array (the whole matrix when nothing is frozen), so its
+    # norm is sqrt(flat . flat), as in np.linalg.norm; a frozen run copies it
+    # into the full matrix for the next gemv. No gradient entry exceeds
+    # 2 ||r|| max|f|, so only a step where that bound nears overflow checks
+    # the entries. A norm that overflows is projected as _project_ball does
+    # it, by _project_huge.
     frozen, r_m = config.freeze_y_block, config.r_m
     matrix = state.matrix
     learned = state.layout.y_block.start if frozen else matrix.shape[1]
@@ -228,34 +242,50 @@ def run_online(
     flat = block.reshape(-1)
     grad, resid = np.empty_like(block), np.empty(m)
     column = resid[:, None]
-    peaks = np.maximum(features.max(axis=1), -features.min(axis=1)).tolist()  # max |f|
+    peaks = np.maximum(features.max(axis=1), -features.min(axis=1))  # max |f|
+    peak_list = peaks.tolist()
     outputs = trajectory.outputs
     predictions = np.zeros((T, m))
     matrix_norms = np.zeros(T)
-    with np.errstate(over="ignore"):  # such a norm is projected, not a warning
-        for t in range(T):
-            f, prediction = features[t], predictions[t]
-            matrix.dot(f, out=prediction)
-            np.subtract(outputs[t], prediction, out=resid)
-            if not 2.0 * math.sqrt(resid.dot(resid)) * peaks[t] < 1e300:
-                if not np.isfinite(-2.0 * np.outer(resid, f)).all():
-                    raise FloatingPointError(f"{_BLOWN_UP} (step {t + 1})")
-            np.multiply(column, f[:learned], out=grad)  # np.outer
-            np.multiply(-2.0, grad, out=grad)
-            np.multiply(eta, grad, out=grad)
-            np.subtract(block, grad, out=block)
-            norm = math.sqrt(flat.dot(flat))
-            if norm > r_m:
-                if math.isfinite(norm):
-                    np.multiply(block, r_m / norm, out=block)
-                elif np.isfinite(block).all():
-                    _project_huge(block, r_m, out=block)
-                else:
-                    raise FloatingPointError(f"{_OVERFLOWED} (step {t + 1})")
-                norm = math.sqrt(flat.dot(flat))
+    solved = True  # whether the last block ran as one solve
+    for start in range(0, T, _OGD_BLOCK):
+        stop = min(start + _OGD_BLOCK, T)
+        steps = None
+        # after a block that fell back the ball mostly binds: wait for the norm to halve
+        if solved or matrix_norms[start - 1] <= 0.5 * r_m:
+            steps = _unprojected_steps(block, eff_features[start:stop], eff_targets[start:stop],
+                                       peaks[start:stop], eta, r_m)
+        solved = steps is not None
+        if solved:
+            resids, matrix_norms[start:stop], block[...] = steps
+            np.subtract(outputs[start:stop], resids, out=predictions[start:stop])
             if frozen:
                 np.copyto(head, block)
-            matrix_norms[t] = norm
+            continue
+        with np.errstate(over="ignore"):  # such a norm is projected, not a warning
+            for t in range(start, stop):
+                f, prediction = features[t], predictions[t]
+                matrix.dot(f, out=prediction)
+                np.subtract(outputs[t], prediction, out=resid)
+                if not 2.0 * math.sqrt(resid.dot(resid)) * peak_list[t] < 1e300:
+                    if not np.isfinite(-2.0 * np.outer(resid, f)).all():
+                        raise FloatingPointError(f"{_BLOWN_UP} (step {t + 1})")
+                np.multiply(column, f[:learned], out=grad)  # np.outer
+                np.multiply(-2.0, grad, out=grad)
+                np.multiply(eta, grad, out=grad)
+                np.subtract(block, grad, out=block)
+                norm = math.sqrt(flat.dot(flat))
+                if norm > r_m:
+                    if math.isfinite(norm):
+                        np.multiply(block, r_m / norm, out=block)
+                    elif np.isfinite(block).all():
+                        _project_huge(block, r_m, out=block)
+                    else:
+                        raise FloatingPointError(f"{_OVERFLOWED} (step {t + 1})")
+                    norm = math.sqrt(flat.dot(flat))
+                if frozen:
+                    np.copyto(head, block)
+                matrix_norms[t] = norm
     losses = ((trajectory.outputs - predictions) ** 2).sum(axis=1)
 
     if comparator_params is not None:
@@ -266,6 +296,62 @@ def run_online(
         comp_losses = _best_fixed_losses(eff_features, eff_targets, config.r_m)
         kind = "best-fixed-M"
     return OnlineRunResult(predictions, losses, state, matrix_norms, comp_losses, kind)
+
+
+def _unprojected_steps(
+    matrix: np.ndarray,
+    features: np.ndarray,
+    targets: np.ndarray,
+    peaks: np.ndarray,
+    eta: float,
+    r_m: float,
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Residuals, per-step norms and final matrix of OGD steps that do not project.
+
+    ``matrix`` is the learned block before the first of the ``features``
+    rows, whose ``targets`` it predicts (the output differences when the
+    output block is frozen). Without projection, step i's matrix is
+    ``M_0 + 2 eta sum_{j<i} r_j f_j^T``, so with ``G = F F^T`` the residuals
+    solve the unit lower-triangular system
+    ``(I + 2 eta tril(G, -1)) R = Y - F M_0^T``, and the final matrix is
+    ``M_0 + 2 eta R^T F``. Prefix sums of
+    ``||M_{i+1}||^2 = ||M_i||^2 + 4 eta r_i . (M_i f_i) + (2 eta ||r_i|| ||f_i||)^2``,
+    with ``M_i f_i = y_i - r_i``, give the norms. None unless three guards hold:
+
+    - no pivoting: ``2 eta max|tril(G, -1)| <= 1``, so the partial pivoting
+      of ``np.linalg.solve``'s LU keeps every unit diagonal pivot and the
+      solve is the forward substitution, on numpy's BLAS;
+    - finite residuals: every ``2 ||r_i|| max|f_i|`` is below 1e300, the
+      step-by-step path's bound on a gradient entry (``peaks`` is max|f_i|
+      over the full feature row);
+    - inside the ball: every norm, raised by the rounding bound of its
+      prefix sum (block length times eps times the sum of the expansion's
+      absolute terms, which must be finite), stays at most ``r_m``, so no
+      step would project, and a norm that overflows is never taken for one
+      inside a ball whose squared radius overflows too.
+    """
+    n = len(features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = features @ features.T
+        system = np.tril(gram, -1)
+        system *= 2.0 * eta
+        if not np.abs(system).max(initial=0.0) <= 1.0:
+            return None
+        np.fill_diagonal(system, 1.0)
+        resids = np.linalg.solve(system, targets - features @ matrix.T)
+        squares = np.einsum("ij,ij->i", resids, resids)
+        if not np.all(2.0 * np.sqrt(squares) * peaks < 1e300):
+            return None
+        cross = 4.0 * eta * np.einsum("ij,ij->i", resids, targets - resids)
+        growth = np.square(2.0 * eta * np.sqrt(squares * gram.diagonal()))
+        first = np.vdot(matrix, matrix)
+        norms = first + np.cumsum(cross + growth)
+        spread = first + np.cumsum(np.abs(cross) + growth)
+        if not (math.isfinite(spread[-1]) and np.all(norms + n * _EPS * spread <= r_m * r_m)):
+            return None
+        # every |r_i f_i| is below 5e299 and every step is bounded: neither factor overflows
+        final = matrix + 2.0 * eta * (resids.T @ features)
+    return resids, np.sqrt(np.maximum(norms, 0.0)), final
 
 
 def _project_ball(matrix: np.ndarray, r_m: float) -> np.ndarray:

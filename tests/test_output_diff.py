@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import types
 from pathlib import Path
 
 import pytest
@@ -141,3 +142,26 @@ def test_a_bank_run_passes_its_flags_and_labels_its_keys():
         "verify --bank eigen exit": 1,
         "verify --bank eigen error": "",
     }
+
+
+def test_summaries_cover_the_pendulum_and_the_ogd_learner_on_mimo_10():
+    from wavefilter import experiments
+
+    def run_experiment(config):  # the summary fields that name the run
+        return {"experiment": config.name, "horizon": config.horizon,
+                "seeds": list(config.seeds), "learner": config.learner,
+                "final_mse": {"wave_filter": 0.5}}
+
+    fake = types.SimpleNamespace(
+        default_experiment_config=experiments.default_experiment_config,
+        run_experiment=run_experiment)
+    values = output_diff._summaries(fake)
+    assert {key: value for key, value in values.items() if key.startswith("mimo_10 ogd")} == {
+        "mimo_10 ogd.experiment": "mimo_10",
+        "mimo_10 ogd.horizon": 1000,
+        **{f"mimo_10 ogd.seeds[{i}]": i for i in range(4)},
+        "mimo_10 ogd.learner": "ogd",
+        "mimo_10 ogd.final_mse.wave_filter": 0.5,
+    }
+    assert values["pendulum.learner"] == "ftl" and values["pendulum.horizon"] == 2000
+    assert [values[f"pendulum.seeds[{i}]"] for i in range(4)] == [0, 1, 2, 3]

@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from wavefilter import cli, io, verify
+from wavefilter import cli, io, online, verify
 from wavefilter.cli import main
 from wavefilter.filters import build_filter_bank
 from wavefilter.verify import REGISTRY, ToleranceProfile, check_filter_bank, run_verification
@@ -99,10 +99,36 @@ class TestChecksCanFail:
             assert not result.passed, result
 
 
+class _FullGram:
+    """numpy, except that ``tril`` returns the whole matrix."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def tril(a, k=0):
+        return np.array(a)
+
+
+class TestOgdEquivalence:
+    def test_blocked_run_matches_the_per_step_loop(self):
+        check = verify._check_ogd_equivalence(ToleranceProfile())
+        assert check.passed and check.detail.startswith("max abs diff "), check
+
+    def test_a_block_solve_that_reads_later_rows_fails(self, monkeypatch):
+        # the whole Gram instead of its strictly lower triangle: every residual
+        # of a block then depends on the block's later rows
+        monkeypatch.setattr(online, "np", _FullGram())
+        check = verify._check_ogd_equivalence(ToleranceProfile())
+        assert not check.passed, check
+
+
 class TestBankValidation:
     def test_clean_bank_passes(self):
         checks = check_filter_bank(build_filter_bank(80, 8))
         assert all(c.passed for c in checks)
+        order = next(c for c in checks if c.name == "bank-sigma-order")
+        assert order.detail == "no sigma rises by more than 1e-12"
 
     @pytest.mark.parametrize("method, rows", [
         ("eigen", ["bank-orthonormality", "bank-sigma-order", "bank-rayleigh", "bank-filter-l1"]),
@@ -190,13 +216,15 @@ class TestCliVerify:
         assert main(["verify", "--sizes", "5", "--bank", str(base)]) == 2
         assert re.search(message, capsys.readouterr().err.split("error: ", 1)[1])
 
-    @pytest.mark.parametrize("row, edit", [
-        ("bank-orthonormality", _perturb_one_phi_entry),
-        ("bank-sigma-order", _swap_two_sigmas),
-        ("bank-filter-l1", _scale_the_sigmas),
-        ("bank-rayleigh", _edit_one_sigma),
+    @pytest.mark.parametrize("row, edit, detail", [
+        ("bank-orthonormality", _perturb_one_phi_entry, r"^max gram deviation "),
+        ("bank-sigma-order", _swap_two_sigmas,
+         r"^first rise at index 2: sigma\[1\] \S+ < sigma\[2\] \S+$"),
+        ("bank-filter-l1", _scale_the_sigmas, r"^worst l1-minus-bound "),
+        ("bank-rayleigh", _edit_one_sigma, r"^max Rayleigh quotient deviation "),
     ], ids=["phi-entry", "swapped-sigmas", "scaled-sigmas", "one-sigma"])
-    def test_each_bank_row_fails_on_its_corrupted_file(self, tmp_path, monkeypatch, row, edit):
+    def test_each_bank_row_fails_on_its_corrupted_file(self, tmp_path, monkeypatch, row, edit,
+                                                       detail):
         base = tmp_path / "bank"
         io.save_filter_bank(build_filter_bank(64, 5), base)
         monkeypatch.setattr(cli, "run_verification", lambda profile: [])  # the bank rows alone
@@ -210,7 +238,8 @@ class TestCliVerify:
         edit(phis, sigmas)
         io.save_filter_bank(replace(bank, phis=phis, sigmas=sigmas), base)
         assert main(argv) == 1
-        assert row in [r["name"] for r in json.loads(report.read_text()) if not r["passed"]]
+        failed = {r["name"]: r["detail"] for r in json.loads(report.read_text()) if not r["passed"]}
+        assert re.search(detail, failed[row]), failed[row]
 
     def test_corrupt_bank_flips_exit_status(self, tmp_path):
         base = tmp_path / "bank"

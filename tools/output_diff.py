@@ -18,7 +18,9 @@ with that tree's package:
   ``eigen`` bank (T=256, k=20) and an ``ode`` bank (T=256, k=30), under
   ``verify --bank eigen ...`` and ``verify --bank ode ...`` (the invariant
   suite is left out of these runs, as the plain run reports it);
-- the pendulum experiment summary at its default horizon, seeds 0-3.
+- the pendulum experiment summary at its default horizon, seeds 0-3,
+  and the ``mimo_10`` summary of the OGD learner (``learner="ogd"``) at
+  T=1000, seeds 0-3, under ``pendulum`` and ``mimo_10 ogd``.
 
 Every value that differs, bit for bit, is printed with its old and new
 value and ``|new - old|`` in units of the benchmark's tolerance
@@ -51,6 +53,8 @@ import bench_pairs  # noqa: E402
 RTOL = 1e-6
 ATOL = 1e-9
 PENDULUM_SEEDS = (0, 1, 2, 3)
+OGD_HORIZON = 1000
+OGD_SEEDS = (0, 1, 2, 3)
 
 
 def _flatten(key: str, value, out: dict) -> None:
@@ -109,6 +113,19 @@ def _bank_runs(cli) -> dict:
     return values
 
 
+def _summaries(experiments) -> dict:
+    """Values of the pendulum summary and of the ``mimo_10`` OGD summary."""
+    configs = {
+        "pendulum": experiments.default_experiment_config("pendulum", seeds=PENDULUM_SEEDS),
+        "mimo_10 ogd": experiments.default_experiment_config(
+            "mimo_10", OGD_HORIZON, seeds=OGD_SEEDS, learner="ogd"),
+    }
+    values = {}
+    for label, config in configs.items():
+        _flatten(label, experiments.run_experiment(config), values)
+    return values
+
+
 def _child(spec: str) -> None:
     """Compute the values of a tree's package and write them as JSON.
 
@@ -136,8 +153,7 @@ def _child(spec: str) -> None:
                     _flatten(f"{name}[{seed}] {op_id}: {key}", value, values)
     values.update(_verify_run(cli.main))
     values.update(_bank_runs(cli))
-    config = experiments.default_experiment_config("pendulum", seeds=PENDULUM_SEEDS)
-    _flatten("pendulum", experiments.run_experiment(config), values)
+    values.update(_summaries(experiments))
     Path(spec["out"]).write_text(json.dumps(values))
 
 

@@ -928,6 +928,24 @@ class TestCli:
                          "--out", "model"]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("learner", ["ogd", "ftl"])
+    def test_features_whose_gram_overflows_exit_2_naming_it(self, tmp_path, monkeypatch, capsys,
+                                                            learner):
+        # inputs of 1e200 from step 11: the features' squares overflow, and eigh of
+        # the overflowed Gram once failed with "Eigenvalues did not converge"
+        monkeypatch.chdir(tmp_path)
+        base = simulate_scenario("siso_hard", 64, 0, 0.1, 0.1)
+        inputs = base.inputs.copy()
+        inputs[10:] = 1e200
+        io.save_trajectory(Trajectory(inputs=inputs, outputs=base.outputs), Path("traj"))
+        argv = ["online", "--data", "traj", "--k", "4", "--learner", learner, "--out", "model"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = cli_error(capsys, argv)
+        assert message == ("the features' Gram matrix F^T F overflowed: "
+                           "no best fixed matrix can be fitted")
+        assert not Path("model.steps.csv").exists()
+
     def test_online_eta_that_is_not_a_number_is_a_parser_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["online", "--data", str(tmp_path / "traj"), "--eta", "abc",

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from wavefilter import _lapack, online
 from wavefilter.baselines import baseline_ar
 from wavefilter.batch import BatchSample, fit_batch
-from wavefilter.experiments import simulate_scenario
+from wavefilter.experiments import default_experiment_config, run_experiment, simulate_scenario
 from wavefilter.filters import FilterBank, build_filter_bank
-from wavefilter.lds import LdsParams, Trajectory, simulate
+from wavefilter.lds import LdsParams, Trajectory, simulate, synthetic_system
 from wavefilter.online import (
     OnlineConfig,
     _constrained_least_squares,
@@ -339,6 +339,24 @@ class TestRunOnline:
         else:
             assert norms.max() < r_m
 
+    def test_benchmarked_runs_solve_every_block(self, monkeypatch):
+        # the oracle_mimo_10 workload's first seed and `experiment --learner ogd`
+        # on siso_hard (R_M 10) never bind the ball: no step runs update
+        def per_step(*args):
+            raise AssertionError("run_online fell back to per-step updates")
+
+        monkeypatch.setattr(online, "update", per_step)
+        T = 1000
+        params, _ = synthetic_system("mimo_10", seed=0)
+        traj = simulate_scenario("mimo_10", T, 0, 0.1, 0.1)
+        result = run_online(
+            traj, OnlineConfig(bank=build_filter_bank(T, 25)), comparator_params=params
+        )
+        assert result.report.comparator_kind == "true-derivative"
+        assert result.matrix_norms.max() < 10.0
+        config = default_experiment_config("siso_hard", T, seeds=(0, 1, 2, 3), learner="ogd")
+        assert math.isfinite(run_experiment(config)["final_mse"]["wave_filter"])
+
     @staticmethod
     def _per_step_updates(traj, config, eta):
         """The loop of ``predict``/``update`` calls: its final state, predictions and
@@ -384,7 +402,8 @@ class TestRunOnline:
     def test_a_finite_gradient_beyond_the_quick_bound_matches_per_step_update(
         self, freeze_y_block
     ):
-        # a last-step spike: 2 ||r|| max|f| exceeds 1e300, every gradient entry is finite
+        # a last-step spike: 2 ||r|| max|f| exceeds 1e300, so the block's guard on finite
+        # residuals sends it to the per-step updates, where every gradient entry is finite
         traj, config = self._spiked(freeze_y_block, spike_step=64)
         state, predictions, norms, where = self._per_step_updates(traj, config, config.eta)
         assert where is None

@@ -165,3 +165,15 @@ def test_summaries_cover_the_pendulum_and_the_ogd_learner_on_mimo_10():
     }
     assert values["pendulum.learner"] == "ftl" and values["pendulum.horizon"] == 2000
     assert [values[f"pendulum.seeds[{i}]"] for i in range(4)] == [0, 1, 2, 3]
+
+
+def test_binding_runs_record_loss_norms_and_frobenius_frozen_and_unfrozen():
+    values = output_diff._binding_runs()
+    for label in ("mimo_10 ogd r_m 0.3 frozen", "mimo_10 ogd r_m 0.3 unfrozen"):
+        keys = sorted(key for key in values if key.startswith(label + "."))
+        assert keys == sorted([f"{label}.learner_loss", f"{label}.matrix_frobenius"]
+                              + [f"{label}.matrix_norms[{t}]" for t in range(1000)])
+        assert values[f"{label}.matrix_norms[999]"] == pytest.approx(0.3)  # the ball binds
+    # frozen, the identity output block (10 outputs) adds sqrt(10) beyond the ball
+    assert values["mimo_10 ogd r_m 0.3 frozen.matrix_frobenius"] == pytest.approx(
+        math.sqrt(0.3**2 + 10))

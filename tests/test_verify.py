@@ -83,6 +83,12 @@ class TestHiddenStateDecay:
         assert not verify._check_hidden_state_decay(ToleranceProfile()).passed
 
 
+def _raise_one_symbol_entry(hankel):
+    symbol = hankel.symbol.copy()
+    symbol[0] += 1e-15
+    return replace(hankel, symbol=symbol)
+
+
 class TestChecksCanFail:
     @pytest.mark.parametrize("name, scale, checks", [
         ("mu_curve", 1.01, [verify._check_mu_envelope, verify._check_mu_l1,
@@ -90,6 +96,11 @@ class TestChecksCanFail:
         ("spectral_tail_sum", 1e6, [verify._check_tail_dominance]),
         # a smaller tail shrinks the residual bound sqrt(6 tail)
         ("spectral_tail_sum", 1e-6, [verify._check_projection_residual]),
+        ("featurize_batch", 1.01, [verify._check_fft_equivalence]),
+        ("derivative_predictions", 1.01, [verify._check_derivative_equivalence]),
+        ("featurize_batch", 100.0, [verify._check_feature_entry_bound]),
+        ("featurize_online", 1000.0, [verify._check_feature_norm_bound]),
+        ("lipschitz_bound", 0.1, [verify._check_output_lipschitz]),
     ])
     def test_scaled_quantity_fails_the_checks_that_bound_it(self, monkeypatch, name, scale, checks):
         real = getattr(verify, name)
@@ -97,6 +108,22 @@ class TestChecksCanFail:
         for check in checks:
             result = check(ToleranceProfile())
             assert not result.passed, result
+
+    @pytest.mark.parametrize("name, edit, check", [
+        ("full_spectrum", lambda spec: replace(spec, sigmas=spec.sigmas - 1e-9),
+         verify._check_hankel_psd),
+        ("full_spectrum", lambda spec: replace(spec, sigmas=spec.sigmas * 1e6),
+         verify._check_spectral_decay),
+        ("build_hankel", lambda hankel: replace(hankel, symbol=2.0 * hankel.symbol),
+         verify._check_hankel_trace),
+        ("build_hankel", _raise_one_symbol_entry, verify._check_hankel_entries),
+    ], ids=["hankel-psd-lowered-sigmas", "spectral-decay-scaled-sigmas",
+            "hankel-trace-doubled-symbol", "hankel-entry-formula-raised-entry"])
+    def test_edited_result_fails_the_check_that_reads_it(self, monkeypatch, name, edit, check):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda T: edit(real(T)))
+        result = check(ToleranceProfile())
+        assert not result.passed, result
 
 
 class _FullGram:

@@ -20,7 +20,11 @@ with that tree's package:
   suite is left out of these runs, as the plain run reports it);
 - the pendulum experiment summary at its default horizon, seeds 0-3,
   and the ``mimo_10`` summary of the OGD learner (``learner="ogd"``) at
-  T=1000, seeds 0-3, under ``pendulum`` and ``mimo_10 ogd``.
+  T=1000, seeds 0-3, under ``pendulum`` and ``mimo_10 ogd``;
+- one OGD run whose ball binds (``mimo_10``, T=1000, k=25, seed 0,
+  r_m 0.3), with the output block frozen and not, under
+  ``mimo_10 ogd r_m 0.3 frozen`` and ``mimo_10 ogd r_m 0.3 unfrozen``:
+  its learner loss, per-step norms and final matrix's Frobenius norm.
 
 Every value that differs, bit for bit, is printed with its old and new
 value and ``|new - old|`` in units of the benchmark's tolerance
@@ -55,6 +59,7 @@ ATOL = 1e-9
 PENDULUM_SEEDS = (0, 1, 2, 3)
 OGD_HORIZON = 1000
 OGD_SEEDS = (0, 1, 2, 3)
+BINDING_R_M = 0.3
 
 
 def _flatten(key: str, value, out: dict) -> None:
@@ -126,6 +131,27 @@ def _summaries(experiments) -> dict:
     return values
 
 
+def _binding_runs() -> dict:
+    """Values of ``run_online`` on ``mimo_10`` where the ball binds, frozen and unfrozen."""
+    import numpy as np
+
+    from wavefilter import filters, online
+    from wavefilter.experiments import simulate_scenario
+
+    traj = simulate_scenario("mimo_10", OGD_HORIZON, 0, 0.1, 0.1)
+    bank = filters.build_filter_bank(OGD_HORIZON, 25)
+    values = {}
+    for frozen in (True, False):
+        config = online.OnlineConfig(bank=bank, r_m=BINDING_R_M, freeze_y_block=frozen)
+        result = online.run_online(traj, config)
+        run = {"learner_loss": result.report.learner_loss,
+               "matrix_norms": result.matrix_norms.tolist(),
+               "matrix_frobenius": float(np.linalg.norm(result.state.matrix))}
+        label = f"mimo_10 ogd r_m {BINDING_R_M} {'frozen' if frozen else 'unfrozen'}"
+        _flatten(label, run, values)
+    return values
+
+
 def _child(spec: str) -> None:
     """Compute the values of a tree's package and write them as JSON.
 
@@ -154,6 +180,7 @@ def _child(spec: str) -> None:
     values.update(_verify_run(cli.main))
     values.update(_bank_runs(cli))
     values.update(_summaries(experiments))
+    values.update(_binding_runs())
     Path(spec["out"]).write_text(json.dumps(values))
 
 
